@@ -34,12 +34,6 @@ Usage::
                                                         # >30% events/sec loss
     python benchmarks/bench_kernel.py --runner-speedup  # E5/E11 serial vs
                                                         # --jobs 4 wall clock
-    python benchmarks/bench_kernel.py --shards 4        # huge_system on the
-                                                        # sharded kernel, label
-                                                        # 'after-shards4'
-    python benchmarks/bench_kernel.py --check --shards 4  # CI smoke vs the
-                                                          # 'after-shards4'
-                                                          # capture
 
 The JSON keeps one measurement block per capture label; ``--check``
 compares a fresh measurement against the committed ``after`` block and
@@ -65,6 +59,7 @@ _SRC = os.path.join(os.path.dirname(_HERE), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.runner import usable_cpus  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 from repro.sim.profile import peak_rss_kb  # noqa: E402
 
@@ -161,7 +156,6 @@ def bench_huge_system(
     n_procs: int = 2_000,
     n_events: int = 400_000,
     chains: int = 64,
-    shards: int = 1,
 ) -> Dict[str, Any]:
     """Intra-run scale through the handle-free pooled path.
 
@@ -173,79 +167,15 @@ def bench_huge_system(
     process's peak RSS at the end of the run over its peak at 10 % of
     the horizon -- flat-memory execution keeps it near 1.0 regardless
     of ``n_events``.
-
-    With ``shards > 1`` the same workload runs on a
-    :class:`~repro.sim.shard.ShardedSimulator` (``threads`` executor,
-    one worker per shard): every hop becomes a ``schedule_message`` to
-    the next process, whose hop delay equals the lookahead, so each
-    window executes one hop per live chain on every shard.  Each chain
-    carries its own remaining-hop budget (no cross-shard shared
-    counter), and the RSS probe is a timer at 10 % of the virtual
-    horizon instead of a hop count.  On a multi-core interpreter
-    without the GIL the threads executor turns shards into real
-    parallelism; under the GIL the numbers measure the windowing
-    overhead honestly.
     """
     from array import array
 
-    per_chain = max(1, n_events // chains)
-    counters = array("Q", [0]) * n_procs
-
-    if shards > 1:
-        from repro.sim.shard import ShardedSimulator
-
-        lookahead = 0.001  # == the hop delay: one hop per chain per window
-        sim = ShardedSimulator(shards, lookahead=lookahead, executor="threads")
-        state = {"rss_tenth": 0}
-        horizon = per_chain * lookahead
-
-        def hop(proc: int, r: int, remaining: int) -> None:
-            counters[proc] += 1
-            if remaining:
-                nxt = (r * 1103515245 + 12345) & 0x7FFFFFFF
-                sim.schedule_message(
-                    sim.now + lookahead, nxt % n_procs, hop, nxt % n_procs,
-                    nxt, remaining - 1,
-                )
-
-        def probe_rss() -> None:
-            state["rss_tenth"] = peak_rss_kb()
-
-        for i in range(chains):
-            proc = i % n_procs
-            with sim.home(proc):
-                sim.schedule_fast(
-                    0.0001 * (i + 1), hop, proc, (i + 1) * 2654435761,
-                    per_chain - 1,
-                )
-        with sim.home(0):
-            sim.schedule_fast(horizon * 0.1, probe_rss)
-        t0 = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - t0
-        rss_end = peak_rss_kb()
-        rss_tenth = state["rss_tenth"] or rss_end
-        return {
-            "events": sim.events_processed,
-            "wall_s": wall,
-            "events_per_sec": sim.events_processed / wall,
-            "peak_heap": chains,
-            "n_procs": n_procs,
-            "shards": shards,
-            "windows": sim.windows,
-            "peak_rss_kb": rss_end,
-            "rss_ratio": round(rss_end / rss_tenth, 3),
-            # always-present pool stats (the facade sums per-shard pools)
-            # so --check comparisons never KeyError across shard counts
-            "pool_reuses": sim.pool_reuses,
-            "pool_size": sim.pool_size,
-        }
-
     sim = Simulator()
+    counters = array("Q", [0]) * n_procs
     state = {"count": 0, "rss_tenth": 0}
     tenth = max(1, n_events // 10)
 
-    def hop1(proc: int, r: int) -> None:
+    def hop(proc: int, r: int) -> None:
         counters[proc] += 1
         count = state["count"] + 1
         state["count"] = count
@@ -253,10 +183,10 @@ def bench_huge_system(
             state["rss_tenth"] = peak_rss_kb()
         if count < n_events:
             r = (r * 1103515245 + 12345) & 0x7FFFFFFF
-            sim.schedule_fast(0.001, hop1, r % n_procs, r)
+            sim.schedule_fast(0.001, hop, r % n_procs, r)
 
     for i in range(chains):
-        sim.schedule_fast(0.0005 * (i + 1), hop1, i % n_procs, (i + 1) * 2654435761)
+        sim.schedule_fast(0.0005 * (i + 1), hop, i % n_procs, (i + 1) * 2654435761)
     t0 = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - t0
@@ -268,11 +198,9 @@ def bench_huge_system(
         "events_per_sec": sim.events_processed / wall,
         "peak_heap": chains,
         "n_procs": n_procs,
-        "shards": 1,
         "peak_rss_kb": rss_end,
         "rss_ratio": round(rss_end / rss_tenth, 3),
         "pool_reuses": sim.pool_reuses,
-        "pool_size": sim.pool_size,
     }
 
 
@@ -288,21 +216,11 @@ WORKLOADS = {
 }
 
 
-def measure_all(repeats: int = 3, shards: int = 1) -> Dict[str, Any]:
+def measure_all(repeats: int = 3) -> Dict[str, Any]:
     """Run every workload ``repeats`` times, keep the best (least noisy)
-    by events/sec.
-
-    With ``shards > 1`` only ``huge_system`` runs (on the sharded
-    kernel); the other workloads are single-heap by construction and
-    their sharded numbers would just re-measure the plain kernel.
-    """
-    workloads: Dict[str, Any] = dict(WORKLOADS)
-    if shards > 1:
-        workloads = {
-            "huge_system": lambda: bench_huge_system(shards=shards),
-        }
+    by events/sec."""
     results: Dict[str, Any] = {}
-    for name, fn in workloads.items():
+    for name, fn in WORKLOADS.items():
         best: Optional[Dict[str, Any]] = None
         for _ in range(repeats):
             sample = fn()
@@ -324,7 +242,7 @@ def host_info() -> Dict[str, Any]:
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "cpus": os.cpu_count(),
+        "cpus": usable_cpus(),
     }
 
 
@@ -365,7 +283,16 @@ def _e11_configs():
 def measure_runner_speedup(jobs: int = 4) -> Dict[str, Any]:
     from repro.runner import TrialRunner, TrialSpec
 
-    out: Dict[str, Any] = {"jobs": jobs, "host_cpus": os.cpu_count()}
+    cpus = usable_cpus()
+    out: Dict[str, Any] = {"jobs": jobs, "host_cpus": cpus}
+    if cpus < jobs:
+        # jobs workers time-slicing fewer CPUs measure the pool's
+        # overhead, not its scaling: keep the timings, report no ratio
+        out["skipped"] = (
+            f"{cpus} usable cpu(s) < {jobs} jobs: the ratio would be pool "
+            "overhead, not scaling"
+        )
+        print(f"  speedup not reported: {out['skipped']}")
     for name, maker in (("e5", _e5_configs), ("e11", _e11_configs)):
         specs = [TrialSpec(config=c) for c in maker()]
         t0 = time.perf_counter()
@@ -377,16 +304,17 @@ def measure_runner_speedup(jobs: int = 4) -> Dict[str, Any]:
         assert [r.summary for r in serial] == [r.summary for r in parallel], (
             f"{name}: serial/parallel parity violated"
         )
+        speedup = None if "skipped" in out else round(serial_s / parallel_s, 2)
         out[name] = {
             "trials": len(specs),
             "serial_s": round(serial_s, 3),
             "parallel_s": round(parallel_s, 3),
-            "speedup": round(serial_s / parallel_s, 2),
+            "speedup": speedup,
         }
         print(
             f"  {name}: {len(specs)} trials, serial {serial_s:.2f}s, "
             f"--jobs {jobs} {parallel_s:.2f}s "
-            f"({serial_s / parallel_s:.2f}x, parity ok)"
+            f"({'' if speedup is None else f'{speedup:.2f}x, '}parity ok)"
         )
     return out
 
@@ -407,12 +335,12 @@ def save(path: str, data: Dict[str, Any]) -> None:
         handle.write("\n")
 
 
-def cmd_capture(path: str, label: str, shards: int = 1) -> int:
+def cmd_capture(path: str, label: str) -> int:
     print(f"capturing '{label}' kernel numbers ...")
     data = load(path)
     data["captures"][label] = {
         "host": host_info(),
-        "workloads": measure_all(shards=shards),
+        "workloads": measure_all(),
         "peak_rss_kb": peak_rss_kb(),
     }
     before = data["captures"].get("before", {}).get("workloads")
@@ -432,20 +360,15 @@ def cmd_capture(path: str, label: str, shards: int = 1) -> int:
     return 0
 
 
-def cmd_check(path: str, tolerance: float, shards: int = 1) -> int:
+def cmd_check(path: str, tolerance: float) -> int:
     data = load(path)
-    label = "after" if shards == 1 else f"after-shards{shards}"
-    baseline = data["captures"].get(label, {}).get("workloads")
+    baseline = data["captures"].get("after", {}).get("workloads")
     if not baseline:
-        print(
-            f"error: no '{label}' capture in {path}; run "
-            f"--capture {label}{f' --shards {shards}' if shards > 1 else ''} first",
-            file=sys.stderr,
-        )
+        print(f"error: no 'after' capture in {path}; run --capture after first",
+              file=sys.stderr)
         return 2
-    print(f"kernel throughput smoke vs {path} '{label}' "
-          f"(tolerance {tolerance:.0%}):")
-    measured = measure_all(shards=shards)
+    print(f"kernel throughput smoke vs {path} (tolerance {tolerance:.0%}):")
+    measured = measure_all()
     failed = []
     for name, stats in measured.items():
         if name not in baseline:
@@ -525,20 +448,15 @@ def main(argv=None) -> int:
     parser.add_argument("--huge-full", action="store_true",
                         help="run the full-size huge_system workload "
                              "(10k procs, 10M events) and record it")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="run huge_system on a sharded kernel with this "
-                             "many per-shard heaps (capture/check label "
-                             "becomes 'after-shardsN')")
     args = parser.parse_args(argv)
 
     if args.check:
-        return cmd_check(args.out, args.tolerance, shards=args.shards)
+        return cmd_check(args.out, args.tolerance)
     if args.runner_speedup:
         return cmd_runner_speedup(args.out, args.jobs)
     if args.huge_full:
         return cmd_huge_full(args.out)
-    default_label = "after" if args.shards == 1 else f"after-shards{args.shards}"
-    return cmd_capture(args.out, args.capture or default_label, shards=args.shards)
+    return cmd_capture(args.out, args.capture or "after")
 
 
 if __name__ == "__main__":

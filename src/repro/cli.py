@@ -114,11 +114,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         help="take a checkpoint every k deliveries "
                              "(0 = only the initial one)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="partition the event heap across this many "
-                             "shards with conservative-lookahead windows "
-                             "(1 = the classic single heap; any count "
-                             "yields the same semantic fingerprint)")
     realism = parser.add_argument_group(
         "storage realism",
         "opt-in storage-stack optimisations (repro.core.config."
@@ -278,7 +273,6 @@ def _config_from_args(args: argparse.Namespace, **overrides: Any) -> SystemConfi
         storage_realism=realism,
         adaptive=adaptive_config,
         checkpoint_every=overrides.pop("checkpoint_every", args.checkpoint_every),
-        shard_count=overrides.pop("shard_count", args.shards),
     )
     if overrides:
         raise ValueError(f"unused overrides: {sorted(overrides)}")
@@ -398,13 +392,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     )
     if args.exhaustive:
-        if args.shards > 1:
-            print(
-                "error: --exhaustive enumerates same-instant ties on one "
-                "global heap; run it with --shards 1",
-                file=sys.stderr,
-            )
-            return 2
         return _cmd_check_exhaustive(args, seeds)
     rows = []
     reports = []
@@ -652,7 +639,6 @@ SWEEP_KNOBS = {
     "loss": ("loss_prob", float),
     "checkpoint-every": ("checkpoint_every", int),
     "batch-window": ("batch_window", float),
-    "shards": ("shard_count", int),
 }
 
 
@@ -731,8 +717,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         config.keep_trace_events = False
         labels.append(label)
         for rep in range(args.seeds):
-            # the same seed derivation as ExperimentRunner._reseed, so a
-            # grid point reproduces the equivalent repeated serial run
+            # the same seed derivation as ExperimentRunner, so a grid
+            # point reproduces the equivalent repeated serial run
             specs.append(TrialSpec(
                 config=config, seed=args.seed + rep * 10_007, label=label,
             ))
@@ -929,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS, else cpu_count-1)",
+        help="worker processes (default: $REPRO_JOBS, else usable cpus-1)",
     )
     check_parser.add_argument(
         "--exhaustive", action="store_true",
@@ -962,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS, else cpu_count-1; "
+        help="worker processes (default: $REPRO_JOBS, else usable cpus-1; "
              "1 = in-process serial; the table is identical either way)",
     )
     sweep_parser.set_defaults(fn=cmd_sweep)
@@ -981,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid_parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS, else cpu_count-1)",
+        help="worker processes (default: $REPRO_JOBS, else usable cpus-1)",
     )
     grid_parser.set_defaults(fn=cmd_grid)
 
@@ -1008,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS, else cpu_count-1)",
+        help="worker processes (default: $REPRO_JOBS, else usable cpus-1)",
     )
     report_parser.add_argument(
         "--flame-out", metavar="PATH", default=None,

@@ -357,14 +357,6 @@ class SystemConfig:
     timeseries_max_samples: int = 512
 
     # -- run control -----------------------------------------------------------
-    #: partition the event heap across this many shards, each advancing
-    #: up to a conservative lookahead horizon (the minimum link latency);
-    #: 1 = the classic single heap, byte-identical to the seed goldens.
-    #: Any shard count yields the same semantic fingerprint for a given
-    #: seed (enforced by the shard-parity CI job); the exact event
-    #: interleaving -- and thus strict per-run details -- is deterministic
-    #: per (seed, shard_count)
-    shard_count: int = 1
     #: stop at this virtual time; None runs to quiescence
     run_until: Optional[float] = None
     #: safety valve on total events
@@ -436,8 +428,6 @@ class SystemConfig:
             raise ValueError("trace_spill_window must be >= 1")
         if self.drain_max_events is not None and self.drain_max_events < 1:
             raise ValueError("drain_max_events must be >= 1")
-        if self.shard_count < 1:
-            raise ValueError(f"shard_count must be >= 1, got {self.shard_count!r}")
         if self.storage_realism is not None:
             self.storage_realism.validate()
         if self.adaptive is not None:

@@ -14,6 +14,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.core.config import SystemConfig
 from repro.core.metrics import RunResult
 from repro.core.system import run_config
+from repro.runner import TrialSpec
 
 
 @dataclass
@@ -59,25 +60,13 @@ class ExperimentRunner:
         sweep = SweepResult()
         for config in configs:
             for rep in range(self.repetitions):
-                variant = _reseed(config, self.base_seed + rep)
-                sweep.add(run_config(variant))
+                sweep.add(self._run_rep(config, rep))
         return sweep
 
     def run_one(self, config: SystemConfig) -> RunResult:
         """Convenience for a single configuration, single repetition."""
-        return run_config(_reseed(config, self.base_seed))
+        return self._run_rep(config, 0)
 
-
-def _reseed(config: SystemConfig, seed_offset: int) -> SystemConfig:
-    """Copy a config with a repetition-specific seed.
-
-    CrashPlan objects hold trigger state, so they are re-created per run.
-    """
-    import copy
-
-    variant = copy.deepcopy(config)
-    variant.seed = config.seed + seed_offset * 10_007
-    for plan in variant.crashes:
-        plan._seen = 0
-        plan._armed = True
-    return variant
+    def _run_rep(self, config: SystemConfig, rep: int) -> RunResult:
+        seed = config.seed + (self.base_seed + rep) * 10_007
+        return run_config(TrialSpec(config, seed=seed).materialize())

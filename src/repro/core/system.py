@@ -47,45 +47,16 @@ class System:
     def __init__(self, config: SystemConfig) -> None:
         config.validate()
         self.config = config
-        # the default latency model doubles as the sharding lookahead
-        # bound, so it is built before the kernel
-        latency_model = AtmLinkModel(**config.network_params)
-        if config.shard_count > 1:
-            from repro.sim.shard import ShardedSimulator
-
-            lookahead = latency_model.min_delay()
-            if lookahead <= 0:
-                raise ValueError(
-                    "shard_count > 1 needs a positive minimum link latency "
-                    "to derive the lookahead window"
-                )
-            # more shards than nodes (n apps + the sequencer) would only
-            # add empty heaps to every window
-            self.sim = ShardedSimulator(
-                shard_count=min(config.shard_count, config.n + 1),
-                lookahead=lookahead,
-                tiebreak_seed=config.tiebreak_seed,
-                drain_max_events=config.drain_max_events,
-            )
-        else:
-            # shard_count == 1 keeps the plain single-heap kernel: the
-            # seed goldens stay byte-identical by construction
-            self.sim = Simulator(
-                tiebreak_seed=config.tiebreak_seed,
-                drain_max_events=config.drain_max_events,
-            )
+        self.sim = Simulator(
+            tiebreak_seed=config.tiebreak_seed,
+            drain_max_events=config.drain_max_events,
+        )
         self.rngs = RngRegistry(config.seed)
         self.trace = TraceRecorder(
             keep_events=config.keep_trace_events,
             spill_path=config.trace_spill_path,
             spill_window=config.trace_spill_window,
         )
-        if config.shard_count > 1:
-            # consumers (sanitizer, spans, spill) need the globally
-            # time-monotone stream a single heap emits naturally; buffer
-            # each window and release it time-sorted at the barrier
-            self.trace.begin_merge_buffer()
-            self.sim.add_barrier_hook(self._on_shard_barrier)
         if config.spans or config.sanitize:
             # the sanitizer needs span events to attach causal chains
             self.trace.spans.enable()
@@ -118,7 +89,7 @@ class System:
         self.network = Network(
             self.sim,
             self.topology,
-            latency=latency_model,
+            latency=AtmLinkModel(**config.network_params),
             rngs=self.rngs,
             trace=self.trace,
             faults=fault_model,
@@ -226,18 +197,6 @@ class System:
         self._registry_finalized = False
 
     # ------------------------------------------------------------------
-    def _on_shard_barrier(self, window_start: float, window_end: float) -> None:
-        self.trace.flush_merge_buffer()
-
-    def _home(self, node_id: int):
-        """Context manager pinning boot-time scheduling to a node's shard
-        (a no-op null context on the single-heap kernel)."""
-        from contextlib import nullcontext
-
-        home = getattr(self.sim, "home", None)
-        return nullcontext() if home is None else home(node_id)
-
-    # ------------------------------------------------------------------
     def _on_peer_status(self, node_id: int, status: str) -> None:
         for node in self.nodes:
             if node.node_id != node_id and node.state != NodeState.CRASHED:
@@ -257,11 +216,9 @@ class System:
         if self._started:
             raise RuntimeError("system already started")
         self._started = True
-        with self._home(self.config.sequencer_id):
-            self.sequencer.start()
+        self.sequencer.start()
         for node in self.nodes:
-            with self._home(node.node_id):
-                node.start()
+            node.start()
         self.injector.arm()
 
     def run(self) -> RunResult:
@@ -380,8 +337,6 @@ class System:
                 "compactions": self.sim.compactions,
                 "pool_reuses": self.sim.pool_reuses,
                 "pool_size": self.sim.pool_size,
-                "shards": getattr(self.sim, "shard_count", 1),
-                "windows": getattr(self.sim, "windows", 0),
             },
         }
         if self.transport is not None:

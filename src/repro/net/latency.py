@@ -22,18 +22,6 @@ class LatencyModel(ABC):
     def sample(self, size_bytes: int, rng: random.Random) -> float:
         """One-way delay for a message of ``size_bytes``."""
 
-    def min_delay(self) -> float:
-        """A lower bound on any delay :meth:`sample` can return.
-
-        This is the conservative lookahead used by the sharded kernel
-        (:mod:`repro.sim.shard`): a cross-shard message sent at ``t``
-        provably cannot arrive before ``t + min_delay()``, so shards may
-        advance that far independently.  The base implementation returns
-        ``0.0`` (no lookahead -- a custom model must override this to be
-        usable with ``shard_count > 1``).
-        """
-        return 0.0
-
     def __call__(self, size_bytes: int, rng: random.Random) -> float:
         return self.sample(size_bytes, rng)
 
@@ -47,9 +35,6 @@ class ConstantLatency(LatencyModel):
         self.delay = delay
 
     def sample(self, size_bytes: int, rng: random.Random) -> float:
-        return self.delay
-
-    def min_delay(self) -> float:
         return self.delay
 
     def __repr__(self) -> str:
@@ -67,9 +52,6 @@ class UniformLatency(LatencyModel):
 
     def sample(self, size_bytes: int, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
-
-    def min_delay(self) -> float:
-        return self.low
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low!r}, {self.high!r})"
@@ -90,9 +72,6 @@ class ExponentialLatency(LatencyModel):
     def sample(self, size_bytes: int, rng: random.Random) -> float:
         extra = rng.expovariate(1.0 / self.mean_extra) if self.mean_extra > 0 else 0.0
         return self.base + extra
-
-    def min_delay(self) -> float:
-        return self.base
 
     def __repr__(self) -> str:
         return f"ExponentialLatency(base={self.base!r}, mean_extra={self.mean_extra!r})"
@@ -137,11 +116,6 @@ class BandwidthLatency(LatencyModel):
         if self.jitter_fraction > 0:
             total *= rng.uniform(1.0, 1.0 + self.jitter_fraction)
         return total
-
-    def min_delay(self) -> float:
-        # transmission adds >= 0 and jitter multiplies by >= 1, so the
-        # fixed terms are a true floor for any message size
-        return self.propagation + self.per_message_overhead
 
     def __repr__(self) -> str:
         return (

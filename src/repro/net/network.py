@@ -216,12 +216,6 @@ class Network:
         self._deliver_labels: Dict[str, str] = {}
         self._dup_labels: Dict[str, str] = {}
         self._msg_ids = itertools.count(1)
-        #: sharded-kernel delivery hook, discovered by duck typing: the
-        #: ShardedSimulator exposes schedule_message(time, node, fn, ...)
-        #: to home a delivery on the destination's shard.  None for the
-        #: plain Simulator -- one identity check per message, and the
-        #: single-heap path stays byte-identical to the seed.
-        self._sched_msg = getattr(sim, "schedule_message", None)
 
     @property
     def registry(self):
@@ -242,24 +236,6 @@ class Network:
             self._ctr_messages = registry.counter("net.messages_sent")
             self._ctr_bytes = registry.counter("net.bytes_sent")
             self._hist_bytes = registry.histogram("net.message_bytes")
-
-    # ------------------------------------------------------------------
-    # lookahead
-    # ------------------------------------------------------------------
-    def min_latency(self) -> float:
-        """Lower bound on any one-way delivery delay on this network.
-
-        The minimum :meth:`~repro.net.latency.LatencyModel.min_delay`
-        over the default model and every per-link override.  This is the
-        conservative lookahead the sharded kernel advances by: fault
-        models only ever *add* delay (reordering) or remove deliveries
-        (loss/partition), and the FIFO clamp only pushes deliveries
-        later, so no code path can deliver below this floor.
-        """
-        floor = self.latency.min_delay()
-        for model in self.topology.latency_override_models():
-            floor = min(floor, model.min_delay())
-        return floor
 
     # ------------------------------------------------------------------
     # fault model
@@ -376,10 +352,7 @@ class Network:
             label = self._deliver_labels.setdefault(
                 message.mtype, f"deliver:{message.mtype}"
             )
-        if self._sched_msg is not None:
-            self._sched_msg(deliver_at, dst, self._deliver, message, label=label)
-        else:
-            self.sim.schedule_fast_at(deliver_at, self._deliver, message, label=label)
+        self.sim.schedule_fast_at(deliver_at, self._deliver, message, label=label)
 
         if decision is not None and decision.duplicates:
             # the copy's latency draws from the faults stream, so injected
@@ -393,21 +366,12 @@ class Network:
             for _ in range(decision.duplicates):
                 self.stats.duplicates_injected += 1
                 dup_delay = model.sample(size, dup_rng)
-                if self._sched_msg is not None:
-                    self._sched_msg(
-                        self.sim.now + dup_delay,
-                        dst,
-                        self._deliver,
-                        message,
-                        label=dup_label,
-                    )
-                else:
-                    self.sim.schedule_fast_at(
-                        self.sim.now + dup_delay,
-                        self._deliver,
-                        message,
-                        label=dup_label,
-                    )
+                self.sim.schedule_fast_at(
+                    self.sim.now + dup_delay,
+                    self._deliver,
+                    message,
+                    label=dup_label,
+                )
         return message
 
     def broadcast(

@@ -73,10 +73,6 @@ class Topology:
         """Per-link latency override, or ``None`` to use the network default."""
         return self._latency_overrides.get((src, dst))
 
-    def latency_override_models(self) -> List[LatencyModel]:
-        """All per-link override models (lookahead derivation)."""
-        return list(self._latency_overrides.values())
-
     def __len__(self) -> int:
         return len(self.nodes)
 

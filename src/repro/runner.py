@@ -10,9 +10,10 @@ without letting parallelism anywhere near virtual time:
 * a :class:`TrialSpec` is pure data (a :class:`SystemConfig` plus an
   optional seed override), picklable and order-stamped;
 * every trial runs in its own freshly materialized :class:`System` --
-  failure-plan trigger state is re-armed per trial, exactly as
-  :func:`repro.core.experiment._reseed` does -- so a spec's result
-  depends only on the spec, never on which worker ran it or when;
+  :meth:`TrialSpec.materialize` is the one place failure-plan trigger
+  state is re-armed (:class:`~repro.core.experiment.ExperimentRunner`
+  goes through it too) -- so a spec's result depends only on the spec,
+  never on which worker ran it or when;
 * results come back as picklable :class:`TrialResult` records and are
   returned ordered by spec index, regardless of completion order;
 * cross-trial aggregation (:func:`merge_metrics`,
@@ -49,13 +50,22 @@ from repro.core.system import System
 JOBS_ENV = "REPRO_JOBS"
 
 
+def usable_cpus() -> int:
+    """CPUs this process may actually run on: the affinity mask where
+    the platform has one (a container's cpuset shrinks it below
+    ``os.cpu_count()``), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_jobs() -> int:
     """Worker count when none is given: ``$REPRO_JOBS``, else
-    ``cpu_count - 1`` (leave one core for the parent), floored at 1."""
+    ``usable_cpus() - 1`` (leave one core for the parent), floored at 1."""
     env = os.environ.get(JOBS_ENV)
     if env:
         return max(1, int(env))
-    return max(1, (os.cpu_count() or 2) - 1)
+    return max(1, usable_cpus() - 1)
 
 
 # ----------------------------------------------------------------------

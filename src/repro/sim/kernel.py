@@ -112,18 +112,10 @@ class Simulator:
         compact_ratio: float = COMPACT_RATIO,
         tiebreak_seed: Optional[int] = None,
         drain_max_events: Optional[int] = None,
-        seq_start: int = 0,
-        seq_step: int = 1,
     ) -> None:
         self._now = float(start_time)
         self._heap: List[Event] = []
-        #: ``seq_start``/``seq_step`` carve disjoint sequence-number
-        #: spaces for the sharded kernel (shard i of K strides ``i, i+K,
-        #: i+2K, ...``): seqs stay globally unique across shards, so the
-        #: merged event order is still a total order.  The defaults
-        #: (0, 1) are the classic single-heap numbering, byte for byte.
-        self._seq = seq_start
-        self._seq_step = seq_step
+        self._seq = 0
         #: None keeps the seed's exact FIFO tie order; a seeded RNG makes
         #: same-instant ordering a controlled perturbation (repro check)
         self._tiebreak_rng = (
@@ -250,7 +242,7 @@ class Simulator:
             seq = (self._tiebreak_rng.getrandbits(20) << 40) | seq
         event = Event(time, seq, fn, args, kwargs, priority=priority, label=label)
         event.in_heap = True
-        self._seq += self._seq_step
+        self._seq += 1
         heapq.heappush(self._heap, event)
         if self.profiler is not None:
             self.profiler.note_heap_depth(len(self._heap) - self._heap_cancelled)
@@ -319,60 +311,7 @@ class Simulator:
             event = Event(time, seq, fn, args, None, priority=priority, label=label)
             event.poolable = True
         event.in_heap = True
-        self._seq += self._seq_step
-        heapq.heappush(self._heap, event)
-        if self.profiler is not None:
-            self.profiler.note_heap_depth(len(self._heap) - self._heap_cancelled)
-
-    def next_seq(self) -> int:
-        """Draw the next (jittered) sequence number without scheduling.
-
-        Used by the sharded kernel to stamp a cross-shard message in the
-        *sending* shard's sequence space at send time; the event itself
-        is materialized later by :meth:`inject` on the destination shard.
-        The draw is identical to the scheduling paths' (same counter,
-        same tie-break jitter), so a stamped-then-injected event orders
-        exactly as if the sender had scheduled it directly.
-        """
-        seq = self._seq
-        if self._tiebreak_rng is not None:
-            seq = (self._tiebreak_rng.getrandbits(20) << 40) | seq
-        self._seq += self._seq_step
-        return seq
-
-    def inject(
-        self,
-        time: float,
-        seq: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        priority: int = 0,
-        label: str = "",
-    ) -> None:
-        """Push a pre-stamped handle-free event (cross-shard mailboxes).
-
-        The caller supplies the sequence number (from another shard's
-        :meth:`next_seq`); everything else matches the pooled
-        ``schedule_fast`` path.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot inject at t={time!r}, clock is already at t={self._now!r}"
-            )
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            self._pool_reuses += 1
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.label = label
-        else:
-            event = Event(time, seq, fn, args, None, priority=priority, label=label)
-            event.poolable = True
-        event.in_heap = True
+        self._seq += 1
         heapq.heappush(self._heap, event)
         if self.profiler is not None:
             self.profiler.note_heap_depth(len(self._heap) - self._heap_cancelled)
@@ -514,30 +453,10 @@ class Simulator:
             return True
         return False
 
-    def peek_next_time(self) -> Optional[float]:
-        """Virtual time of the next live event, or ``None`` if empty.
-
-        Cancelled corpses at the heap top are discarded on the way (the
-        same lazy sweep the pop sites perform), so the answer is the time
-        :meth:`step` would fire at.  Used by the sharded kernel to pick
-        the next global window.
-        """
-        heap = self._heap
-        while heap:
-            event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                event.in_heap = False
-                self._heap_cancelled -= 1
-                continue
-            return event.time
-        return None
-
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        exclusive: bool = False,
     ) -> float:
         """Run the event loop.
 
@@ -549,11 +468,6 @@ class Simulator:
             ``until`` when the horizon is reached with events left over.
         max_events:
             Safety valve; stop after firing this many events.
-        exclusive:
-            Treat ``until`` as a right-open horizon: events at exactly
-            ``until`` do *not* fire (they belong to the next window).
-            This is the windowed-execution mode of the sharded kernel;
-            the default (inclusive) behaviour is unchanged.
 
         Returns the virtual time at which the run stopped.
         """
@@ -574,14 +488,9 @@ class Simulator:
                     event.in_heap = False
                     self._heap_cancelled -= 1
                     continue
-                if until is not None:
-                    if exclusive:
-                        if event.time >= until:
-                            self._now = until
-                            break
-                    elif event.time > until:
-                        self._now = until
-                        break
+                if until is not None and event.time > until:
+                    self._now = until
+                    break
                 if self._choice_oracle is None:
                     heapq.heappop(heap)
                     event.in_heap = False

@@ -18,11 +18,6 @@ from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
 from repro.sim.spans import SpanTracker
 
 
-def _event_time(event: "TraceEvent") -> float:
-    """Sort key for the window merge (stable: ties keep emission order)."""
-    return event.time
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     """One timestamped record in the execution trace."""
@@ -79,9 +74,6 @@ class BoundEmitter:
         if not trace.keep_events and not trace._subscribers:
             return None
         event = TraceEvent(time, self.category, node, self.action, details)
-        if trace._merge_buffer is not None:
-            trace._merge_buffer.append(event)
-            return event
         if trace.keep_events:
             trace.events.append(event)
         for subscriber in trace._subscribers:
@@ -252,10 +244,6 @@ class TraceRecorder:
             self.events = []
         self.counters: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceEvent], None]] = []
-        #: when not None, recorded events are parked here instead of
-        #: being appended/dispatched; flush_merge_buffer() releases them
-        #: in timestamp order (the sharded kernel's window barrier)
-        self._merge_buffer: Optional[List[TraceEvent]] = None
         #: causal-span layer (disabled until ``spans.enable()``)
         self.spans = SpanTracker(self)
 
@@ -269,50 +257,9 @@ class TraceRecorder:
         """Flush any spill backend so its file holds the full trace.
 
         No-op for the default in-memory list backend."""
-        self.flush_merge_buffer()
         spill = self.spill
         if spill is not None:
             spill.finalize()
-
-    # ------------------------------------------------------------------
-    # sharded-run window merging
-    # ------------------------------------------------------------------
-    def begin_merge_buffer(self) -> None:
-        """Buffer recorded events for timestamp-ordered release.
-
-        The sharded kernel executes shards one window at a time, so raw
-        emission order interleaves shard-sized runs of the timeline.
-        With buffering on, events are parked until
-        :meth:`flush_merge_buffer` (called at each window barrier) sorts
-        them by time -- a *stable* sort, so same-instant events keep the
-        deterministic shard execution order -- and only then appends them
-        to :attr:`events` and notifies subscribers.  Every consumer (the
-        sanitizer, span chains, the spill log) therefore sees the same
-        globally time-monotone stream a single-heap run produces.
-        Counters are bumped immediately either way (they are
-        order-insensitive sums).
-        """
-        if self._merge_buffer is None:
-            self._merge_buffer = []
-
-    def flush_merge_buffer(self) -> None:
-        """Release buffered events in timestamp order (stable).
-
-        No-op when buffering is off or the buffer is empty; buffering
-        stays enabled afterwards."""
-        buffer = self._merge_buffer
-        if not buffer:
-            return
-        buffer.sort(key=_event_time)
-        keep = self.keep_events
-        events = self.events
-        subscribers = self._subscribers
-        for event in buffer:
-            if keep:
-                events.append(event)
-            for subscriber in subscribers:
-                subscriber(event)
-        buffer.clear()
 
     # ------------------------------------------------------------------
     def record(
@@ -334,9 +281,6 @@ class TraceRecorder:
         if not self.keep_events and not self._subscribers:
             return None
         event = TraceEvent(time, category, node, action, details)
-        if self._merge_buffer is not None:
-            self._merge_buffer.append(event)
-            return event
         if self.keep_events:
             self.events.append(event)
         for subscriber in self._subscribers:

@@ -47,10 +47,6 @@ SANITIZE = os.environ.get("CHAOS_SANITIZE", "") not in ("", "0")
 #: of earlier ones) and a partition always cuts the system and heals in
 #: the middle of that window; the nightly workflow runs both profiles
 PROFILE = os.environ.get("CHAOS_PROFILE", "")
-#: event-heap shard count for every trial (1 = the classic single heap);
-#: the nightly deep-chaos job sweeps this so the sharded kernel faces
-#: the same fault schedules as the reference kernel
-SHARDS = int(os.environ.get("REPRO_SHARDS", "1"))
 
 #: (protocol, recovery, max concurrent crashes the protocol tolerates)
 COMBOS = [
@@ -166,7 +162,6 @@ def chaos_config(
         detection_delay=0.5,
         state_bytes=100_000,
         max_events=3_000_000,
-        shard_count=SHARDS,
     )
 
 

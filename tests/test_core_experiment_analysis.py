@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import ExperimentRunner, crash_at
+from repro import ExperimentRunner, crash_at, run_config
 from repro.analysis.report import format_run_summary, format_table
 from repro.analysis.stats import percentile, summarize
+from repro.procs.failure import LinkFaultPlan
 
 from helpers import small_config
 
@@ -44,6 +45,18 @@ class TestExperimentRunner:
         for run in sweep.of("crashy"):
             assert len(run.recovery_durations()) == 1
         assert sweep.all_consistent()
+
+    def test_rearms_injection_plans_spent_by_an_earlier_run(self):
+        plan = LinkFaultPlan(
+            category="net", action="deliver", dup_prob=1.0, duration=0.01
+        )
+        config = small_config(hops=8, injections=[plan], transport="reliable")
+        first = run_config(config)  # fires the trigger and disarms it in place
+        assert first.network.duplicates_injected > 0
+        assert not plan._armed
+        rerun = ExperimentRunner().run_one(config)
+        assert rerun.network.duplicates_injected == first.network.duplicates_injected
+        assert rerun.end_time == first.end_time
 
     def test_mean_over_runs(self):
         runner = ExperimentRunner(repetitions=2)

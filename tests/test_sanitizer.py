@@ -23,6 +23,7 @@ from repro.sanitizer.monitor import Sanitizer
 from repro.sim.trace import TraceRecorder
 
 from helpers import small_config
+from test_chaos import COMBOS
 from test_integration_matrix import PAIRINGS, make
 
 
@@ -44,6 +45,22 @@ def test_sanitized_run_is_clean_and_byte_identical(protocol, recovery):
     assert sanitized.digests == base.digests
     assert sanitized.end_time == base.end_time
     assert sanitized.network.messages == base.network.messages
+
+
+@pytest.mark.parametrize("protocol,recovery", [(p, r) for p, r, _ in COMBOS])
+def test_subscribers_see_non_decreasing_time(protocol, recovery):
+    """The sanitizer and the span-chain tracker assume trace time never
+    runs backwards; the kernel pins event order, this pins the stream a
+    full system hands its subscribers."""
+    system = build_system(
+        make(protocol, recovery, crashes=[crash_at(node=2, time=0.03)], sanitize=True)
+    )
+    times = []
+    system.trace.subscribe(lambda event: times.append(event.time))
+    result = system.run()
+    assert result.consistent
+    assert result.extra["sanitizer"]["clean"]
+    assert times and times == sorted(times)
 
 
 def test_sanitizer_counts_checks_by_invariant():
