@@ -13,13 +13,18 @@ their pre-crash deliveries in the original order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import itemgetter
 from typing import Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Determinant:
+class Determinant(namedtuple("_DeterminantFields", "sender ssn receiver rsn")):
     """The receipt-order record of a single message delivery.
+
+    A 4-field tuple type: construction, hashing, equality and ordering
+    (``sender``, ``ssn``, ``receiver``, ``rsn``, in that order) are the
+    native tuple operations, so the per-delivery path and every
+    ``sorted(...)`` over determinants stay in C.
 
     Attributes
     ----------
@@ -35,35 +40,31 @@ class Determinant:
         delivery event.
     """
 
-    sender: int
-    ssn: int
-    receiver: int
-    rsn: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ssn < 0 or self.rsn < 0:
-            raise ValueError(f"ssn/rsn must be non-negative: {self!r}")
-        if self.sender == self.receiver:
-            raise ValueError(f"self-delivery is not a message: {self!r}")
+    def __new__(cls, sender: int, ssn: int, receiver: int, rsn: int) -> "Determinant":
+        if ssn < 0 or rsn < 0:
+            raise ValueError(
+                f"ssn/rsn must be non-negative: {(sender, ssn, receiver, rsn)!r}"
+            )
+        if sender == receiver:
+            raise ValueError(
+                f"self-delivery is not a message: {(sender, ssn, receiver, rsn)!r}"
+            )
+        return tuple.__new__(cls, (sender, ssn, receiver, rsn))
 
-    @property
-    def message_id(self) -> Tuple[int, int]:
-        """``(sender, ssn)`` -- globally unique name of the message."""
-        return (self.sender, self.ssn)
-
-    @property
-    def delivery_id(self) -> Tuple[int, int]:
-        """``(receiver, rsn)`` -- globally unique name of the delivery."""
-        return (self.receiver, self.rsn)
+    #: ``(sender, ssn)`` -- globally unique name of the message.
+    message_id = property(itemgetter(0, 1))
+    #: ``(receiver, rsn)`` -- globally unique name of the delivery.
+    delivery_id = property(itemgetter(2, 3))
 
     def to_tuple(self) -> Tuple[int, int, int, int]:
-        """Compact wire form used in piggybacks."""
-        return (self.sender, self.ssn, self.receiver, self.rsn)
+        """Compact wire form: a plain tuple."""
+        return tuple(self)
 
     @classmethod
     def from_tuple(cls, data: Tuple[int, int, int, int]) -> "Determinant":
-        sender, ssn, receiver, rsn = data
-        return cls(sender=sender, ssn=ssn, receiver=receiver, rsn=rsn)
+        return cls(*data)
 
     def __str__(self) -> str:
         return f"#({self.sender},{self.ssn})->({self.receiver},rsn={self.rsn})"

@@ -31,7 +31,7 @@ inspected; the test suite asserts ``oracle.violations == []``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sanitizer.causal import CausalGraph
 
@@ -139,10 +139,6 @@ class ConsistencyOracle:
     # ------------------------------------------------------------------
     # end-of-run checks
     # ------------------------------------------------------------------
-    def _antecedents(self, event: Tuple[int, int]) -> Set[Tuple[int, int]]:
-        """Backward closure of one delivery event in the happens-before DAG."""
-        return self.graph.antecedents(event)
-
     def check_safety(self, final_histories: Dict[int, List[Tuple[int, int]]]) -> None:
         """Verify no surviving delivery depends on a rolled-back delivery.
 
@@ -150,14 +146,11 @@ class ConsistencyOracle:
         ``(sender, ssn)``) at the end of the run.  A delivery event
         ``(x, k)`` *survived* iff ``k < len(final_histories[x])``.
         """
-        frontier = [
+        reached = self.graph.closure(
             (node, len(history) - 1)
             for node, history in final_histories.items()
             if history
-        ]
-        reached: Set[Tuple[int, int]] = set()
-        for event in frontier:
-            reached |= self._antecedents(event)
+        )
         for node, rsn in sorted(reached):
             history = final_histories.get(node, [])
             if rsn >= len(history):

@@ -53,8 +53,9 @@ class Message:
 
     ``mtype`` is the protocol-level type string (``"app"``,
     ``"depinfo_request"``, ...); ``kind`` is the accounting class.
-    ``piggyback`` carries serialized determinants for the logging
-    protocols and is charged :data:`DETERMINANT_BYTES` each.
+    ``piggyback`` carries determinant items in a form private to the
+    sending protocol; the :class:`Network` charges its per-run
+    ``determinant_bytes`` for each (the one place a message is sized).
     ``msg_id`` is stamped by the :class:`Network` at transmission time
     (each network owns its own counter, so two runs in one process never
     share an id sequence); ``transport_seq``/``transport_epoch`` are set
@@ -79,15 +80,11 @@ class Message:
     transport_seq: Optional[int] = None
     transport_epoch: int = 0
 
-    @property
-    def size_bytes(self) -> int:
-        """Total wire size: header + body + piggybacked determinants."""
-        return HEADER_BYTES + self.body_bytes + DETERMINANT_BYTES * len(self.piggyback)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message(#{self.msg_id} {self.mtype} {self.src}->{self.dst} "
-            f"inc={self.incarnation} ssn={self.ssn} {self.size_bytes}B)"
+            f"inc={self.incarnation} ssn={self.ssn} body={self.body_bytes}B "
+            f"piggyback={len(self.piggyback)})"
         )
 
 

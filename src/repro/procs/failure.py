@@ -362,27 +362,38 @@ class FailureInjector:
         self.plans: List[TriggeredPlan] = list(plans or [])
         self.crashes_fired: List[tuple] = []
         self.faults_fired: List[tuple] = []
-        self._subscribed = False
+        #: trace keys subscribed to; ``None`` in it = the whole recorder
+        self._subscribed: Set[Optional[str]] = set()
 
     def arm(self) -> None:
         """Schedule timed plans and subscribe trace triggers."""
         for plan in self.plans:
-            if plan.is_timed():
-                self.sim.schedule_at(
-                    plan.at_time, self._fire, plan, label="inject.plan"
-                )
-        if any(not plan.is_timed() for plan in self.plans) and not self._subscribed:
-            self.trace.subscribe(self._on_trace_event)
-            self._subscribed = True
+            self._arm(plan)
 
     def add(self, plan: TriggeredPlan) -> None:
         """Add one more plan after arming."""
         self.plans.append(plan)
+        self._arm(plan)
+
+    def _arm(self, plan: TriggeredPlan) -> None:
         if plan.is_timed():
             self.sim.schedule_at(plan.at_time, self._fire, plan, label="inject.plan")
-        elif not self._subscribed:
-            self.trace.subscribe(self._on_trace_event)
-            self._subscribed = True
+            return
+        # a plan naming both category and action listens on that key
+        # alone, so with tracing off only those records build an event;
+        # a wildcard plan needs the whole recorder, which then serves
+        # the keyed plans too (one subscription path per event)
+        key = None
+        if plan.category is not None and plan.action is not None:
+            key = f"{plan.category}.{plan.action}"
+        if key in self._subscribed or None in self._subscribed:
+            return
+        if key is None:
+            for keyed in self._subscribed:
+                self.trace.unsubscribe(self._on_trace_event, keyed)
+            self._subscribed.clear()
+        self._subscribed.add(key)
+        self.trace.subscribe(self._on_trace_event, key)
 
     # ------------------------------------------------------------------
     def _on_trace_event(self, event: TraceEvent) -> None:

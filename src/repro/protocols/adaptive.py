@@ -221,7 +221,7 @@ class AdaptiveLogging(FamilyBasedLogging):
         carries is exactly the delivery position its completion gets."""
         node = self.node
         rsn = node.app.delivered_count + len(self._pending_sync)
-        det = Determinant(sender=sender, ssn=ssn, receiver=node.node_id, rsn=rsn)
+        det = Determinant(sender, ssn, node.node_id, rsn)
         self._pending_sync.add((sender, ssn))
         self.mode_stats["pessimistic"]["storage_bytes"] += body_bytes + LOG_RECORD_OVERHEAD
         epoch = node.crash_count
@@ -269,7 +269,7 @@ class AdaptiveLogging(FamilyBasedLogging):
         # replayed deliveries and recovery leftovers re-track only: their
         # determinants are already durable, gathered, or (for leftovers)
         # spread by piggyback until f+1 / flushed for outputs like FBL's
-        self._track(det)
+        self._track(det, self.det_log.mask(det))
         self.mode_stats[governing]["deliveries"] += 1
         self._win_deliveries += 1
         self._deliveries_since_eval += 1
@@ -298,8 +298,7 @@ class AdaptiveLogging(FamilyBasedLogging):
             # volatile copy may be gone if we crashed meanwhile; the
             # restart log read finds the record either way
             if det in self.det_log:
-                self.det_log.note_logged_at(det, STABLE_HOST)
-                self._track(det)
+                self._track(det, self.det_log.note_logged_at(det, STABLE_HOST))
                 self._check_pending_outputs()
             if self._switching:
                 self._try_complete_switch()
@@ -471,8 +470,7 @@ class AdaptiveLogging(FamilyBasedLogging):
             for item in tuples:
                 det = Determinant.from_tuple(item)
                 if det in self.det_log:
-                    self.det_log.note_logged_at(det, STABLE_HOST)
-                    self._track(det)
+                    self._track(det, self.det_log.note_logged_at(det, STABLE_HOST))
             self._check_pending_outputs()
             self._try_complete_switch()
 

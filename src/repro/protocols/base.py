@@ -235,8 +235,8 @@ class LogBasedProtocol(LoggingProtocol):
 
         node = self.node
         rsn = node.app.delivered_count
-        det = Determinant(sender=sender, ssn=ssn, receiver=node.node_id, rsn=rsn)
-        self.det_log.add(det, logged_at=(node.node_id,))
+        det = Determinant(sender, ssn, node.node_id, rsn)
+        self.det_log.note_logged_at(det, node.node_id)
         # bookkeeping first: if the delivery emits an output, its own
         # determinant must already be tracked (and its stable write or
         # ack already in flight) for the commit gating to see it

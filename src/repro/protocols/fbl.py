@@ -36,10 +36,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
 from repro.protocols.base import LogBasedProtocol
+from repro.storage.volatile import host_mask
 
 #: Virtual host id representing the never-failing stable-storage process
 #: the paper introduces for the ``f = n`` case.
 STABLE_HOST = -1
+_STABLE_BIT = host_mask((STABLE_HOST,))
 
 
 class FamilyBasedLogging(LogBasedProtocol):
@@ -82,14 +84,17 @@ class FamilyBasedLogging(LogBasedProtocol):
     # ------------------------------------------------------------------
     # piggybacking
     # ------------------------------------------------------------------
-    def _det_stable(self, det: Determinant) -> bool:
-        hosts = self.det_log.logged_at(det)
-        return STABLE_HOST in hosts or len(hosts) >= self.replication_target
+    def _mask_stable(self, mask: int) -> bool:
+        return bool(mask & _STABLE_BIT) or mask.bit_count() > self.f
 
-    def _track(self, det: Determinant) -> None:
-        """Refresh the unstable cache for one determinant."""
+    def _det_stable(self, det: Determinant) -> bool:
+        return self._mask_stable(self.det_log.mask(det))
+
+    def _track(self, det: Determinant, mask: int) -> None:
+        """Refresh the unstable cache for one determinant, given its
+        merged host mask (what ``det_log.merge`` just returned)."""
         key = det.delivery_id
-        if self._det_stable(det):
+        if self._mask_stable(mask):
             was = self._unstable.pop(key, None)
             if was is not None and det.receiver == self.node.node_id:
                 # one of our own deliveries just crossed the f+1 (or
@@ -119,28 +124,32 @@ class FamilyBasedLogging(LogBasedProtocol):
                     rsn=det.rsn, sender=det.sender, ssn=det.ssn,
                 )
 
-    def _piggyback_for(self, dst: int) -> List[Tuple[Tuple[int, int, int, int], Tuple[int, ...]]]:
+    def _piggyback_for(self, dst: int) -> List[Tuple[Determinant, int]]:
+        """``(determinant, host mask)`` items: the wire form is private to
+        the FBL family (only :meth:`_absorb_piggyback` reads it; the
+        network charges ``len(piggyback)``), so the immutable objects
+        travel as they are."""
         items = []
+        dst_bit = host_mask((dst,))
+        det_log = self.det_log
         for key in sorted(self._unstable):
             det = self._unstable[key]
-            hosts = self.det_log.logged_at(det)
-            if dst in hosts:
+            mask = det_log.mask(det)
+            if mask & dst_bit:
                 continue  # dst already stores it; no point re-sending
-            items.append((det.to_tuple(), tuple(sorted(hosts))))
+            items.append((det, mask))
             # Reliable FIFO channel: dst will store it on receipt.
-            self.det_log.note_logged_at(det, dst)
-            self._track(det)
+            self._track(det, det_log.merge(det, dst_bit))
         return items
 
     def _absorb_piggyback(self, msg: Message) -> None:
-        for det_tuple, hosts in msg.piggyback:
-            det = Determinant.from_tuple(tuple(det_tuple))
-            merged_hosts = set(hosts) | {msg.src, self.node.node_id}
-            self.det_log.add(det, logged_at=merged_hosts)
-            self._track(det)
+        seen_at = host_mask((msg.src, self.node.node_id))
+        merge = self.det_log.merge
+        for det, mask in msg.piggyback:
+            self._track(det, merge(det, mask | seen_at))
 
     def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
-        self._track(det)
+        self._track(det, self.det_log.mask(det))
         if self.ack_to_sender and msg is not None:
             self._send_det_ack(det)
 
@@ -161,8 +170,7 @@ class FamilyBasedLogging(LogBasedProtocol):
     def on_protocol_message(self, msg: Message) -> None:
         if msg.mtype == "det_ack":
             det = Determinant.from_tuple(tuple(msg.payload["det"]))
-            self.det_log.add(det, logged_at=(msg.src, self.node.node_id))
-            self._track(det)
+            self._track(det, self.det_log.merge(det, host_mask((msg.src, self.node.node_id))))
             return
         if msg.mtype == "det_push":
             self._on_det_push(msg)
@@ -241,10 +249,10 @@ class FamilyBasedLogging(LogBasedProtocol):
 
     def _on_det_push(self, msg: Message) -> None:
         stored = []
+        stored_at = host_mask((msg.src, self.node.node_id))
         for det_tuple in msg.payload["dets"]:
             det = Determinant.from_tuple(tuple(det_tuple))
-            self.det_log.add(det, logged_at=(msg.src, self.node.node_id))
-            self._track(det)
+            self._track(det, self.det_log.merge(det, stored_at))
             stored.append(det.to_tuple())
         self.node.trace.record(
             self.node.sim.now, "protocol", self.node.node_id, "det_store",
@@ -273,8 +281,7 @@ class FamilyBasedLogging(LogBasedProtocol):
         )
         for det_tuple in msg.payload["dets"]:
             det = Determinant.from_tuple(tuple(det_tuple))
-            self.det_log.note_logged_at(det, msg.src)
-            self._track(det)
+            self._track(det, self.det_log.note_logged_at(det, msg.src))
 
     # ------------------------------------------------------------------
     # checkpoint integration
@@ -398,9 +405,7 @@ class FamilyBasedLogging(LogBasedProtocol):
         data.update(
             f=self.f,
             output_flushes=self.output_flushes,
-            unstable_determinants=sum(
-                1 for det in self.det_log.determinants() if not self._det_stable(det)
-            ),
+            unstable_determinants=len(self._unstable),
             # volatile-log GC effectiveness (checkpoint-driven pruning)
             send_log_bytes_pruned=self.send_log.bytes_pruned,
             send_log_entries_pruned=self.send_log.entries_pruned,

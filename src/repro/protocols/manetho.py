@@ -55,7 +55,7 @@ class ManethoLogging(FamilyBasedLogging):
         pessimistic logging).  Completion marks the determinant stable;
         until then it spreads by piggybacking like any FBL determinant.
         """
-        self._track(det)
+        self._track(det, self.det_log.mask(det))
         self.stable_writes_pending += 1
 
         def done() -> None:
@@ -70,8 +70,7 @@ class ManethoLogging(FamilyBasedLogging):
             # The determinant object is in the det log unless we crashed
             # and lost the volatile copy; only mark stability if present.
             if det in self.det_log:
-                self.det_log.note_logged_at(det, STABLE_HOST)
-                self._track(det)
+                self._track(det, self.det_log.note_logged_at(det, STABLE_HOST))
                 self._check_pending_outputs()
 
         self.node.storage.log_append(

@@ -189,7 +189,7 @@ class OptimisticLogging(LogBasedProtocol):
             if interval > self.dep.get(peer, (-1, -1)):
                 self.dep[peer] = interval
         rsn = node.app.delivered_count
-        det = Determinant(sender=sender, ssn=ssn, receiver=node.node_id, rsn=rsn)
+        det = Determinant(sender, ssn, node.node_id, rsn)
         self.det_log.add(det, logged_at=(node.node_id,))
         self._dep_history.append(dict(self.dep))
         sends = node.deliver_app(sender, ssn, data)

@@ -62,7 +62,7 @@ class PessimisticLogging(LogBasedProtocol):
         node = self.node
         rsn = self._next_log_rsn
         self._next_log_rsn += 1
-        det = Determinant(sender=sender, ssn=ssn, receiver=node.node_id, rsn=rsn)
+        det = Determinant(sender, ssn, node.node_id, rsn)
         self._pending_log.add((sender, ssn))
         self.sync_log_writes += 1
         epoch = node.crash_count

@@ -36,7 +36,6 @@ from __future__ import annotations
 import copy
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -177,6 +176,9 @@ class TrialRunner:
             return []
         if self.jobs == 1 or len(indexed) == 1:
             return [run_trial(spec, index) for index, spec in indexed]
+        # imported here: the pool drags in multiprocessing, logging, socket
+        # and selectors (~30 ms), which a ``jobs=1`` process never needs
+        from concurrent.futures import ProcessPoolExecutor
 
         chunk = self.chunk_size or max(1, -(-len(indexed) // (4 * self.jobs)))
         chunks = [indexed[i : i + chunk] for i in range(0, len(indexed), chunk)]

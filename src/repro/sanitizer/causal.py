@@ -21,7 +21,7 @@ so dropping them loses no detection power.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: a delivery slot: ``(receiver, rsn)``
 DeliveryKey = Tuple[int, int]
@@ -112,8 +112,13 @@ class CausalGraph:
 
     def antecedents(self, event: DeliveryKey) -> Set[DeliveryKey]:
         """Backward closure of one delivery event in the happens-before DAG."""
+        return self.closure((event,))
+
+    def closure(self, events: Iterable[DeliveryKey]) -> Set[DeliveryKey]:
+        """Backward closure of a set of delivery events: one walk, each
+        reachable event visited once however many roots reach it."""
         seen: Set[DeliveryKey] = set()
-        stack = [event]
+        stack = list(events)
         while stack:
             node, rsn = stack.pop()
             if (node, rsn) in seen or rsn < 0:

@@ -71,12 +71,15 @@ class BoundEmitter:
         counters = trace.counters
         key = self._key
         counters[key] = counters.get(key, 0) + 1
-        if not trace.keep_events and not trace._subscribers:
+        keyed = trace._keyed and trace._keyed.get(key)
+        if not trace.keep_events and not trace._subscribers and not keyed:
             return None
         event = TraceEvent(time, self.category, node, self.action, details)
         if trace.keep_events:
             trace.events.append(event)
         for subscriber in trace._subscribers:
+            subscriber(event)
+        for subscriber in keyed or ():
             subscriber(event)
         return event
 
@@ -214,10 +217,11 @@ class TraceRecorder:
     keep_events:
         If ``False`` only the counters are maintained; useful for large
         parameter sweeps where the full event list would dominate memory.
-        Events are then not even constructed unless a subscriber is
-        attached (subscribers -- the failure injector -- must still see
-        every event, and may come and go mid-run, so the check is made
-        per call).
+        Events are then not even constructed unless a subscriber wants
+        them: one attached to the whole recorder sees every event, one
+        attached under a ``category.action`` key only that key's
+        (subscribers may come and go mid-run, so the check is made per
+        call).
     spill_path:
         When set (and ``keep_events`` is on), events stream to this
         JSONL file through a :class:`TraceSpillLog` instead of
@@ -244,6 +248,8 @@ class TraceRecorder:
             self.events = []
         self.counters: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceEvent], None]] = []
+        #: ``category.action`` -> subscribers that want only that key
+        self._keyed: Dict[str, List[Callable[[TraceEvent], None]]] = {}
         #: causal-span layer (disabled until ``spans.enable()``)
         self.spans = SpanTracker(self)
 
@@ -278,12 +284,15 @@ class TraceRecorder:
         """
         key = f"{category}.{action}"
         self.counters[key] = self.counters.get(key, 0) + 1
-        if not self.keep_events and not self._subscribers:
+        keyed = self._keyed and self._keyed.get(key)
+        if not self.keep_events and not self._subscribers and not keyed:
             return None
         event = TraceEvent(time, category, node, action, details)
         if self.keep_events:
             self.events.append(event)
         for subscriber in self._subscribers:
+            subscriber(event)
+        for subscriber in keyed or ():
             subscriber(event)
         return event
 
@@ -291,17 +300,33 @@ class TraceRecorder:
         """A pre-bound fast-path recorder for one ``category.action``."""
         return BoundEmitter(self, category, action)
 
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke ``callback`` on every subsequent event.
+    def subscribe(
+        self, callback: Callable[[TraceEvent], None], key: Optional[str] = None
+    ) -> None:
+        """Invoke ``callback`` on every subsequent event, or with ``key``
+        (``"category.action"``) only on that key's events.
 
-        Used by the failure injector to trigger crashes relative to
-        protocol milestones (e.g. "crash q once p's recovery starts").
+        The failure injector subscribes per key to trigger crashes
+        relative to protocol milestones (e.g. "crash q once p's recovery
+        starts") without making every other record build an event.
+        Keyed subscribers run after the whole-recorder ones, so an
+        observer has seen an event before a plan reacts to it.
         """
-        self._subscribers.append(callback)
+        if key is None:
+            self._subscribers.append(callback)
+        else:
+            self._keyed.setdefault(key, []).append(callback)
 
-    def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Remove a subscription added with :meth:`subscribe`."""
-        self._subscribers.remove(callback)
+    def unsubscribe(
+        self, callback: Callable[[TraceEvent], None], key: Optional[str] = None
+    ) -> None:
+        """Remove a subscription added with :meth:`subscribe` (same ``key``)."""
+        if key is None:
+            self._subscribers.remove(callback)
+        else:
+            self._keyed[key].remove(callback)
+            if not self._keyed[key]:
+                del self._keyed[key]
 
     # ------------------------------------------------------------------
     def count(self, category: str, action: Optional[str] = None) -> int:

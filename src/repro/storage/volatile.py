@@ -119,46 +119,68 @@ class SendLog:
         return f"SendLog({len(self)} messages, {self.bytes_logged}B)"
 
 
+def host_mask(hosts: Iterable[int]) -> int:
+    """Encode a host set as a bitmask: host ``h`` is bit ``h + 1``, so the
+    never-failing stable-storage host ``-1`` is bit 0."""
+    mask = 0
+    for host in hosts:
+        mask |= 1 << (host + 1)
+    return mask
+
+
 class DeterminantLog:
     """Volatile store of determinants known to a process.
 
     Besides the determinants themselves it tracks, per determinant, the
     set of hosts *known to have logged it* -- the information FBL uses to
     stop piggybacking once a determinant is replicated at ``f + 1``
-    hosts.
+    hosts.  Each set is one ``int`` (see :func:`host_mask`): merging is
+    ``|``, the size is ``bit_count()``, and an int is not tracked by the
+    cyclic collector, which the tens of thousands of long-lived host
+    sets of a run otherwise keep busy.
     """
 
     def __init__(self) -> None:
         self._dets: Dict[Tuple[int, int], Determinant] = {}
-        self._logged_at: Dict[Tuple[int, int], frozenset] = {}
+        self._masks: Dict[Tuple[int, int], int] = {}
         #: cumulative determinants released by checkpoint-driven pruning
         self.entries_pruned = 0
 
     # ------------------------------------------------------------------
+    def merge(self, det: Determinant, mask: int) -> int:
+        """Record ``det`` and OR ``mask`` into its host set; returns the
+        merged mask, so per-message callers never look it up again."""
+        key = det.delivery_id
+        known = self._masks.get(key)
+        if known is None:
+            self._dets[key] = det
+            known = 0
+        self._masks[key] = known = known | mask
+        return known
+
     def add(self, det: Determinant, logged_at: Iterable[int] = ()) -> bool:
         """Record ``det``; merge ``logged_at`` host knowledge.
 
         Returns True if the determinant was new to this log.
         """
-        key = det.delivery_id
-        new = key not in self._dets
-        if new:
-            self._dets[key] = det
-            self._logged_at[key] = frozenset(logged_at)
-        else:
-            self._logged_at[key] = self._logged_at[key] | frozenset(logged_at)
+        new = det.delivery_id not in self._dets
+        self.merge(det, host_mask(logged_at))
         return new
 
-    def note_logged_at(self, det: Determinant, host: int) -> None:
-        """Record that ``host`` now stores ``det``."""
-        key = det.delivery_id
-        if key not in self._dets:
-            self.add(det)
-        self._logged_at[key] = self._logged_at[key] | {host}
+    def note_logged_at(self, det: Determinant, host: int) -> int:
+        """Record that ``host`` now stores ``det``; returns the merged mask."""
+        return self.merge(det, 1 << (host + 1))
+
+    def mask(self, det: Determinant) -> int:
+        """Bitmask of the hosts known to store ``det`` (0 if unknown)."""
+        return self._masks.get(det.delivery_id, 0)
 
     def logged_at(self, det: Determinant) -> frozenset:
-        """Hosts known to store ``det`` (possibly empty)."""
-        return self._logged_at.get(det.delivery_id, frozenset())
+        """Hosts known to store ``det`` (possibly empty), decoded."""
+        mask = self.mask(det)
+        return frozenset(
+            bit - 1 for bit in range(mask.bit_length()) if mask >> bit & 1
+        )
 
     # ------------------------------------------------------------------
     def determinants(self) -> List[Determinant]:
@@ -170,7 +192,7 @@ class DeterminantLog:
         return sorted(
             det
             for key, det in self._dets.items()
-            if len(self._logged_at[key]) < replication_target
+            if self._masks[key].bit_count() < replication_target
         )
 
     def for_receiver(self, receiver: int) -> Dict[int, Determinant]:
@@ -192,21 +214,21 @@ class DeterminantLog:
         ]
         for key in victims:
             del self._dets[key]
-            del self._logged_at[key]
+            del self._masks[key]
         self.entries_pruned += len(victims)
         return len(victims)
 
     def clear(self) -> None:
         """Crash: all volatile contents are lost."""
         self._dets.clear()
-        self._logged_at.clear()
+        self._masks.clear()
 
     # -- checkpoint support ------------------------------------------------
     def to_state(self) -> List[Tuple[Tuple[int, int, int, int], Tuple[int, ...]]]:
         """Serializable snapshot: list of (det tuple, sorted hosts)."""
         return [
-            (det.to_tuple(), tuple(sorted(self._logged_at[key])))
-            for key, det in sorted(self._dets.items())
+            (det.to_tuple(), tuple(sorted(self.logged_at(det))))
+            for _key, det in sorted(self._dets.items())
         ]
 
     def load_state(

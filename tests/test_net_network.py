@@ -92,8 +92,30 @@ def test_no_link_raises():
 
 
 def test_size_accounting():
-    message = msg(body_bytes=100, piggyback=[1, 2, 3])
-    assert message.size_bytes == HEADER_BYTES + 100 + 3 * DETERMINANT_BYTES
+    sim, net = make_net()
+    net.register(1, lambda m: None)
+    net.send(msg(body_bytes=100, piggyback=[1, 2, 3]))
+    sim.run()
+    assert net.stats.of_kind(MessageKind.APPLICATION) == (
+        1, HEADER_BYTES + 100 + 3 * DETERMINANT_BYTES
+    )
+
+
+def test_size_accounting_uses_the_per_run_wire_costs():
+    """The network is the one place a message is sized: a run configured
+    with other header/determinant costs is charged those, not the module
+    defaults (which the deleted ``Message.size_bytes`` hard-coded)."""
+    sim = Simulator()
+    net = Network(
+        sim, full_mesh(3), latency=ConstantLatency(0.001),
+        header_bytes=32, determinant_bytes=8,
+    )
+    net.register(1, lambda m: None)
+    net.send(msg(body_bytes=100, piggyback=[1, 2, 3]))
+    sim.run()
+    assert net.stats.total_bytes() == 32 + 100 + 3 * 8
+    assert net.stats.total_bytes() != HEADER_BYTES + 100 + 3 * DETERMINANT_BYTES
+    assert not hasattr(Message, "size_bytes")
 
 
 def test_stats_by_kind():

@@ -16,7 +16,7 @@ from repro.procs.failure import (
     storage_outage_at,
 )
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceEvent, TraceRecorder
 
 
 class TestFailureDetector:
@@ -229,6 +229,96 @@ class TestFailureInjector:
         injector.add(crash_at(4, 2.0))
         sim.run()
         assert crashed == [4]
+
+    def test_keyed_plan_leaves_other_records_on_the_counters_only_path(self):
+        """A plan naming category and action listens on that key alone:
+        with tracing off, no other record builds a TraceEvent."""
+        sim = Simulator()
+        trace = TraceRecorder(keep_events=False)
+        injector = FailureInjector(
+            sim, trace, lambda n: None, plans=[crash_on(1, "x", "y", occurrence=2)]
+        )
+        injector.arm()
+        deliver = trace.emitter("x", "y")
+        assert trace.record(0.0, "app", 0, "send") is None
+        assert trace.emitter("net", "send")(0.0, 0) is None
+        assert trace.record(0.0, "x", 0, "y") is not None
+        assert deliver(0.0, 0) is not None
+        assert [node for _, node in injector.crashes_fired] == []
+        sim.run()
+        assert [node for _, node in injector.crashes_fired] == [1]
+        assert trace.counters == {"app.send": 1, "net.send": 1, "x.y": 2, "inject.crash": 1}
+
+    def test_wildcard_plan_takes_over_the_whole_recorder(self):
+        """A plan without an action needs every event; adding one after
+        keyed plans must not make a keyed event count twice."""
+        sim = Simulator()
+        trace = TraceRecorder(keep_events=False)
+        crashed = []
+        injector = FailureInjector(
+            sim, trace, crashed.append, plans=[crash_on(1, "x", "y", occurrence=2)]
+        )
+        injector.arm()
+        injector.add(CrashPlan(node=2, category="z"))
+        assert trace.record(0.0, "app", 0, "send") is not None
+        trace.record(0.0, "x", 0, "y")
+        sim.run()
+        assert crashed == []  # one occurrence seen, not two
+        trace.record(0.0, "x", 0, "y")
+        trace.record(0.0, "z", 0, "anything")
+        sim.run()
+        assert crashed == [1, 2]
+
+    def test_keyed_subscriber_runs_after_observers(self):
+        """An observer (the sanitizer) sees an event before an immediate
+        crash plan reacts to it, whichever subscribed first."""
+        sim = Simulator()
+        trace = TraceRecorder(keep_events=False)
+        order = []
+        injector = FailureInjector(
+            sim, trace, lambda n: order.append("crash"),
+            plans=[crash_on(1, "x", "y", immediate=True)],
+        )
+        injector.arm()
+        trace.subscribe(lambda event: order.append(f"saw {event.category}.{event.action}"))
+        trace.record(0.0, "x", 0, "y")
+        assert order == ["saw x.y", "saw inject.crash", "crash"]
+
+    def test_keyed_plan_in_a_full_run_builds_only_its_key(self, monkeypatch):
+        """With tracing off, a ``crash_on("net", "deliver", ...)`` run
+        builds events for ``net.deliver`` only, and crashes at the same
+        virtual time as the same plan on a whole-recorder subscription."""
+        import repro.sim.trace as trace_module
+        from helpers import small_config
+        from repro import build_system
+
+        built = []
+
+        def counting_event(time, category, node, action, details):
+            built.append(f"{category}.{action}")
+            return TraceEvent(time, category, node, action, details)
+
+        monkeypatch.setattr(trace_module, "TraceEvent", counting_event)
+
+        def run(extra_plans):
+            del built[:]
+            plan = crash_on(1, "net", "deliver", match_node=1, occurrence=40)
+            system = build_system(small_config(
+                n=4, hops=30, crashes=[plan] + extra_plans, keep_trace_events=False,
+            ))
+            result = system.run()
+            assert result.consistent
+            return system.injector.crashes_fired, result.end_time, dict(system.trace.counters)
+
+        keyed = run([])
+        assert set(built) == {"net.deliver"}
+        assert len(built) == keyed[2]["net.deliver"]
+        # a never-matching wildcard plan forces the old whole-recorder path
+        whole = run([CrashPlan(node=2, category="no-such-category")])
+        assert {"app.send", "app.deliver", "net.send"} < set(built)
+        assert len(built) > 3 * whole[2]["net.deliver"]
+        assert keyed == whole
+        assert len(keyed[0]) == 1
 
 
 class TestPlanValidation:

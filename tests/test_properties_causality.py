@@ -1,11 +1,14 @@
 """Property-based tests on the causality substrate."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.causality.dependency import make_depinfo
 from repro.causality.determinant import Determinant
 from repro.causality.vector_clock import VectorClock
+from repro.sanitizer.causal import CausalGraph
 
 
 # -- vector clocks -------------------------------------------------------
@@ -80,6 +83,23 @@ def test_determinant_round_trip_lists(dets):
     assert [Determinant.from_tuple(d.to_tuple()) for d in dets] == dets
 
 
+@given(st.lists(determinants, max_size=40))
+def test_determinant_behaves_like_its_tuple(dets):
+    """The tuple type keeps the frozen dataclass's semantics: field-order
+    sorting, and equality/hash parity for set and dict use."""
+    tuples = [d.to_tuple() for d in dets]
+    assert all(type(t) is tuple for t in tuples)
+    assert [d.to_tuple() for d in sorted(dets)] == sorted(tuples)
+    assert len(set(dets)) == len(set(tuples))
+    index = {d: i for i, d in enumerate(dets)}
+    for d in dets:
+        twin = Determinant.from_tuple(d.to_tuple())
+        assert twin == d and hash(twin) == hash(d)
+        assert index[twin] == index[d]
+        assert pickle.loads(pickle.dumps(d)) == d
+        assert (d.sender, d.ssn, d.receiver, d.rsn) == d.to_tuple()
+
+
 @settings(max_examples=50)
 @given(
     st.lists(determinants, max_size=30),
@@ -128,3 +148,67 @@ def test_depinfo_wire_union(a, b, kind):
         d.delivery_id for d in right.determinants()
     }
     assert slots == expected
+
+
+# -- the causal graph's backward closure ----------------------------------
+def _reference_antecedents(graph, event):
+    """The per-event walk ``check_safety`` used to run once per frontier
+    event, kept here as the reference for the one-walk closure."""
+    seen = set()
+    stack = [event]
+    while stack:
+        node, rsn = stack.pop()
+        if (node, rsn) in seen or rsn < 0:
+            continue
+        seen.add((node, rsn))
+        if rsn > 0:
+            stack.append((node, rsn - 1))
+        delivered = graph.delivery_at(node, rsn)
+        if delivered is not None:
+            sender, ssn = delivered
+            context = graph.context_of(sender, ssn, node)
+            if context is not None and context > 0:
+                stack.append((sender, context - 1))
+    return seen
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["msg", "msg", "msg", "rollback"]),
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=4),
+        ),
+        max_size=60,
+    ),
+    roots=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 20)), max_size=6
+    ),
+)
+def test_closure_from_a_frontier_is_the_union_of_per_event_walks(n, steps, roots):
+    """One walk from the whole frontier reaches exactly what the old
+    per-event walks reached together -- also through archived
+    (rolled-back) deliveries and sends."""
+    graph = CausalGraph()
+    delivered = [0] * n
+    next_ssn = {}
+    for kind, a, b in steps:
+        a, b = a % n, b % n
+        if kind == "rollback":
+            delivered[a] = min(delivered[a], b)
+            graph.roll_back(a, delivered[a])
+        elif a != b:
+            ssn = next_ssn.get((a, b), 0)
+            next_ssn[(a, b)] = ssn + 1
+            graph.record_send(a, ssn, b, delivered[a])
+            graph.record_delivery(b, delivered[b], a, ssn)
+            delivered[b] += 1
+    frontier = [(node, count - 1) for node, count in enumerate(delivered) if count]
+    frontier += [(node % n, rsn) for node, rsn in roots]
+    expected = set()
+    for event in frontier:
+        expected |= _reference_antecedents(graph, event)
+        assert graph.antecedents(event) == _reference_antecedents(graph, event)
+    assert graph.closure(frontier) == expected

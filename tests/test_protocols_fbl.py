@@ -141,3 +141,40 @@ def test_higher_f_piggybacks_more():
     low = run_system(small_config(n=6, f=1, hops=25, seed=3))[1]
     high = run_system(small_config(n=6, f=4, hops=25, seed=3))[1]
     assert high.extra["piggyback_determinants"] >= low.extra["piggyback_determinants"]
+
+
+def _unstable_by_full_scan(protocol):
+    """What ``stats()["unstable_determinants"]`` counted before it read
+    the cache: sort the whole log, test every determinant."""
+    return [det for det in protocol.det_log.determinants() if not protocol._det_stable(det)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "protocol,recovery,max_crashes",
+    [
+        ("fbl", "nonblocking", 2),
+        ("fbl", "blocking", 2),
+        ("sender_based", "nonblocking", 1),
+        ("manetho", "nonblocking", 2),
+        ("adaptive", "nonblocking", 2),
+    ],
+)
+def test_unstable_cache_equals_full_scan_under_chaos(protocol, recovery, max_crashes, seed):
+    """The O(1) end-of-run count is the cache's size, so the cache must
+    track the log exactly through crash, checkpoint GC, depinfo load and
+    restore -- on every FBL-family stack of the chaos matrix."""
+    import dataclasses
+
+    from test_chaos import chaos_config
+
+    config = dataclasses.replace(
+        chaos_config(protocol, recovery, max_crashes, seed), checkpoint_every=7
+    )
+    system = build_system(config)
+    result = system.run()
+    assert result.consistent
+    for node in system.nodes:
+        scanned = _unstable_by_full_scan(node.protocol)
+        assert sorted(node.protocol._unstable.values()) == scanned
+        assert node.protocol.stats()["unstable_determinants"] == len(scanned)

@@ -153,7 +153,9 @@ class TestGatherRaces:
     def test_blocked_queue_piggybacks_reach_the_reply(self):
         """Determinants queued behind a block must appear in the depinfo
         reply (on the reliable transport, where carriers can be late)."""
+        from repro.causality.determinant import Determinant
         from repro.net.network import Message, MessageKind
+        from repro.storage.volatile import host_mask
 
         system = build_system(small_config(recovery="blocking"))
         node = system.nodes[0]
@@ -162,7 +164,7 @@ class TestGatherRaces:
         carrier = Message(
             src=1, dst=0, kind=MessageKind.APPLICATION, mtype="app",
             payload={"data": {}}, ssn=0,
-            piggyback=[((1, 0, 3, 5), (1, 3))],
+            piggyback=[(Determinant(1, 0, 3, 5), host_mask((1, 3)))],
         )
         node.receive(carrier)
         assert (1, 0, 3, 5) not in node.protocol.local_depinfo_wire()

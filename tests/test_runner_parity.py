@@ -109,6 +109,33 @@ def test_rerunning_frozen_specs_does_not_contaminate():
     assert all(t.summary.episodes for t in first if t.label.startswith("nb"))
 
 
+def test_serial_runner_never_imports_multiprocessing():
+    """``jobs=1`` runs inline and must not pay for the process pool's
+    imports (multiprocessing, logging, socket, selectors: ~30 ms of
+    every process that imports ``repro.runner``)."""
+    import os
+    import subprocess
+
+    script = (
+        "import sys\n"
+        "from repro import SystemConfig\n"
+        "from repro.runner import TrialRunner, TrialSpec\n"
+        "config = SystemConfig(n=3, workload_params={'hops': 3})\n"
+        "trials = TrialRunner(jobs=1).run([TrialSpec(config=config)] * 2)\n"
+        "assert len(trials) == 2 and all(t.summary.consistent for t in trials)\n"
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+        "          if m in sys.modules]\n"
+        "print(loaded)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_chunking_does_not_change_results():
     specs = _specs()
     baseline = TrialRunner(jobs=1).run(specs)

@@ -94,9 +94,8 @@ def test_manetho_dropped_determinant_flush_caught(monkeypatch):
 
     def mutant(self, det, msg):
         # drop the log_append entirely; claim stability anyway
-        self._track(det)
-        self.det_log.note_logged_at(det, STABLE_HOST)
-        self._track(det)
+        self._track(det, self.det_log.mask(det))
+        self._track(det, self.det_log.note_logged_at(det, STABLE_HOST))
         self._check_pending_outputs()
 
     monkeypatch.setattr(ManethoLogging, "_record_own_determinant", mutant)

@@ -1,7 +1,10 @@
 """Unit tests for volatile logs."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.causality.determinant import Determinant
-from repro.storage.volatile import DeterminantLog, SendLog, VolatileLog
+from repro.storage.volatile import DeterminantLog, SendLog, VolatileLog, host_mask
 
 
 def det(sender=0, ssn=0, receiver=1, rsn=0):
@@ -137,3 +140,51 @@ class TestDeterminantLog:
         log.add(det())
         log.clear()
         assert len(log) == 0
+
+
+#: -1 is the stable-storage pseudo-host (``fbl.STABLE_HOST``)
+_hosts = st.integers(min_value=-1, max_value=12)
+_log_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "note", "merge"]),
+        st.integers(min_value=1, max_value=3),   # receiver
+        st.integers(min_value=0, max_value=5),   # rsn
+        st.lists(_hosts, max_size=4),
+    ),
+    max_size=50,
+)
+
+
+@settings(max_examples=80)
+@given(ops=_log_ops, target=st.integers(min_value=1, max_value=5))
+def test_determinant_log_host_masks_match_a_set_model(ops, target):
+    """The bitmask host sets against the ``Dict[key, set]`` they replaced."""
+    log = DeterminantLog()
+    model = {}
+    for op, receiver, rsn, hosts in ops:
+        d = det(receiver=receiver, rsn=rsn, ssn=rsn)
+        known = model.get(d.delivery_id)
+        if op == "add":
+            assert log.add(d, logged_at=hosts) == (known is None)
+            merged = (known or set()) | set(hosts)
+        elif op == "merge":
+            merged = (known or set()) | set(hosts)
+            assert log.merge(d, host_mask(hosts)) == host_mask(merged)
+        else:
+            host = hosts[0] if hosts else 0
+            merged = (known or set()) | {host}
+            assert log.note_logged_at(d, host) == host_mask(merged)
+        model[d.delivery_id] = merged
+        assert log.mask(d) == host_mask(merged)
+    assert len(log) == len(model)
+    for d in log.determinants():
+        assert log.logged_at(d) == frozenset(model[d.delivery_id])
+    assert log.unstable(target) == sorted(
+        d for d in log.determinants() if len(model[d.delivery_id]) < target
+    )
+    assert log.logged_at(det(receiver=9)) == frozenset()
+    restored = DeterminantLog()
+    restored.load_state(log.to_state())
+    assert restored.to_state() == log.to_state()
+    for d in log.determinants():
+        assert restored.logged_at(d) == log.logged_at(d)
