@@ -266,12 +266,12 @@ class Node:
         swapping in an earlier line (orphaned-checkpoint fallback).
         """
         self._restored_checkpoint = checkpoint
-        self.app.restore(checkpoint.app_state)
+        # one decode per restore; the fresh copy is ours to hand out
+        app_state, protocol_state = checkpoint.load()
+        self.app.restore(app_state)
         self.send_seqnos = dict(checkpoint.send_seqnos)
-        self.delivered_ids = {
-            tuple(item) for item in checkpoint.extra.get("delivered_ids", [])
-        }
-        self.protocol.on_restore(checkpoint)
+        self.delivered_ids = set(checkpoint.delivered_ids)
+        self.protocol.on_restore(checkpoint, protocol_state)
 
     def _finish_restore(self) -> None:
         if self.state != NodeState.RESTORING:
@@ -449,10 +449,6 @@ class Node:
         return self._take_checkpoint()
 
     def _take_checkpoint(self, bootstrap: bool = False) -> Checkpoint:
-        extra = {
-            "delivered_ids": sorted(self.delivered_ids),
-            "protocol": self.protocol.checkpoint_extra(),
-        }
         spans = self.trace.spans
         ckpt_span = spans.begin(
             "node.checkpoint", self.node_id, self.sim.now, bootstrap=bootstrap,
@@ -476,10 +472,11 @@ class Node:
             send_seqnos=self.send_seqnos,
             state_bytes=self.config.state_bytes,
             taken_at=self.sim.now,
-            extra=extra,
+            extra=self.protocol.checkpoint_extra(),
             on_done=on_done,
             bootstrap=bootstrap,
             dirty_bytes=self.app.dirty_bytes,
+            delivered_ids=self.delivered_ids,
         )
         # the snapshot captured everything dirtied so far; the next
         # delta is measured against this checkpoint
@@ -518,16 +515,17 @@ class Node:
         self,
         app_state: Dict[str, Any],
         send_seqnos: Dict[int, int],
-        delivered_ids: List[Tuple[int, int]],
+        delivered_ids: Set[Tuple[int, int]],
     ) -> int:
-        """Overwrite replayable state in place (coordinated rollback).
+        """Overwrite replayable state in place (coordinated rollback),
+        adopting the arguments (a freshly decoded round image).
 
         Returns the number of deliveries rolled back.
         """
         lost = max(0, self.app.delivered_count - app_state["delivered_count"])
         self.app.restore(app_state)
-        self.send_seqnos = dict(send_seqnos)
-        self.delivered_ids = {tuple(item) for item in delivered_ids}
+        self.send_seqnos = send_seqnos
+        self.delivered_ids = delivered_ids
         self.metrics.rolled_back_deliveries += lost
         return lost
 

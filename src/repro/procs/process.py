@@ -120,7 +120,7 @@ class ApplicationProcess:
     # snapshot / restore (checkpointing support)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Replayable state for a checkpoint."""
+        """Replayable state for a checkpoint (plain data, own copy)."""
         return {
             "delivered_count": self.delivered_count,
             "digest": self.digest,
@@ -132,10 +132,11 @@ class ApplicationProcess:
         self.dirty_bytes = 0
 
     def restore(self, state: Dict[str, Any]) -> None:
-        """Reset to a checkpointed state (start of replay)."""
+        """Reset to a checkpointed state (start of replay).  ``state`` is
+        adopted, not copied: pass a fresh decode of a checkpoint image."""
         self.delivered_count = state["delivered_count"]
         self.digest = state["digest"]
-        self.delivery_history = list(state["delivery_history"])
+        self.delivery_history = state["delivery_history"]
         self.dirty_bytes = 0
 
     def reset(self) -> None:

@@ -596,11 +596,10 @@ class AdaptiveLogging(FamilyBasedLogging):
         self._deliveries_since_eval = 0
         self._storage_lag = None
 
-    def on_restore(self, checkpoint: "Checkpoint") -> None:
-        super().on_restore(checkpoint)
-        protocol_state = checkpoint.extra.get("protocol", {})
-        self.mode = protocol_state.get("mode", self.initial_mode)
-        self.mode_epoch = protocol_state.get("mode_epoch", 0)
+    def on_restore(self, checkpoint: "Checkpoint", state: Dict[str, Any]) -> None:
+        super().on_restore(checkpoint, state)
+        self.mode = state["mode"]
+        self.mode_epoch = state["mode_epoch"]
         self._mode_entered_at = checkpoint.delivered_count
         self._reset_window()
         # a crash between the mode marker and checkpoint durability

@@ -70,8 +70,10 @@ class LoggingProtocol(ABC):
     def on_crash(self) -> None:
         """The node crashed: every volatile structure is wiped."""
 
-    def on_restore(self, checkpoint: "Checkpoint") -> None:
-        """A checkpoint was reloaded; rebuild protocol state from it."""
+    def on_restore(self, checkpoint: "Checkpoint", state: Dict[str, Any]) -> None:
+        """A checkpoint was reloaded; rebuild protocol state from ``state``:
+        what :meth:`checkpoint_extra` returned, freshly decoded with every
+        type preserved.  The protocol owns it and may adopt its parts."""
 
     def restore_stable(self, on_done: "Callable[[], None]") -> None:
         """Read any protocol state kept on stable storage after a restart.
@@ -82,7 +84,8 @@ class LoggingProtocol(ABC):
         on_done()
 
     def checkpoint_extra(self) -> Dict[str, Any]:
-        """Protocol state to include in a checkpoint."""
+        """Protocol state to include in a checkpoint: plain data, live
+        structures welcome (the store encodes it at once)."""
         return {}
 
     def on_checkpoint(self, checkpoint: "Checkpoint") -> None:

@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.network import Message, MessageKind
 from repro.protocols.base import LoggingProtocol
+from repro.storage.checkpoint import decode_image, encode_image
 
 #: Delay between counter polls while waiting for channels to drain.
 POLL_INTERVAL = 0.005
@@ -336,20 +337,9 @@ class CoordinatedCheckpointing(LoggingProtocol):
         would let our first post-snapshot message race a peer's
         still-in-flight ``cl_snap`` and corrupt the cut."""
         node = self.node
-        record = {
-            "round": round_id,
-            "app_state": node.app.snapshot(),
-            "send_seqnos": dict(node.send_seqnos),
-            "delivered_ids": sorted(node.delivered_ids),
-            "sent_count": dict(self.sent_count),
-            "recv_count": dict(self.recv_count),
-            "epoch": self.epoch,
-            # pending output is part of the cut: with channels drained,
-            # the system's entire "future" lives in these held sends
-            "held_sends": [
-                (dst, dict(payload), body) for dst, payload, body in self._held_sends
-            ],
-        }
+        # pending output is part of the cut: with channels drained, the
+        # system's entire "future" lives in the held sends
+        image = self._round_image(round_id, self._held_sends)
         node.trace.record(
             node.sim.now, "snapshot", node.node_id, "snap", round=round_id,
             delivered=node.app.delivered_count,
@@ -365,7 +355,26 @@ class CoordinatedCheckpointing(LoggingProtocol):
                 self._send_ctl(report_to, "cl_done", {"round": round_id}, body=8)
 
         node.storage.write(
-            f"round:{round_id}", record, node.config.state_bytes, on_done=durable
+            f"round:{round_id}", image, node.config.state_bytes, on_done=durable
+        )
+
+    def _round_image(
+        self, round_id: int, held_sends: List[Tuple[int, Dict[str, Any], int]]
+    ) -> bytes:
+        """This node's part of the round's cut: live state in, immutable image out."""
+        node = self.node
+        return encode_image(
+            {
+                "round": round_id,
+                "app_state": node.app.snapshot(),
+                "send_seqnos": node.send_seqnos,
+                "delivered_ids": node.delivered_ids,
+                "sent_count": self.sent_count,
+                "recv_count": self.recv_count,
+                "epoch": self.epoch,
+                "held_sends": held_sends,
+            },
+            f"round {round_id} snapshot of node {node.node_id}",
         )
 
     def _on_cl_done(self, msg: Message) -> None:
@@ -510,16 +519,17 @@ class CoordinatedCheckpointing(LoggingProtocol):
             node.block()
         self.abort_round()
 
-        def loaded(record: Any) -> None:
-            if record is None:
+        def loaded(image: Optional[bytes]) -> None:
+            if image is None:
                 raise RuntimeError(
                     f"node {node.node_id} has no snapshot for round {round_id}"
                 )
+            record = decode_image(image)  # a fresh copy: adopted below
             node.apply_snapshot(
                 record["app_state"], record["send_seqnos"], record["delivered_ids"]
             )
-            self.sent_count = dict(record["sent_count"])
-            self.recv_count = dict(record["recv_count"])
+            self.sent_count = record["sent_count"]
+            self.recv_count = record["recv_count"]
             self.epoch = new_epoch
             self.committed_round = round_id
             # never reuse a round id that a snapshot already exists for
@@ -538,8 +548,8 @@ class CoordinatedCheckpointing(LoggingProtocol):
             if was_live:
                 node.unblock()
             # resume the cut's pending output under the new epoch
-            for dst, payload, body in record.get("held_sends", []):
-                self._send_now(dst, dict(payload), body)
+            for dst, payload, body in record["held_sends"]:
+                self._send_now(dst, payload, body)
             # finish the recovery hand-off *before* draining: a
             # recovering node must be live again or the drained messages
             # would just be re-buffered
@@ -554,21 +564,12 @@ class CoordinatedCheckpointing(LoggingProtocol):
     def on_start(self) -> None:
         # round 0: the initial states form a trivially consistent cut,
         # whose pending output is exactly the workload's initial sends
-        record = {
-            "round": 0,
-            "app_state": self.node.app.snapshot(),
-            "send_seqnos": {},
-            "delivered_ids": [],
-            "sent_count": {},
-            "recv_count": {},
-            "epoch": 0,
-            "held_sends": [
-                (send.dst, dict(send.payload), send.body_bytes)
-                for send in self.node.app.initial_sends()
-            ],
-        }
+        image = self._round_image(0, [
+            (send.dst, send.payload, send.body_bytes)
+            for send in self.node.app.initial_sends()
+        ])
         # the round-0 image is on disk before the process launches
-        self.node.storage.write_bootstrap("round:0", record)
+        self.node.storage.write_bootstrap("round:0", image)
         self.node.storage.write_bootstrap(f"committed:{self.node.node_id}", 0)
         self._written_rounds.add(0)
         if self._gc_enabled():

@@ -318,9 +318,7 @@ class FamilyBasedLogging(LogBasedProtocol):
         # delivered while the checkpoint write was in flight are NOT
         # covered by it, and a crash before the next checkpoint would
         # need their data from the senders again
-        prefixes = self._contiguous_delivered_prefixes(
-            checkpoint.extra.get("delivered_ids")
-        )
+        prefixes = self._contiguous_delivered_prefixes(checkpoint.delivered_ids)
         node.trace.record(
             node.sim.now, "gc", node.node_id, "notice",
             covered=count, local_dets_dropped=dropped,
@@ -346,18 +344,17 @@ class FamilyBasedLogging(LogBasedProtocol):
                 )
             )
 
+    @staticmethod
     def _contiguous_delivered_prefixes(
-        self, delivered_ids: Optional[Iterable[Tuple[int, int]]] = None
+        delivered_ids: Iterable[Tuple[int, int]]
     ) -> Dict[int, int]:
         """Per sender: highest k such that ssns 0..k are all delivered.
 
         Only a contiguous prefix is safe to prune at the sender -- a gap
-        may be a message still in flight.  ``delivered_ids`` defaults to
-        the live set; garbage collection passes a durable checkpoint's
-        set instead, since only those deliveries can never replay again.
+        may be a message still in flight.  Garbage collection passes a
+        durable checkpoint's set, not the live one: only those
+        deliveries can never replay again.
         """
-        if delivered_ids is None:
-            delivered_ids = self.node.delivered_ids
         by_sender: Dict[int, set] = {}
         for sender, ssn in delivered_ids:
             by_sender.setdefault(sender, set()).add(ssn)
@@ -383,10 +380,9 @@ class FamilyBasedLogging(LogBasedProtocol):
                 peer=msg.src, send_log=pruned, determinants=dropped,
             )
 
-    def on_restore(self, checkpoint: "Checkpoint") -> None:
-        protocol_state = checkpoint.extra.get("protocol", {})
-        self.send_log.load_state(protocol_state.get("send_log", []))
-        self.det_log.load_state(protocol_state.get("det_log", []))
+    def on_restore(self, checkpoint: "Checkpoint", state: Dict[str, Any]) -> None:
+        self.send_log.load_state(state["send_log"])
+        self.det_log.load_state(state["det_log"])
         self._rebuild_unstable()
 
     def on_crash(self) -> None:

@@ -345,22 +345,16 @@ class OptimisticLogging(LogBasedProtocol):
     def checkpoint_extra(self) -> Dict[str, Any]:
         return {
             "send_log": self.send_log.to_state(),
-            "acked": sorted(self._acked),
-            "dep": dict(self.dep),
-            "dep_history": [dict(d) for d in self._dep_history],
+            "acked": self._acked,
+            "dep": self.dep,
+            "dep_history": self._dep_history,
         }
 
-    def on_restore(self, checkpoint: "Checkpoint") -> None:
-        protocol_state = checkpoint.extra.get("protocol", {})
-        self.send_log.load_state(protocol_state.get("send_log", []))
-        self._acked = {tuple(item) for item in protocol_state.get("acked", [])}
-        self.dep = {
-            int(k): tuple(v) for k, v in protocol_state.get("dep", {}).items()
-        }
-        self._dep_history = [
-            {int(k): tuple(v) for k, v in d.items()}
-            for d in protocol_state.get("dep_history", [])
-        ]
+    def on_restore(self, checkpoint: "Checkpoint", state: Dict[str, Any]) -> None:
+        self.send_log.load_state(state["send_log"])
+        self._acked = state["acked"]
+        self.dep = state["dep"]
+        self._dep_history = state["dep_history"]
 
     def restore_stable(self, on_done) -> None:
         """Read the log, apply truncate markers, stage the valid prefix.
@@ -424,13 +418,7 @@ class OptimisticLogging(LogBasedProtocol):
         for checkpoint in reversed(node.checkpoints.durable_history):
             if checkpoint.checkpoint_id >= orphaned.checkpoint_id:
                 continue
-            history = [
-                {int(k): tuple(v) for k, v in d.items()}
-                for d in checkpoint.extra.get("protocol", {}).get(
-                    "dep_history", []
-                )
-            ]
-            if not self._history_violates(history):
+            if not self._history_violates(checkpoint.extra.get("dep_history", ())):
                 candidate = checkpoint
                 break
         if candidate is None:

@@ -152,15 +152,11 @@ class PessimisticLogging(LogBasedProtocol):
             )
 
     def checkpoint_extra(self) -> Dict[str, Any]:
-        return {
-            "send_log": self.send_log.to_state(),
-            "acked": sorted(self._acked),
-        }
+        return {"send_log": self.send_log.to_state(), "acked": self._acked}
 
-    def on_restore(self, checkpoint: "Checkpoint") -> None:
-        protocol_state = checkpoint.extra.get("protocol", {})
-        self.send_log.load_state(protocol_state.get("send_log", []))
-        self._acked = {tuple(item) for item in protocol_state.get("acked", [])}
+    def on_restore(self, checkpoint: "Checkpoint", state: Dict[str, Any]) -> None:
+        self.send_log.load_state(state["send_log"])
+        self._acked = state["acked"]
 
     def restore_stable(self, on_done) -> None:
         """Read the whole message log back; it contains the full replay."""

@@ -294,6 +294,10 @@ class NonblockingRecovery(RecoveryManager):
             self.node.protocol.on_peer_recovered(msg.src)
         if self.role == "waiting":
             self._evaluate_leadership()
+        elif self.role == "leader":
+            # a member that finished between our join announcement and
+            # our inc_request left R without answering: stop waiting
+            self._check_inc_done()
 
     def _on_leader_done(self, msg: Message) -> None:
         """The current leader finished its algorithm (distributed the

@@ -8,6 +8,12 @@ model, so saving and (crucially for the paper's argument) *restoring*
 them costs realistic stable-storage time -- the dominant term in the
 evaluation's measured ~5 s recovery.
 
+A checkpoint is an immutable *image*: ``save`` serialises the
+replayable state once, in C, and every read decodes its own fresh copy.
+The store makes the only copy a checkpoint ever needs -- nothing the
+process does later, and nothing a restore does, can alter a durable
+line -- and checkpoint state must be plain data (:func:`encode_image`).
+
 The store has two modes.  The default (flat) mode writes every
 checkpoint as a full ``state_bytes`` image, exactly the seed's cost
 model.  Incremental mode (enabled by
@@ -19,11 +25,30 @@ superseded segments once a new full lands.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+import marshal
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.storage.stable import StableStorage
+
+
+def encode_image(state: Any, what: str) -> bytes:
+    """Serialise snapshot state into an immutable image, in one C pass.
+
+    ``marshal`` preserves the type of everything it accepts -- ``None``,
+    bools, ints, floats, strings, bytes and exact tuples, lists, dicts
+    and sets of those -- so readers never re-normalise; anything else (a
+    live object, a ``Determinant``) it refuses, here at the store
+    boundary, and ``what`` names the snapshot in that error.
+    """
+    try:
+        return marshal.dumps(state)
+    except ValueError as exc:
+        raise TypeError(f"{what} holds state that is not plain data: {exc}") from None
+
+
+#: every call builds a fresh object graph: two decodes never alias
+decode_image = marshal.loads
 
 
 @dataclass(frozen=True)
@@ -37,10 +62,15 @@ class Checkpoint:
     delivered_count:
         Number of messages delivered when the snapshot was taken; equals
         the next rsn to be assigned.
-    app_state:
-        Opaque deep-copied application state.
+    image:
+        The encoded ``(app_state, extra)`` pair: application state and
+        the protocol-specific replayable state riding along.
     send_seqnos:
         Per-destination next send sequence number.
+    delivered_ids:
+        ``(sender, ssn)`` of every delivery the snapshot covers; outside
+        the image because garbage collection reads it at every durable
+        checkpoint and must not pay a full decode for it.
     state_bytes:
         Modelled size of the process image (the paper's processes were
         "about one Mbyte").
@@ -48,8 +78,6 @@ class Checkpoint:
         Monotone id assigned by the store.
     taken_at:
         Virtual time the snapshot was taken.
-    extra:
-        Protocol-specific replayable state riding along.
     incremental:
         Whether this segment was written as a delta (incremental mode).
     charged_bytes:
@@ -60,14 +88,28 @@ class Checkpoint:
 
     node: int
     delivered_count: int
-    app_state: Dict[str, Any]
+    image: bytes
     send_seqnos: Dict[int, int]
+    delivered_ids: FrozenSet[Tuple[int, int]]
     state_bytes: int
     checkpoint_id: int = 0
     taken_at: float = 0.0
-    extra: Dict[str, Any] = field(default_factory=dict)
     incremental: bool = False
     charged_bytes: int = 0
+
+    def load(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """Decode ``(app_state, extra)``; the caller owns the result."""
+        return decode_image(self.image)
+
+    @property
+    def app_state(self) -> Dict[str, Any]:
+        """A fresh decode of the application state."""
+        return self.load()[0]
+
+    @property
+    def extra(self) -> Dict[str, Any]:
+        """A fresh decode of the protocol-specific state."""
+        return self.load()[1]
 
 
 class CheckpointStore:
@@ -129,6 +171,12 @@ class CheckpointStore:
             return state_bytes
         return max(self.min_delta_bytes, min(dirty_bytes, state_bytes))
 
+    def _key(self, checkpoint: Checkpoint) -> str:
+        """Flat mode overwrites one image; a chain names every segment."""
+        if self.incremental:
+            return f"checkpoint:{self.node}:{checkpoint.checkpoint_id}"
+        return f"checkpoint:{self.node}"
+
     def save(
         self,
         delivered_count: int,
@@ -140,8 +188,11 @@ class CheckpointStore:
         on_done: Optional[Callable[[Checkpoint], None]] = None,
         bootstrap: bool = False,
         dirty_bytes: Optional[int] = None,
+        delivered_ids: Iterable[Tuple[int, int]] = (),
     ) -> Checkpoint:
         """Write a new checkpoint; ``on_done`` fires when it is durable.
+        ``app_state`` and ``extra`` are encoded before this returns: pass
+        live structures, no copy needed.
 
         ``bootstrap`` marks the time-zero checkpoint: the initial process
         image already sits on stable storage before the process launches,
@@ -151,20 +202,15 @@ class CheckpointStore:
         state touched since the previous checkpoint; when the store
         decides to write a delta, that -- clamped to
         ``[min_delta_bytes, state_bytes]`` -- is the size charged to the
-        device instead of the full image.
+        device instead of the full image.  Flat mode always writes full.
         """
-        if not self.incremental:
-            return self._save_flat(
-                delivered_count, app_state, send_seqnos, state_bytes,
-                taken_at, extra, on_done, bootstrap,
-            )
-
         charge = self._charge_for(dirty_bytes, state_bytes)
-        # write a full segment when the chain budget is spent, after a
-        # boot/restore (no baseline to delta against), or when the
-        # process dirtied its whole image anyway
+        # write a full segment in flat mode, when the chain budget is
+        # spent, after a boot/restore (no baseline to delta against), or
+        # when the process dirtied its whole image anyway
         full = (
-            bootstrap
+            not self.incremental
+            or bootstrap
             or self._force_full
             or self._deltas_since_full >= self.full_every - 1
             or charge >= state_bytes
@@ -173,91 +219,52 @@ class CheckpointStore:
         checkpoint = Checkpoint(
             node=self.node,
             delivered_count=delivered_count,
-            app_state=copy.deepcopy(app_state),
+            image=encode_image(
+                (app_state, extra or {}),
+                f"checkpoint {self._next_id} of node {self.node}",
+            ),
             send_seqnos=dict(send_seqnos),
+            delivered_ids=frozenset(delivered_ids),
             state_bytes=state_bytes,
             checkpoint_id=self._next_id,
             taken_at=taken_at,
-            extra=copy.deepcopy(extra) if extra else {},
             incremental=not full,
             charged_bytes=charged,
         )
         self._next_id += 1
-        if full:
+        # flat mode overwrites one image in place: segment counters and
+        # the chain describe incremental mode only
+        chained = self.incremental
+        if chained and full:
             self._force_full = False
             self._deltas_since_full = 0
             self.full_segments += 1
             self.full_bytes_written += charged
-        else:
+        elif chained:
             self._deltas_since_full += 1
             self.delta_segments += 1
             self.delta_bytes_written += charged
 
         def done() -> None:
-            """Chain bookkeeping once the segment is durable."""
+            """Publish the durable segment and notify the caller."""
             self._latest_durable = checkpoint
             if self.retain_history:
                 self._durable_history.append(checkpoint)
-            if full:
+            if chained and full:
                 # the new full supersedes the old chain: reclaim it
                 for old in self._chain:
-                    self.storage.reclaim(
-                        f"checkpoint:{self.node}:{old.checkpoint_id}",
-                        old.charged_bytes,
-                    )
+                    self.storage.reclaim(self._key(old), old.charged_bytes)
                 self._chain = [checkpoint]
-            else:
+            elif chained:
                 self._chain.append(checkpoint)
             if on_done is not None:
                 on_done(checkpoint)
 
-        key = f"checkpoint:{self.node}:{checkpoint.checkpoint_id}"
         if bootstrap:
-            self.storage.write_bootstrap(key, checkpoint)
+            self.storage.write_bootstrap(self._key(checkpoint), checkpoint)
             done()
         else:
-            self.storage.write(key, checkpoint, charged, on_done=done)
-        return checkpoint
-
-    def _save_flat(
-        self,
-        delivered_count: int,
-        app_state: Dict[str, Any],
-        send_seqnos: Dict[int, int],
-        state_bytes: int,
-        taken_at: float,
-        extra: Optional[Dict[str, Any]],
-        on_done: Optional[Callable[[Checkpoint], None]],
-        bootstrap: bool,
-    ) -> Checkpoint:
-        """The seed's flat path: one full image per checkpoint."""
-        checkpoint = Checkpoint(
-            node=self.node,
-            delivered_count=delivered_count,
-            app_state=copy.deepcopy(app_state),
-            send_seqnos=dict(send_seqnos),
-            state_bytes=state_bytes,
-            checkpoint_id=self._next_id,
-            taken_at=taken_at,
-            extra=copy.deepcopy(extra) if extra else {},
-            charged_bytes=state_bytes,
-        )
-        self._next_id += 1
-
-        def done() -> None:
-            """Publish the durable snapshot and notify the caller."""
-            self._latest_durable = checkpoint
-            if self.retain_history:
-                self._durable_history.append(checkpoint)
-            if on_done is not None:
-                on_done(checkpoint)
-
-        if bootstrap:
-            done()
-        else:
-            self.storage.write(
-                f"checkpoint:{self.node}", checkpoint, state_bytes, on_done=done
-            )
+            self.storage.write(self._key(checkpoint), checkpoint, charged, on_done=done)
         return checkpoint
 
     def restore(self, on_done: Callable[[Optional[Checkpoint]], None]) -> float:
@@ -280,20 +287,16 @@ class CheckpointStore:
                 callback = (lambda _v, s=segment: None)
                 if segment is last:
                     callback = lambda _v: on_done(last)  # noqa: E731
-                finish = self.storage.read(
-                    f"checkpoint:{self.node}:{segment.checkpoint_id}",
-                    segment.charged_bytes,
-                    callback,
-                )
+                finish = self.storage.read(self._key(segment), segment.charged_bytes, callback)
             return finish
-        size = self._latest_durable.state_bytes if self._latest_durable else 0
-        durable = self._latest_durable
+        return self._read_full(self._latest_durable, on_done)
 
-        def done(_value: Any) -> None:
-            """Hand the reloaded checkpoint to the caller."""
-            on_done(durable)
-
-        return self.storage.read(f"checkpoint:{self.node}", size, done)
+    def _read_full(self, checkpoint: Optional[Checkpoint], on_done: Callable) -> float:
+        """One full-image read of ``checkpoint`` (zero bytes if ``None``: nothing saved)."""
+        size = checkpoint.state_bytes if checkpoint is not None else 0
+        return self.storage.read(
+            f"checkpoint:{self.node}", size, lambda _value: on_done(checkpoint)
+        )
 
     def restore_line(
         self, checkpoint: Checkpoint, on_done: Callable[[Checkpoint], None]
@@ -314,13 +317,7 @@ class CheckpointStore:
             c for c in self._durable_history
             if c.checkpoint_id <= checkpoint.checkpoint_id
         ]
-
-        def done(_value: Any) -> None:
-            on_done(checkpoint)
-
-        return self.storage.read(
-            f"checkpoint:{self.node}", checkpoint.state_bytes, done
-        )
+        return self._read_full(checkpoint, on_done)
 
     # ------------------------------------------------------------------
     @property

@@ -204,7 +204,7 @@ class StableStorage:
         self.rng = rng
         self.group_commit = group_commit
         self.stats = StableStorageStats()
-        #: optional repro.core.metrics_registry.MetricsRegistry (set by System)
+        #: bound metric instruments (see the ``registry`` setter)
         self.registry = None
         #: optional repro.obs.CostLedger (set by System; None = zero cost);
         #: charged beside every stats mutation so account sums conserve
@@ -221,6 +221,27 @@ class StableStorage:
         self._batch_timer: Optional[Any] = None
 
     # ------------------------------------------------------------------
+    @property
+    def registry(self):
+        """Optional :class:`~repro.core.metrics_registry.MetricsRegistry`,
+        assigned by :class:`~repro.core.system.System` after construction."""
+        return self._registry
+
+    @registry.setter
+    def registry(self, registry) -> None:
+        self._registry = registry
+        self._instruments: Dict[str, Any] = {}
+
+    def _instrument(self, kind: str, name: str) -> Any:
+        """This device's ``storage.<name>`` instrument: resolved once, at
+        first use (so a run reports exactly the metrics it touched), then
+        a dict hit per operation instead of name validation."""
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            resolve = getattr(self._registry, kind)
+            instrument = self._instruments[name] = resolve("storage." + name)
+        return instrument
+
     def _fault_rng(self) -> random.Random:
         if self.rng is None:
             self.rng = random.Random(derive_seed(0, f"storage.faults.{self.owner}"))
@@ -277,12 +298,10 @@ class StableStorage:
             )
             if span is not None:
                 self._op_spans[op_id] = span
-        if self.registry is not None:
-            self.registry.histogram("storage.op_latency").observe(
-                finish - self.sim.now
-            )
-            self.registry.counter("storage.ops").inc()
-            self.registry.counter("storage.bytes").inc(size_bytes)
+        if self._registry is not None:
+            self._instrument("histogram", "op_latency").observe(finish - self.sim.now)
+            self._instrument("counter", "ops").inc()
+            self._instrument("counter", "bytes").inc(size_bytes)
 
         def complete() -> None:
             self._pending.pop(op_id, None)
@@ -461,8 +480,8 @@ class StableStorage:
             (log, entry, size_bytes, on_done, stall_node, self.sim.now)
         )
         self._batch_bytes += size_bytes
-        if self.registry is not None:
-            self.registry.counter("storage.batched_appends").inc()
+        if self._registry is not None:
+            self._instrument("counter", "batched_appends").inc()
         if (
             len(self._batch_queue) >= policy.max_ops
             or self._batch_bytes >= policy.max_bytes
@@ -520,14 +539,13 @@ class StableStorage:
                 # a batched caller stalls from enqueue to durable: the
                 # window wait is part of the latency it experiences
                 self.stats.add_stall(stall_node, finish - enqueued_at)
-            if self.registry is not None:
-                self.registry.histogram("storage.batch_queue_wait").observe(
-                    self.sim.now - enqueued_at
-                )
-        if self.registry is not None:
-            self.registry.counter("storage.batch_flushes").inc()
-            self.registry.histogram("storage.batch_size_ops").observe(len(batch))
-            self.registry.histogram("storage.batch_size_bytes").observe(total)
+        if self._registry is not None:
+            observe_wait = self._instrument("histogram", "batch_queue_wait").observe
+            for entry in batch:
+                observe_wait(self.sim.now - entry[5])
+            self._instrument("counter", "batch_flushes").inc()
+            self._instrument("histogram", "batch_size_ops").observe(len(batch))
+            self._instrument("histogram", "batch_size_bytes").observe(total)
         return finish
 
     def log_read(
@@ -591,8 +609,8 @@ class StableStorage:
             self.stats.reclaims += 1
             if self.cost is not None:
                 self.cost.charge_gc(self.sim.now, self.owner, freed)
-            if self.registry is not None:
-                self.registry.counter("storage.bytes_reclaimed").inc(freed)
+            if self._registry is not None:
+                self._instrument("counter", "bytes_reclaimed").inc(freed)
         return dropped
 
     def reclaim(self, name: str, size_bytes: int) -> None:
@@ -612,8 +630,8 @@ class StableStorage:
                 self.sim.now, "storage", self.owner, "reclaim",
                 name=name, size=size_bytes,
             )
-        if self.registry is not None:
-            self.registry.counter("storage.bytes_reclaimed").inc(size_bytes)
+        if self._registry is not None:
+            self._instrument("counter", "bytes_reclaimed").inc(size_bytes)
 
     # ------------------------------------------------------------------
     def peek(self, name: str) -> Any:

@@ -100,9 +100,10 @@ class SendLog:
 
     # -- checkpoint support ------------------------------------------------
     def to_state(self) -> List[Tuple[int, int, Dict[str, Any], int]]:
-        """Serializable snapshot: list of (dst, ssn, payload, size)."""
+        """Serializable snapshot: list of (dst, ssn, payload, size), the
+        payloads live (the checkpoint store encodes it at once)."""
         return [
-            (dst, ssn, dict(record["payload"]), record["size"])
+            (dst, ssn, record["payload"], record["size"])
             for (dst, ssn), record in sorted(self._by_key.items())
         ]
 
@@ -224,20 +225,18 @@ class DeterminantLog:
         self._masks.clear()
 
     # -- checkpoint support ------------------------------------------------
-    def to_state(self) -> List[Tuple[Tuple[int, int, int, int], Tuple[int, ...]]]:
-        """Serializable snapshot: list of (det tuple, sorted hosts)."""
+    def to_state(self) -> List[Tuple[Tuple[int, int, int, int], int]]:
+        """Serializable snapshot: list of (det tuple, host mask)."""
         return [
-            (det.to_tuple(), tuple(sorted(self.logged_at(det))))
-            for _key, det in sorted(self._dets.items())
+            (det.to_tuple(), self._masks[key])
+            for key, det in sorted(self._dets.items())
         ]
 
-    def load_state(
-        self, state: List[Tuple[Tuple[int, int, int, int], Tuple[int, ...]]]
-    ) -> None:
+    def load_state(self, state: List[Tuple[Tuple[int, int, int, int], int]]) -> None:
         """Rebuild from a checkpointed snapshot."""
         self.clear()
-        for det_tuple, hosts in state:
-            self.add(Determinant.from_tuple(tuple(det_tuple)), logged_at=hosts)
+        for det_tuple, mask in state:
+            self.merge(Determinant.from_tuple(det_tuple), mask)
 
     def __len__(self) -> int:
         return len(self._dets)

@@ -3,8 +3,9 @@
 Property-style robustness testing for every protocol/recovery pairing:
 each trial draws a workload and a fault schedule (message loss up to
 20%, duplication, reordering, a healed partition, transient storage
-faults, and 0--2 crashes) from a seeded generator, runs the full system
-with the reliable transport, and asserts the paper's invariants:
+faults, 0--2 crashes, and a checkpoint cadence of 0, 3, 5 or 9
+deliveries) from a seeded generator, runs the full system with the
+reliable transport, and asserts the paper's invariants:
 
 * the :class:`ConsistencyOracle` records **zero** violations,
 * every crashed process recovers and every process ends live,
@@ -130,6 +131,11 @@ def chaos_config(
             ([members[:cut], members[cut:]], window + draw.uniform(0.3, 1.0))
         ]
 
+    # the last draw, so every earlier one -- each seed's fault schedule --
+    # is what it was before checkpoints joined the matrix; three in four
+    # trials now crash onto (and restore from) a mid-run recovery line
+    checkpoint_every = draw.choice((0, 3, 5, 9))
+
     params = {}
     if protocol == "fbl":
         params = {"f": 2}
@@ -161,6 +167,7 @@ def chaos_config(
         transport_params={"max_retries": 30},
         detection_delay=0.5,
         state_bytes=100_000,
+        checkpoint_every=checkpoint_every,
         max_events=3_000_000,
     )
 

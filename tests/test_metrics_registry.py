@@ -127,3 +127,44 @@ def test_summarize_twice_does_not_double_count():
     system.run()
     again = system.summarize()
     assert again.extra["metrics"]["recovery.episodes"]["value"] == 1
+
+
+def test_instruments_resolve_once_per_device_not_once_per_operation(monkeypatch):
+    """The hot layers (network, transport, storage) bind their
+    instruments when they first report, so ``_register`` -- a string
+    split, a subsystem check and an ``isinstance`` -- runs O(instruments)
+    per run, whatever the run's length."""
+    from repro import build_system
+    from repro.core.config import StorageRealismConfig
+
+    from helpers import small_config
+
+    resolved = []
+    register = MetricsRegistry._register
+
+    def counting(self, name, cls):
+        resolved.append(name)
+        return register(self, name, cls)
+
+    monkeypatch.setattr(MetricsRegistry, "_register", counting)
+
+    def run(hops):
+        del resolved[:]
+        system = build_system(small_config(
+            n=4, protocol="pessimistic", recovery="local", hops=hops,
+            checkpoint_every=5,
+            storage_realism=StorageRealismConfig(
+                incremental_checkpoints=True, group_commit=True, log_compaction=True
+            ),
+        ))
+        metrics = system.run().extra["metrics"]
+        assert metrics["storage.batch_flushes"]["value"] > 0
+        assert metrics["storage.bytes_reclaimed"]["value"] > 0
+        return metrics["storage.ops"]["value"], sorted(resolved)
+
+    short_ops, short_resolved = run(hops=10)
+    long_ops, long_resolved = run(hops=80)
+    assert long_ops > 3 * short_ops
+    assert long_resolved == short_resolved
+    per_device = [name for name in long_resolved if name.startswith("storage.")]
+    assert len(per_device) <= 4 * len(set(per_device))  # n = 4 devices

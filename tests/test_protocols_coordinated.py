@@ -3,6 +3,7 @@
 import pytest
 
 from repro import build_system, crash_at
+from repro.storage.checkpoint import decode_image
 
 from helpers import small_config
 
@@ -40,9 +41,10 @@ class TestSnapshotRounds:
         system, result = run_system(coordinated_config())
         rounds = range(1, system.nodes[0].protocol.committed_round + 1)
         for round_id in rounds:
-            records = [n.storage.peek(f"round:{round_id}") for n in system.nodes]
-            if any(r is None for r in records):
+            images = [n.storage.peek(f"round:{round_id}") for n in system.nodes]
+            if any(image is None for image in images):
                 continue
+            records = [decode_image(image) for image in images]
             sent = sum(sum(r["sent_count"].values()) for r in records)
             received = sum(sum(r["recv_count"].values()) for r in records)
             assert sent == received, f"round {round_id} cut is inconsistent"

@@ -5,6 +5,7 @@ import pytest
 
 from repro import build_system, crash_at
 from repro.net.network import Message, MessageKind
+from repro.storage.checkpoint import decode_image
 
 from helpers import small_config
 
@@ -83,7 +84,7 @@ class TestSnapshots:
         system = build_system(coordinated_config())
         system.start()
         for node in system.nodes:
-            record = node.storage.peek("round:0")
+            record = decode_image(node.storage.peek("round:0"))
             expected = node.app.workload.initial_sends(node.node_id, system.config.n)
             assert len(record["held_sends"]) == len(expected)
         system.sim.run()

@@ -103,14 +103,9 @@ def test_checkpoint_captures_both_logs():
 def test_restore_rebuilds_logs_from_checkpoint():
     system, result = run_system(small_config(n=4, hops=10))
     node = system.nodes[0]
-    checkpoint = node.checkpoints.latest
     fresh = FamilyBasedLogging(f=2)
     fresh.attach(node)
-
-    class FakeCkpt:
-        extra = {"protocol": node.protocol.checkpoint_extra()}
-
-    fresh.on_restore(FakeCkpt())
+    fresh.on_restore(node.checkpoints.latest, node.protocol.checkpoint_extra())
     assert len(fresh.send_log) == len(node.protocol.send_log)
     assert len(fresh.det_log) == len(node.protocol.det_log)
 

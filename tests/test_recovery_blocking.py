@@ -1,5 +1,7 @@
 """Tests for the blocking (message-optimal) recovery baseline."""
 
+import dataclasses
+
 import pytest
 
 from repro import build_system, crash_at, crash_on
@@ -144,7 +146,10 @@ class TestGatherRaces:
     def test_chaos_seed_82_partitioned_carrier_recovers(self):
         from test_chaos import chaos_config
 
-        config = chaos_config("fbl", "blocking", 2, 82)
+        # the scenario predates the harness drawing a checkpoint cadence
+        config = dataclasses.replace(
+            chaos_config("fbl", "blocking", 2, 82), checkpoint_every=0
+        )
         system, result = run_system(config)
         assert result.consistent
         assert all(e.complete for e in result.episodes)

@@ -212,3 +212,34 @@ class TestStateMachineDetails:
         for node in system.nodes:
             for event in system.trace.select("node", node.node_id, "reject_stale"):
                 assert event.details["incarnation"] < node.incvector[event.details["src"]]
+
+
+class TestMemberFinishesBeforeTheLeaderAsks:
+    """A member of R that completes its own recovery after the new
+    leader's join announcement but before the leader's ``inc_request``
+    reaches it never answers that request (it is live again).  Its
+    ``recovery_complete`` is the leader's only signal, and a leader in
+    the incarnation phase used to ignore it: the round waited forever
+    for an ``inc_reply`` nobody owed.  Found by the chaos harness once it
+    drew checkpoint cadences (adaptive/nonblocking, seed 20: the first
+    victim's replay ends in the same instant the second victim's
+    ``inc_request`` arrives)."""
+
+    def test_chaos_seed_20_leader_stops_waiting_for_a_finished_member(self):
+        import dataclasses
+
+        from test_chaos import chaos_config
+
+        config = dataclasses.replace(
+            chaos_config("adaptive", "nonblocking", 2, 20), checkpoint_every=9
+        )
+        system, result = run_system(config)
+        # the scenario itself: node 3 starts gathering with node 2 in R,
+        # and node 2 finishes before node 3's round gets anywhere
+        gather = system.trace.first("recovery", 3, "gather_start")
+        assert gather.details["members"] == [2]
+        assert gather.time < system.trace.first("recovery", 2, "complete").time
+        assert result.consistent
+        assert all(e.complete for e in result.episodes)
+        assert all(node.is_live for node in system.nodes)
+
