@@ -47,6 +47,7 @@ class Node:
         "send_seqnos", "delivered_ids", "blocked", "_blocked_queue",
         "_restore_queue", "_restored_checkpoint", "_crash_epoch",
         "crash_count", "_episode_span", "_phase_span", "_block_span",
+        "_emit_deliver",
     )
 
     def __init__(
@@ -69,6 +70,8 @@ class Node:
         self.network = network
         self.detector = detector
         self.trace = trace
+        self._emit_deliver = trace.emitter(
+            "app", "deliver", ("sender", "ssn", "rsn"))
         self.metrics = metrics
         self.oracle = oracle
         self.config = config
@@ -401,10 +404,7 @@ class Node:
         sends = self.app.deliver(sender, ssn, payload)
         self.oracle.on_deliver(self.node_id, rsn, sender, ssn, self.app.digest)
         self.metrics.count_delivery(self.node_id, during_replay=self.is_recovering)
-        self.trace.record(
-            self.sim.now, "app", self.node_id, "deliver",
-            sender=sender, ssn=ssn, rsn=rsn,
-        )
+        self._emit_deliver(self.sim.now, self.node_id, sender, ssn, rsn)
         network_sends = []
         output_index = 0
         for send in sends:

@@ -54,10 +54,6 @@ class LinkFaultSpec:
                 f"reorder_delay must be non-negative, got {self.reorder_delay!r}"
             )
 
-    @property
-    def active(self) -> bool:
-        return bool(self.loss_prob or self.dup_prob or self.reorder_prob)
-
 
 @dataclass
 class Partition:
@@ -153,6 +149,10 @@ class FaultDecision:
 
 #: a decision that leaves the message untouched (shared, immutable-by-use)
 NO_FAULT = FaultDecision()
+#: the three plain drops, shared the same way
+_DROP_PARTITION = FaultDecision(drop_cause="partition")
+_DROP_SCHEDULED = FaultDecision(drop_cause="scheduled")
+_DROP_LOSS = FaultDecision(drop_cause="loss")
 
 
 class NetworkFaultModel:
@@ -199,9 +199,6 @@ class NetworkFaultModel:
         return drop
 
     # -- queries --------------------------------------------------------
-    def spec_for(self, src: int, dst: int) -> LinkFaultSpec:
-        return self.links.get((src, dst), self.default)
-
     def severed(self, src: int, dst: int, now: float) -> bool:
         return any(p.severs(src, dst, now) for p in self.partitions)
 
@@ -209,16 +206,16 @@ class NetworkFaultModel:
         self, src: int, dst: int, mtype: str, now: float, rng: random.Random
     ) -> FaultDecision:
         """The fault outcome for one transmission attempt."""
-        if self.severed(src, dst, now):
-            return FaultDecision(drop_cause="partition")
+        if self.partitions and self.severed(src, dst, now):
+            return _DROP_PARTITION
         for drop in self.scheduled_drops:
             if drop.claims(src, dst, mtype, now):
-                return FaultDecision(drop_cause="scheduled")
-        spec = self.spec_for(src, dst)
-        if not spec.active:
-            return NO_FAULT
+                return _DROP_SCHEDULED
+        # the link's spec; one with all three probabilities at zero falls
+        # through to NO_FAULT without a draw
+        spec = self.links.get((src, dst), self.default) if self.links else self.default
         if spec.loss_prob and rng.random() < spec.loss_prob:
-            return FaultDecision(drop_cause="loss")
+            return _DROP_LOSS
         extra_delay = 0.0
         if spec.reorder_prob and rng.random() < spec.reorder_prob:
             extra_delay = rng.uniform(0.0, spec.reorder_delay)

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.net.faults import NetworkFaultModel
+from repro.net.faults import FAULT_STREAM, NO_FAULT, NetworkFaultModel
 from repro.net.latency import AtmLinkModel, LatencyModel
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
@@ -109,7 +109,7 @@ class NetworkStats:
     duplicates_injected: int = 0
 
     def record(self, kind: MessageKind, size: int) -> None:
-        key = kind.value
+        key = kind._value_  # the plain attribute behind the .value descriptor
         self.messages[key] = self.messages.get(key, 0) + 1
         self.bytes[key] = self.bytes.get(key, 0) + size
 
@@ -119,7 +119,8 @@ class NetworkStats:
 
     def record_drop(self, kind: MessageKind, cause: str) -> None:
         self.dropped += 1
-        self.drops_by_kind[kind.value] = self.drops_by_kind.get(kind.value, 0) + 1
+        key = kind._value_
+        self.drops_by_kind[key] = self.drops_by_kind.get(key, 0) + 1
         self.drops_by_cause[cause] = self.drops_by_cause.get(cause, 0) + 1
 
     def total_messages(self) -> int:
@@ -131,6 +132,18 @@ class NetworkStats:
     def of_kind(self, kind: MessageKind) -> Tuple[int, int]:
         """(messages, bytes) of one traffic class."""
         return self.messages.get(kind.value, 0), self.bytes.get(kind.value, 0)
+
+
+class _Link:
+    """What the network keeps about one directed link that has carried
+    a message: the FIFO clamp.  That the record exists says the topology
+    admits the link (unknown links are never cached)."""
+
+    __slots__ = ("clock",)
+
+    def __init__(self) -> None:
+        #: earliest time the next in-order delivery may be scheduled
+        self.clock = 0.0
 
 
 class Network:
@@ -155,6 +168,11 @@ class Network:
 
     Notes
     -----
+    ``topology``, ``rngs`` and ``trace`` are fixed at construction (the
+    link records cache the topology's answers, the two random streams
+    and the trace emitters are bound once); ``latency``, ``faults`` and
+    ``cost`` are read per message and may be reassigned.
+
     FIFO order per directed channel is enforced by never scheduling a
     delivery earlier than the previous delivery on the same channel.
     Injected reorderings and duplicates bypass that clamp on purpose;
@@ -194,20 +212,29 @@ class Network:
         self._ctr_bytes = None
         self._hist_bytes = None
         # pre-bound trace emitters: one per (category, action) on the
-        # per-message hot path, so transmit/deliver skip the per-call key
-        # build (and TraceEvent construction on counters-only sweeps)
+        # per-message hot path; each declares its detail names here and
+        # the call sites pass the values positionally, so a counters-only
+        # sweep builds no details at all
         if trace is not None:
-            self._emit_send = trace.emitter("net", "send")
-            self._emit_retransmit = trace.emitter("net", "retransmit")
-            self._emit_lose = trace.emitter("net", "lose")
-            self._emit_drop = trace.emitter("net", "drop")
-            self._emit_deliver = trace.emitter("net", "deliver")
+            wire_fields = ("dst", "mtype", "kind", "size", "msg_id")
+            self._emit_send = trace.emitter("net", "send", wire_fields)
+            self._emit_retransmit = trace.emitter("net", "retransmit", wire_fields)
+            self._emit_lose = trace.emitter(
+                "net", "lose", ("dst", "mtype", "cause", "msg_id"))
+            self._emit_drop = trace.emitter(
+                "net", "drop", ("src", "mtype", "msg_id"))
+            self._emit_deliver = trace.emitter(
+                "net", "deliver", ("src", "mtype", "kind", "msg_id"))
         self.stats = NetworkStats()
         self._handlers: Dict[int, Callable[[Message], None]] = {}
-        #: FIFO clamp per directed channel, keyed by ``(src << 21) | dst``
-        #: -- node ids are non-negative and far below 2**21, and one int
-        #: key is cheaper to hash per message than a (src, dst) tuple
-        self._channel_clock: Dict[int, float] = {}
+        #: one record per directed link, made on the link's first message
+        #: and keyed by ``(src << 21) | dst`` -- node ids are non-negative
+        #: and far below 2**21, and one int key is cheaper to hash per
+        #: message than a (src, dst) tuple
+        self._links: Dict[int, _Link] = {}
+        # the two streams this class draws from, bound once
+        self._latency_rng = self.rngs.stream("net.latency")
+        self._fault_rng = self.rngs.stream(FAULT_STREAM)
         #: per-mtype deliver labels, interned once instead of an f-string
         #: build per message on the hot path
         self._deliver_labels: Dict[str, str] = {}
@@ -274,21 +301,40 @@ class Network:
             return self.transport.send(message)
         return self.transmit(message)
 
+    def link(self, src: int, dst: int) -> Optional[_Link]:
+        """The record of the directed link ``src -> dst``, resolved
+        against the topology on its first use; ``None`` if the topology
+        has no such link (never cached: every attempt asks again)."""
+        key = (src << 21) | dst
+        link = self._links.get(key)
+        if link is None and self.topology.connected(src, dst):
+            link = self._links[key] = _Link()
+        return link
+
     def transmit(self, message: Message, retransmit: bool = False) -> Message:
         """Put one message on the wire (the raw, possibly faulty path)."""
-        src, dst = message.src, message.dst
-        if not self.topology.connected(src, dst):
+        src = message.src
+        dst = message.dst
+        link = self._links.get((src << 21) | dst) or self.link(src, dst)
+        if link is None:
             raise ValueError(f"no link {src}->{dst} in topology")
-        message.send_time = self.sim.now
-        message.msg_id = next(self._msg_ids)
+        # read once: the clock, the type, the kind's string (the plain
+        # attribute behind the enum's .value descriptor), the byte sizes
+        now = self.sim.now
+        mtype = message.mtype
+        kind = message.kind
+        kind_name = kind._value_
+        message.send_time = now
+        message.msg_id = msg_id = next(self._msg_ids)
         # header+body+piggyback, computed once from the per-run wire costs
+        header_bytes = self.header_bytes
         piggyback_bytes = self.determinant_bytes * len(message.piggyback)
-        size = self.header_bytes + message.body_bytes + piggyback_bytes
+        size = header_bytes + message.body_bytes + piggyback_bytes
 
         if retransmit:
             self.stats.record_retransmit(size)
         else:
-            self.stats.record(message.kind, size)
+            self.stats.record(kind, size)
         if self._registry is not None:
             self._ctr_messages.inc()
             self._ctr_bytes.inc(size)
@@ -296,78 +342,56 @@ class Network:
         if self.cost is not None:
             # charged beside stats.record so ledger sums conserve exactly
             self.cost.charge_wire(
-                self.sim.now, src, dst, message.kind.value, message.mtype,
-                size, self.header_bytes, piggyback_bytes, retransmit,
+                now, src, dst, kind_name, mtype,
+                size, header_bytes, piggyback_bytes, retransmit,
             )
         if self.trace is not None:
             emit = self._emit_retransmit if retransmit else self._emit_send
-            emit(
-                self.sim.now,
-                src,
-                dst=dst,
-                mtype=message.mtype,
-                kind=message.kind.value,
-                size=size,
-                msg_id=message.msg_id,
-            )
+            emit(now, src, dst, mtype, kind_name, size, msg_id)
 
-        decision = None
+        decision = NO_FAULT
         if self.faults is not None:
-            decision = self.faults.decide(
-                src, dst, message.mtype, self.sim.now, self.rngs.stream("net.faults")
-            )
-            if decision.dropped:
-                self.stats.record_drop(message.kind, decision.drop_cause)
+            decision = self.faults.decide(src, dst, mtype, now, self._fault_rng)
+            cause = decision.drop_cause
+            if cause is not None:
+                self.stats.record_drop(kind, cause)
                 if self.trace is not None:
-                    self._emit_lose(
-                        self.sim.now,
-                        src,
-                        dst=dst,
-                        mtype=message.mtype,
-                        cause=decision.drop_cause,
-                        msg_id=message.msg_id,
-                    )
+                    self._emit_lose(now, src, dst, mtype, cause, msg_id)
                 return message
 
-        model = self.topology.link_latency(src, dst) or self.latency
-        rng = self.rngs.stream("net.latency")
-        delay = model.sample(size, rng)
+        # per-link overrides are read where the topology keeps them, so one
+        # installed at any time takes effect; none is installed in any
+        # config the repo ships, and a truth test is all that costs
+        overrides = self.topology.latency_overrides
+        model = (overrides and overrides.get((src, dst))) or self.latency
+        delay = model.sample(size, self._latency_rng)
 
-        channel = (src << 21) | dst
-        if decision is not None and decision.extra_delay > 0:
+        if decision.extra_delay > 0:
             # reordered: bypass the FIFO clamp so later sends may overtake
-            deliver_at = self.sim.now + delay + decision.extra_delay
+            deliver_at = now + delay + decision.extra_delay
         else:
-            earliest = self._channel_clock.get(channel, 0.0)
-            deliver_at = max(self.sim.now + delay, earliest)
-            self._channel_clock[channel] = deliver_at
+            deliver_at = link.clock = max(now + delay, link.clock)
         # deliveries are fire-and-forget (never cancelled), so they take
         # the kernel's handle-free pooled path; the label is interned
         # once per mtype rather than f-string-built per message
-        label = self._deliver_labels.get(message.mtype)
+        label = self._deliver_labels.get(mtype)
         if label is None:
-            label = self._deliver_labels.setdefault(
-                message.mtype, f"deliver:{message.mtype}"
-            )
+            label = self._deliver_labels.setdefault(mtype, f"deliver:{mtype}")
         self.sim.schedule_fast_at(deliver_at, self._deliver, message, label=label)
 
-        if decision is not None and decision.duplicates:
+        if decision.duplicates:
             # the copy's latency draws from the faults stream, so injected
             # duplicates never perturb the primary latency sequence
-            dup_rng = self.rngs.stream("net.faults")
-            dup_label = self._dup_labels.get(message.mtype)
+            dup_label = self._dup_labels.get(mtype)
             if dup_label is None:
                 dup_label = self._dup_labels.setdefault(
-                    message.mtype, f"deliver-dup:{message.mtype}"
+                    mtype, f"deliver-dup:{mtype}"
                 )
             for _ in range(decision.duplicates):
                 self.stats.duplicates_injected += 1
-                dup_delay = model.sample(size, dup_rng)
+                dup_delay = model.sample(size, self._fault_rng)
                 self.sim.schedule_fast_at(
-                    self.sim.now + dup_delay,
-                    self._deliver,
-                    message,
-                    label=dup_label,
+                    now + dup_delay, self._deliver, message, label=dup_label,
                 )
         return message
 
@@ -415,28 +439,27 @@ class Network:
 
     def hand_to_handler(self, message: Message) -> None:
         """Final delivery step: trace and invoke the destination handler."""
-        handler = self._handlers.get(message.dst)
+        dst = message.dst
+        handler = self._handlers.get(dst)
         if handler is None:
-            self.stats.record_drop(message.kind, "no_handler")
-            if self.trace is not None:
-                self._emit_drop(
-                    self.sim.now,
-                    message.dst,
-                    src=message.src,
-                    mtype=message.mtype,
-                    msg_id=message.msg_id,
-                )
+            self.drop_no_handler(message)
             return
         if self.trace is not None:
             self._emit_deliver(
-                self.sim.now,
-                message.dst,
-                src=message.src,
-                mtype=message.mtype,
-                kind=message.kind.value,
-                msg_id=message.msg_id,
+                self.sim.now, dst,
+                message.src, message.mtype, message.kind._value_, message.msg_id,
             )
         handler(message)
+
+    def drop_no_handler(self, message: Message) -> None:
+        """Count and trace a message that reached a host with no handler
+        attached (crashed or never registered)."""
+        self.stats.record_drop(message.kind, "no_handler")
+        if self.trace is not None:
+            self._emit_drop(
+                self.sim.now, message.dst,
+                message.src, message.mtype, message.msg_id,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -47,7 +47,9 @@ class Topology:
                 if src == dst:
                     raise ValueError(f"self-link ({src}, {dst}) not allowed")
                 self._links.add((src, dst))
-        self._latency_overrides: Dict[Tuple[int, int], LatencyModel] = {}
+        #: per-link latency overrides; the :class:`Network` reads this dict
+        #: per message, so :meth:`set_link_latency` takes effect whenever called
+        self.latency_overrides: Dict[Tuple[int, int], LatencyModel] = {}
 
     # ------------------------------------------------------------------
     def connected(self, src: int, dst: int) -> bool:
@@ -67,11 +69,11 @@ class Topology:
         """Override the latency model on one directed link."""
         if not self.connected(src, dst):
             raise ValueError(f"no link ({src}, {dst}) in topology")
-        self._latency_overrides[(src, dst)] = model
+        self.latency_overrides[(src, dst)] = model
 
     def link_latency(self, src: int, dst: int) -> Optional[LatencyModel]:
         """Per-link latency override, or ``None`` to use the network default."""
-        return self._latency_overrides.get((src, dst))
+        return self.latency_overrides.get((src, dst))
 
     def __len__(self) -> int:
         return len(self.nodes)

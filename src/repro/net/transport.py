@@ -32,7 +32,7 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.net.network import Message, MessageKind, Network
@@ -92,7 +92,7 @@ class TransportStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlight:
     message: Message
     attempts: int = 0
@@ -140,6 +140,8 @@ class ReliableTransport:
         # channel giving up / resetting) closes it
         self._retx_span: Dict[Channel, int] = {}
         self._retx_seqs: Dict[Channel, set] = {}
+        #: per-channel RTO timer labels, interned at the channel's first send
+        self._rto_labels: Dict[Channel, str] = {}
         network.transport = self
 
     @property
@@ -214,12 +216,17 @@ class ReliableTransport:
         return message
 
     def _arm(self, channel: Channel, seq: int, entry: _InFlight) -> None:
+        label = self._rto_labels.get(channel)
+        if label is None:
+            label = self._rto_labels.setdefault(
+                channel, f"transport.rto:{channel[0]}->{channel[1]}"
+            )
         entry.handle = self.sim.schedule(
             self.params.timeout_for(entry.attempts),
             self._on_timeout,
             channel,
             seq,
-            label=f"transport.rto:{channel[0]}->{channel[1]}",
+            label=label,
         )
 
     def _on_timeout(self, channel: Channel, seq: int) -> None:
@@ -242,11 +249,24 @@ class ReliableTransport:
             self._reset_channel(channel)
             return
         # retransmit a clone so the copy already in flight keeps its
-        # own msg_id/send_time in the trace
+        # own msg_id/send_time in the trace (transmit stamps both anew)
         self._retx_note(channel, seq)
         if self._ctr_retransmits is not None:
             self._ctr_retransmits.inc()
-        clone = replace(entry.message)
+        original = entry.message
+        clone = Message(
+            src=original.src,
+            dst=original.dst,
+            kind=original.kind,
+            mtype=original.mtype,
+            payload=original.payload,
+            body_bytes=original.body_bytes,
+            piggyback=original.piggyback,
+            incarnation=original.incarnation,
+            ssn=original.ssn,
+            transport_seq=original.transport_seq,
+            transport_epoch=original.transport_epoch,
+        )
         self.network.transmit(clone, retransmit=True)
         self._arm(channel, seq, entry)
 
@@ -285,7 +305,7 @@ class ReliableTransport:
         channel = (message.src, message.dst)
         if not self.network.is_registered(message.dst):
             # the destination host is down; never ack on its behalf
-            self.network.stats.record_drop(message.kind, "no_handler")
+            self.network.drop_no_handler(message)
             return
         state = self._recv.get(channel)
         if state is None or message.transport_epoch > state.epoch:
@@ -315,7 +335,7 @@ class ReliableTransport:
 
     def _send_ack(self, channel: Channel, state: _RecvState) -> None:
         src, dst = channel
-        if not self.network.topology.connected(dst, src):
+        if self.network.link(dst, src) is None:
             return  # one-way link: rely on the sender's give-up bound
         if not self.network.is_registered(dst):
             return  # receiver crashed while draining its buffer

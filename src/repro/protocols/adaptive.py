@@ -260,9 +260,9 @@ class AdaptiveLogging(FamilyBasedLogging):
             # _track never saw it unstable, so announce stability here
             # (the sanitizer's commit-order bookkeeping rides on it)
             self.det_log.note_logged_at(det, STABLE_HOST)
-            self.node.trace.record(
-                self.node.sim.now, "protocol", self.node.node_id, "det_stable",
-                rsn=det.rsn, sender=det.sender, ssn=det.ssn,
+            self._emit_det_stable(
+                self.node.sim.now, self.node.node_id,
+                det.rsn, det.sender, det.ssn,
             )
         elif not self._replaying and self.mode == "optimistic":
             self._write_det_async(det)

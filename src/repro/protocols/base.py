@@ -158,6 +158,11 @@ class LogBasedProtocol(LoggingProtocol):
         self._pending_outputs: List[Tuple[tuple, Dict[str, Any], float]] = []
         self._output_retry_timer = None
 
+    def attach(self, node: "Node") -> None:
+        super().attach(node)
+        self._emit_send = node.trace.emitter(
+            "app", "send", ("dst", "ssn", "deliveries"))
+
     # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
@@ -182,10 +187,8 @@ class LogBasedProtocol(LoggingProtocol):
         ssn = node.next_ssn(dst)
         self.send_log.log(dst, ssn, payload, body_bytes)
         node.oracle.on_send(node.node_id, ssn, dst, node.app.delivered_count)
-        node.trace.record(
-            node.sim.now, "app", node.node_id, "send",
-            dst=dst, ssn=ssn, deliveries=node.app.delivered_count,
-        )
+        self._emit_send(
+            node.sim.now, node.node_id, dst, ssn, node.app.delivered_count)
         piggyback = self._piggyback_for(dst)
         self.piggyback_determinants_sent += len(piggyback)
         node.network.send(

@@ -76,6 +76,11 @@ class FamilyBasedLogging(LogBasedProtocol):
         # open protocol.det_flush spans, keyed by (target, pushed dets)
         self._flush_spans: Dict[Tuple[int, Tuple], int] = {}
 
+    def attach(self, node: "Node") -> None:
+        super().attach(node)
+        self._emit_det_stable = node.trace.emitter(
+            "protocol", "det_stable", ("rsn", "sender", "ssn"))
+
     @property
     def replication_target(self) -> int:
         """Hosts that must store a determinant before piggybacking stops."""
@@ -99,9 +104,9 @@ class FamilyBasedLogging(LogBasedProtocol):
             if was is not None and det.receiver == self.node.node_id:
                 # one of our own deliveries just crossed the f+1 (or
                 # stable-host) threshold: outputs at this rsn are safe
-                self.node.trace.record(
-                    self.node.sim.now, "protocol", self.node.node_id,
-                    "det_stable", rsn=det.rsn, sender=det.sender, ssn=det.ssn,
+                self._emit_det_stable(
+                    self.node.sim.now, self.node.node_id,
+                    det.rsn, det.sender, det.ssn,
                 )
             if self._pending_outputs and det.receiver == self.node.node_id:
                 self._check_pending_outputs()
@@ -119,10 +124,8 @@ class FamilyBasedLogging(LogBasedProtocol):
                 # a checkpoint, or loaded from gathered depinfo) and so
                 # never transit the unstable cache; re-announce it so the
                 # stability record covers the whole log
-                self.node.trace.record(
-                    self.node.sim.now, "protocol", me, "det_stable",
-                    rsn=det.rsn, sender=det.sender, ssn=det.ssn,
-                )
+                self._emit_det_stable(
+                    self.node.sim.now, me, det.rsn, det.sender, det.ssn)
 
     def _piggyback_for(self, dst: int) -> List[Tuple[Determinant, int]]:
         """``(determinant, host mask)`` items: the wire form is private to

@@ -94,10 +94,8 @@ class OptimisticLogging(LogBasedProtocol):
         ssn = node.next_ssn(dst)
         self.send_log.log(dst, ssn, payload, body_bytes)
         node.oracle.on_send(node.node_id, ssn, dst, node.app.delivered_count)
-        node.trace.record(
-            node.sim.now, "app", node.node_id, "send",
-            dst=dst, ssn=ssn, deliveries=node.app.delivered_count,
-        )
+        self._emit_send(
+            node.sim.now, node.node_id, dst, ssn, node.app.delivered_count)
         dep = dict(self.dep)
         dep[node.node_id] = (node.incarnation, node.app.delivered_count)
         node.network.send(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.spans import SpanTracker
 
@@ -47,44 +47,56 @@ class TraceEvent:
 class BoundEmitter:
     """A pre-bound trace emitter for one ``(category, action)`` pair.
 
-    Hot paths (the network's per-message ``send``/``deliver`` traces)
-    record thousands of events with the same category and action; binding
-    them once skips the per-call ``f"{category}.{action}"`` key build and
-    keeps the counters-only fast path (no :class:`TraceEvent` allocated
-    when nothing would consume it) in one place.  Obtained from
-    :meth:`TraceRecorder.emitter`.
+    Hot paths (the network's per-message ``send``/``deliver`` traces, the
+    protocols' ``app.send``/``app.deliver``) record thousands of events
+    with the same category, action and detail *names*.  The emitter
+    declares those names once, when it is bound, and call sites pass the
+    values positionally: ``emit(time, node, *values)``.  The counters-only
+    path (no :class:`TraceEvent` wanted by anybody) then allocates
+    nothing -- no key string, no kwargs dict -- and an event, when one is
+    wanted, gets ``dict(zip(fields, values))``: the same keys in the same
+    order ``trace.record(..., **details)`` would have produced.
+    Obtained from :meth:`TraceRecorder.emitter`.
     """
 
-    __slots__ = ("_trace", "category", "action", "_key")
+    __slots__ = ("_trace", "category", "action", "fields", "_key")
 
-    def __init__(self, trace: "TraceRecorder", category: str, action: str) -> None:
+    def __init__(
+        self,
+        trace: "TraceRecorder",
+        category: str,
+        action: str,
+        fields: Tuple[str, ...] = (),
+    ) -> None:
         self._trace = trace
         self.category = category
         self.action = action
+        self.fields = tuple(fields)
         self._key = category + "." + action
 
     def __call__(
-        self, time: float, node: Optional[int], **details: Any
+        self, time: float, node: Optional[int], *values: Any
     ) -> Optional[TraceEvent]:
-        """Equivalent to ``trace.record(time, category, node, action, ...)``."""
+        """Equivalent to ``trace.record(time, category, node, action,
+        **dict(zip(fields, values)))``."""
         trace = self._trace
         counters = trace.counters
         key = self._key
         counters[key] = counters.get(key, 0) + 1
-        keyed = trace._keyed and trace._keyed.get(key)
-        if not trace.keep_events and not trace._subscribers and not keyed:
-            return None
-        event = TraceEvent(time, self.category, node, self.action, details)
-        if trace.keep_events:
-            trace.events.append(event)
-        for subscriber in trace._subscribers:
-            subscriber(event)
-        for subscriber in keyed or ():
-            subscriber(event)
-        return event
+        if trace.keep_events or trace._subscribers or key in trace._keyed:
+            fields = self.fields
+            if len(values) != len(fields):
+                raise ValueError(
+                    f"{key} declares {fields}, got {len(values)} values")
+            return trace._publish(
+                TraceEvent(time, self.category, node, self.action,
+                           dict(zip(fields, values))),
+                trace._keyed.get(key),
+            )
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BoundEmitter({self._key})"
+        return f"BoundEmitter({self._key}{self.fields})"
 
 
 class TraceSpillLog:
@@ -284,10 +296,19 @@ class TraceRecorder:
         """
         key = f"{category}.{action}"
         self.counters[key] = self.counters.get(key, 0) + 1
-        keyed = self._keyed and self._keyed.get(key)
-        if not self.keep_events and not self._subscribers and not keyed:
-            return None
-        event = TraceEvent(time, category, node, action, details)
+        if self.keep_events or self._subscribers or key in self._keyed:
+            return self._publish(
+                TraceEvent(time, category, node, action, details),
+                self._keyed.get(key),
+            )
+        return None
+
+    def _publish(
+        self, event: TraceEvent, keyed: Optional[List[Callable[[TraceEvent], None]]]
+    ) -> TraceEvent:
+        """Hand one wanted event to the event list and the subscribers;
+        ``keyed`` are the ones under the event's own ``category.action``,
+        looked up before any subscriber has run."""
         if self.keep_events:
             self.events.append(event)
         for subscriber in self._subscribers:
@@ -296,9 +317,13 @@ class TraceRecorder:
             subscriber(event)
         return event
 
-    def emitter(self, category: str, action: str) -> BoundEmitter:
-        """A pre-bound fast-path recorder for one ``category.action``."""
-        return BoundEmitter(self, category, action)
+    def emitter(
+        self, category: str, action: str, fields: Tuple[str, ...] = ()
+    ) -> BoundEmitter:
+        """A pre-bound fast-path recorder for one ``category.action``
+        whose details are named ``fields``; call it as
+        ``emit(time, node, *values)``."""
+        return BoundEmitter(self, category, action, fields)
 
     def subscribe(
         self, callback: Callable[[TraceEvent], None], key: Optional[str] = None

@@ -24,7 +24,7 @@ from repro.procs.process import OUTPUT_DST, Send, stable_payload_repr
 
 def _hash_int(*parts: Any) -> int:
     """Deterministic 64-bit integer from the given parts."""
-    text = "|".join(str(p) for p in parts)
+    text = "|".join(map(str, parts))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -1,0 +1,69 @@
+"""A speed gate no host can blur: Python-level calls per wire message.
+
+Timings on hosted runners are print-only (``bench-smoke``), because the
+runner is not the capture host.  The number of Python-level function
+calls one benchmark rep makes is exact on every host, and on this code
+base it tracks the per-message cost closely (docs/PERFORMANCE.md §7).
+One warm-up rep, then one rep at scale 0.1 under a ``sys.setprofile``
+hook that counts ``call`` events, divided by the messages the rep put
+on the wire (first transmissions + retransmissions).
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from repro.runner import TrialRunner
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
+# the benchmark's own workload definitions, loaded by path so that the
+# rest of the test session's import path is left alone
+_spec = importlib.util.spec_from_file_location(
+    "e2e_workloads", os.path.join(ROOT, "benchmarks", "e2e", "workloads.py")
+)
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+WORKLOADS = _workloads.WORKLOADS
+
+#: calls per wire message this code base reaches (CPython 3.11), + 5 %.
+#: The parent of the PR that added the gate (PR 17) read 103.9 and 77.5.
+BUDGET = {
+    "steady_fbl": 86.3 * 1.05,
+    "lossy_transport": 58.4 * 1.05,
+}
+
+
+def calls_per_wire_message(workload: str, seed: int = 1000, scale: float = 0.1):
+    specs = WORKLOADS[workload].specs
+    TrialRunner(jobs=1).run(specs(seed, scale))  # warm imports and caches
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    runner, trial_specs = TrialRunner(jobs=1), specs(seed, scale)
+    sys.setprofile(hook)
+    try:
+        results = runner.run(trial_specs)
+    finally:
+        sys.setprofile(None)
+    wire = sum(
+        r.summary.network.total_messages() + r.summary.network.retransmits
+        for r in results
+    )
+    return calls / wire, calls, wire
+
+
+@pytest.mark.parametrize("workload", sorted(BUDGET))
+def test_python_calls_per_wire_message_stay_in_budget(workload):
+    per_message, calls, wire = calls_per_wire_message(workload)
+    assert per_message <= BUDGET[workload], (
+        f"{workload}: {per_message:.1f} Python-level calls per wire message "
+        f"({calls} calls / {wire} messages), budget {BUDGET[workload]:.1f}. "
+        f"Something on the per-message path got more expensive; "
+        f"`python benchmarks/profile_rep.py {workload}` names the function."
+    )

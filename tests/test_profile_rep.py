@@ -27,6 +27,11 @@ def test_profiles_one_rep_and_names_the_checkpoint_encoder():
     assert len(rows) == 1, done.stdout
     assert int(rows[0].split()[0]) > 0  # ncalls: checkpoints were taken
     assert "storage/checkpoint.py" in done.stdout
+    # the denominator that makes two profiles comparable, always printed
+    header = done.stdout.splitlines()[:2]
+    assert header[0].startswith("wire messages: ") and int(header[0].split()[-1]) > 0
+    assert header[1].startswith("µs of profiled time per wire message: ")
+    assert float(header[1].split()[-1]) > 0
 
 
 def test_rejects_an_unknown_workload():
