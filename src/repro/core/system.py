@@ -70,7 +70,7 @@ class System:
             from repro.sanitizer.monitor import Sanitizer
 
             self.sanitizer = Sanitizer(config)
-            self.trace.subscribe(self.sanitizer.on_event)
+            self.sanitizer.attach(self.trace)
         self.registry = MetricsRegistry()
         self.metrics = MetricsCollector()
         from repro.core.oracle import NullOracle
@@ -163,12 +163,15 @@ class System:
             from repro.obs import CostLedger, CostSampler
 
             self.cost = CostLedger()
-            if self.trace.spans.enabled:
+            if self.sanitizer is not None:
+                # one span tracker serves both observers
+                self.cost.spans = self.sanitizer.chains
+            elif self.trace.spans.enabled:
                 from repro.sim.spans import SpanChainTracker
 
-                tracker = SpanChainTracker()
-                self.trace.subscribe(tracker.on_event)
-                self.cost.spans = tracker
+                self.cost.spans = SpanChainTracker()
+                for action in ("begin", "end"):
+                    self.trace.subscribe(self.cost.spans.on_event, f"span.{action}")
             if config.timeseries_window is not None:
                 self.cost_sampler = CostSampler(
                     self.cost,

@@ -142,6 +142,13 @@ class CostLedger:
         #: a repro.obs.sampler.CostSampler when time-series sampling is on
         self._sampler = None
         self.flame: Dict[Tuple[str, ...], int] = {}
+        # -- what repeats, resolved once ---------------------------------
+        #: (node, innermost open span, purpose) -> collapsed stack; a
+        #: span's parent chain is fixed when it begins
+        self._flame_stacks: Dict[Tuple[int, Optional[int], str], Tuple[str, ...]] = {}
+        #: (src, dst, body purpose, phase) -> [body, header, piggyback]
+        #: account cells (piggyback ``None`` until a message carries one)
+        self._wire_cells: Dict[Tuple[int, int, str, str], List[Any]] = {}
 
     # ------------------------------------------------------------------
     # phases
@@ -185,12 +192,12 @@ class CostLedger:
         return cell
 
     def _flame_add(self, node: int, purpose: str, size: int) -> None:
-        chain = self.spans.chain(node)
-        stack = [f"node {node}"]
-        stack.extend(link["kind"] for link in reversed(chain))
-        stack.append(purpose)
-        key = tuple(stack)
-        self.flame[key] = self.flame.get(key, 0) + size
+        key = (node, self.spans.innermost(node), purpose)
+        stack = self._flame_stacks.get(key)
+        if stack is None:
+            kinds = [link["kind"] for link in reversed(self.spans.chain(node))]
+            stack = self._flame_stacks[key] = (f"node {node}", *kinds, purpose)
+        self.flame[stack] = self.flame.get(stack, 0) + size
 
     def charge_wire(
         self,
@@ -226,18 +233,28 @@ class CostLedger:
             self.wire_messages += 1
             body = size - header - piggyback
             purpose = classify_wire(kind, mtype)
-            cell = self._account("wire", src, dst, purpose, phase)
+            key = (src, dst, purpose, phase)
+            cells = self._wire_cells.get(key)
+            if cells is None:
+                cells = self._wire_cells[key] = [
+                    self._account("wire", src, dst, purpose, phase),
+                    self._account("wire", src, dst, "header", phase),
+                    None,
+                ]
+            cell = cells[0]
             cell[0] += 1
             cell[1] += body
             purposes[purpose] = purposes.get(purpose, 0) + body
-            cell = self._account("wire", src, dst, "header", phase)
+            cell = cells[1]
             cell[0] += 1
             cell[1] += header
             purposes["header"] = purposes.get("header", 0) + header
             if piggyback:
-                cell = self._account(
-                    "wire", src, dst, "piggyback-determinant", phase
-                )
+                cell = cells[2]
+                if cell is None:
+                    cell = cells[2] = self._account(
+                        "wire", src, dst, "piggyback-determinant", phase
+                    )
                 cell[0] += 1
                 cell[1] += piggyback
                 purposes["piggyback-determinant"] = (

@@ -15,13 +15,14 @@ the hot path is one float comparison.
 
 Memory is bounded: past ``max_samples`` windows, adjacent pairs merge
 and the window width doubles — the curve coarsens instead of growing,
-so arbitrarily long runs keep a flat footprint.  Each sample records its
-own ``window`` width, so merged (wider) samples render correctly.
+so arbitrarily long runs keep a flat footprint.  Each sample records as
+``window`` the span it covers, so the samples tile ``[0, last t]``:
+merged (wider) samples, the half step that re-joins the coarser grid
+after a merge, and the final partial window all render correctly.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional
 
 #: registry counters sampled alongside the ledger (cumulative values)
@@ -77,6 +78,8 @@ class CostSampler:
         #: the next unflushed window boundary (charges at >= this time
         #: close it first) — read directly by the ledger's hot path
         self.next_boundary = self.window
+        #: span of the open window (the one ``next_boundary`` closes)
+        self._width = self.window
         self._last = self._cumulative()
         self._counters = None
         if registry is not None:
@@ -107,10 +110,12 @@ class CostSampler:
         charges.
         """
         while self.next_boundary <= now:
-            self._close_window(self.next_boundary)
+            boundary, width = self.next_boundary, self._width
             self.next_boundary += self.window
+            self._width = self.window
+            self._close_window(boundary, width)
 
-    def _close_window(self, boundary: float) -> None:
+    def _close_window(self, boundary: float, width: float) -> None:
         current = self._cumulative()
         last = self._last
         wire_delta = {
@@ -120,7 +125,7 @@ class CostSampler:
         }
         sample: Dict[str, Any] = {
             "t": boundary,
-            "window": self.window,
+            "window": width,
             "wire": wire_delta,
             "wire_bytes": current["wire_bytes"] - last["wire_bytes"],
             "wire_messages": current["wire_messages"] - last["wire_messages"],
@@ -178,11 +183,12 @@ class CostSampler:
                 merged.append(samples[i])
                 i += 1
         self.samples = merged
+        if round(self.next_boundary / self.window) % 2:
+            # the next boundary is not on the coarser grid: the open
+            # window runs on to the grid point after it
+            self.next_boundary += self.window
+            self._width += self.window
         self.window *= 2
-        # realign the next boundary to the coarser grid
-        self.next_boundary = (
-            math.ceil(self.next_boundary / self.window) * self.window
-        )
 
     # ------------------------------------------------------------------
     def finalize(self, end_time: float) -> None:
@@ -196,9 +202,6 @@ class CostSampler:
         if self._cumulative() != self._last and end_time > 0:
             # trailing charges past the last full boundary: emit one
             # partial window whose recorded width is its actual span
-            start = self.next_boundary - self.window
-            saved = self.window
-            if end_time > start:
-                self.window = end_time - start
-            self._close_window(end_time)
-            self.window = saved
+            width = end_time - (self.next_boundary - self._width)
+            self._width -= width
+            self._close_window(end_time, width)

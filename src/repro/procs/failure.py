@@ -375,6 +375,14 @@ class FailureInjector:
         self.plans.append(plan)
         self._arm(plan)
 
+    @staticmethod
+    def _trace_key(plan: TriggeredPlan) -> Optional[str]:
+        """The ``category.action`` a trace-triggered plan listens on;
+        ``None`` for a wildcard plan, which needs the whole recorder."""
+        if plan.category is not None and plan.action is not None:
+            return f"{plan.category}.{plan.action}"
+        return None
+
     def _arm(self, plan: TriggeredPlan) -> None:
         if plan.is_timed():
             self.sim.schedule_at(plan.at_time, self._fire, plan, label="inject.plan")
@@ -382,26 +390,31 @@ class FailureInjector:
         # a plan naming both category and action listens on that key
         # alone, so with tracing off only those records build an event;
         # a wildcard plan needs the whole recorder, which then serves
-        # the keyed plans too (one subscription path per event)
-        key = None
-        if plan.category is not None and plan.action is not None:
-            key = f"{plan.category}.{plan.action}"
+        # the keyed plans too (one subscription path per event) -- and
+        # runs before the keyed observers, which only an ``immediate``
+        # wildcard plan can tell
+        key = self._trace_key(plan)
         if key in self._subscribed or None in self._subscribed:
             return
         if key is None:
-            for keyed in self._subscribed:
-                self.trace.unsubscribe(self._on_trace_event, keyed)
-            self._subscribed.clear()
+            self._unsubscribe(set(self._subscribed))
         self._subscribed.add(key)
         self.trace.subscribe(self._on_trace_event, key)
 
+    def _unsubscribe(self, keys: Set[Optional[str]]) -> None:
+        for key in keys:
+            self.trace.unsubscribe(self._on_trace_event, key)
+        self._subscribed -= keys
+
     # ------------------------------------------------------------------
     def _on_trace_event(self, event: TraceEvent) -> None:
+        spent = False
         for plan in self.plans:
             if plan.matches(event):
                 plan._seen += 1
                 if plan._seen >= plan.occurrence:
                     plan._armed = False
+                    spent = True
                     if plan.immediate:
                         # preempt the traced event's handler (delay > 0 is
                         # rejected at plan construction)
@@ -411,6 +424,17 @@ class FailureInjector:
                     else:
                         # fire after the current event finishes dispatching
                         self.sim.schedule(0.0, self._fire, plan, label="inject.plan")
+        if spent:
+            # stop listening where no armed plan is left, so the records
+            # of a spent trigger go back to the counters-only path (the
+            # whole recorder, once subscribed, serves any armed plan)
+            armed = {
+                self._trace_key(plan)
+                for plan in self.plans
+                if plan._armed and not plan.is_timed()
+            }
+            if not (armed and None in self._subscribed):
+                self._unsubscribe(self._subscribed - armed)
 
     # ------------------------------------------------------------------
     def _fire(self, plan: TriggeredPlan) -> None:

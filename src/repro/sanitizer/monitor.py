@@ -3,11 +3,12 @@
 The :class:`~repro.core.oracle.ConsistencyOracle` audits a run's *end
 state*; by then the schedule that produced a violation is gone.  The
 :class:`Sanitizer` subscribes to the live trace stream
-(:meth:`repro.sim.trace.TraceRecorder.subscribe`) and checks each
+(:meth:`Sanitizer.attach`: one keyed subscription per ``category.action``
+it has a handler for) and checks each
 invariant *at the event where it can first be violated*, attaching the
 causal span chain that was open at that moment.  Like the kernel
 profiler, it costs nothing when off: ``System`` only builds and
-subscribes it under ``config.sanitize``.
+attaches it under ``config.sanitize``.
 
 Invariants checked (see ``docs/SANITIZER.md`` for the mapping to paper
 sections):
@@ -96,7 +97,7 @@ from repro.sim.spans import SpanChainTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.config import SystemConfig
-    from repro.sim.trace import TraceEvent
+    from repro.sim.trace import TraceEvent, TraceRecorder
 
 #: protocols whose recovery re-executes divergently; the per-delivery
 #: causal-graph checks do not apply to them
@@ -144,11 +145,11 @@ class SanitizerViolation:
 class Sanitizer:
     """Event-driven invariant checker for one run.
 
-    Attach with ``trace.subscribe(sanitizer.on_event)``; call
-    :meth:`finalize` after the run (flushes pending optimistic-orphan
-    findings) and :meth:`report` for a picklable summary.  The monitor
-    only *observes*: it never schedules events, draws randomness, or
-    touches protocol state, so enabling it cannot perturb a run.
+    Attach with :meth:`attach`; call :meth:`finalize` after the run
+    (flushes pending optimistic-orphan findings) and :meth:`report` for
+    a picklable summary.  The monitor only *observes*: it never
+    schedules events, draws randomness, or touches protocol state, so
+    enabling it cannot perturb a run.
     """
 
     def __init__(self, config: "SystemConfig") -> None:
@@ -264,6 +265,19 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def attach(self, trace: "TraceRecorder") -> None:
+        """Subscribe :meth:`on_event` under exactly the ``category.action``
+        keys that have a handler; no other record reaches the monitor.
+
+        Equivalent to feeding it every event: a record without a handler
+        could only have run the deferred recovery-orphan judgement, and
+        everything that judgement reads (the causal graph, liveness,
+        delivered counts, span chains) is written by handlers alone, so
+        judging at the next *handled* record finds the same state.
+        """
+        for category, action in self._handlers:
+            trace.subscribe(self.on_event, f"{category}.{action}")
+
     def on_event(self, event: "TraceEvent") -> None:
         """Feed one trace event through the invariant handlers."""
         self.events_seen += 1

@@ -97,6 +97,7 @@ class SimProfiler:
         "heap_high_water",
         "_first_fire",
         "_last_fire",
+        "_by_label",
     )
 
     def __init__(self) -> None:
@@ -106,6 +107,9 @@ class SimProfiler:
         self.heap_high_water = 0
         self._first_fire: Optional[float] = None
         self._last_fire: Optional[float] = None
+        #: event label -> its handler's bucket (a label is a kind, or a
+        #: kind and a node id; unlabelled events resolve per fire)
+        self._by_label: Dict[str, HandlerStats] = {}
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> "SimProfiler":
@@ -120,7 +124,15 @@ class SimProfiler:
     # ------------------------------------------------------------------
     def fire(self, event: "Event") -> None:
         """Dispatch ``event`` under timing (called by the kernel loop)."""
-        key = handler_key(event)
+        label = event.label
+        stats = self._by_label.get(label)
+        if stats is None:
+            key = handler_key(event)
+            stats = self.handlers.get(key)
+            if stats is None:
+                stats = self.handlers[key] = HandlerStats()
+            if label:
+                self._by_label[label] = stats
         t0 = time.perf_counter()
         if self._first_fire is None:
             self._first_fire = t0
@@ -130,14 +142,11 @@ class SimProfiler:
             t1 = time.perf_counter()
             self._last_fire = t1
             dt = t1 - t0
-            stats = self.handlers.get(key)
-            if stats is None:
-                stats = self.handlers[key] = HandlerStats()
             stats.events += 1
             stats.total_time += dt
             if dt > stats.max_time:
                 stats.max_time = dt
-                stats.max_label = event.label
+                stats.max_label = label
             self.events_fired += 1
             self.total_time += dt
 

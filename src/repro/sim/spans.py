@@ -137,12 +137,15 @@ class SpanTracker:
 class SpanChainTracker:
     """Online span bookkeeping for trace subscribers.
 
-    Feed every event a subscriber receives to :meth:`on_event`; the
-    tracker keeps, per node, the stack of currently-open spans.
+    Feed it the ``span.begin`` / ``span.end`` events a subscriber
+    receives (:meth:`on_event` ignores any other); the tracker keeps,
+    per node, the stack of currently-open spans.
     :meth:`chain` then answers "what was node ``x`` doing?" as the parent
     chain of its innermost open span -- the causal attribution the
     sanitizer attaches to a violation, and far cheaper than rebuilding
-    the full span forest with :func:`spans_from_trace` mid-run.
+    the full span forest with :func:`spans_from_trace` mid-run.  A span's
+    parent is fixed when it begins, so the chain is a function of
+    :meth:`innermost` alone: the ledger keys its flame stacks on that.
     """
 
     def __init__(self) -> None:
@@ -173,18 +176,20 @@ class SpanChainTracker:
                 if stack is not None and span_id in stack:
                     stack.remove(span_id)
 
+    def innermost(self, node: Optional[int]) -> Optional[int]:
+        """Id of ``node``'s innermost open span, or ``None``."""
+        stack = self._open_by_node.get(node)
+        return stack[-1] if stack else None
+
     def chain(self, node: Optional[int]) -> List[Dict[str, Any]]:
         """Parent chain of ``node``'s innermost open span, innermost first.
 
         Each element is ``{"span": id, "kind": kind, "node": node}``;
         empty when the node has no open span (e.g. spans are disabled).
         """
-        stack = self._open_by_node.get(node)
-        if not stack:
-            return []
         chain: List[Dict[str, Any]] = []
         seen = set()
-        cursor: Optional[int] = stack[-1]
+        cursor = self.innermost(node)
         while cursor is not None and cursor not in seen:
             seen.add(cursor)
             info = self._info.get(cursor)

@@ -12,21 +12,52 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.sim.spans import SpanTracker
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One timestamped record in the execution trace."""
+    """One timestamped record in the execution trace.
 
-    time: float
-    category: str
-    node: Optional[int]
-    action: str
-    details: Dict[str, Any] = field(default_factory=dict)
+    A plain slotted record: a run that keeps its trace builds one per
+    record, so construction is five attribute stores and an instance
+    carries no ``__dict__``.  Treat it as immutable -- observers and the
+    kept trace share the one object.
+    """
+
+    __slots__ = ("time", "category", "node", "action", "details")
+
+    def __init__(
+        self,
+        time: float,
+        category: str,
+        node: Optional[int],
+        action: str,
+        details: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.time = time
+        self.category = category
+        self.node = node
+        self.action = action
+        self.details = {} if details is None else details
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceEvent):
+            return NotImplemented
+        return (
+            self.time == other.time
+            and self.category == other.category
+            and self.node == other.node
+            and self.action == other.action
+            and self.details == other.details
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceEvent(time={self.time!r}, category={self.category!r}, "
+            f"node={self.node!r}, action={self.action!r}, details={self.details!r})"
+        )
 
     def matches(
         self,
@@ -91,7 +122,7 @@ class BoundEmitter:
             return trace._publish(
                 TraceEvent(time, self.category, node, self.action,
                            dict(zip(fields, values))),
-                trace._keyed.get(key),
+                key,
             )
         return None
 
@@ -297,24 +328,23 @@ class TraceRecorder:
         key = f"{category}.{action}"
         self.counters[key] = self.counters.get(key, 0) + 1
         if self.keep_events or self._subscribers or key in self._keyed:
-            return self._publish(
-                TraceEvent(time, category, node, action, details),
-                self._keyed.get(key),
-            )
+            return self._publish(TraceEvent(time, category, node, action, details), key)
         return None
 
-    def _publish(
-        self, event: TraceEvent, keyed: Optional[List[Callable[[TraceEvent], None]]]
-    ) -> TraceEvent:
-        """Hand one wanted event to the event list and the subscribers;
-        ``keyed`` are the ones under the event's own ``category.action``,
-        looked up before any subscriber has run."""
+    def _publish(self, event: TraceEvent, key: str) -> TraceEvent:
+        """Hand one wanted event to the event list and the subscribers:
+        the whole-recorder ones, then those under the event's own
+        ``category.action``.  Both lists are the ones in place before any
+        subscriber has run -- ``subscribe``/``unsubscribe`` replace a list
+        and never mutate it, so a subscriber may do either."""
+        keyed = self._keyed.get(key)
         if self.keep_events:
             self.events.append(event)
         for subscriber in self._subscribers:
             subscriber(event)
-        for subscriber in keyed or ():
-            subscriber(event)
+        if keyed is not None:
+            for subscriber in keyed:
+                subscriber(event)
         return event
 
     def emitter(
@@ -331,27 +361,34 @@ class TraceRecorder:
         """Invoke ``callback`` on every subsequent event, or with ``key``
         (``"category.action"``) only on that key's events.
 
-        The failure injector subscribes per key to trigger crashes
-        relative to protocol milestones (e.g. "crash q once p's recovery
-        starts") without making every other record build an event.
-        Keyed subscribers run after the whole-recorder ones, so an
+        The observers (sanitizer, the ledger's span tracker) and the
+        failure injector subscribe per key, so a record nobody listens
+        for is not handed to anybody and, with ``keep_events`` off, not
+        even built.  Whole-recorder subscribers run first, then the keyed
+        ones in subscription order: ``System`` attaches its observers
+        when it is built and arms the injector when it starts, so an
         observer has seen an event before a plan reacts to it.
         """
         if key is None:
-            self._subscribers.append(callback)
+            self._subscribers = self._subscribers + [callback]
         else:
-            self._keyed.setdefault(key, []).append(callback)
+            self._keyed[key] = self._keyed.get(key, []) + [callback]
 
     def unsubscribe(
         self, callback: Callable[[TraceEvent], None], key: Optional[str] = None
     ) -> None:
-        """Remove a subscription added with :meth:`subscribe` (same ``key``)."""
+        """Remove a subscription added with :meth:`subscribe` (same ``key``).
+
+        Safe from inside a subscriber: the event being published still
+        reaches everyone who was subscribed when it was recorded."""
+        remaining = list(self._subscribers if key is None else self._keyed[key])
+        remaining.remove(callback)
         if key is None:
-            self._subscribers.remove(callback)
+            self._subscribers = remaining
+        elif remaining:
+            self._keyed[key] = remaining
         else:
-            self._keyed[key].remove(callback)
-            if not self._keyed[key]:
-                del self._keyed[key]
+            del self._keyed[key]
 
     # ------------------------------------------------------------------
     def count(self, category: str, action: Optional[str] = None) -> int:

@@ -13,6 +13,7 @@ digests), exactly like spans and the profiler.
 """
 
 import json
+import math
 
 import pytest
 
@@ -258,6 +259,34 @@ def test_sampler_memory_is_bounded_by_downsampling():
         sum(s["wire_bytes"] for s in samples)
         == result.extra["cost"]["wire"]["total_bytes"]
     )
+
+
+def test_sampler_windows_tile_the_run_across_downsamples():
+    """A sample's ``window`` is the span it covers: widths tile
+    ``[0, last t]`` and every sample starts where the previous one ended,
+    however often the grid coarsened (here 1 -> 2 -> 4 -> 8 -> 16)."""
+    from repro.obs import CostSampler
+
+    ledger = CostLedger()
+    sampler = CostSampler(ledger, window=1.0, max_samples=4)
+    widths_seen = set()
+    for step in range(41):
+        ledger.charge_storage(step + 0.5, 0, "write", "checkpoint:0", 10)
+        widths_seen.add(sampler.window)
+        assert sampler.next_boundary % sampler.window == 0  # on the grid
+    sampler.finalize(40.5)
+    assert len(widths_seen) >= 3  # at least two downsamples happened
+    samples = sampler.samples
+    assert len(samples) <= 4
+    previous = 0.0
+    for sample in samples:
+        assert sample["t"] - previous == sample["window"]
+        # one 10-byte charge at every k + 0.5: the rate is exact
+        assert sample["storage_bytes"] == 10 * math.ceil(sample["window"])
+        previous = sample["t"]
+    assert previous == 40.5
+    assert sum(s["window"] for s in samples) == 40.5
+    assert sum(s["storage_bytes"] for s in samples) == 410
 
 
 def test_sampler_validates_knobs():

@@ -284,10 +284,73 @@ class TestFailureInjector:
         trace.record(0.0, "x", 0, "y")
         assert order == ["saw x.y", "saw inject.crash", "crash"]
 
+    def test_spent_plan_drops_its_key(self):
+        """Once the last armed plan on a key has fired the injector stops
+        listening there: the key's records are counters-only again."""
+        sim = Simulator()
+        trace = TraceRecorder(keep_events=False)
+        crashed = []
+        injector = FailureInjector(
+            sim, trace, crashed.append, plans=[crash_on(1, "x", "y")]
+        )
+        injector.arm()
+        assert trace.record(0.0, "x", 0, "y") is not None
+        assert trace.record(0.0, "x", 0, "y") is None
+        sim.run()
+        assert crashed == [1]
+        # add() after the key was dropped listens again
+        injector.add(crash_on(2, "x", "y"))
+        assert trace.record(0.0, "x", 0, "y") is not None
+        sim.run()
+        assert crashed == [1, 2]
+        assert trace.record(0.0, "x", 0, "y") is None
+
+    def test_two_plans_on_one_key_outlive_each_other(self):
+        """The first plan's firing neither hides the event that fired it
+        from the second plan nor drops the key the second still needs."""
+        sim = Simulator()
+        trace = TraceRecorder(keep_events=False)
+        crashed = []
+        injector = FailureInjector(
+            sim, trace, crashed.append,
+            plans=[
+                crash_on(1, "x", "y"),
+                crash_on(2, "x", "y"),
+                crash_on(3, "x", "y", occurrence=3),
+            ],
+        )
+        injector.arm()
+        trace.record(0.0, "x", 0, "y")
+        sim.run()
+        assert crashed == [1, 2]  # both saw the one event
+        assert trace.record(0.0, "x", 0, "y") is not None  # plan 3 still listens
+        trace.record(0.0, "x", 0, "y")
+        sim.run()
+        assert crashed == [1, 2, 3]
+        assert trace.record(0.0, "x", 0, "y") is None
+
+    def test_spent_wildcard_plan_releases_the_whole_recorder(self):
+        sim = Simulator()
+        trace = TraceRecorder(keep_events=False)
+        crashed = []
+        injector = FailureInjector(
+            sim, trace, crashed.append,
+            plans=[CrashPlan(node=2, category="z"), crash_on(1, "x", "y")],
+        )
+        injector.arm()
+        trace.record(0.0, "z", 0, "anything")
+        # the keyed plan is still armed, served by the whole recorder
+        assert trace.record(0.0, "app", 0, "send") is not None
+        trace.record(0.0, "x", 0, "y")
+        assert trace.record(0.0, "app", 0, "send") is None
+        sim.run()
+        assert crashed == [2, 1]
+
     def test_keyed_plan_in_a_full_run_builds_only_its_key(self, monkeypatch):
         """With tracing off, a ``crash_on("net", "deliver", ...)`` run
-        builds events for ``net.deliver`` only, and crashes at the same
-        virtual time as the same plan on a whole-recorder subscription."""
+        builds events for ``net.deliver`` only, and only until the plan
+        is spent; it crashes at the same virtual time as the same plan
+        on a whole-recorder subscription."""
         import repro.sim.trace as trace_module
         from helpers import small_config
         from repro import build_system
@@ -295,7 +358,7 @@ class TestFailureInjector:
         built = []
 
         def counting_event(time, category, node, action, details):
-            built.append(f"{category}.{action}")
+            built.append((f"{category}.{action}", node))
             return TraceEvent(time, category, node, action, details)
 
         monkeypatch.setattr(trace_module, "TraceEvent", counting_event)
@@ -311,11 +374,14 @@ class TestFailureInjector:
             return system.injector.crashes_fired, result.end_time, dict(system.trace.counters)
 
         keyed = run([])
-        assert set(built) == {"net.deliver"}
-        assert len(built) == keyed[2]["net.deliver"]
+        assert {key for key, _ in built} == {"net.deliver"}
+        # the 40th delivery at node 1 spent the plan: nothing built since
+        assert built[-1] == ("net.deliver", 1)
+        assert [node for _, node in built].count(1) == 40
+        assert len(built) < keyed[2]["net.deliver"]
         # a never-matching wildcard plan forces the old whole-recorder path
         whole = run([CrashPlan(node=2, category="no-such-category")])
-        assert {"app.send", "app.deliver", "net.send"} < set(built)
+        assert {"app.send", "app.deliver", "net.send"} < {key for key, _ in built}
         assert len(built) > 3 * whole[2]["net.deliver"]
         assert keyed == whole
         assert len(keyed[0]) == 1

@@ -23,7 +23,7 @@ from repro.sanitizer.monitor import Sanitizer
 from repro.sim.trace import TraceRecorder
 
 from helpers import small_config
-from test_chaos import COMBOS
+from test_chaos import COMBOS, chaos_config
 from test_integration_matrix import PAIRINGS, make
 
 
@@ -110,17 +110,22 @@ def test_manetho_dropped_determinant_flush_caught(monkeypatch):
     assert violation["time"] > 0.0
 
 
-def test_pessimistic_deliver_before_log_caught(monkeypatch):
-    """Delivering before the synchronous receipt-log write commits must
-    trip the write-order invariant at the delivery itself."""
+def deliver_before_log(monkeypatch):
+    """The write-order mutant: pessimistic logging that skips the stable
+    write and delivers immediately."""
     from repro.protocols.pessimistic import PessimisticLogging
 
     def mutant(self, sender, ssn, data, body_bytes):
-        # skip the stable write; deliver immediately
         self._next_log_rsn += 1
         self._deliver(sender, ssn, data, None)
 
     monkeypatch.setattr(PessimisticLogging, "_log_then_deliver", mutant)
+
+
+def test_pessimistic_deliver_before_log_caught(monkeypatch):
+    """Delivering before the synchronous receipt-log write commits must
+    trip the write-order invariant at the delivery itself."""
+    deliver_before_log(monkeypatch)
     result = build_system(make("pessimistic", "local", sanitize=True)).run()
     report = result.extra["sanitizer"]
     assert not report["clean"]
@@ -133,11 +138,11 @@ def test_pessimistic_deliver_before_log_caught(monkeypatch):
 # handcrafted event streams through the real recorder + monitor
 # ----------------------------------------------------------------------
 def harness(protocol="fbl", recovery="nonblocking", n=3):
-    """A recorder with a subscribed sanitizer, as ``System`` wires it."""
+    """A recorder with an attached sanitizer, as ``System`` wires it."""
     config = SystemConfig(n=n, protocol=protocol, recovery=recovery)
     sanitizer = Sanitizer(config)
     trace = TraceRecorder()
-    trace.subscribe(sanitizer.on_event)
+    sanitizer.attach(trace)
     for node in range(n):
         trace.record(0.0, "node", node, "start")
     return trace, sanitizer
@@ -244,6 +249,116 @@ def test_block_under_blocking_recovery_is_expected():
     trace.record(0.30, "node", 2, "block")
     sanitizer.finalize()
     assert sanitizer.clean
+
+
+# ----------------------------------------------------------------------
+# the online (keyed) monitor against the full-stream reference path
+# ----------------------------------------------------------------------
+def replayed_report(config, events):
+    """The reference path: a fresh monitor fed *every* kept event, in
+    order, through ``on_event``."""
+    reference = Sanitizer(config)
+    for event in events:
+        reference.on_event(event)
+    reference.finalize()
+    return reference.report()
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Make every monitor keep, as ``.handed``, the events it is handed."""
+    on_event = Sanitizer.on_event
+
+    def recording(self, event):
+        self.__dict__.setdefault("handed", []).append(event)
+        on_event(self, event)
+
+    monkeypatch.setattr(Sanitizer, "on_event", recording)
+
+
+def assert_online_equals_replay(system, online):
+    events = list(system.trace.events)
+    reference = replayed_report(system.config, events)
+    # violations with their span chains and order, checks, verdict
+    for field in ("violations", "checks", "clean"):
+        assert online[field] == reference[field], field
+    # the one thing that differs by design: the online monitor is handed
+    # the records it has a handler for, only those, in the kept order
+    handled = [
+        e for e in events if (e.category, e.action) in system.sanitizer._handlers
+    ]
+    assert system.sanitizer.handed == handled
+    assert online["events_seen"] == len(handled) < len(events)
+    assert reference["events_seen"] == len(events)
+
+
+@pytest.mark.parametrize("protocol,recovery,max_crashes", COMBOS,
+                         ids=[f"{p}-{r}" for p, r, _ in COMBOS])
+def test_online_sanitizer_equals_full_stream_replay(
+    handed, protocol, recovery, max_crashes
+):
+    for profile, seed in (("", 0), ("", 1), ("churn", 0), ("churn", 1)):
+        config = chaos_config(protocol, recovery, max_crashes, seed, profile=profile)
+        config.sanitize = True
+        system = build_system(config)
+        result = system.run()
+        assert result.extra["sanitizer"]["checks"], config.name
+        assert_online_equals_replay(system, result.extra["sanitizer"])
+
+
+def test_online_sanitizer_sees_a_record_before_an_immediate_plan_reacts(handed):
+    """A plan keyed on a record the monitor handles subscribes after it
+    (``System`` attaches observers when built, arms plans when started):
+    the monitor sees ``gather_start`` before the crash it triggers."""
+    from repro import crash_on
+
+    plan = crash_on(1, "recovery", "gather_start", immediate=True)
+    system = build_system(
+        make("fbl", "nonblocking", crashes=[crash_at(2, 0.03), plan], sanitize=True)
+    )
+    result = system.run()
+    assert [node for _, node in system.injector.crashes_fired] == [2, 1]
+    keys = [f"{e.category}.{e.action}" for e in system.sanitizer.handed]
+    crashes = [i for i, key in enumerate(keys) if key == "node.crash"]
+    assert crashes[0] < keys.index("recovery.gather_start") < crashes[1]
+    assert_online_equals_replay(system, result.extra["sanitizer"])
+
+
+def test_online_sanitizer_equals_replay_on_a_broken_run(handed, monkeypatch):
+    """Same equality where there is something to report: the write-order
+    mutant's violations, chains and order survive the keyed path."""
+    deliver_before_log(monkeypatch)
+    system = build_system(make("pessimistic", "local", sanitize=True))
+    online = system.run().extra["sanitizer"]
+    assert len(online["violations"]) > 1
+    assert_online_equals_replay(system, online)
+
+
+def test_deferred_orphan_judgement_waits_for_a_handled_record():
+    """Records without a handler no longer reach the monitor, so the
+    deferred recovery-orphan judgement runs at the next handled record
+    instead of the next record -- over state only handlers write."""
+    trace, sanitizer = harness()
+    trace.record(0.10, "app", 2, "send", dst=1, ssn=0, deliveries=0)
+    trace.record(0.12, "app", 1, "deliver", sender=2, ssn=0, rsn=0)
+    trace.record(0.14, "app", 1, "send", dst=0, ssn=1, deliveries=1)
+    trace.record(0.30, "span", 0, "begin", span=9, kind="recovery.episode")
+    trace.record(0.31, "app", 0, "deliver", sender=1, ssn=1, rsn=0)
+    trace.record(0.40, "node", 1, "crash")
+    trace.record(0.50, "node", 1, "recovered", delivered=0, incarnation=1)
+    trace.record(0.55, "net", 2, "send", dst=1)  # no handler: not seen
+    assert sanitizer.clean
+    trace.record(0.60, "span", 0, "end", span=9, kind="recovery.episode")
+    # judged before the handled record's own handler closed the span
+    assert [v.time for v in sanitizer.violations] == [0.50]
+    assert [link["kind"] for link in sanitizer.violations[0].span_chain] == [
+        "recovery.episode"
+    ]
+    sanitizer.finalize()
+    config = SystemConfig(n=3, protocol="fbl", recovery="nonblocking")
+    reference = replayed_report(config, trace.events)
+    assert sanitizer.report()["violations"] == reference["violations"]
+    assert sanitizer.events_seen == len(trace.events) - 1
 
 
 # ----------------------------------------------------------------------

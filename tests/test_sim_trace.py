@@ -54,6 +54,62 @@ def test_unsubscribe_stops_events():
     assert seen == []
 
 
+def test_keyless_subscriber_sees_every_event_beside_keyed_ones():
+    trace = TraceRecorder(keep_events=False)
+    everything, only_a = [], []
+    trace.subscribe(everything.append)
+    trace.subscribe(only_a.append, key="x.a")
+    trace.record(1.0, "x", 0, "a")
+    trace.emitter("x", "b", ("v",))(2.0, 0, 7)
+    assert [e.action for e in everything] == ["a", "b"]
+    assert [e.action for e in only_a] == ["a"]
+    assert everything[1].details == {"v": 7}
+
+
+def test_unsubscribe_from_inside_a_subscriber():
+    """A subscriber may unsubscribe (itself or another) while an event is
+    being published: that event still reaches everyone subscribed when it
+    was recorded, the next one does not."""
+    for key in (None, "x.a"):
+        trace = TraceRecorder(keep_events=False)
+        seen = []
+
+        def first(event):
+            seen.append(("first", event.time))
+            trace.unsubscribe(first, key)
+            trace.unsubscribe(third, key)
+
+        def second(event):
+            seen.append(("second", event.time))
+
+        def third(event):
+            seen.append(("third", event.time))
+
+        for callback in (first, second, third):
+            trace.subscribe(callback, key)
+        trace.record(1.0, "x", 0, "a")
+        trace.record(2.0, "x", 0, "a")
+        assert seen == [
+            ("first", 1.0), ("second", 1.0), ("third", 1.0), ("second", 2.0),
+        ]
+        trace.unsubscribe(second, key)
+        assert trace.record(3.0, "x", 0, "a") is None
+
+
+def test_event_is_a_slotted_record():
+    event = TraceEvent(1.0, "net", 3, "send", {"dst": 4})
+    assert not hasattr(event, "__dict__")
+    assert event == TraceEvent(time=1.0, category="net", node=3, action="send",
+                               details={"dst": 4})
+    assert event != TraceEvent(1.0, "net", 3, "send", {"dst": 5})
+    assert event != (1.0, "net", 3, "send", {"dst": 4})
+    assert TraceEvent(0.0, "node", None, "start").details == {}
+    assert repr(event) == (
+        "TraceEvent(time=1.0, category='net', node=3, action='send', "
+        "details={'dst': 4})"
+    )
+
+
 def test_keep_events_false_only_counts():
     trace = TraceRecorder(keep_events=False)
     trace.record(1.0, "x", 0, "a")
