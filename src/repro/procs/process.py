@@ -17,17 +17,15 @@ executions reproduce the pre-crash state exactly.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from hashlib import sha256
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 #: sentinel destination for sends aimed at the outside world (output
 #: commit); see :mod:`repro.core.output`
 OUTPUT_DST = -2
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(NamedTuple):
     """An application-level send request: destination, payload, size.
 
     ``dst = OUTPUT_DST`` requests an *output commit*: the payload goes
@@ -87,7 +85,7 @@ class ApplicationProcess:
 
     def _initial_digest(self) -> str:
         seed = f"init:{self.node_id}:{self.n_nodes}"
-        return hashlib.sha256(seed.encode("utf-8")).hexdigest()
+        return sha256(seed.encode()).hexdigest()
 
     # ------------------------------------------------------------------
     # deterministic behaviour
@@ -103,8 +101,9 @@ class ApplicationProcess:
         in the same order always produces the same digests and sends --
         this *is* the PWD assumption.
         """
-        record = f"{self.digest}|{sender}:{ssn}:{stable_payload_repr(payload)}"
-        self.digest = hashlib.sha256(record.encode("utf-8")).hexdigest()
+        # the payload part is stable_payload_repr(payload), inline
+        record = f"{self.digest}|{sender}:{ssn}:{sorted(payload.items())!r}"
+        self.digest = sha256(record.encode()).hexdigest()
         rsn = self.delivered_count
         self.delivered_count += 1
         self.delivery_history.append((sender, ssn))

@@ -253,13 +253,15 @@ class AdaptiveLogging(FamilyBasedLogging):
     # ------------------------------------------------------------------
     # determinant lifecycle: how stability is reached per mode
     # ------------------------------------------------------------------
-    def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
+    def _record_own_determinant(
+        self, det: Determinant, msg: Optional[Message], mask: int
+    ) -> None:
         governing = self.mode
         if self._sync_delivery:
             # the (det, data) record is already durable: stable now.
             # _track never saw it unstable, so announce stability here
             # (the sanitizer's commit-order bookkeeping rides on it)
-            self.det_log.note_logged_at(det, STABLE_HOST)
+            mask = self.det_log.note_logged_at(det, STABLE_HOST)
             self._emit_det_stable(
                 self.node.sim.now, self.node.node_id,
                 det.rsn, det.sender, det.ssn,
@@ -269,7 +271,7 @@ class AdaptiveLogging(FamilyBasedLogging):
         # replayed deliveries and recovery leftovers re-track only: their
         # determinants are already durable, gathered, or (for leftovers)
         # spread by piggyback until f+1 / flushed for outputs like FBL's
-        self._track(det, self.det_log.mask(det))
+        self._track(det, mask)
         self.mode_stats[governing]["deliveries"] += 1
         self._win_deliveries += 1
         self._deliveries_since_eval += 1

@@ -17,7 +17,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
+from repro.sim.timers import Timer
+from repro.storage.volatile import DeterminantLog, SendLog, host_mask
 
 
 class LoggingProtocol(ABC):
@@ -143,8 +146,6 @@ class LogBasedProtocol(LoggingProtocol):
 
     def __init__(self) -> None:
         super().__init__()
-        from repro.storage.volatile import DeterminantLog, SendLog
-
         self.send_log = SendLog()
         self.det_log = DeterminantLog()
         #: (src, ssn) -> payload buffered while recovering
@@ -160,6 +161,7 @@ class LogBasedProtocol(LoggingProtocol):
 
     def attach(self, node: "Node") -> None:
         super().attach(node)
+        self._own_mask = host_mask((node.node_id,))
         self._emit_send = node.trace.emitter(
             "app", "send", ("dst", "ssn", "deliveries"))
 
@@ -173,8 +175,9 @@ class LogBasedProtocol(LoggingProtocol):
     def _absorb_piggyback(self, msg: Message) -> None:
         """Merge an incoming message's piggyback into local knowledge."""
 
-    def _record_own_determinant(self, det: "Determinant", msg: Message) -> None:
-        """This node delivered a message and created ``det``."""
+    def _record_own_determinant(self, det: Determinant, msg: Message, mask: int) -> None:
+        """This node delivered a message and created ``det``, now logged
+        here under host mask ``mask``."""
 
     def _on_depinfo_loaded(self) -> None:
         """Gathered depinfo was merged into the determinant log."""
@@ -184,26 +187,17 @@ class LogBasedProtocol(LoggingProtocol):
     # ------------------------------------------------------------------
     def send_app(self, dst: int, payload: Dict[str, Any], body_bytes: int) -> None:
         node = self.node
+        me, delivered = node.node_id, node.app.delivered_count
         ssn = node.next_ssn(dst)
         self.send_log.log(dst, ssn, payload, body_bytes)
-        node.oracle.on_send(node.node_id, ssn, dst, node.app.delivered_count)
-        self._emit_send(
-            node.sim.now, node.node_id, dst, ssn, node.app.delivered_count)
+        node.oracle.on_send(me, ssn, dst, delivered)
+        self._emit_send(node.sim.now, me, dst, ssn, delivered)
         piggyback = self._piggyback_for(dst)
         self.piggyback_determinants_sent += len(piggyback)
-        node.network.send(
-            Message(
-                src=node.node_id,
-                dst=dst,
-                kind=MessageKind.APPLICATION,
-                mtype="app",
-                payload={"data": payload},
-                body_bytes=body_bytes,
-                piggyback=piggyback,
-                incarnation=node.incarnation,
-                ssn=ssn,
-            )
-        )
+        node.network.send(Message(
+            me, dst, MessageKind.APPLICATION, "app", {"data": payload},
+            body_bytes, piggyback, node.incarnation, ssn,
+        ))
 
     # ------------------------------------------------------------------
     # receiving
@@ -237,19 +231,14 @@ class LogBasedProtocol(LoggingProtocol):
     def _deliver(
         self, sender: int, ssn: int, data: Dict[str, Any], msg: Optional[Message]
     ) -> None:
-        from repro.causality.determinant import Determinant
-
         node = self.node
-        rsn = node.app.delivered_count
-        det = Determinant(sender, ssn, node.node_id, rsn)
-        self.det_log.note_logged_at(det, node.node_id)
+        det = Determinant(sender, ssn, node.node_id, node.app.delivered_count)
         # bookkeeping first: if the delivery emits an output, its own
         # determinant must already be tracked (and its stable write or
         # ack already in flight) for the commit gating to see it
-        self._record_own_determinant(det, msg)
-        sends = node.deliver_app(sender, ssn, data)
-        for send in sends:
-            self.send_app(send.dst, send.payload, send.body_bytes)
+        self._record_own_determinant(det, msg, self.det_log.merge(det, self._own_mask))
+        for dst, payload, body_bytes in node.deliver_app(sender, ssn, data):
+            self.send_app(dst, payload, body_bytes)
         node.maybe_checkpoint()
 
     # ------------------------------------------------------------------
@@ -290,8 +279,6 @@ class LogBasedProtocol(LoggingProtocol):
             self._cancel_output_retry()
 
     def _arm_output_retry(self) -> None:
-        from repro.sim.timers import Timer
-
         if self._output_retry_timer is not None and self._output_retry_timer.pending:
             return
         self._output_retry_timer = Timer(
@@ -410,8 +397,6 @@ class LogBasedProtocol(LoggingProtocol):
         in rsn order up to the highest known rsn, then reports completion
         to the recovery manager.
         """
-        from repro.causality.determinant import Determinant
-
         node = self.node
         for item in depinfo_wire:
             det = Determinant.from_tuple(tuple(item))

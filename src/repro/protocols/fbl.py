@@ -41,7 +41,6 @@ from repro.storage.volatile import host_mask
 #: Virtual host id representing the never-failing stable-storage process
 #: the paper introduces for the ``f = n`` case.
 STABLE_HOST = -1
-_STABLE_BIT = host_mask((STABLE_HOST,))
 
 
 class FamilyBasedLogging(LogBasedProtocol):
@@ -66,7 +65,7 @@ class FamilyBasedLogging(LogBasedProtocol):
         super().__init__()
         if f < 1:
             raise ValueError(f"f must be >= 1, got {f!r}")
-        self.f = f
+        self.f = self.det_log.f = f
         self.ack_to_sender = ack_to_sender
         # cache of determinants not yet replicated at f + 1 hosts, so a
         # send only scans piggyback *candidates*, not the whole log
@@ -89,29 +88,25 @@ class FamilyBasedLogging(LogBasedProtocol):
     # ------------------------------------------------------------------
     # piggybacking
     # ------------------------------------------------------------------
-    def _mask_stable(self, mask: int) -> bool:
-        return bool(mask & _STABLE_BIT) or mask.bit_count() > self.f
-
     def _det_stable(self, det: Determinant) -> bool:
-        return self._mask_stable(self.det_log.mask(det))
+        return self.det_log.stable(self.det_log.mask(det))
 
     def _track(self, det: Determinant, mask: int) -> None:
         """Refresh the unstable cache for one determinant, given its
-        merged host mask (what ``det_log.merge`` just returned)."""
-        key = det.delivery_id
-        if self._mask_stable(mask):
-            was = self._unstable.pop(key, None)
-            if was is not None and det.receiver == self.node.node_id:
-                # one of our own deliveries just crossed the f+1 (or
-                # stable-host) threshold: outputs at this rsn are safe
-                self._emit_det_stable(
-                    self.node.sim.now, self.node.node_id,
-                    det.rsn, det.sender, det.ssn,
-                )
-            if self._pending_outputs and det.receiver == self.node.node_id:
-                self._check_pending_outputs()
-        else:
-            self._unstable[key] = det
+        merged host mask: the per-message pass, over a batch of one."""
+        self.det_log.absorb(
+            ((det, mask),), (), self._unstable, self.node.node_id, self._on_own_stable)
+
+    def _on_own_stable(self, det: Determinant, was_cached: bool) -> None:
+        """A determinant-log pass found one of our own deliveries stable."""
+        if was_cached:
+            # it just crossed the f+1 (or stable-host) threshold:
+            # outputs at this rsn are safe
+            node = self.node
+            self._emit_det_stable(
+                node.sim.now, node.node_id, det.rsn, det.sender, det.ssn)
+        if self._pending_outputs:
+            self._check_pending_outputs()
 
     def _rebuild_unstable(self) -> None:
         me = self.node.node_id
@@ -132,27 +127,18 @@ class FamilyBasedLogging(LogBasedProtocol):
         the FBL family (only :meth:`_absorb_piggyback` reads it; the
         network charges ``len(piggyback)``), so the immutable objects
         travel as they are."""
-        items = []
-        dst_bit = host_mask((dst,))
-        det_log = self.det_log
-        for key in sorted(self._unstable):
-            det = self._unstable[key]
-            mask = det_log.mask(det)
-            if mask & dst_bit:
-                continue  # dst already stores it; no point re-sending
-            items.append((det, mask))
-            # Reliable FIFO channel: dst will store it on receipt.
-            self._track(det, det_log.merge(det, dst_bit))
-        return items
+        return self.det_log.spread(
+            dst, self._unstable, self.node.node_id, self._on_own_stable)
 
     def _absorb_piggyback(self, msg: Message) -> None:
-        seen_at = host_mask((msg.src, self.node.node_id))
-        merge = self.det_log.merge
-        for det, mask in msg.piggyback:
-            self._track(det, merge(det, mask | seen_at))
+        me = self.node.node_id
+        self.det_log.absorb(
+            msg.piggyback, (msg.src, me), self._unstable, me, self._on_own_stable)
 
-    def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
-        self._track(det, self.det_log.mask(det))
+    def _record_own_determinant(
+        self, det: Determinant, msg: Optional[Message], mask: int
+    ) -> None:
+        self._track(det, mask)
         if self.ack_to_sender and msg is not None:
             self._send_det_ack(det)
 

@@ -47,7 +47,7 @@ class ManethoLogging(FamilyBasedLogging):
     def _log_name(self) -> str:
         return f"determinants:{self.node.node_id}"
 
-    def _record_own_determinant(self, det: Determinant, msg: Message) -> None:
+    def _record_own_determinant(self, det: Determinant, msg: Message, mask: int) -> None:
         """Asynchronously push the new determinant to stable storage.
 
         Asynchronous means the delivery does not wait -- the write
@@ -55,7 +55,7 @@ class ManethoLogging(FamilyBasedLogging):
         pessimistic logging).  Completion marks the determinant stable;
         until then it spreads by piggybacking like any FBL determinant.
         """
-        self._track(det, self.det_log.mask(det))
+        self._track(det, mask)
         self.stable_writes_pending += 1
 
         def done() -> None:

@@ -9,7 +9,9 @@ processes' deliveries, replicated via piggybacking).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import (
+    Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar,
+)
 
 from repro.causality.determinant import Determinant
 
@@ -139,11 +141,19 @@ class DeterminantLog:
     ``|``, the size is ``bit_count()``, and an int is not tracked by the
     cyclic collector, which the tens of thousands of long-lived host
     sets of a run otherwise keep busy.
+
+    :meth:`stable` is the one definition of "replicated enough"; the two
+    per-message loops (:meth:`spread`, :meth:`absorb`) inline it and keep
+    the caller's *unstable cache* -- ``delivery_id -> determinant`` for
+    exactly what :meth:`stable` rejects -- in step with the masks.
     """
 
     def __init__(self) -> None:
         self._dets: Dict[Tuple[int, int], Determinant] = {}
         self._masks: Dict[Tuple[int, int], int] = {}
+        #: a determinant stored at more than ``f`` hosts is stable; the
+        #: FBL family sets it once (untold, only the stable host counts)
+        self.f: float = float("inf")
         #: cumulative determinants released by checkpoint-driven pruning
         self.entries_pruned = 0
 
@@ -188,13 +198,68 @@ class DeterminantLog:
         """Every stored determinant, deterministically ordered."""
         return sorted(self._dets.values())
 
-    def unstable(self, replication_target: int) -> List[Determinant]:
-        """Determinants logged at fewer than ``replication_target`` hosts."""
+    def stable(self, mask: int) -> bool:
+        """Is a determinant with host set ``mask`` replicated enough: at
+        the stable-storage host (bit 0) or at more than ``f`` hosts?"""
+        return bool(mask & 1) or mask.bit_count() > self.f
+
+    def unstable(self) -> List[Determinant]:
+        """Every determinant :meth:`stable` rejects, by full scan: the
+        reference the protocols' unstable caches are tested against."""
         return sorted(
-            det
-            for key, det in self._dets.items()
-            if self._masks[key].bit_count() < replication_target
+            det for key, det in self._dets.items() if not self.stable(self._masks[key])
         )
+
+    def spread(
+        self, dst: int, unstable: Dict[Tuple[int, int], Determinant], me: int,
+        on_stable: Callable[[Determinant, bool], None],
+    ) -> List[Tuple[Determinant, int]]:
+        """One pass for a message to ``dst``: the ``(determinant, mask)``
+        of every cached determinant ``dst`` does not store yet, in key
+        order, each then counted as stored there (reliable FIFO channel:
+        it will be, on receipt) and, if that made it stable, uncached as
+        in :meth:`absorb`."""
+        items = []
+        masks, f, dst_bit = self._masks, self.f, 1 << (dst + 1)
+        for key in sorted(unstable):
+            mask = masks[key]
+            if mask & dst_bit:
+                continue  # dst already stores it; no point re-sending
+            det = unstable[key]
+            items.append((det, mask))
+            masks[key] = mask = mask | dst_bit
+            if mask & 1 or mask.bit_count() > f:
+                del unstable[key]
+                if key[0] == me:
+                    on_stable(det, True)
+        return items
+
+    def absorb(
+        self, items: Iterable[Tuple[Determinant, int]], hosts: Iterable[int],
+        unstable: Dict[Tuple[int, int], Determinant], me: int,
+        on_stable: Callable[[Determinant, bool], None],
+    ) -> None:
+        """One pass over ``(determinant, mask)`` items: merge ``mask`` and
+        ``hosts`` into each host set, then cache the determinant in
+        ``unstable`` or, if it is stable (:meth:`stable`, inline), uncache
+        it and, for one of ``me``'s own deliveries, call ``on_stable(det,
+        was_cached)`` in place, before the next item is looked at."""
+        masks, f, seen_at = self._masks, self.f, 0
+        for host in hosts:
+            seen_at |= 1 << (host + 1)
+        for det, mask in items:
+            key = det.delivery_id
+            known = masks.get(key)
+            if known is None:
+                self._dets[key] = det
+                known = 0
+            masks[key] = mask = known | mask | seen_at
+            if not (mask & 1 or mask.bit_count() > f):
+                unstable[key] = det
+            elif key[0] == me:
+                on_stable(det, unstable.pop(key, None) is not None)
+            elif key in unstable:
+                del unstable[key]
 
     def for_receiver(self, receiver: int) -> Dict[int, Determinant]:
         """``rsn -> determinant`` for one receiver."""

@@ -15,8 +15,8 @@ would violate the piecewise-determinism assumption).
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
+from hashlib import sha256
 from typing import Any, Dict, List
 
 from repro.procs.process import OUTPUT_DST, Send, stable_payload_repr
@@ -25,8 +25,7 @@ from repro.procs.process import OUTPUT_DST, Send, stable_payload_repr
 def _hash_int(*parts: Any) -> int:
     """Deterministic 64-bit integer from the given parts."""
     text = "|".join(map(str, parts))
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return int.from_bytes(sha256(text.encode()).digest()[:8], "big")
 
 
 class Workload(ABC):
@@ -172,21 +171,17 @@ class UniformWorkload(Workload):
     ) -> List[Send]:
         sends = []
         if self.output_every and (rsn + 1) % self.output_every == 0:
-            sends.append(
-                Send(dst=OUTPUT_DST, payload={"report_after": rsn}, body_bytes=32)
-            )
+            sends.append(Send(OUTPUT_DST, {"report_after": rsn}, 32))
         hops = payload.get("hops", 0)
         if hops <= 0 or n_nodes < 2:
             return sends
         chain = payload.get("chain", "?")
-        dst = self._pick_peer(node_id, n_nodes, "fwd", chain, hops, sender)
-        sends.append(
-            Send(
-                dst=dst,
-                payload={"chain": chain, "hops": hops - 1},
-                body_bytes=self.body_bytes,
-            )
-        )
+        # _pick_peer(node_id, n_nodes, "fwd", chain, hops, sender), inline:
+        # the same hashed text, one frame
+        text = f"{self.seed}|{node_id}|fwd|{chain}|{hops}|{sender}"
+        toss = int.from_bytes(sha256(text.encode()).digest()[:8], "big")
+        dst = (node_id + 1 + toss % (n_nodes - 1)) % n_nodes
+        sends.append(Send(dst, {"chain": chain, "hops": hops - 1}, self.body_bytes))
         return sends
 
 

@@ -7,6 +7,10 @@ base it tracks the per-message cost closely (docs/PERFORMANCE.md §7).
 One warm-up rep, then one rep at scale 0.1 under a ``sys.setprofile``
 hook that counts ``call`` events, divided by the messages the rep put
 on the wire (first transmissions + retransmissions).
+
+    PYTHONPATH=src python tests/test_hot_path_budget.py   # the table, as markdown
+
+(what ``bench-smoke`` appends to its job summary).
 """
 
 import importlib.util
@@ -32,12 +36,18 @@ WORKLOADS = _workloads.WORKLOADS
 
 #: calls per wire message this code base reaches (CPython 3.11), + 5 %.
 #: The parent of the PR that added the gate (PR 17) read 103.9 and 77.5;
-#: the parent of the PR that added ``observed_run`` (PR 19) read 136.8.
-BUDGET = {
-    "steady_fbl": 86.3 * 1.05,
-    "lossy_transport": 58.4 * 1.05,
-    "observed_run": 122.6 * 1.05,
+#: the parent of the PR that added ``observed_run`` (PR 19) read 136.8;
+#: the parent of the PR that flattened the delivery path and added the
+#: last two rows (PR 21) read 86.3 / 58.4 / 122.6 / 80.6 / 64.0.
+#: ``storage_logging`` is the three non-FBL protocol trees.
+REACHED = {
+    "steady_fbl": 60.8,
+    "lossy_transport": 49.5,
+    "observed_run": 96.9,
+    "recovery_churn": 63.5,
+    "storage_logging": 61.9,
 }
+BUDGET = {workload: reached * 1.05 for workload, reached in REACHED.items()}
 
 
 def calls_per_wire_message(workload: str, seed: int = 1000, scale: float = 0.1):
@@ -74,6 +84,19 @@ def test_python_calls_per_wire_message_stay_in_budget(workload):
     )
 
 
+def main() -> int:
+    """Print the five figures against their budgets (a markdown table)."""
+    print("| workload | Python calls per wire message | budget |")
+    print("|---|---|---|")
+    over = 0
+    for workload in sorted(BUDGET):
+        per_message, calls, wire = calls_per_wire_message(workload)
+        over += per_message > BUDGET[workload]
+        print(f"| `{workload}` | {per_message:.1f} ({calls} / {wire}) "
+              f"| {BUDGET[workload]:.1f} |")
+    return 1 if over else 0
+
+
 def test_sanitizer_is_entered_once_per_handled_record(monkeypatch):
     """Same records, fewer observer calls: ``Sanitizer.on_event`` runs
     exactly once for each record whose ``category.action`` has an
@@ -95,3 +118,7 @@ def test_sanitizer_is_entered_once_per_handled_record(monkeypatch):
     assert entered == {k: n for k, n in records.items() if k in handled}
     assert sum(entered.values()) < 0.6 * sum(records.values())
     assert result.extra["sanitizer"]["events_seen"] == sum(entered.values())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

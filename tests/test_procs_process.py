@@ -83,3 +83,28 @@ def test_initial_sends_deterministic():
 def test_send_dataclass_defaults():
     send = Send(dst=3, payload={"a": 1})
     assert send.body_bytes == 128
+
+
+def test_digest_chain_bytes_are_pinned():
+    """The digest chain is inside ``sim_fingerprint`` and every golden:
+    these strings were read from the commit before the delivery path was
+    flattened (PR 21) and must not move without a chain-format PR.  The
+    two-key payloads arrive in both key orders (the record sorts them)."""
+    app = ApplicationProcess(2, 5, make_workload("uniform", hops=4, seed=7))
+    assert app.digest == (
+        "b6a81c8eeef36a7efb9fb32d07ca9801fe7a1a1884aae716322634d8737702a9")
+    chain = []
+    for sender, ssn, payload in (
+        (0, 0, {"chain": "0.1", "hops": 3}),
+        (4, 2, {"hops": 2, "chain": "4.0"}),
+        (1, 11, {"chain": "1.1", "hops": 0}),
+    ):
+        sends = app.deliver(sender, ssn, payload)
+        chain.append((app.digest, [tuple(send) for send in sends]))
+    assert chain == [
+        ("d2499db915cbe3686acfc91f7fe03401db04b609f2ed7caf7fef882f14911e41",
+         [(0, {"chain": "0.1", "hops": 2}, 128)]),
+        ("de3ff977e9d8cbcb32a45d2cb4768ec2cde49a2888592760da2bdc369da3c61b",
+         [(1, {"chain": "4.0", "hops": 1}, 128)]),
+        ("7558179a4c353e7dbc8e5c2749257a002488d645e9db2668890026d2352f4640", []),
+    ]

@@ -1,10 +1,14 @@
 """Tests for the FBL protocol family's failure-free mechanics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SystemConfig, build_system
 from repro.causality.determinant import Determinant
+from repro.net.network import Message, MessageKind
 from repro.protocols.fbl import STABLE_HOST, FamilyBasedLogging
+from repro.storage.volatile import host_mask
 
 from helpers import small_config
 
@@ -54,7 +58,7 @@ def test_propagation_stops_at_f_plus_one():
             hosts = protocol.det_log.logged_at(det)
             if len(hosts) >= 3 or STABLE_HOST in hosts:
                 assert protocol._det_stable(det)
-                assert det not in protocol.det_log.unstable(3)
+                assert det not in protocol.det_log.unstable()
 
 
 def test_visible_determinants_replicated_at_claimed_hosts():
@@ -138,12 +142,6 @@ def test_higher_f_piggybacks_more():
     assert high.extra["piggyback_determinants"] >= low.extra["piggyback_determinants"]
 
 
-def _unstable_by_full_scan(protocol):
-    """What ``stats()["unstable_determinants"]`` counted before it read
-    the cache: sort the whole log, test every determinant."""
-    return [det for det in protocol.det_log.determinants() if not protocol._det_stable(det)]
-
-
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize(
     "protocol,recovery,max_crashes",
@@ -170,6 +168,161 @@ def test_unstable_cache_equals_full_scan_under_chaos(protocol, recovery, max_cra
     result = system.run()
     assert result.consistent
     for node in system.nodes:
-        scanned = _unstable_by_full_scan(node.protocol)
+        # what stats()["unstable_determinants"] counted before it read
+        # the cache: the log's full scan under the one stability predicate
+        scanned = node.protocol.det_log.unstable()
         assert sorted(node.protocol._unstable.values()) == scanned
         assert node.protocol.stats()["unstable_determinants"] == len(scanned)
+
+
+# ----------------------------------------------------------------------
+# batch path == per-determinant path
+# ----------------------------------------------------------------------
+class PerDeterminantReference:
+    """The determinant path as it was before the per-message loops
+    (PR 21's parent, verbatim): one ``merge`` + one ``_track`` per item,
+    the stability test a method of the protocol.  Bound onto a built
+    protocol instance by :func:`_as_reference`."""
+
+    def _mask_stable(self, mask):
+        return bool(mask & 1) or mask.bit_count() > self.f
+
+    def _track(self, det, mask):
+        key = det.delivery_id
+        if self._mask_stable(mask):
+            was = self._unstable.pop(key, None)
+            if was is not None and det.receiver == self.node.node_id:
+                self._emit_det_stable(
+                    self.node.sim.now, self.node.node_id,
+                    det.rsn, det.sender, det.ssn,
+                )
+            if self._pending_outputs and det.receiver == self.node.node_id:
+                self._check_pending_outputs()
+        else:
+            self._unstable[key] = det
+
+    def _piggyback_for(self, dst):
+        items = []
+        dst_bit = host_mask((dst,))
+        det_log = self.det_log
+        for key in sorted(self._unstable):
+            det = self._unstable[key]
+            mask = det_log.mask(det)
+            if mask & dst_bit:
+                continue
+            items.append((det, mask))
+            self._track(det, det_log.merge(det, dst_bit))
+        return items
+
+    def _absorb_piggyback(self, msg):
+        seen_at = host_mask((msg.src, self.node.node_id))
+        merge = self.det_log.merge
+        for det, mask in msg.piggyback:
+            self._track(det, merge(det, mask | seen_at))
+
+
+def _as_reference(protocol):
+    for name in ("_mask_stable", "_track", "_piggyback_for", "_absorb_piggyback"):
+        method = getattr(PerDeterminantReference, name)
+        setattr(protocol, name, method.__get__(protocol))
+
+
+_N = 5
+_small = st.integers(min_value=0, max_value=7)
+_det_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["deliver", "deliver", "absorb", "send", "send", "det_ack",
+             "det_push_ack", "gc_notice", "durable"]
+        ),
+        _small, _small,
+        st.lists(st.tuples(_small, _small, _small, st.integers(0, 2 ** (_N + 1) - 1)),
+                 max_size=5),
+    ),
+    max_size=40,
+)
+
+
+def _drive(system, ops):
+    """Apply ``ops`` to node 0's protocol; the simulator never runs, so
+    everything the protocol sends stays queued and only the determinant
+    bookkeeping, the trace and the output device move."""
+    protocol = system.nodes[0].protocol
+    next_ssn = {}
+
+    def items_of(raw):
+        items = []
+        for sender, receiver, rsn, mask in raw:
+            sender, receiver = sender % _N, receiver % _N
+            if sender != receiver:
+                items.append((Determinant(sender, rsn, receiver, rsn), mask))
+        return items
+
+    def own(index):
+        dets = sorted(protocol.det_log.for_receiver(0).values())
+        return dets[index % len(dets)] if dets else None
+
+    for op, a, b, raw in ops:
+        peer = 1 + a % (_N - 1)
+        if op == "deliver":
+            ssn = next_ssn[peer] = next_ssn.get(peer, -1) + 1
+            protocol.on_app_message(Message(
+                peer, 0, MessageKind.APPLICATION, "app",
+                {"data": {"chain": f"{peer}.0", "hops": b % 3}},
+                10, items_of(raw), 0, ssn,
+            ))
+        elif op == "absorb":
+            protocol.absorb_piggybacks([Message(
+                peer, 0, MessageKind.APPLICATION, "app", {}, 10, items_of(raw))])
+        elif op == "send":
+            protocol.send_app(peer, {"chain": "0.9", "hops": 0}, 10)
+        elif op == "det_ack":
+            for det, _mask in items_of(raw):
+                protocol.on_protocol_message(Message(
+                    peer, 0, MessageKind.PROTOCOL, "det_ack", {"det": det.to_tuple()}))
+        elif op == "det_push_ack" and own(b) is not None:
+            protocol.on_protocol_message(Message(
+                peer, 0, MessageKind.PROTOCOL, "det_push_ack",
+                {"dets": [own(b).to_tuple(), own(b + 1).to_tuple()]}))
+        elif op == "gc_notice":
+            protocol.on_protocol_message(Message(
+                peer, 0, MessageKind.PROTOCOL, "gc_notice",
+                {"covered": b, "ssn_prefix": b}))
+        elif op == "durable" and own(b) is not None:
+            # what a completed asynchronous stable write does (manetho)
+            det = own(b)
+            protocol._track(det, protocol.det_log.note_logged_at(det, STABLE_HOST))
+            protocol._check_pending_outputs()
+    return protocol
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_det_ops)
+@pytest.mark.parametrize(
+    "protocol,f", [("fbl", 1), ("fbl", 2), ("sender_based", 1), ("manetho", _N)]
+)
+def test_batch_determinant_path_equals_per_determinant_reference(protocol, f, ops):
+    """Any interleaving of deliveries, absorbs, sends, acks, push acks,
+    GC notices and durable writes leaves the per-message loops and the
+    per-determinant reference with the same cache, the same masks, the
+    same trace (``det_stable`` and ``output.commit`` records in the same
+    order among everything else) and the same committed outputs."""
+    config = small_config(
+        n=_N, protocol=protocol, f=f,
+        workload_params={"hops": 2, "fanout": 0, "output_every": 2},
+    )
+    batch, reference = build_system(config), build_system(config)
+    _as_reference(reference.nodes[0].protocol)
+    new, old = _drive(batch, ops), _drive(reference, ops)
+    assert new.f == old.f == f
+    assert new._unstable == old._unstable
+    assert new.det_log.to_state() == old.det_log.to_state()
+    # (keys: a forged item may name a delivery the log knows under
+    # another message; the cache keeps the latest, the log the first)
+    assert sorted(new._unstable) == sorted(
+        d.delivery_id for d in new.det_log.unstable())
+    assert list(batch.trace.events) == list(reference.trace.events)
+    assert [(o.output_id, o.payload) for o in batch.output_device.outputs] == [
+        (o.output_id, o.payload) for o in reference.output_device.outputs]
+    assert new._pending_outputs == old._pending_outputs
+    assert new.piggyback_determinants_sent == old.piggyback_determinants_sent

@@ -108,8 +108,21 @@ class TestDeterminantLog:
         d2 = det(rsn=1)
         log.add(d1, logged_at=(1, 2, 3))
         log.add(d2, logged_at=(1,))
-        assert log.unstable(3) == [d2]
-        assert log.unstable(4) == [d1, d2]
+        log.f = 2
+        assert log.unstable() == [d2]
+        log.f = 3
+        assert log.unstable() == [d1, d2]
+
+    def test_stable_host_alone_makes_a_determinant_stable(self):
+        """The log and the protocol used to disagree here: the scan
+        counted hosts and ignored the stable-storage bit."""
+        log = DeterminantLog()
+        d = det()
+        assert log.stable(log.note_logged_at(d, -1))  # fbl.STABLE_HOST
+        log.f = 2
+        assert log.unstable() == []
+        assert not log.stable(log.note_logged_at(det(rsn=1), 4))
+        assert log.unstable() == [det(rsn=1)]
 
     def test_for_receiver(self):
         log = DeterminantLog()
@@ -179,8 +192,10 @@ def test_determinant_log_host_masks_match_a_set_model(ops, target):
     assert len(log) == len(model)
     for d in log.determinants():
         assert log.logged_at(d) == frozenset(model[d.delivery_id])
-    assert log.unstable(target) == sorted(
-        d for d in log.determinants() if len(model[d.delivery_id]) < target
+    log.f = target - 1
+    assert log.unstable() == sorted(
+        d for d in log.determinants()
+        if len(model[d.delivery_id]) < target and -1 not in model[d.delivery_id]
     )
     assert log.logged_at(det(receiver=9)) == frozenset()
     restored = DeterminantLog()

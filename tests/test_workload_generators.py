@@ -18,9 +18,12 @@ properties the paper's replay argument leans on at run scale:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.procs.process import OUTPUT_DST
 from repro.workloads.generators import (
+    _hash_int,
     AllToAllWorkload,
     ClientServerWorkload,
     PingPongWorkload,
@@ -225,3 +228,32 @@ def test_different_seed_changes_timing_but_stays_consistent():
         b.end_time,
         sum(b.network.messages.values()),
     ) or a.digests != b.digests
+
+
+# ----------------------------------------------------------------------
+# the flattened forward step against the reference hash
+# ----------------------------------------------------------------------
+@settings(max_examples=200)
+@given(
+    seed=st.integers(min_value=-5, max_value=2**40),
+    n=st.integers(min_value=2, max_value=40),
+    node=st.integers(min_value=0, max_value=39),
+    chain=st.one_of(st.text(max_size=8), st.integers(), st.none()),
+    hops=st.integers(min_value=1, max_value=10**6),
+    sender=st.integers(min_value=0, max_value=39),
+    rsn=st.integers(min_value=0, max_value=100),
+)
+def test_uniform_forward_matches_the_reference_hash(seed, n, node, chain, hops, sender, rsn):
+    """``UniformWorkload.on_deliver`` builds its hashed text in place;
+    ``_hash_int`` (still what every other workload calls) is the
+    reference for which peer that text must pick."""
+    node %= n
+    workload = UniformWorkload(hops=hops, seed=seed, body_bytes=77)
+    payload = {"hops": hops} if chain is None else {"chain": chain, "hops": hops}
+    (send,) = workload.on_deliver(node, n, rsn, sender, payload)
+    label = "?" if chain is None else chain
+    expected = (
+        node + 1 + _hash_int(seed, node, "fwd", label, hops, sender) % (n - 1)
+    ) % n
+    assert send == (expected, {"chain": label, "hops": hops - 1}, 77)
+    assert send.dst == workload._pick_peer(node, n, "fwd", label, hops, sender) != node
