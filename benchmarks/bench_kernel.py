@@ -13,9 +13,6 @@ that bought them.  Three workloads:
   Lazily-cancelled corpses pile up in the heap; with compaction the
   heap stays small, without it every push pays O(log corpses) and the
   final drain walks them all.
-* ``lossy_system`` -- a real E11-style run (FBL + non-blocking
-  recovery, reliable transport over a 20 %-loss network, one crash):
-  the end-to-end events/sec a sweep actually sees.
 * ``huge_system`` -- intra-run scale: event chains hopping between
   thousands of per-process counters through the kernel's handle-free
   ``schedule_fast`` path (event-pool reuse, no EventHandle per hop).
@@ -126,32 +123,6 @@ def bench_timer_churn(n_steps: int = 150_000, timer_delay: float = 30.0) -> Dict
     }
 
 
-def bench_lossy_system(hops: int = 500, loss: float = 0.2) -> Dict[str, Any]:
-    """An E11-style full-system run: lossy network, reliable transport,
-    one crash.  Retransmit timers cancelled by acks churn the heap."""
-    from repro.experiments import lossy_network
-
-    system = lossy_network(
-        recovery="nonblocking",
-        loss=loss,
-        victim=3,
-        transport_params={"max_retries": 30},
-        workload_params={"hops": hops, "fanout": 2},
-        state_bytes=100_000,
-        detection_delay=0.5,
-    )
-    t0 = time.perf_counter()
-    result = system.run()
-    wall = time.perf_counter() - t0
-    assert result.consistent, "lossy_system bench run went inconsistent"
-    return {
-        "events": result.extra["events_processed"],
-        "wall_s": wall,
-        "events_per_sec": result.extra["events_processed"] / wall,
-        "peak_heap": None,  # not tracked without a profiler; see timer_churn
-    }
-
-
 def bench_huge_system(
     n_procs: int = 2_000,
     n_events: int = 400_000,
@@ -211,7 +182,6 @@ RSS_RATIO_MAX = 1.5
 WORKLOADS = {
     "dispatch_chain": bench_dispatch_chain,
     "timer_churn": bench_timer_churn,
-    "lossy_system": bench_lossy_system,
     "huge_system": bench_huge_system,
 }
 

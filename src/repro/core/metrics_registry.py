@@ -1,8 +1,9 @@
 """A registry of named run metrics: counters, gauges, histograms.
 
-The seed grew measurement organically: ``NetworkStats`` here, protocol
-``stats()`` dicts there, trace counters everywhere.  The registry gives
-every subsystem one place to *declare* what it measures:
+The registry is the one namespace a run's metrics are reported under.
+It is not a second count: ``System.summarize`` writes each counter once,
+from the count of record (``NetworkStats``, ``StableStorageStats``, the
+recovery episodes), and only histograms are fed while the run goes:
 
 * :class:`Counter` — monotone totals (``net.messages_sent``);
 * :class:`Gauge` — last-written level (``transport.inflight``), with the

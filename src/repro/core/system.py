@@ -96,7 +96,7 @@ class System:
             header_bytes=config.header_bytes,
             determinant_bytes=config.determinant_bytes,
         )
-        self.network.registry = self.registry
+        self.network.size_histogram = self.registry.histogram("net.message_bytes")
         self.transport = None
         if config.transport == "reliable":
             from repro.net.transport import ReliableTransport, TransportParams
@@ -107,7 +107,6 @@ class System:
                 params=TransportParams(**config.transport_params),
                 trace=self.trace,
             )
-            self.transport.registry = self.registry
         self.detector = FailureDetector(
             self.sim,
             detection_delay=config.detection_delay,
@@ -177,7 +176,6 @@ class System:
                     self.cost,
                     config.timeseries_window,
                     max_samples=config.timeseries_max_samples,
-                    registry=self.registry,
                     trace=self.trace,
                 )
             self.network.cost = self.cost
@@ -345,43 +343,56 @@ class System:
         if self.transport is not None:
             extra["transport_stats"] = self.transport.stats.as_dict()
 
-        # recovery-level instruments are derived once per run (the
-        # per-event ones were fed live by net/storage/transport)
+        # counters are derived once per run from the counts of record
+        # (the *Stats, the episodes); only the histograms net and
+        # storage feed live
         if not self._registry_finalized:
             self._registry_finalized = True
+            counter = self.registry.counter
+            net = self.network.stats
+            counter("net.messages_sent").inc(net.total_messages() + net.retransmits)
+            counter("net.bytes_sent").inc(net.total_bytes() + net.retransmit_bytes)
+            if self.transport is not None:
+                # the transport is the only sender of retransmissions
+                counter("transport.retransmits").inc(net.retransmits)
+                counter("transport.acks_sent").inc(self.transport.stats.acks_sent)
+            devices = [node.storage.stats for node in self.nodes]
+            for name, count, value in (
+                ("ops", "operations", "operations"),
+                ("bytes", "operations", "total_bytes"),
+                ("batched_appends", "batched_appends", "batched_appends"),
+                ("batch_flushes", "batch_flushes", "batch_flushes"),
+                ("bytes_reclaimed", "reclaims", "bytes_reclaimed"),
+            ):
+                # a storage counter appears once its device count has moved
+                if any(getattr(stats, count) for stats in devices):
+                    counter(f"storage.{name}").inc(
+                        sum(getattr(stats, value) for stats in devices)
+                    )
+            episodes = self.metrics.episodes
             episode_hist = self.registry.histogram("recovery.episode_duration")
-            for episode in self.metrics.episodes:
+            for episode in episodes:
                 if episode.complete:
                     episode_hist.observe(episode.total_duration)
             block_hist = self.registry.histogram("recovery.block_duration")
             for interval in self.metrics.block_intervals:
                 if interval.end is not None:
                     block_hist.observe(interval.duration)
-            self.registry.counter("recovery.episodes").inc(len(self.metrics.episodes))
-            self.registry.counter("recovery.gather_restarts").inc(
-                sum(e.gather_restarts for e in self.metrics.episodes)
-            )
+            counter("recovery.episodes").inc(len(episodes))
+            counter("recovery.gather_restarts").inc(sum(e.gather_restarts for e in episodes))
             # churn counters: handoffs/resumes are episode-attributed;
             # stale-epoch drops also happen at live nodes and the
             # sequencer, so they are summed from the managers directly
-            self.registry.counter("recovery.leader_handoffs").inc(
-                sum(e.leader_handoffs for e in self.metrics.episodes)
-            )
-            self.registry.counter("recovery.rounds_resumed").inc(
-                sum(e.rounds_resumed for e in self.metrics.episodes)
-            )
-            stale_drops = sum(
-                node.recovery.stale_epoch_drops for node in self.nodes
-            )
+            counter("recovery.leader_handoffs").inc(sum(e.leader_handoffs for e in episodes))
+            counter("recovery.rounds_resumed").inc(sum(e.rounds_resumed for e in episodes))
+            stale_drops = sum(node.recovery.stale_epoch_drops for node in self.nodes)
             if self.sequencer is not None:
                 stale_drops += self.sequencer.stale_epoch_drops
-            self.registry.counter("recovery.stale_epoch_drops").inc(stale_drops)
-            self.registry.counter("recovery.reply_invalidations").inc(
-                sum(e.reply_invalidations for e in self.metrics.episodes)
+            counter("recovery.stale_epoch_drops").inc(stale_drops)
+            counter("recovery.reply_invalidations").inc(
+                sum(e.reply_invalidations for e in episodes)
             )
-            self.registry.counter("protocol.piggyback_determinants").inc(
-                piggyback_count
-            )
+            counter("protocol.piggyback_determinants").inc(piggyback_count)
         self.registry.gauge("sim.events_processed").set(self.sim.events_processed)
         extra["metrics"] = self.registry.snapshot()
         if self.cost is not None:

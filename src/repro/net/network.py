@@ -206,11 +206,9 @@ class Network:
         self.cost = None
         #: set by ReliableTransport when one is layered on this network
         self.transport = None
-        #: pre-bound metric instruments (see the ``registry`` setter)
-        self._registry = None
-        self._ctr_messages = None
-        self._ctr_bytes = None
-        self._hist_bytes = None
+        #: optional ``net.message_bytes`` registry histogram (set by
+        #: System); the counts themselves live in :attr:`stats`
+        self.size_histogram = None
         # pre-bound trace emitters: one per (category, action) on the
         # per-message hot path; each declares its detail names here and
         # the call sites pass the values positionally, so a counters-only
@@ -240,26 +238,6 @@ class Network:
         self._deliver_labels: Dict[str, str] = {}
         self._dup_labels: Dict[str, str] = {}
         self._msg_ids = itertools.count(1)
-
-    @property
-    def registry(self):
-        """Optional :class:`~repro.core.metrics_registry.MetricsRegistry`.
-
-        Assigned by :class:`~repro.core.system.System` after construction;
-        the setter pre-binds the per-message instruments so ``transmit``
-        pays attribute loads instead of name resolution per message.
-        """
-        return self._registry
-
-    @registry.setter
-    def registry(self, registry) -> None:
-        self._registry = registry
-        if registry is None:
-            self._ctr_messages = self._ctr_bytes = self._hist_bytes = None
-        else:
-            self._ctr_messages = registry.counter("net.messages_sent")
-            self._ctr_bytes = registry.counter("net.bytes_sent")
-            self._hist_bytes = registry.histogram("net.message_bytes")
 
     # ------------------------------------------------------------------
     # fault model
@@ -335,10 +313,8 @@ class Network:
             self.stats.record_retransmit(size)
         else:
             self.stats.record(kind, size)
-        if self._registry is not None:
-            self._ctr_messages.inc()
-            self._ctr_bytes.inc(size)
-            self._hist_bytes.observe(size)
+        if self.size_histogram is not None:
+            self.size_histogram.observe(size)
         if self.cost is not None:
             # charged beside stats.record so ledger sums conserve exactly
             self.cost.charge_wire(

@@ -126,10 +126,6 @@ class ReliableTransport:
         self.network = network
         self.params = params or TransportParams()
         self.trace = trace
-        #: pre-bound metric instruments (see the ``registry`` setter)
-        self._registry = None
-        self._ctr_retransmits = None
-        self._ctr_acks = None
         self.stats = TransportStats()
         self._send_seq: Dict[Channel, int] = {}
         self._epoch: Dict[Channel, int] = {}
@@ -143,25 +139,6 @@ class ReliableTransport:
         #: per-channel RTO timer labels, interned at the channel's first send
         self._rto_labels: Dict[Channel, str] = {}
         network.transport = self
-
-    @property
-    def registry(self):
-        """Optional :class:`~repro.core.metrics_registry.MetricsRegistry`.
-
-        Assigned by :class:`~repro.core.system.System` after construction;
-        the setter pre-binds the hot-path counters so timeouts and acks
-        skip per-call instrument lookup.
-        """
-        return self._registry
-
-    @registry.setter
-    def registry(self, registry) -> None:
-        self._registry = registry
-        if registry is None:
-            self._ctr_retransmits = self._ctr_acks = None
-        else:
-            self._ctr_retransmits = registry.counter("transport.retransmits")
-            self._ctr_acks = registry.counter("transport.acks_sent")
 
     # ------------------------------------------------------------------
     # retransmit-epoch spans
@@ -251,8 +228,6 @@ class ReliableTransport:
         # retransmit a clone so the copy already in flight keeps its
         # own msg_id/send_time in the trace (transmit stamps both anew)
         self._retx_note(channel, seq)
-        if self._ctr_retransmits is not None:
-            self._ctr_retransmits.inc()
         original = entry.message
         clone = Message(
             src=original.src,
@@ -340,8 +315,6 @@ class ReliableTransport:
         if not self.network.is_registered(dst):
             return  # receiver crashed while draining its buffer
         self.stats.acks_sent += 1
-        if self._ctr_acks is not None:
-            self._ctr_acks.inc()
         self.network.transmit(
             Message(
                 src=dst,

@@ -17,8 +17,9 @@ account keyed ``(domain, process, peer, purpose, phase)``:
 
 The keystone property is **byte conservation**: the ledger is charged at
 exactly the statements that mutate :class:`~repro.net.network.NetworkStats`
-and :class:`~repro.storage.stable.StableStorageStats`, so account sums
-equal those totals *to the byte* (:meth:`CostLedger.conservation`).  A
+and :class:`~repro.storage.stable.StableStorageStats` -- the counts of
+record -- so account sums equal those totals *to the byte*
+(:meth:`CostLedger.conservation`).  A
 wire message splits into header + piggyback + body sub-charges that
 re-add to its transmitted size; a group-commit batch charges one device
 op and per-entry purpose bytes that re-add to the flushed total.
@@ -30,6 +31,7 @@ randomness — so the ledger can never perturb a run (the goldens in
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 #: The fixed purpose taxonomy (see docs/OBSERVABILITY.md for the mapping
@@ -61,6 +63,8 @@ _RECOVERY_DATA_MTYPES = frozenset(
 )
 
 _FAILURE_FREE = "failure-free"
+_BYTES = itemgetter(1)  # of an account or purpose cell
+_EMPTY = (0, 0)
 
 
 def classify_wire(kind: str, mtype: str) -> str:
@@ -108,29 +112,29 @@ class CostLedger:
     to that account (each message counts once on its body account, once
     on ``header``, once on ``piggyback-determinant`` when it piggybacks);
     for storage accounts it is logical operations (each batched append
-    counts, the shared device op is conserved separately via
-    :attr:`device_ops`).
+    counts, the shared device op is counted in :attr:`device_ops`).
+
+    A charge writes its account cell and the cell's purpose roll-up
+    (:attr:`purposes`), which lets a per-window reader take totals
+    without scanning the accounts; every total is read off those two
+    (:meth:`totals`).  The ``*Stats`` objects stay the counts of record:
+    :meth:`conservation` checks the accounts against them.
 
     The off path stays zero-cost: subsystems hold ``cost = None`` and
     guard every charge with a single ``is not None`` branch, exactly
-    like the span/registry pre-binding pattern.
+    like the span pre-binding pattern.
     """
 
     def __init__(self) -> None:
         self.accounts: Dict[Tuple[str, Any, Any, str, str], List[int]] = {}
-        # -- wire aggregates (conservation + sampler fast path) ----------
-        self.wire_messages = 0
-        self.wire_retransmits = 0
-        self.wire_bytes_total = 0
-        self.wire_purpose_bytes: Dict[str, int] = {}
-        # -- storage aggregates ------------------------------------------
+        #: domain -> purpose -> ``[count, bytes]``: the accounts summed
+        #: over process, peer and phase, in first-charge order
+        self.purposes: Dict[str, Dict[str, List[int]]] = {
+            "wire": {}, "storage": {}, "gc": {},
+        }
+        #: owner -> device operations (a group-commit flush is one op
+        #: however many entries, and so storage account counts, it holds)
         self.device_ops: Dict[int, int] = {}
-        self.device_bytes: Dict[int, int] = {}
-        self.device_gc_bytes: Dict[int, int] = {}
-        self.storage_purpose_bytes: Dict[str, int] = {}
-        self.storage_ops_total = 0
-        self.storage_bytes_total = 0
-        self.gc_bytes_total = 0
         # -- phase tracking ----------------------------------------------
         self._episodes_begun = 0
         self._phase_stack: List[Tuple[int, str]] = []
@@ -146,8 +150,9 @@ class CostLedger:
         #: (node, innermost open span, purpose) -> collapsed stack; a
         #: span's parent chain is fixed when it begins
         self._flame_stacks: Dict[Tuple[int, Optional[int], str], Tuple[str, ...]] = {}
-        #: (src, dst, body purpose, phase) -> [body, header, piggyback]
-        #: account cells (piggyback ``None`` until a message carries one)
+        #: (src, dst, body purpose, phase) -> the body, header and
+        #: piggyback ``(account, purpose)`` cell pairs (piggyback ``None``
+        #: until a message carries one)
         self._wire_cells: Dict[Tuple[int, int, str, str], List[Any]] = {}
 
     # ------------------------------------------------------------------
@@ -182,14 +187,24 @@ class CostLedger:
     # ------------------------------------------------------------------
     # charging
     # ------------------------------------------------------------------
-    def _account(
+    def _cells(
         self, domain: str, proc: Any, peer: Any, purpose: str, phase: str
-    ) -> List[int]:
+    ) -> Tuple[List[int], List[int]]:
+        """The ``(account, purpose roll-up)`` cell pair, made on first use."""
         key = (domain, proc, peer, purpose, phase)
         cell = self.accounts.get(key)
         if cell is None:
             cell = self.accounts[key] = [0, 0]
-        return cell
+        totals = self.purposes[domain]
+        total = totals.get(purpose)
+        if total is None:
+            total = totals[purpose] = [0, 0]
+        return cell, total
+
+    def _charge(self, domain: str, proc: Any, peer: Any, purpose: str, size: int) -> None:
+        for cell in self._cells(domain, proc, peer, purpose, self._phase):
+            cell[0] += 1
+            cell[1] += size
 
     def _flame_add(self, node: int, purpose: str, size: int) -> None:
         key = (node, self.spans.innermost(node), purpose)
@@ -219,53 +234,39 @@ class CostLedger:
         sampler = self._sampler
         if sampler is not None and now >= sampler.next_boundary:
             sampler.flush_to(now)
-        phase = self._phase
-        purposes = self.wire_purpose_bytes
         if retransmit:
-            self.wire_retransmits += 1
-            cell = self._account("wire", src, dst, "retransmit", phase)
-            cell[0] += 1
-            cell[1] += size
-            purposes["retransmit"] = purposes.get("retransmit", 0) + size
+            self._charge("wire", src, dst, "retransmit", size)
             if self.spans is not None:
                 self._flame_add(src, "retransmit", size)
-        else:
-            self.wire_messages += 1
-            body = size - header - piggyback
-            purpose = classify_wire(kind, mtype)
-            key = (src, dst, purpose, phase)
-            cells = self._wire_cells.get(key)
-            if cells is None:
-                cells = self._wire_cells[key] = [
-                    self._account("wire", src, dst, purpose, phase),
-                    self._account("wire", src, dst, "header", phase),
-                    None,
-                ]
-            cell = cells[0]
+            return
+        phase = self._phase
+        body = size - header - piggyback
+        purpose = classify_wire(kind, mtype)
+        key = (src, dst, purpose, phase)
+        cells = self._wire_cells.get(key)
+        if cells is None:
+            cells = self._wire_cells[key] = [
+                self._cells("wire", src, dst, purpose, phase),
+                self._cells("wire", src, dst, "header", phase),
+                None,
+            ]
+        for cell in cells[0]:
             cell[0] += 1
             cell[1] += body
-            purposes[purpose] = purposes.get(purpose, 0) + body
-            cell = cells[1]
+        for cell in cells[1]:
             cell[0] += 1
             cell[1] += header
-            purposes["header"] = purposes.get("header", 0) + header
-            if piggyback:
-                cell = cells[2]
-                if cell is None:
-                    cell = cells[2] = self._account(
-                        "wire", src, dst, "piggyback-determinant", phase
-                    )
+        if piggyback:
+            if cells[2] is None:
+                cells[2] = self._cells("wire", src, dst, "piggyback-determinant", phase)
+            for cell in cells[2]:
                 cell[0] += 1
                 cell[1] += piggyback
-                purposes["piggyback-determinant"] = (
-                    purposes.get("piggyback-determinant", 0) + piggyback
-                )
-            if self.spans is not None:
-                self._flame_add(src, purpose, body)
-                self._flame_add(src, "header", header)
-                if piggyback:
-                    self._flame_add(src, "piggyback-determinant", piggyback)
-        self.wire_bytes_total += size
+        if self.spans is not None:
+            self._flame_add(src, purpose, body)
+            self._flame_add(src, "header", header)
+            if piggyback:
+                self._flame_add(src, "piggyback-determinant", piggyback)
 
     def charge_storage(
         self,
@@ -281,16 +282,8 @@ class CostLedger:
         if sampler is not None and now >= sampler.next_boundary:
             sampler.flush_to(now)
         purpose = classify_storage(name, is_log)
-        cell = self._account("storage", owner, op, purpose, self._phase)
-        cell[0] += 1
-        cell[1] += size
+        self._charge("storage", owner, op, purpose, size)
         self.device_ops[owner] = self.device_ops.get(owner, 0) + 1
-        self.device_bytes[owner] = self.device_bytes.get(owner, 0) + size
-        self.storage_purpose_bytes[purpose] = (
-            self.storage_purpose_bytes.get(purpose, 0) + size
-        )
-        self.storage_ops_total += 1
-        self.storage_bytes_total += size
         if self.spans is not None:
             self._flame_add(owner, purpose, size)
 
@@ -300,38 +293,26 @@ class CostLedger:
         """Charge one group-commit flush: a *single* device op whose
         ``total`` bytes split per-entry by each log's purpose.
 
-        ``entries`` is ``[(log_name, size_bytes), ...]``; their sizes sum
-        to ``total`` (the bytes :meth:`StableStorage._flush_batch` adds
-        to ``stats.bytes_written``), keeping conservation exact."""
+        ``entries`` is ``[(log_name, size_bytes), ...]``.  Only they are
+        charged: ``total`` is what :meth:`StableStorage._flush_batch`
+        adds to ``stats.bytes_written``, and :meth:`conservation` checks
+        that the entries re-add to it."""
         sampler = self._sampler
         if sampler is not None and now >= sampler.next_boundary:
             sampler.flush_to(now)
-        phase = self._phase
         for log, size in entries:
             purpose = classify_storage(log, is_log=True)
-            cell = self._account("storage", owner, "write", purpose, phase)
-            cell[0] += 1
-            cell[1] += size
-            self.storage_purpose_bytes[purpose] = (
-                self.storage_purpose_bytes.get(purpose, 0) + size
-            )
+            self._charge("storage", owner, "write", purpose, size)
             if self.spans is not None:
                 self._flame_add(owner, purpose, size)
         self.device_ops[owner] = self.device_ops.get(owner, 0) + 1
-        self.device_bytes[owner] = self.device_bytes.get(owner, 0) + total
-        self.storage_ops_total += 1
-        self.storage_bytes_total += total
 
     def charge_gc(self, now: float, owner: int, size: int) -> None:
         """Credit ``size`` reclaimed bytes (a zero-I/O metadata op)."""
         sampler = self._sampler
         if sampler is not None and now >= sampler.next_boundary:
             sampler.flush_to(now)
-        cell = self._account("gc", owner, "-", "gc-metadata", self._phase)
-        cell[0] += 1
-        cell[1] += size
-        self.device_gc_bytes[owner] = self.device_gc_bytes.get(owner, 0) + size
-        self.gc_bytes_total += size
+        self._charge("gc", owner, "-", "gc-metadata", size)
 
     # ------------------------------------------------------------------
     # conservation (the keystone check)
@@ -339,64 +320,59 @@ class CostLedger:
     def conservation(
         self, network_stats: Any, storage_stats: Dict[int, Any]
     ) -> Dict[str, Any]:
-        """Check ledger sums against the pre-existing metric totals.
+        """Check the accounts against the counts of record, the stats.
+
+        The ledger column is summed from the accounts (device ops from
+        :attr:`device_ops`), so equality tests the one thing the ledger
+        adds: that its purpose split partitions every charge.
 
         Byte-exact equalities (``==`` on integers, no tolerance):
 
-        * wire account bytes  == ``NetworkStats.total_bytes()`` +
-          ``retransmit_bytes``; message/retransmit counts match too;
-        * per-device storage ops/bytes == ``reads + writes`` /
-          ``bytes_read + bytes_written`` of that device's stats;
-        * per-device gc bytes == ``bytes_reclaimed``.
+        * wire account bytes == ``NetworkStats.total_bytes()`` +
+          ``retransmit_bytes``; ``header`` account counts ==
+          ``total_messages()``, ``retransmit`` account counts ==
+          ``retransmits``;
+        * per device, storage ops / storage account bytes ==
+          ``operations`` / ``total_bytes`` of that device's stats;
+        * per device, gc account bytes == ``bytes_reclaimed``.
         """
-        wire_ledger = sum(
-            cell[1] for key, cell in self.accounts.items() if key[0] == "wire"
-        )
-        wire_expected = network_stats.total_bytes() + network_stats.retransmit_bytes
+        wire_bytes = messages = retransmits = 0
+        owner_bytes: Dict[Tuple[str, Any], int] = {}
+        for (domain, proc, _peer, purpose, _phase), (count, nbytes) in self.accounts.items():
+            if domain == "wire":
+                wire_bytes += nbytes
+                if purpose == "header":
+                    messages += count
+                elif purpose == "retransmit":
+                    retransmits += count
+            else:
+                owner_bytes[domain, proc] = owner_bytes.get((domain, proc), 0) + nbytes
         checks: Dict[str, Any] = {
-            "wire_bytes": {"ledger": wire_ledger, "expected": wire_expected},
-            "wire_messages": {
-                "ledger": self.wire_messages,
-                "expected": network_stats.total_messages(),
+            "wire_bytes": {
+                "ledger": wire_bytes,
+                "expected": network_stats.total_bytes() + network_stats.retransmit_bytes,
             },
-            "wire_retransmits": {
-                "ledger": self.wire_retransmits,
-                "expected": network_stats.retransmits,
-            },
+            "wire_messages": {"ledger": messages, "expected": network_stats.total_messages()},
+            "wire_retransmits": {"ledger": retransmits, "expected": network_stats.retransmits},
         }
-        storage_ledger_ops = storage_ledger_bytes = 0
-        storage_expected_ops = storage_expected_bytes = 0
-        gc_ledger = gc_expected = 0
+        columns = {"storage_ops": [0, 0], "storage_bytes": [0, 0], "gc_bytes": [0, 0]}
         per_device_ok = True
         for owner, stats in sorted(storage_stats.items()):
-            ops = self.device_ops.get(owner, 0)
-            nbytes = self.device_bytes.get(owner, 0)
-            gc = self.device_gc_bytes.get(owner, 0)
-            storage_ledger_ops += ops
-            storage_ledger_bytes += nbytes
-            gc_ledger += gc
-            storage_expected_ops += stats.reads + stats.writes
-            storage_expected_bytes += stats.bytes_read + stats.bytes_written
-            gc_expected += stats.bytes_reclaimed
-            if (
-                ops != stats.reads + stats.writes
-                or nbytes != stats.bytes_read + stats.bytes_written
-                or gc != stats.bytes_reclaimed
+            for name, ledger, expected in (
+                ("storage_ops", self.device_ops.get(owner, 0), stats.operations),
+                ("storage_bytes", owner_bytes.get(("storage", owner), 0), stats.total_bytes),
+                ("gc_bytes", owner_bytes.get(("gc", owner), 0), stats.bytes_reclaimed),
             ):
-                per_device_ok = False
-        checks["storage_ops"] = {
-            "ledger": storage_ledger_ops, "expected": storage_expected_ops,
-        }
-        checks["storage_bytes"] = {
-            "ledger": storage_ledger_bytes, "expected": storage_expected_bytes,
-        }
-        checks["gc_bytes"] = {"ledger": gc_ledger, "expected": gc_expected}
+                columns[name][0] += ledger
+                columns[name][1] += expected
+                per_device_ok = per_device_ok and ledger == expected
+        for name, (ledger, expected) in columns.items():
+            checks[name] = {"ledger": ledger, "expected": expected}
         checks["per_device"] = per_device_ok
-        conserved = per_device_ok and all(
+        checks["conserved"] = per_device_ok and all(
             isinstance(check, bool) or check["ledger"] == check["expected"]
             for check in checks.values()
         )
-        checks["conserved"] = conserved
         return checks
 
     # ------------------------------------------------------------------
@@ -404,11 +380,9 @@ class CostLedger:
     # ------------------------------------------------------------------
     def by_purpose(self, domain: str = "wire") -> Dict[str, int]:
         """Total bytes per purpose within one domain, sorted by name."""
-        totals: Dict[str, int] = {}
-        for (dom, _proc, _peer, purpose, _phase), cell in self.accounts.items():
-            if dom == domain:
-                totals[purpose] = totals.get(purpose, 0) + cell[1]
-        return dict(sorted(totals.items()))
+        return {
+            purpose: cell[1] for purpose, cell in sorted(self.purposes[domain].items())
+        }
 
     def by_phase(self, domain: str = "wire") -> Dict[str, int]:
         """Total bytes per phase within one domain (failure-free first)."""
@@ -428,13 +402,30 @@ class CostLedger:
                 totals[(proc, peer)] = totals.get((proc, peer), 0) + cell[1]
         return totals
 
+    def totals(self) -> Dict[str, Any]:
+        """Run totals, read off the purpose roll-up and the device ops:
+        what :meth:`summary` reports and the sampler differences."""
+        wire = self.purposes["wire"]
+        # purpose -> bytes, built without a Python-level frame: the
+        # sampler takes this once per window
+        wire_bytes = dict(zip(wire, map(_BYTES, wire.values())))
+        return {
+            "wire": wire_bytes,
+            "wire_bytes": sum(wire_bytes.values()),
+            "wire_messages": wire.get("header", _EMPTY)[0],
+            "wire_retransmits": wire.get("retransmit", _EMPTY)[0],
+            "storage_bytes": sum(map(_BYTES, self.purposes["storage"].values())),
+            "storage_ops": sum(self.device_ops.values()),
+            "gc_bytes": sum(map(_BYTES, self.purposes["gc"].values())),
+        }
+
     def overhead_share(self) -> float:
         """Fraction of wire bytes that is not application payload —
         the paper's failure-free overhead number."""
-        if not self.wire_bytes_total:
+        totals = self.totals()
+        if not totals["wire_bytes"]:
             return 0.0
-        app = self.wire_purpose_bytes.get("app-payload", 0)
-        return 1.0 - app / self.wire_bytes_total
+        return 1.0 - totals["wire"].get("app-payload", 0) / totals["wire_bytes"]
 
     def flame_lines(self) -> List[str]:
         """Collapsed-stack lines (``frame;frame;purpose bytes``) in the
@@ -451,21 +442,22 @@ class CostLedger:
         storage_stats: Optional[Dict[int, Any]] = None,
     ) -> Dict[str, Any]:
         """JSON-able roll-up for ``RunResult.extra["cost"]``."""
+        totals = self.totals()
         out: Dict[str, Any] = {
             "wire": {
-                "total_bytes": self.wire_bytes_total,
-                "messages": self.wire_messages,
-                "retransmits": self.wire_retransmits,
+                "total_bytes": totals["wire_bytes"],
+                "messages": totals["wire_messages"],
+                "retransmits": totals["wire_retransmits"],
                 "by_purpose": self.by_purpose("wire"),
                 "by_phase": self.by_phase("wire"),
             },
             "storage": {
-                "total_bytes": self.storage_bytes_total,
-                "ops": self.storage_ops_total,
+                "total_bytes": totals["storage_bytes"],
+                "ops": totals["storage_ops"],
                 "by_purpose": self.by_purpose("storage"),
                 "by_phase": self.by_phase("storage"),
             },
-            "gc": {"total_bytes": self.gc_bytes_total},
+            "gc": {"total_bytes": totals["gc_bytes"]},
             "overhead_share": self.overhead_share(),
             "episodes": self._episodes_begun,
             "accounts": [
@@ -493,12 +485,7 @@ class CostLedger:
                     self.accounts.items(), key=lambda kv: tuple(map(str, kv[0]))
                 )
             ],
-            "wire_messages": self.wire_messages,
-            "wire_retransmits": self.wire_retransmits,
-            "wire_bytes_total": self.wire_bytes_total,
-            "storage_ops_total": self.storage_ops_total,
-            "storage_bytes_total": self.storage_bytes_total,
-            "gc_bytes_total": self.gc_bytes_total,
+            "device_ops": dict(sorted(self.device_ops.items())),
             "episodes": self._episodes_begun,
             "flame": [
                 [list(stack), size] for stack, size in sorted(self.flame.items())
@@ -509,7 +496,7 @@ class CostLedger:
 def merge_cost_dumps(dumps: List[Dict[str, Any]]) -> CostLedger:
     """Fold per-trial :meth:`CostLedger.dump` outputs into one ledger.
 
-    Accounts and flame stacks sum; counters add.  Folding happens
+    Accounts, device ops and flame stacks sum.  Folding happens
     strictly in the order given (the runner passes dumps in spec order),
     so merged reports are identical at any job count.  Per-trial
     recovery phases keep their own ordinals — a merged ``recovery-1``
@@ -519,27 +506,13 @@ def merge_cost_dumps(dumps: List[Dict[str, Any]]) -> CostLedger:
     merged = CostLedger()
     for dump in dumps:
         for key_list, count, nbytes in dump["accounts"]:
-            cell = merged._account(*key_list)
-            cell[0] += count
-            cell[1] += nbytes
-        merged.wire_messages += dump["wire_messages"]
-        merged.wire_retransmits += dump["wire_retransmits"]
-        merged.wire_bytes_total += dump["wire_bytes_total"]
-        merged.storage_ops_total += dump["storage_ops_total"]
-        merged.storage_bytes_total += dump["storage_bytes_total"]
-        merged.gc_bytes_total += dump["gc_bytes_total"]
+            for cell in merged._cells(*key_list):
+                cell[0] += count
+                cell[1] += nbytes
+        for owner, ops in dump["device_ops"].items():
+            merged.device_ops[owner] = merged.device_ops.get(owner, 0) + ops
         merged._episodes_begun = max(merged._episodes_begun, dump["episodes"])
         for stack_list, size in dump.get("flame", []):
             key = tuple(stack_list)
             merged.flame[key] = merged.flame.get(key, 0) + size
-    # rebuild the purpose aggregates from the merged accounts
-    for (domain, _proc, _peer, purpose, _phase), cell in merged.accounts.items():
-        if domain == "wire":
-            merged.wire_purpose_bytes[purpose] = (
-                merged.wire_purpose_bytes.get(purpose, 0) + cell[1]
-            )
-        elif domain == "storage":
-            merged.storage_purpose_bytes[purpose] = (
-                merged.storage_purpose_bytes.get(purpose, 0) + cell[1]
-            )
     return merged

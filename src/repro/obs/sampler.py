@@ -1,9 +1,9 @@
 """Time-resolved cost sampling with bounded memory.
 
-:class:`CostSampler` snapshots the :class:`~repro.obs.ledger.CostLedger`
-(and a few registry counters) into fixed-width windows of virtual time,
-producing the overhead-vs-time curves the ROADMAP's serving scenario
-needs (``RunResult.extra["timeseries"]``).
+:class:`CostSampler` snapshots the :class:`~repro.obs.ledger.CostLedger`'s
+totals into fixed-width windows of virtual time, producing the
+overhead-vs-time curves the ROADMAP's serving scenario needs
+(``RunResult.extra["timeseries"]``).
 
 The sampler never schedules simulated events — a kernel timer would
 prevent quiescence and perturb event ordering.  Instead it flushes
@@ -25,17 +25,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-#: registry counters sampled alongside the ledger (cumulative values)
-_REGISTRY_COUNTERS = (
-    "net.messages_sent",
-    "net.bytes_sent",
-    "storage.ops",
-    "storage.bytes",
-)
-
 
 class CostSampler:
-    """Windowed snapshots of ledger accounts and registry counters.
+    """Windowed snapshots of the ledger's totals.
 
     Parameters
     ----------
@@ -47,10 +39,6 @@ class CostSampler:
     max_samples:
         Downsampling threshold: when exceeded, adjacent samples merge
         pairwise and the width doubles (must be >= 2).
-    registry:
-        Optional :class:`~repro.core.metrics_registry.MetricsRegistry`;
-        when given, each sample carries the cumulative values of
-        :data:`_REGISTRY_COUNTERS` at the window boundary.
     trace:
         Optional :class:`~repro.sim.trace.TraceRecorder`; when given,
         each closed window is also recorded as a ``cost.sample`` trace
@@ -63,7 +51,6 @@ class CostSampler:
         ledger: Any,
         window: float,
         max_samples: int = 512,
-        registry: Optional[Any] = None,
         trace: Optional[Any] = None,
     ) -> None:
         if window <= 0:
@@ -80,28 +67,11 @@ class CostSampler:
         self.next_boundary = self.window
         #: span of the open window (the one ``next_boundary`` closes)
         self._width = self.window
-        self._last = self._cumulative()
-        self._counters = None
-        if registry is not None:
-            # pre-bound instruments, same pattern as Network.registry
-            self._counters = [
-                registry.counter(name) for name in _REGISTRY_COUNTERS
-            ]
+        self._last = ledger.totals()
         self._finalized = False
         ledger._sampler = self
 
     # ------------------------------------------------------------------
-    def _cumulative(self) -> Dict[str, Any]:
-        ledger = self.ledger
-        return {
-            "wire": dict(ledger.wire_purpose_bytes),
-            "wire_bytes": ledger.wire_bytes_total,
-            "wire_messages": ledger.wire_messages,
-            "storage_bytes": ledger.storage_bytes_total,
-            "storage_ops": ledger.storage_ops_total,
-            "gc_bytes": ledger.gc_bytes_total,
-        }
-
     def flush_to(self, now: float) -> None:
         """Close every window boundary at or before ``now``.
 
@@ -116,7 +86,7 @@ class CostSampler:
             self._close_window(boundary, width)
 
     def _close_window(self, boundary: float, width: float) -> None:
-        current = self._cumulative()
+        current = self.ledger.totals()
         last = self._last
         wire_delta = {
             purpose: total - last["wire"].get(purpose, 0)
@@ -134,10 +104,6 @@ class CostSampler:
             "gc_bytes": current["gc_bytes"] - last["gc_bytes"],
             "phase": self.ledger.phase,
         }
-        if self._counters is not None:
-            sample["counters"] = {
-                counter.name: counter.value for counter in self._counters
-            }
         self._last = current
         self.samples.append(sample)
         if self.trace is not None:
@@ -175,8 +141,6 @@ class CostSampler:
                     "gc_bytes": a["gc_bytes"] + b["gc_bytes"],
                     "phase": b["phase"],
                 }
-                if "counters" in b:
-                    combined["counters"] = b["counters"]
                 merged.append(combined)
                 i += 2
             else:
@@ -199,7 +163,7 @@ class CostSampler:
             return
         self._finalized = True
         self.flush_to(end_time)
-        if self._cumulative() != self._last and end_time > 0:
+        if self.ledger.totals() != self._last and end_time > 0:
             # trailing charges past the last full boundary: emit one
             # partial window whose recorded width is its actual span
             width = end_time - (self.next_boundary - self._width)

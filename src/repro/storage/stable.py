@@ -204,8 +204,11 @@ class StableStorage:
         self.rng = rng
         self.group_commit = group_commit
         self.stats = StableStorageStats()
-        #: bound metric instruments (see the ``registry`` setter)
+        #: optional :class:`~repro.core.metrics_registry.MetricsRegistry`
+        #: for the distributions (set by System); the counts themselves
+        #: live in :attr:`stats`
         self.registry = None
+        self._histograms: Dict[str, Any] = {}
         #: optional repro.obs.CostLedger (set by System; None = zero cost);
         #: charged beside every stats mutation so account sums conserve
         self.cost = None
@@ -221,26 +224,14 @@ class StableStorage:
         self._batch_timer: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    @property
-    def registry(self):
-        """Optional :class:`~repro.core.metrics_registry.MetricsRegistry`,
-        assigned by :class:`~repro.core.system.System` after construction."""
-        return self._registry
-
-    @registry.setter
-    def registry(self, registry) -> None:
-        self._registry = registry
-        self._instruments: Dict[str, Any] = {}
-
-    def _instrument(self, kind: str, name: str) -> Any:
-        """This device's ``storage.<name>`` instrument: resolved once, at
+    def _histogram(self, name: str) -> Any:
+        """This device's ``storage.<name>`` histogram: resolved once, at
         first use (so a run reports exactly the metrics it touched), then
         a dict hit per operation instead of name validation."""
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            resolve = getattr(self._registry, kind)
-            instrument = self._instruments[name] = resolve("storage." + name)
-        return instrument
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = self.registry.histogram("storage." + name)
+        return histogram
 
     def _fault_rng(self) -> random.Random:
         if self.rng is None:
@@ -298,10 +289,8 @@ class StableStorage:
             )
             if span is not None:
                 self._op_spans[op_id] = span
-        if self._registry is not None:
-            self._instrument("histogram", "op_latency").observe(finish - self.sim.now)
-            self._instrument("counter", "ops").inc()
-            self._instrument("counter", "bytes").inc(size_bytes)
+        if self.registry is not None:
+            self._histogram("op_latency").observe(finish - self.sim.now)
 
         def complete() -> None:
             self._pending.pop(op_id, None)
@@ -480,8 +469,6 @@ class StableStorage:
             (log, entry, size_bytes, on_done, stall_node, self.sim.now)
         )
         self._batch_bytes += size_bytes
-        if self._registry is not None:
-            self._instrument("counter", "batched_appends").inc()
         if (
             len(self._batch_queue) >= policy.max_ops
             or self._batch_bytes >= policy.max_bytes
@@ -539,13 +526,12 @@ class StableStorage:
                 # a batched caller stalls from enqueue to durable: the
                 # window wait is part of the latency it experiences
                 self.stats.add_stall(stall_node, finish - enqueued_at)
-        if self._registry is not None:
-            observe_wait = self._instrument("histogram", "batch_queue_wait").observe
+        if self.registry is not None:
+            observe_wait = self._histogram("batch_queue_wait").observe
             for entry in batch:
                 observe_wait(self.sim.now - entry[5])
-            self._instrument("counter", "batch_flushes").inc()
-            self._instrument("histogram", "batch_size_ops").observe(len(batch))
-            self._instrument("histogram", "batch_size_bytes").observe(total)
+            self._histogram("batch_size_ops").observe(len(batch))
+            self._histogram("batch_size_bytes").observe(total)
         return finish
 
     def log_read(
@@ -609,8 +595,6 @@ class StableStorage:
             self.stats.reclaims += 1
             if self.cost is not None:
                 self.cost.charge_gc(self.sim.now, self.owner, freed)
-            if self._registry is not None:
-                self._instrument("counter", "bytes_reclaimed").inc(freed)
         return dropped
 
     def reclaim(self, name: str, size_bytes: int) -> None:
@@ -630,8 +614,6 @@ class StableStorage:
                 self.sim.now, "storage", self.owner, "reclaim",
                 name=name, size=size_bytes,
             )
-        if self._registry is not None:
-            self._instrument("counter", "bytes_reclaimed").inc(size_bytes)
 
     # ------------------------------------------------------------------
     def peek(self, name: str) -> Any:

@@ -20,6 +20,7 @@ import pytest
 from repro import build_system
 from repro.core.config import FaultConfig, StorageRealismConfig
 from repro.experiments import failure_during_recovery, single_failure
+from repro.net.network import MessageKind, NetworkStats
 from repro.obs import (
     PURPOSES,
     CostLedger,
@@ -29,6 +30,7 @@ from repro.obs import (
 )
 from repro.procs.failure import crash_at
 from repro.runner import TrialRunner, TrialSpec, merge_cost, merge_metrics
+from repro.storage.stable import StableStorageStats
 
 from helpers import small_config
 from test_seed_regression import BUILDERS, GOLDEN, snapshot
@@ -169,6 +171,53 @@ def test_conservation_with_lossy_links_charges_retransmits():
     cost = result.extra["cost"]
     assert cost["wire"]["retransmits"] > 0
     assert cost["wire"]["by_purpose"]["retransmit"] > 0
+
+
+def test_conservation_reads_the_storage_accounts():
+    """A flush whose entries re-add to less than the device wrote is
+    caught: the storage column is summed from the accounts."""
+    ledger = CostLedger()
+    ledger.charge_batch(0.0, 0, [("fbl:0", 10)], 20)
+    report = ledger.conservation(
+        NetworkStats(), {0: StableStorageStats(writes=1, bytes_written=20)}
+    )
+    assert report["storage_bytes"] == {"ledger": 10, "expected": 20}
+    assert report["storage_ops"] == {"ledger": 1, "expected": 1}
+    assert not report["per_device"]
+    assert not report["conserved"]
+
+
+def test_conservation_checks_each_device_not_just_the_sum():
+    """Two mis-summed flushes whose errors cancel in the total still
+    fail the per-device check."""
+    ledger = CostLedger()
+    ledger.charge_batch(0.0, 0, [("fbl:0", 10)], 20)
+    ledger.charge_batch(0.0, 1, [("fbl:1", 20), ("fbl:1", 10)], 20)
+    report = ledger.conservation(NetworkStats(), {
+        0: StableStorageStats(writes=1, bytes_written=20),
+        1: StableStorageStats(writes=1, bytes_written=20),
+    })
+    assert report["storage_bytes"] == {"ledger": 40, "expected": 40}
+    assert not report["per_device"]
+    assert not report["conserved"]
+
+
+def test_conservation_counts_messages_and_gc_from_the_accounts():
+    ledger = CostLedger()
+    stats = NetworkStats()
+    stats.record(MessageKind.APPLICATION, 100)
+    stats.record_retransmit(100)
+    ledger.charge_wire(0.0, 0, 1, "application", "app", 100, 64, 32, False)
+    ledger.charge_wire(0.0, 0, 1, "application", "app", 100, 64, 32, True)
+    ledger.charge_gc(0.0, 0, 7)
+    device = StableStorageStats(bytes_reclaimed=7, reclaims=1)
+    report = ledger.conservation(stats, {0: device})
+    assert report["wire_messages"] == {"ledger": 1, "expected": 1}
+    assert report["wire_retransmits"] == {"ledger": 1, "expected": 1}
+    assert report["wire_bytes"] == {"ledger": 200, "expected": 200}
+    assert report["conserved"]
+    device.bytes_reclaimed = 8
+    assert not ledger.conservation(stats, {0: device})["conserved"]
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +364,7 @@ def test_chrome_export_builds_counter_tracks_from_samples():
     assert len(keys) == 1
     # the counter track conserves bytes with the ledger
     total = sum(sum(e["args"].values()) for e in wire)
-    assert total == system.cost.wire_bytes_total
+    assert total == system.cost.totals()["wire_bytes"]
 
 
 # ----------------------------------------------------------------------
@@ -371,8 +420,11 @@ def test_ledger_merge_identical_at_any_job_count():
     assert merged_serial.dump() == merged_parallel.dump()
     assert merged_serial.summary() == merged_parallel.summary()
     # the merged ledger really is the sum of its parts
-    assert merged_serial.wire_bytes_total == sum(
-        t.cost["wire_bytes_total"] for t in serial
+    assert merged_serial.totals()["wire_bytes"] == sum(
+        t.summary.extra["cost"]["wire"]["total_bytes"] for t in serial
+    )
+    assert merged_serial.totals()["storage_ops"] == sum(
+        t.summary.extra["cost"]["storage"]["ops"] for t in serial
     )
 
 
@@ -399,7 +451,7 @@ def test_merge_cost_skips_costless_trials_and_handles_none():
         [TrialSpec(config=_cost_config("fbl", "nonblocking"), label="costed")]
     )
     merged = merge_cost(mixed)
-    assert merged is not None and merged.wire_bytes_total > 0
+    assert merged is not None and merged.totals()["wire_bytes"] > 0
 
 
 def test_merge_cost_dumps_folds_counters_and_flame():
@@ -407,9 +459,13 @@ def test_merge_cost_dumps_folds_counters_and_flame():
     a.charge_wire(0.0, 1, 2, "application", "app", 100, 10, 0, False)
     b.charge_wire(0.0, 1, 2, "application", "app", 50, 10, 0, False)
     b.charge_gc(0.0, 1, 7)
+    b.charge_storage(0.0, 1, "write", "checkpoint:1", 40)
     merged = merge_cost_dumps([a.dump(), b.dump()])
-    assert merged.wire_bytes_total == 150
-    assert merged.gc_bytes_total == 7
-    assert merged.wire_purpose_bytes["app-payload"] == 130  # bodies only
+    totals = merged.totals()
+    assert totals["wire_bytes"] == 150
+    assert totals["wire_messages"] == 2
+    assert totals["gc_bytes"] == 7
+    assert (totals["storage_ops"], totals["storage_bytes"]) == (1, 40)
+    assert totals["wire"]["app-payload"] == 130  # bodies only
     key = ("wire", 1, 2, "app-payload", "failure-free")
     assert merged.accounts[key] == [2, 130]

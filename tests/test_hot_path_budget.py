@@ -39,13 +39,15 @@ WORKLOADS = _workloads.WORKLOADS
 #: the parent of the PR that added ``observed_run`` (PR 19) read 136.8;
 #: the parent of the PR that flattened the delivery path and added the
 #: last two rows (PR 21) read 86.3 / 58.4 / 122.6 / 80.6 / 64.0.
+#: The parent of the change that made the registry counters summary-time
+#: views over the ``*Stats`` read 60.8 / 49.5 / 96.9 / 63.5 / 61.9.
 #: ``storage_logging`` is the three non-FBL protocol trees.
 REACHED = {
-    "steady_fbl": 60.8,
-    "lossy_transport": 49.5,
-    "observed_run": 96.9,
-    "recovery_churn": 63.5,
-    "storage_logging": 61.9,
+    "steady_fbl": 58.9,
+    "lossy_transport": 46.9,
+    "observed_run": 93.8,
+    "recovery_churn": 61.6,
+    "storage_logging": 58.7,
 }
 BUDGET = {workload: reached * 1.05 for workload, reached in REACHED.items()}
 

@@ -168,3 +168,65 @@ def test_instruments_resolve_once_per_device_not_once_per_operation(monkeypatch)
     assert long_resolved == short_resolved
     per_device = [name for name in long_resolved if name.startswith("storage.")]
     assert len(per_device) <= 4 * len(set(per_device))  # n = 4 devices
+
+
+def test_counters_are_read_off_the_stats_once_at_summary_time(monkeypatch):
+    """Each registry counter is written once, by ``summarize``, from the
+    count of record: no ``Counter.inc`` on the per-message, per-ack or
+    per-device-op path, and the values are the ``*Stats`` fields."""
+    from repro import build_system
+    from repro.core.config import FaultConfig, StorageRealismConfig
+    from repro.procs.failure import crash_at
+
+    from helpers import small_config
+
+    written = []
+    inc = Counter.inc
+    monkeypatch.setattr(
+        Counter, "inc", lambda self, amount=1: written.append(self.name) or inc(self, amount)
+    )
+    system = build_system(small_config(
+        protocol="pessimistic", recovery="local", checkpoint_every=5,
+        crashes=[crash_at(node=2, time=0.05)],
+        transport="reliable", transport_params={"max_retries": 30},
+        faults=FaultConfig(loss_prob=0.05),
+        storage_realism=StorageRealismConfig(
+            incremental_checkpoints=True, group_commit=True, log_compaction=True
+        ),
+    ))
+    metrics = system.run().extra["metrics"]
+    system.summarize()
+    counters = {name: m["value"] for name, m in metrics.items() if m["type"] == "counter"}
+    assert sorted(written) == sorted(counters)
+    net = system.network.stats
+    devices = [node.storage.stats for node in system.nodes]
+    assert net.retransmits > 0
+    derived = {
+        name: value for name, value in counters.items()
+        if not name.startswith(("recovery.", "protocol."))
+    }
+    assert derived == {
+        "net.messages_sent": net.total_messages() + net.retransmits,
+        "net.bytes_sent": net.total_bytes() + net.retransmit_bytes,
+        "transport.retransmits": net.retransmits,
+        "transport.acks_sent": system.transport.stats.acks_sent,
+        "storage.ops": sum(s.operations for s in devices),
+        "storage.bytes": sum(s.total_bytes for s in devices),
+        "storage.batched_appends": sum(s.batched_appends for s in devices),
+        "storage.batch_flushes": sum(s.batch_flushes for s in devices),
+        "storage.bytes_reclaimed": sum(s.bytes_reclaimed for s in devices),
+    }
+
+
+def test_counter_keys_appear_only_where_their_counts_moved():
+    """``net.*`` always; ``transport.*`` only with a transport; a
+    ``storage.*`` counter only once its device count is non-zero."""
+    from repro import build_system
+
+    from helpers import small_config
+
+    metrics = build_system(small_config(hops=6)).run().extra["metrics"]
+    assert {"net.messages_sent", "net.bytes_sent", "net.message_bytes"} <= set(metrics)
+    assert not [name for name in metrics if name.startswith("transport.")]
+    assert not {"storage.ops", "storage.bytes", "storage.batched_appends",
+                "storage.batch_flushes", "storage.bytes_reclaimed"} & set(metrics)

@@ -1,12 +1,14 @@
 """Wire accounting as a property, and the edges of the link record.
 
-Every message the :class:`Network` puts on the wire is counted three
-ways -- :class:`NetworkStats`, the trace's ``net.*`` counters and (when
-one is attached) the :class:`CostLedger`.  The property below drives
-short random traffic through every combination of fault spec, reliable
-transport and ledger, with the receiver crashing mid-flight, and checks
-that the three agree, that channels stay FIFO wherever FIFO is
-promised, and that building trace events changes no counter.
+Every message the :class:`Network` puts on the wire is counted once, in
+:class:`NetworkStats` (the registry's ``net.*`` counters are read off it
+at summary time).  Two records sit beside that count: the trace's
+``net.*`` counters and, when one is attached, the :class:`CostLedger`'s
+accounts.  The property below drives short random traffic through every
+combination of fault spec, reliable transport and ledger, with the
+receiver crashing mid-flight, and checks that the records agree with
+the count, that channels stay FIFO wherever FIFO is promised, and that
+building trace events changes no counter.
 
 The plain tests after it pin what the per-link record must not change:
 unknown links are refused on every attempt, latency overrides and a
@@ -141,6 +143,20 @@ def test_stats_trace_and_ledger_agree(traffic, outage, fault, transport, ledger,
         assert trace.count("net", "deliver") == sum(map(len, deliveries.values()))
     if cost is not None:
         assert cost.conservation(stats, {})["conserved"]
+        # the account sums, taken straight off the accounts
+        by_purpose = {}
+        for (_domain, _src, _dst, purpose, _phase), (count, nbytes) in cost.accounts.items():
+            cell = by_purpose.setdefault(purpose, [0, 0])
+            cell[0] += count
+            cell[1] += nbytes
+        assert sum(nbytes for _, nbytes in by_purpose.values()) == (
+            stats.total_bytes() + stats.retransmit_bytes
+        )
+        assert by_purpose.get("header", [0, 0])[0] == stats.total_messages()
+        assert by_purpose.get("retransmit", [0, 0]) == [
+            stats.retransmits, stats.retransmit_bytes
+        ]
+        assert by_purpose == cost.purposes["wire"]
 
     # FIFO per channel: promised by the clamp while nothing bypasses it
     # (no duplicate, no reordering), and by the transport always.  A
