@@ -14,26 +14,6 @@ recovery algorithms are built from:
   dependency/antecedence graph), all exposing one common interface so the
   recovery algorithms are representation-agnostic, exactly as the paper
   claims its algorithm is.
+
+Import the submodule you need; the package itself loads none of them.
 """
-
-from repro.causality.dependency import (
-    AntecedenceGraph,
-    DependencyMatrix,
-    DependencyStore,
-    DependencyVector,
-    make_depinfo,
-)
-from repro.causality.determinant import Determinant
-from repro.causality.lamport import LamportClock
-from repro.causality.vector_clock import VectorClock
-
-__all__ = [
-    "AntecedenceGraph",
-    "DependencyMatrix",
-    "DependencyStore",
-    "DependencyVector",
-    "make_depinfo",
-    "Determinant",
-    "LamportClock",
-    "VectorClock",
-]

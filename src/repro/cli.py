@@ -335,6 +335,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"  trace: streamed {len(spill)} events to {args.trace_spill} "
                 f"(in-memory window {spill.window})"
             )
+    system.close()
     if result.outputs_committed:
         stats = summarize(result.output_latencies())
         print(

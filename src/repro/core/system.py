@@ -8,6 +8,7 @@ paper's measurements plus the oracle's consistency verdict.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
@@ -423,6 +424,24 @@ class System:
             extra=extra,
         )
 
+    def close(self) -> None:
+        """Release the run: close the spill file and drop the references
+        that make the wired system one reference cycle (nodes <-> their
+        protocols, the event heap's bound callbacks, timers, trace
+        subscribers), so refcounting frees it once the caller lets go and
+        the collector never has to find it.  Take the :class:`RunResult`
+        first; the System is unusable afterwards."""
+        spill = self.trace.spill
+        if spill is not None:
+            spill.close()
+        for node in self.nodes:
+            for name in Node.__slots__:
+                setattr(node, name, None)
+        for part in (self.sim, self.network, self.transport, self.trace, self.sanitizer, self.cost):
+            if part is not None:
+                vars(part).clear()
+        vars(self).clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"System({self.config.describe()})"
 
@@ -434,4 +453,5 @@ def build_system(config: SystemConfig) -> System:
 
 def run_config(config: SystemConfig) -> RunResult:
     """Build, run to completion, and summarize in one call."""
-    return System(config).run()
+    with closing(System(config)) as system:
+        return system.run()

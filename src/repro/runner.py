@@ -36,6 +36,7 @@ from __future__ import annotations
 import copy
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -123,18 +124,18 @@ def run_trial(spec: TrialSpec, index: int = 0) -> TrialResult:
     """Run one spec to completion in this process."""
     config = spec.materialize()
     start = time.perf_counter()
-    system = System(config)
-    summary = system.run()
-    wall = time.perf_counter() - start
-    return TrialResult(
-        index=index,
-        label=spec.label or config.name,
-        summary=summary,
-        metrics=system.registry.dump(),
-        trace_counters=dict(system.trace.counters),
-        wall_s=wall,
-        cost=system.cost.dump() if system.cost is not None else None,
-    )
+    with closing(System(config)) as system:
+        summary = system.run()
+        wall = time.perf_counter() - start
+        return TrialResult(
+            index=index,
+            label=spec.label or config.name,
+            summary=summary,
+            metrics=system.registry.dump(),
+            trace_counters=dict(system.trace.counters),
+            wall_s=wall,
+            cost=system.cost.dump() if system.cost is not None else None,
+        )
 
 
 def _run_chunk(chunk: Sequence[Tuple[int, TrialSpec]]) -> List[TrialResult]:

@@ -1,11 +1,7 @@
 """Online correctness tooling: invariant monitor + causal bookkeeping.
 
-The differ (:mod:`repro.sanitizer.differ`) is imported lazily by the
-CLI; keeping it out of this namespace avoids pulling the parallel
-runner into every ``--sanitize`` run.
+The submodules are imported where they are used -- the oracle needs
+only :mod:`repro.sanitizer.causal`, a ``--sanitize`` run adds
+:mod:`repro.sanitizer.monitor`, and the CLI alone reaches for
+:mod:`repro.sanitizer.differ` -- so this package loads none of them.
 """
-
-from repro.sanitizer.causal import CausalGraph
-from repro.sanitizer.monitor import Sanitizer, SanitizerViolation
-
-__all__ = ["CausalGraph", "Sanitizer", "SanitizerViolation"]

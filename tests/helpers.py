@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
 from typing import List, Optional
 
 from repro import SystemConfig, build_system, run_config
@@ -45,6 +47,15 @@ def small_config(
         max_events=overrides.pop("max_events", 2_000_000),
         **overrides,
     )
+
+
+def e2e_workloads():
+    """The benchmark's ``WORKLOADS`` table (``benchmarks/e2e/workloads.py``)."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.WORKLOADS
 
 
 def run_small(**kwargs):

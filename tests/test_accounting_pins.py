@@ -20,7 +20,6 @@ A run pins only the outputs it produces.  The digests in
 """
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
@@ -30,21 +29,15 @@ from repro import build_system
 from repro.core.config import FaultConfig, StorageRealismConfig
 from repro.procs.failure import crash_at
 
-from helpers import small_config
+from helpers import e2e_workloads, small_config
 
-ROOT = Path(__file__).resolve().parent.parent
 PINS = Path(__file__).parent / "data" / "accounting_pins.json"
 OUTPUTS = ("metrics", "cost", "timeseries", "transport_stats")
 
 
 def _observed_run():
     """The benchmark's ``observed_run`` trial at seed 1000, scale 0.1."""
-    spec = importlib.util.spec_from_file_location(
-        "e2e_workloads", ROOT / "benchmarks" / "e2e" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    (trial,) = workloads.WORKLOADS["observed_run"].specs(1000, 0.1)
+    (trial,) = e2e_workloads()["observed_run"].specs(1000, 0.1)
     return trial.materialize()
 
 

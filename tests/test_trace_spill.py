@@ -8,12 +8,15 @@ memory.  The one inherent JSON-round-trip difference (tuples inside
 ``load_trace`` already do.
 """
 
+import gc
 import json
+import os
 
 import pytest
 
 from repro import build_system
 from repro.analysis.trace_io import dump_trace, load_trace
+from repro.runner import TrialSpec, run_trial
 from repro.sim.spans import spans_from_trace
 from repro.sim.trace import TraceRecorder, TraceSpillLog
 
@@ -24,13 +27,28 @@ from test_seed_regression import BUILDERS, GOLDEN, snapshot
 # ----------------------------------------------------------------------
 # TraceSpillLog unit behaviour
 # ----------------------------------------------------------------------
+@pytest.fixture
+def recorder(tmp_path):
+    """Makes spill-backed recorders; their files are closed after the test."""
+    logs = []
+
+    def make(window):
+        trace = TraceRecorder(spill_path=str(tmp_path / "t.jsonl"), spill_window=window)
+        logs.append(trace.spill)
+        return trace
+
+    yield make
+    for log in logs:
+        log.close()
+
+
 def _fill(trace, count):
     for i in range(count):
         trace.record(float(i), "cat", i % 3, "act", i=i)
 
 
-def test_window_stays_bounded(tmp_path):
-    trace = TraceRecorder(spill_path=str(tmp_path / "t.jsonl"), spill_window=10)
+def test_window_stays_bounded(recorder):
+    trace = recorder(10)
     _fill(trace, 100)
     spill = trace.spill
     assert spill is not None
@@ -39,16 +57,16 @@ def test_window_stays_bounded(tmp_path):
     assert trace.counters["cat.act"] == 100
 
 
-def test_iteration_replays_spilled_prefix_in_order(tmp_path):
-    trace = TraceRecorder(spill_path=str(tmp_path / "t.jsonl"), spill_window=7)
+def test_iteration_replays_spilled_prefix_in_order(recorder):
+    trace = recorder(7)
     _fill(trace, 50)
     times = [e.time for e in trace.events]
     assert times == [float(i) for i in range(50)]
 
 
-def test_query_parity_with_in_memory_recorder(tmp_path):
+def test_query_parity_with_in_memory_recorder(recorder):
     plain = TraceRecorder()
-    spilled = TraceRecorder(spill_path=str(tmp_path / "t.jsonl"), spill_window=5)
+    spilled = recorder(5)
     _fill(plain, 40)
     _fill(spilled, 40)
 
@@ -65,19 +83,19 @@ def test_query_parity_with_in_memory_recorder(tmp_path):
     assert len(spilled) == len(plain)
 
 
-def test_last_reads_through_the_window(tmp_path):
+def test_last_reads_through_the_window(recorder):
     """A reversed scan that misses the in-memory window must reach the
     spilled prefix."""
-    trace = TraceRecorder(spill_path=str(tmp_path / "t.jsonl"), spill_window=5)
+    trace = recorder(5)
     trace.record(0.0, "rare", 9, "needle")
     _fill(trace, 30)
     found = trace.last(category="rare")
     assert found is not None and found.node == 9
 
 
-def test_finalize_makes_file_complete_and_loadable(tmp_path):
+def test_finalize_makes_file_complete_and_loadable(recorder, tmp_path):
     path = tmp_path / "t.jsonl"
-    trace = TraceRecorder(spill_path=str(path), spill_window=10)
+    trace = recorder(10)
     _fill(trace, 25)
     trace.finalize()
     lines = [json.loads(l) for l in path.read_text().splitlines() if l]
@@ -91,9 +109,9 @@ def test_finalize_makes_file_complete_and_loadable(tmp_path):
     assert loaded.counters["cat.act"] == 25
 
 
-def test_clear_truncates_file_and_window(tmp_path):
+def test_clear_truncates_file_and_window(recorder, tmp_path):
     path = tmp_path / "t.jsonl"
-    trace = TraceRecorder(spill_path=str(path), spill_window=4)
+    trace = recorder(4)
     _fill(trace, 20)
     trace.clear()
     assert len(trace.events) == 0
@@ -124,31 +142,42 @@ def test_append_after_finalize_still_lands_in_file(tmp_path):
     log.finalize()
     assert len(log) == 8
     assert [e.time for e in log] == [float(i) for i in range(6)] + [0.0, 1.0]
+    log.close()
 
 
 # ----------------------------------------------------------------------
 # full-system behaviour
 # ----------------------------------------------------------------------
-def _spilled_system(tmp_path, **overrides):
-    return build_system(small_config(
-        n=4, hops=15,
-        trace_spill_path=str(tmp_path / "trace.jsonl"),
-        trace_spill_window=50,
-        **overrides,
-    ))
+@pytest.fixture
+def spilled_system(tmp_path):
+    """Builds spill-backed systems; each is closed after the test."""
+    systems = []
+
+    def make(**overrides):
+        systems.append(build_system(small_config(
+            n=4, hops=15,
+            trace_spill_path=str(tmp_path / "trace.jsonl"),
+            trace_spill_window=50,
+            **overrides,
+        )))
+        return systems[-1]
+
+    yield make
+    for system in systems:
+        system.close()
 
 
-def test_system_run_with_spill_matches_plain_run(tmp_path):
+def test_system_run_with_spill_matches_plain_run(spilled_system):
     plain = build_system(small_config(n=4, hops=15)).run()
-    spilled = _spilled_system(tmp_path).run()
+    spilled = spilled_system().run()
     assert spilled.extra["trace_counters"] == plain.extra["trace_counters"]
     assert spilled.extra["events_processed"] == plain.extra["events_processed"]
     assert spilled.end_time == plain.end_time
     assert spilled.digests == plain.digests
 
 
-def test_system_spill_file_is_repro_trace_compatible(tmp_path):
-    system = _spilled_system(tmp_path)
+def test_system_spill_file_is_repro_trace_compatible(spilled_system, tmp_path):
+    system = spilled_system()
     system.run()
     path = tmp_path / "trace.jsonl"
     loaded = load_trace(str(path))
@@ -156,13 +185,13 @@ def test_system_spill_file_is_repro_trace_compatible(tmp_path):
     assert loaded.counters == system.trace.counters
 
 
-def test_dump_trace_reads_through_spill(tmp_path):
+def test_dump_trace_reads_through_spill(spilled_system, tmp_path):
     plain_sys = build_system(small_config(n=4, hops=15))
     plain_sys.run()
     plain_out = tmp_path / "plain.jsonl"
     dump_trace(plain_sys.trace, str(plain_out))
 
-    spill_sys = _spilled_system(tmp_path)
+    spill_sys = spilled_system()
     spill_sys.run()
     spill_out = tmp_path / "from_spill.jsonl"
     dump_trace(spill_sys.trace, str(spill_out))
@@ -172,8 +201,8 @@ def test_dump_trace_reads_through_spill(tmp_path):
     assert spill_lines == plain_lines
 
 
-def test_spans_reconstruct_from_spilled_trace(tmp_path):
-    system = _spilled_system(tmp_path, spans=True)
+def test_spans_reconstruct_from_spilled_trace(spilled_system, tmp_path):
+    system = spilled_system(spans=True)
     system.run()
     spans = spans_from_trace(system.trace)
     assert spans, "expected recovery/checkpoint spans in a crash run"
@@ -182,8 +211,8 @@ def test_spans_reconstruct_from_spilled_trace(tmp_path):
     assert len(spans_from_trace(loaded)) == len(spans)
 
 
-def test_sanitizer_green_with_spill(tmp_path):
-    result = _spilled_system(tmp_path, sanitize=True).run()
+def test_sanitizer_green_with_spill(spilled_system):
+    result = spilled_system(sanitize=True).run()
     assert result.consistent
     assert result.extra["sanitizer"]["violations"] == []
 
@@ -204,6 +233,25 @@ def test_cli_run_with_trace_spill(tmp_path, capsys):
     assert len(load_trace(str(path)).events) > 0
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_run_trial_releases_the_spill_file(tmp_path):
+    """A finished trial holds no descriptor, even with the collector off
+    (nothing else would close the file), and the file is the whole trace."""
+    path = tmp_path / "trace.jsonl"
+    spec = TrialSpec(small_config(
+        n=4, hops=15, trace_spill_path=str(path), trace_spill_window=50,
+    ))
+    before = len(os.listdir("/proc/self/fd"))
+    gc.disable()
+    try:
+        trials = [run_trial(spec) for _ in range(5)]
+        held = len(os.listdir("/proc/self/fd")) - before
+    finally:
+        gc.enable()
+    assert held == 0
+    assert load_trace(str(path)).counters == trials[-1].trace_counters
+
+
 # ----------------------------------------------------------------------
 # goldens: pool + spill must be invisible to the simulation
 # ----------------------------------------------------------------------
@@ -221,4 +269,7 @@ def test_goldens_byte_identical_with_spill_and_pool(key, tmp_path):
         trace_spill_path=str(tmp_path / "g.jsonl"),
         trace_spill_window=64,
     )
-    assert snapshot(system) == GOLDEN[key]
+    try:
+        assert snapshot(system) == GOLDEN[key]
+    finally:
+        system.close()
