@@ -400,9 +400,12 @@ class Node:
         sends.  Output sends (``dst == OUTPUT_DST``) are intercepted and
         routed to the protocol's output-commit machinery."""
         rsn = self.app.delivered_count
-        self.delivered_ids.add((sender, ssn))
         sends = self.app.deliver(sender, ssn, payload)
-        self.oracle.on_deliver(self.node_id, rsn, sender, ssn, self.app.digest)
+        # the history's new (sender, ssn) is the delivery's one message
+        # id: the dedup set and the causal record share the tuple
+        message_id = self.app.delivery_history[-1]
+        self.delivered_ids.add(message_id)
+        self.oracle.on_deliver(self.node_id, rsn, message_id, self.app.digest)
         self.metrics.count_delivery(self.node_id, during_replay=self.is_recovering)
         self._emit_deliver(self.sim.now, self.node_id, sender, ssn, rsn)
         network_sends = []

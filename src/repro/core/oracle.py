@@ -30,10 +30,12 @@ inspected; the test suite asserts ``oracle.violations == []``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.sanitizer.causal import CausalGraph
+from repro.core.output import CommittedOutput
+from repro.sanitizer.causal import CausalGraph, claim, slot
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class ConsistencyOracle:
 
     def __init__(self) -> None:
         self.graph = CausalGraph()
-        # (receiver, rsn) -> digest after the delivery
-        self._digest: Dict[Tuple[int, int], str] = {}
+        #: receiver -> [digest after each live delivery], in step with graph.deliveries
+        self._digests: Dict[int, List[str]] = defaultdict(list)
         self.violations: List[OracleViolation] = []
 
     # ------------------------------------------------------------------
@@ -75,45 +77,24 @@ class ConsistencyOracle:
         """
         previous = self.graph.record_send(sender, ssn, dst, deliveries_so_far)
         if previous is not None and previous != deliveries_so_far:
-            self.violations.append(
-                OracleViolation(
-                    kind="send-divergence",
-                    node=sender,
-                    detail=(
-                        f"message ssn={ssn} to {dst} originally sent after "
-                        f"{previous} deliveries, regenerated after {deliveries_so_far}"
-                    ),
-                )
-            )
+            self._flag("send-divergence", sender, (
+                f"message ssn={ssn} to {dst} originally sent after "
+                f"{previous} deliveries, regenerated after {deliveries_so_far}"))
 
     def on_deliver(
-        self, receiver: int, rsn: int, sender: int, ssn: int, digest: str
+        self, receiver: int, rsn: int, message_id: Tuple[int, int], digest: str
     ) -> None:
-        """Record a delivery (or its replay)."""
-        key = (receiver, rsn)
-        previous = self.graph.record_delivery(receiver, rsn, sender, ssn)
+        """Record the delivery (or replay) of ``message_id = (sender,
+        ssn)``; the tuple is stored as given, not copied."""
+        previous = self.graph.record_delivery(receiver, rsn, message_id)
         if previous is None:
-            self._digest[key] = digest
+            claim(self._digests[receiver], rsn, digest)
             return
-        if previous != (sender, ssn):
-            self.violations.append(
-                OracleViolation(
-                    kind="replay-order",
-                    node=receiver,
-                    detail=(
-                        f"rsn {rsn} originally delivered {previous}, "
-                        f"replayed as {(sender, ssn)}"
-                    ),
-                )
-            )
-        elif self._digest.get(key) != digest:
-            self.violations.append(
-                OracleViolation(
-                    kind="replay-digest",
-                    node=receiver,
-                    detail=f"rsn {rsn} digest diverged on replay",
-                )
-            )
+        if previous != message_id:
+            self._flag("replay-order", receiver, (
+                f"rsn {rsn} originally delivered {previous}, replayed as {message_id}"))
+        elif slot(self._digests, receiver, rsn) != digest:
+            self._flag("replay-digest", receiver, f"rsn {rsn} digest diverged on replay")
 
     def on_rollback(self, node: int, final_count: int) -> None:
         """A recovery finished with ``node`` at ``final_count`` deliveries.
@@ -126,8 +107,8 @@ class ConsistencyOracle:
         delivery that depended on them, because its antecedent events are
         reconstructed from the surviving record.
         """
-        for key in self.graph.roll_back(node, final_count):
-            self._digest.pop(key, None)
+        self.graph.roll_back(node, final_count)
+        del self._digests[node][final_count:]
 
     def on_gc(self, node: int, covered: int) -> None:
         """A durable checkpoint covers ``covered`` deliveries of ``node``:
@@ -143,40 +124,46 @@ class ConsistencyOracle:
         """Verify no surviving delivery depends on a rolled-back delivery.
 
         ``final_histories`` maps node -> its delivery history (list of
-        ``(sender, ssn)``) at the end of the run.  A delivery event
-        ``(x, k)`` *survived* iff ``k < len(final_histories[x])``.
+        ``(sender, ssn)``) at the end of the run, read, not kept.  A
+        delivery event ``(x, k)`` *survived* iff ``k < len(final_histories[x])``.
         """
-        reached = self.graph.closure(
+        reached = self.graph.reach(
             (node, len(history) - 1)
             for node, history in final_histories.items()
             if history
         )
-        for node, rsn in sorted(reached):
+        for node, top in sorted(reached.items()):
             history = final_histories.get(node, [])
-            if rsn >= len(history):
-                self.violations.append(
-                    OracleViolation(
-                        kind="orphan",
-                        node=node,
-                        detail=(
-                            f"delivery (node={node}, rsn={rsn}) was rolled back but a "
-                            f"surviving delivery depends on it"
-                        ),
-                    )
-                )
+            survived = min(top + 1, len(history))
+            live = self.graph.deliveries.get(node, [])[:survived]
+            if live != history[:survived]:  # normally the very same tuples
+                for rsn, recorded in enumerate(live):
+                    if recorded is not None and recorded != tuple(history[rsn]):
+                        self._flag("history-divergence", node, (
+                            f"final history at rsn {rsn} is {history[rsn]}, "
+                            f"oracle recorded {recorded}"))
+            for rsn in range(survived, top + 1):
+                self._flag("orphan", node, (
+                    f"delivery (node={node}, rsn={rsn}) was rolled back but a "
+                    f"surviving delivery depends on it"))
+
+    def check_outputs(self, outputs: Iterable[CommittedOutput]) -> None:
+        """No committed output may stem from a permanently rolled-back
+        delivery: the digest recorded at commit time must match the
+        (surviving or replay-verified) delivery at that slot."""
+        for record in outputs:
+            node, rsn, _index = record.output_id
+            expected = record.payload.get("_digest8")
+            if expected is None:
                 continue
-            recorded = self.graph.delivery.get((node, rsn))
-            if recorded is not None and recorded != tuple(history[rsn]):
-                self.violations.append(
-                    OracleViolation(
-                        kind="history-divergence",
-                        node=node,
-                        detail=(
-                            f"final history at rsn {rsn} is {history[rsn]}, oracle "
-                            f"recorded {recorded}"
-                        ),
-                    )
-                )
+            digest = slot(self._digests, node, rsn)
+            if digest is None or digest[:8] != expected:
+                self._flag("output-from-rolled-back-state", node, (
+                    f"output {record.output_id} was released but the "
+                    f"delivery that produced it did not survive"))
+
+    def _flag(self, kind: str, node: int, detail: str) -> None:
+        self.violations.append(OracleViolation(kind, node, detail))
 
     @property
     def consistent(self) -> bool:
@@ -185,11 +172,11 @@ class ConsistencyOracle:
 
     def deliveries_recorded(self) -> int:
         """Total distinct delivery events observed."""
-        return len(self.graph.delivery)
+        return sum(len(row) - row.count(None) for row in self.graph.deliveries.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ConsistencyOracle(deliveries={len(self.graph.delivery)}, "
+            f"ConsistencyOracle(deliveries={self.deliveries_recorded()}, "
             f"violations={len(self.violations)})"
         )
 
@@ -207,7 +194,7 @@ class NullOracle(ConsistencyOracle):
         pass
 
     def on_deliver(
-        self, receiver: int, rsn: int, sender: int, ssn: int, digest: str
+        self, receiver: int, rsn: int, message_id: Tuple[int, int], digest: str
     ) -> None:
         pass
 
@@ -218,4 +205,7 @@ class NullOracle(ConsistencyOracle):
         pass
 
     def check_safety(self, final_histories: Dict[int, List[Tuple[int, int]]]) -> None:
+        pass
+
+    def check_outputs(self, outputs: Iterable[CommittedOutput]) -> None:
         pass

@@ -15,7 +15,7 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import MetricsCollector, RunResult
 from repro.core.metrics_registry import MetricsRegistry
 from repro.core.node import Node, NodeState
-from repro.core.oracle import ConsistencyOracle, OracleViolation
+from repro.core.oracle import ConsistencyOracle, NullOracle
 from repro.core.output import OutputDevice
 from repro.net.latency import AtmLinkModel
 from repro.net.network import Network
@@ -74,7 +74,6 @@ class System:
             self.sanitizer.attach(self.trace)
         self.registry = MetricsRegistry()
         self.metrics = MetricsCollector()
-        from repro.core.oracle import NullOracle
         from repro.protocols import PROTOCOLS
 
         if PROTOCOLS[config.protocol].oracle_compatible:
@@ -239,32 +238,6 @@ class System:
         return self.summarize()
 
     # ------------------------------------------------------------------
-    def _check_output_safety(self) -> None:
-        """No committed output may stem from a permanently rolled-back
-        delivery: the digest recorded at commit time must match the
-        (surviving or replay-verified) delivery at that slot."""
-        from repro.core.oracle import NullOracle
-
-        if isinstance(self.oracle, NullOracle):
-            return
-        for record in self.output_device.outputs:
-            node_id, rsn, _index = record.output_id
-            digest = self.oracle._digest.get((node_id, rsn))
-            expected = record.payload.get("_digest8")
-            if expected is None:
-                continue
-            if digest is None or digest[:8] != expected:
-                self.oracle.violations.append(
-                    OracleViolation(
-                        kind="output-from-rolled-back-state",
-                        node=node_id,
-                        detail=(
-                            f"output {record.output_id} was released but the "
-                            f"delivery that produced it did not survive"
-                        ),
-                    )
-                )
-
     def summarize(self) -> RunResult:
         """Build the RunResult (including the oracle's safety check)."""
         self.metrics.close_open_blocks(self.sim.now)
@@ -273,11 +246,10 @@ class System:
 
         all_live = all(node.is_live for node in self.nodes)
         if all_live:
-            final_histories = {
-                node.node_id: list(node.app.delivery_history) for node in self.nodes
-            }
-            self.oracle.check_safety(final_histories)
-            self._check_output_safety()
+            self.oracle.check_safety(
+                {node.node_id: node.app.delivery_history for node in self.nodes}
+            )
+            self.oracle.check_outputs(self.output_device.outputs)
 
         storage_ops: Dict[int, Dict[str, Any]] = {}
         for node in self.nodes:

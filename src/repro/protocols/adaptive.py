@@ -55,6 +55,7 @@ from repro.causality.determinant import Determinant
 from repro.net.network import Message
 from repro.protocols.fbl import STABLE_HOST, FamilyBasedLogging
 from repro.protocols.pessimistic import LOG_RECORD_OVERHEAD
+from repro.storage.volatile import host_mask
 
 #: the three logging modes a process can be in
 MODES = ("pessimistic", "fbl", "optimistic")
@@ -253,15 +254,14 @@ class AdaptiveLogging(FamilyBasedLogging):
     # ------------------------------------------------------------------
     # determinant lifecycle: how stability is reached per mode
     # ------------------------------------------------------------------
-    def _record_own_determinant(
-        self, det: Determinant, msg: Optional[Message], mask: int
-    ) -> None:
+    def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
         governing = self.mode
+        mask = self._own_mask
         if self._sync_delivery:
             # the (det, data) record is already durable: stable now.
             # _track never saw it unstable, so announce stability here
             # (the sanitizer's commit-order bookkeeping rides on it)
-            mask = self.det_log.note_logged_at(det, STABLE_HOST)
+            mask |= host_mask((STABLE_HOST,))
             self._emit_det_stable(
                 self.node.sim.now, self.node.node_id,
                 det.rsn, det.sender, det.ssn,

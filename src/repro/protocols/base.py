@@ -175,9 +175,10 @@ class LogBasedProtocol(LoggingProtocol):
     def _absorb_piggyback(self, msg: Message) -> None:
         """Merge an incoming message's piggyback into local knowledge."""
 
-    def _record_own_determinant(self, det: Determinant, msg: Message, mask: int) -> None:
-        """This node delivered a message and created ``det``, now logged
-        here under host mask ``mask``."""
+    def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
+        """This node delivered a message and created ``det``: log it here
+        (host mask ``self._own_mask``)."""
+        self.det_log.merge(det, self._own_mask)
 
     def _on_depinfo_loaded(self) -> None:
         """Gathered depinfo was merged into the determinant log."""
@@ -236,7 +237,7 @@ class LogBasedProtocol(LoggingProtocol):
         # bookkeeping first: if the delivery emits an output, its own
         # determinant must already be tracked (and its stable write or
         # ack already in flight) for the commit gating to see it
-        self._record_own_determinant(det, msg, self.det_log.merge(det, self._own_mask))
+        self._record_own_determinant(det, msg)
         for dst, payload, body_bytes in node.deliver_app(sender, ssn, data):
             self.send_app(dst, payload, body_bytes)
         node.maybe_checkpoint()
@@ -317,15 +318,15 @@ class LogBasedProtocol(LoggingProtocol):
 
     def _serve_retransmissions(self, requester: int) -> None:
         node = self.node
-        for ssn, record in self.send_log.messages_for(requester):
+        for ssn, (data, size) in self.send_log.messages_for(requester):
             node.network.send(
                 Message(
                     src=node.node_id,
                     dst=requester,
                     kind=MessageKind.PROTOCOL,
                     mtype="retransmit_data",
-                    payload={"ssn": ssn, "data": record["payload"]},
-                    body_bytes=record["size"],
+                    payload={"ssn": ssn, "data": data},
+                    body_bytes=size,
                     incarnation=node.incarnation,
                     ssn=ssn,
                 )

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
 from repro.protocols.base import LogBasedProtocol
-from repro.storage.volatile import host_mask
+from repro.storage.volatile import Item, host_mask
 
 #: Virtual host id representing the never-failing stable-storage process
 #: the paper introduces for the ``f = n`` case.
@@ -92,10 +92,11 @@ class FamilyBasedLogging(LogBasedProtocol):
         return self.det_log.stable(self.det_log.mask(det))
 
     def _track(self, det: Determinant, mask: int) -> None:
-        """Refresh the unstable cache for one determinant, given its
-        merged host mask: the per-message pass, over a batch of one."""
+        """Merge ``mask`` into one determinant's host set and refresh the
+        unstable cache: the per-message pass, over a batch of one."""
         self.det_log.absorb(
-            ((det, mask),), (), self._unstable, self.node.node_id, self._on_own_stable)
+            ((det.delivery_id, det, mask),), (), self._unstable, self.node.node_id,
+            self._on_own_stable)
 
     def _on_own_stable(self, det: Determinant, was_cached: bool) -> None:
         """A determinant-log pass found one of our own deliveries stable."""
@@ -122,11 +123,11 @@ class FamilyBasedLogging(LogBasedProtocol):
                 self._emit_det_stable(
                     self.node.sim.now, me, det.rsn, det.sender, det.ssn)
 
-    def _piggyback_for(self, dst: int) -> List[Tuple[Determinant, int]]:
-        """``(determinant, host mask)`` items: the wire form is private to
-        the FBL family (only :meth:`_absorb_piggyback` reads it; the
-        network charges ``len(piggyback)``), so the immutable objects
-        travel as they are."""
+    def _piggyback_for(self, dst: int) -> List[Item]:
+        """``(delivery_id, determinant, host mask)`` items: the wire form is
+        private to the FBL family (only :meth:`_absorb_piggyback` reads it;
+        the network charges ``len(piggyback)``), so the immutable objects
+        travel as they are and every receiving log shares the key."""
         return self.det_log.spread(
             dst, self._unstable, self.node.node_id, self._on_own_stable)
 
@@ -135,10 +136,9 @@ class FamilyBasedLogging(LogBasedProtocol):
         self.det_log.absorb(
             msg.piggyback, (msg.src, me), self._unstable, me, self._on_own_stable)
 
-    def _record_own_determinant(
-        self, det: Determinant, msg: Optional[Message], mask: int
-    ) -> None:
-        self._track(det, mask)
+    def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
+        # one absorb logs it here and caches it, under one key tuple
+        self._track(det, self._own_mask)
         if self.ack_to_sender and msg is not None:
             self._send_det_ack(det)
 

@@ -20,7 +20,7 @@ it into any live process's volatile log.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 from repro.causality.determinant import Determinant
 from repro.net.network import Message
@@ -47,7 +47,7 @@ class ManethoLogging(FamilyBasedLogging):
     def _log_name(self) -> str:
         return f"determinants:{self.node.node_id}"
 
-    def _record_own_determinant(self, det: Determinant, msg: Message, mask: int) -> None:
+    def _record_own_determinant(self, det: Determinant, msg: Optional[Message]) -> None:
         """Asynchronously push the new determinant to stable storage.
 
         Asynchronous means the delivery does not wait -- the write
@@ -55,7 +55,7 @@ class ManethoLogging(FamilyBasedLogging):
         pessimistic logging).  Completion marks the determinant stable;
         until then it spreads by piggybacking like any FBL determinant.
         """
-        self._track(det, mask)
+        self._track(det, self._own_mask)
         self.stable_writes_pending += 1
 
         def done() -> None:

@@ -647,7 +647,7 @@ class OptimisticLogging(LogBasedProtocol):
             for output_id, _payload, _requested in self._pending_outputs:
                 self._flush_for_output(output_id[1])
             self._check_pending_outputs()
-        for ssn, record in self.send_log.messages_for(peer):
+        for ssn, (data, size) in self.send_log.messages_for(peer):
             if (peer, ssn) in self._acked:
                 continue
             dep = dict(self.dep)
@@ -658,8 +658,8 @@ class OptimisticLogging(LogBasedProtocol):
                     dst=peer,
                     kind=MessageKind.PROTOCOL,
                     mtype="retransmit_data",
-                    payload={"ssn": ssn, "data": record["payload"], "dep": dep},
-                    body_bytes=record["size"],
+                    payload={"ssn": ssn, "data": data, "dep": dep},
+                    body_bytes=size,
                     incarnation=node.incarnation,
                     ssn=ssn,
                 )

@@ -182,7 +182,7 @@ class PessimisticLogging(LogBasedProtocol):
     # ------------------------------------------------------------------
     def on_peer_recovered(self, peer: int) -> None:
         node = self.node
-        for ssn, record in self.send_log.messages_for(peer):
+        for ssn, (data, size) in self.send_log.messages_for(peer):
             if (peer, ssn) in self._acked:
                 continue
             node.network.send(
@@ -191,8 +191,8 @@ class PessimisticLogging(LogBasedProtocol):
                     dst=peer,
                     kind=MessageKind.PROTOCOL,
                     mtype="retransmit_data",
-                    payload={"ssn": ssn, "data": record["payload"]},
-                    body_bytes=record["size"],
+                    payload={"ssn": ssn, "data": data},
+                    body_bytes=size,
                     incarnation=node.incarnation,
                     ssn=ssn,
                 )

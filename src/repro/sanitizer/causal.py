@@ -21,27 +21,53 @@ so dropping them loses no detection power.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Any, DefaultDict, Dict, Hashable, Iterable, List, Optional, Tuple
 
 #: a delivery slot: ``(receiver, rsn)``
 DeliveryKey = Tuple[int, int]
 #: a directed application send: ``(sender, ssn, dst)``
 SendKey = Tuple[int, int, int]
+#: per owner, a list indexed by sequence number (``None``: nothing there)
+Rows = DefaultDict[Hashable, List[Any]]
+
+
+def slot(rows: Rows, owner: Hashable, index: int) -> Any:
+    """``rows[owner][index]``, or ``None`` when there is no such entry."""
+    row = rows.get(owner, ())
+    return row[index] if 0 <= index < len(row) else None
+
+
+def claim(row: List[Any], index: int, value: Any) -> Any:
+    """Set ``row[index]`` to ``value`` unless an entry is already there
+    (a gap is padded with ``None``); returns that entry, or ``None`` if
+    ``value`` was stored.  Callers append the next entry themselves."""
+    if index < len(row):
+        previous = row[index]
+        if previous is None:
+            row[index] = value
+        return previous
+    row.extend([None] * (index - len(row)))
+    row.append(value)
+    return None
 
 
 class CausalGraph:
     """The causal record of one run: sends, deliveries, and rollbacks.
 
     Pure bookkeeping -- recording methods report what was already there
-    (so callers can flag divergence) but never judge.  All state is plain
-    dicts of tuples, picklable and cheap to copy.
+    (so callers can flag divergence) but never judge.  The live record is
+    rows indexed by sequence number, one per node (deliveries, by rsn)
+    and one per directed channel (send contexts, by ssn), so recording
+    builds no key; a delivery's ``(sender, ssn)`` is the caller's tuple,
+    stored as given.  The rollback archives stay dicts of tuples.
     """
 
     def __init__(self) -> None:
-        #: (sender, ssn, dst) -> deliveries the sender had made at send time
-        self.send_context: Dict[SendKey, int] = {}
-        #: (receiver, rsn) -> (sender, ssn)
-        self.delivery: Dict[DeliveryKey, Tuple[int, int]] = {}
+        #: receiver -> [(sender, ssn) delivered at each rsn]
+        self.deliveries: Rows = defaultdict(list)
+        #: (sender, dst) -> [deliveries the sender had made when it sent each ssn]
+        self.contexts: Rows = defaultdict(list)
         #: archives of permanently rolled-back events (bounded by prune())
         self.rolled_back_delivery: Dict[DeliveryKey, Tuple[int, int]] = {}
         self.rolled_back_sends: Dict[SendKey, int] = {}
@@ -54,38 +80,41 @@ class CausalGraph:
     ) -> Optional[int]:
         """Record a send; returns the previously recorded live context if
         this (sender, ssn, dst) was already recorded, else ``None``."""
-        key = (sender, ssn, dst)
-        previous = self.send_context.get(key)
-        if previous is None:
-            self.send_context[key] = deliveries_so_far
-        return previous
+        row = self.contexts[(sender, dst)]
+        if ssn == len(row):  # the channel's next send
+            row.append(deliveries_so_far)
+            return None
+        return claim(row, ssn, deliveries_so_far)
 
     def record_delivery(
-        self, receiver: int, rsn: int, sender: int, ssn: int
+        self, receiver: int, rsn: int, message_id: Tuple[int, int]
     ) -> Optional[Tuple[int, int]]:
-        """Record a delivery; returns the previously recorded live
-        ``(sender, ssn)`` for this slot if any, else ``None``."""
-        key = (receiver, rsn)
-        previous = self.delivery.get(key)
-        if previous is None:
-            self.delivery[key] = (sender, ssn)
-        return previous
+        """Record the delivery of ``message_id = (sender, ssn)``; returns
+        the previously recorded live ``(sender, ssn)`` for this slot if
+        any, else ``None``."""
+        row = self.deliveries[receiver]
+        if rsn == len(row):  # the receiver's next delivery
+            row.append(message_id)
+            return None
+        return claim(row, rsn, message_id)
 
     def roll_back(self, node: int, final_count: int) -> List[DeliveryKey]:
         """Archive ``node``'s deliveries at rsn >= ``final_count`` and the
         sends they caused; returns the archived delivery keys."""
+        row = self.deliveries.get(node, [])
         stale_deliveries = [
-            key for key in self.delivery if key[0] == node and key[1] >= final_count
+            (node, rsn) for rsn in range(final_count, len(row)) if row[rsn] is not None
         ]
         for key in stale_deliveries:
-            self.rolled_back_delivery[key] = self.delivery.pop(key)
-        stale_sends = [
-            key
-            for key, context in self.send_context.items()
-            if key[0] == node and context > final_count
-        ]
-        for key in stale_sends:
-            self.rolled_back_sends[key] = self.send_context.pop(key)
+            self.rolled_back_delivery[key] = row[key[1]]
+        del row[final_count:]
+        for (sender, dst), contexts in self.contexts.items():
+            if sender != node:
+                continue
+            for ssn, context in enumerate(contexts):
+                if context is not None and context > final_count:
+                    self.rolled_back_sends[(sender, ssn, dst)] = context
+                    contexts[ssn] = None
         return stale_deliveries
 
     # ------------------------------------------------------------------
@@ -93,46 +122,52 @@ class CausalGraph:
     # ------------------------------------------------------------------
     def delivery_at(self, receiver: int, rsn: int) -> Optional[Tuple[int, int]]:
         """The (sender, ssn) delivered at this slot, live or archived."""
-        found = self.delivery.get((receiver, rsn))
+        row = self.deliveries.get(receiver, ())  # slot(), inline: reach() runs it per event
+        found = row[rsn] if 0 <= rsn < len(row) else None
         if found is None:
             found = self.rolled_back_delivery.get((receiver, rsn))
         return found
 
     def context_of(self, sender: int, ssn: int, dst: int) -> Optional[int]:
         """The causal context of a send, live or archived."""
-        context = self.send_context.get((sender, ssn, dst))
+        row = self.contexts.get((sender, dst), ())  # slot(), inline, as above
+        context = row[ssn] if 0 <= ssn < len(row) else None
         if context is None:
             context = self.rolled_back_sends.get((sender, ssn, dst))
         return context
 
     def send_is_rolled_back(self, sender: int, ssn: int, dst: int) -> bool:
         """Whether this send exists only in rolled-back (orphan) form."""
-        key = (sender, ssn, dst)
-        return key in self.rolled_back_sends and key not in self.send_context
+        return (
+            (sender, ssn, dst) in self.rolled_back_sends
+            and slot(self.contexts, (sender, dst), ssn) is None
+        )
 
-    def antecedents(self, event: DeliveryKey) -> Set[DeliveryKey]:
-        """Backward closure of one delivery event in the happens-before DAG."""
-        return self.closure((event,))
-
-    def closure(self, events: Iterable[DeliveryKey]) -> Set[DeliveryKey]:
-        """Backward closure of a set of delivery events: one walk, each
-        reachable event visited once however many roots reach it."""
-        seen: Set[DeliveryKey] = set()
-        stack = list(events)
-        while stack:
-            node, rsn = stack.pop()
-            if (node, rsn) in seen or rsn < 0:
-                continue
-            seen.add((node, rsn))
-            if rsn > 0:
-                stack.append((node, rsn - 1))
-            delivered = self.delivery_at(node, rsn)
-            if delivered is not None:
+    def reach(self, events: Iterable[DeliveryKey]) -> Dict[int, int]:
+        """Backward closure of delivery events in the happens-before DAG,
+        as ``node -> highest rsn reached``: program order makes the
+        closure a prefix ``0..rsn`` per node, so each reached delivery's
+        message edge is walked once, however many roots reach it."""
+        top: Dict[int, int] = {}
+        for node, rsn in events:
+            if rsn > top.get(node, -1):
+                top[node] = rsn
+        walked: Dict[int, int] = {}  # node -> rsns whose edges were walked
+        pending = list(top)
+        while pending:
+            node = pending.pop()
+            upto = top[node]
+            for rsn in range(walked.get(node, 0), upto + 1):
+                delivered = self.delivery_at(node, rsn)
+                if delivered is None:
+                    continue
                 sender, ssn = delivered
                 context = self.context_of(sender, ssn, node)
-                if context is not None and context > 0:
-                    stack.append((sender, context - 1))
-        return seen
+                if context is not None and context - 1 > top.get(sender, -1):
+                    top[sender] = context - 1
+                    pending.append(sender)
+            walked[node] = upto + 1
+        return top
 
     # ------------------------------------------------------------------
     # garbage collection
@@ -170,6 +205,6 @@ class CausalGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CausalGraph(deliveries={len(self.delivery)}, "
-            f"sends={len(self.send_context)}, archived={self.archived_entries()})"
+            f"CausalGraph(receivers={len(self.deliveries)}, "
+            f"archived={self.archived_entries()})"
         )

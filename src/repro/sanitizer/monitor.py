@@ -92,7 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.sanitizer.causal import CausalGraph
+from repro.sanitizer.causal import CausalGraph, slot
 from repro.sim.spans import SpanChainTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -321,7 +321,7 @@ class Sanitizer:
             return
         d = event.details
         sender, ssn, rsn = d["sender"], d["ssn"], d["rsn"]
-        self.graph.record_delivery(receiver, rsn, sender, ssn)
+        self.graph.record_delivery(receiver, rsn, (sender, ssn))
         self._delivered[receiver] = rsn + 1
         if self.protocol not in GRAPH_FREE_PROTOCOLS:
             self._check("orphan-free")
@@ -422,7 +422,7 @@ class Sanitizer:
         """
         while self._stale_pending and self._stale_pending[0][0] < now:
             time, node, stale_keys = self._stale_pending.pop(0)
-            lost = {k for k in stale_keys if k not in self.graph.delivery}
+            lost = {k for k in stale_keys if slot(self.graph.deliveries, *k) is None}
             if lost:
                 self._check_recovery_orphans(time, node, lost)
 
@@ -434,7 +434,8 @@ class Sanitizer:
             if peer == node or count <= 0 or not self._live.get(peer, False):
                 continue
             frontier = (peer, count - 1)
-            tainted = self.graph.antecedents(frontier) & stale_set
+            reach = self.graph.reach((frontier,))
+            tainted = {(n, rsn) for n, rsn in stale_set if rsn <= reach.get(n, -1)}
             if not tainted:
                 continue
             detail = (

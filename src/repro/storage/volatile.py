@@ -9,9 +9,7 @@ processes' deliveries, replicated via piggybacking).
 
 from __future__ import annotations
 
-from typing import (
-    Any, Callable, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar,
-)
+from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
 
 from repro.causality.determinant import Determinant
 
@@ -46,16 +44,23 @@ class VolatileLog(Generic[T]):
         return f"VolatileLog({len(self)} entries)"
 
 
+#: one logged message: the payload (by reference) and its body size
+Logged = Tuple[Dict[str, Any], int]
+
+
 class SendLog:
     """Sender-side volatile log of outgoing message data.
 
-    Keyed by ``(dst, ssn)``; holds the application payload so the sender
-    can retransmit during a receiver's recovery.  This is the "log each
-    message in the volatile store of its sender" half of the FBL idea.
+    Per destination, ``ssn -> (payload, size)``; holds the application
+    payload so the sender can retransmit during a receiver's recovery.
+    This is the "log each message in the volatile store of its sender"
+    half of the FBL idea.  The payload is kept by reference, not copied:
+    nothing mutates an application payload once it is sent (a logged
+    payload that changed would replay a different digest).
     """
 
     def __init__(self) -> None:
-        self._by_key: Dict[Tuple[int, int], Dict[str, Any]] = {}
+        self._by_dst: Dict[int, Dict[int, Logged]] = {}
         self.bytes_logged = 0
         #: cumulative bytes released by checkpoint-driven pruning
         self.bytes_pruned = 0
@@ -64,22 +69,18 @@ class SendLog:
 
     def log(self, dst: int, ssn: int, payload: Dict[str, Any], size_bytes: int) -> None:
         """Record an outgoing message for possible replay."""
-        key = (dst, ssn)
-        if key in self._by_key:
+        logged = self._by_dst.get(dst)
+        if logged is None:
+            logged = self._by_dst[dst] = {}
+        elif ssn in logged:
             return  # duplicate regeneration during replay
-        self._by_key[key] = {"payload": dict(payload), "size": size_bytes}
+        logged[ssn] = (payload, size_bytes)
         self.bytes_logged += size_bytes
 
-    def lookup(self, dst: int, ssn: int) -> Optional[Dict[str, Any]]:
-        """Logged record for ``(dst, ssn)``, or None."""
-        return self._by_key.get((dst, ssn))
-
-    def messages_for(self, dst: int) -> List[Tuple[int, Dict[str, Any]]]:
-        """All logged ``(ssn, record)`` pairs destined for ``dst``, by ssn."""
-        found = [
-            (ssn, record) for (d, ssn), record in self._by_key.items() if d == dst
-        ]
-        return sorted(found)
+    def messages_for(self, dst: int) -> List[Tuple[int, Logged]]:
+        """All logged ``(ssn, (payload, size))`` pairs destined for
+        ``dst``, by ssn."""
+        return sorted(self._by_dst.get(dst, {}).items())
 
     def prune_upto(self, dst: int, ssn: int) -> int:
         """Garbage-collect entries for ``dst`` with ssn <= the given bound.
@@ -87,17 +88,18 @@ class SendLog:
         Returns how many entries were dropped.  Called when the receiver
         checkpoints (it will never need those messages replayed again).
         """
-        victims = [key for key in self._by_key if key[0] == dst and key[1] <= ssn]
+        logged = self._by_dst.get(dst, {})
+        victims = [key for key in logged if key <= ssn]
         for key in victims:
-            self.bytes_logged -= self._by_key[key]["size"]
-            self.bytes_pruned += self._by_key[key]["size"]
-            del self._by_key[key]
+            size = logged.pop(key)[1]
+            self.bytes_logged -= size
+            self.bytes_pruned += size
         self.entries_pruned += len(victims)
         return len(victims)
 
     def clear(self) -> None:
         """Crash: the send log is volatile."""
-        self._by_key.clear()
+        self._by_dst.clear()
         self.bytes_logged = 0
 
     # -- checkpoint support ------------------------------------------------
@@ -105,8 +107,9 @@ class SendLog:
         """Serializable snapshot: list of (dst, ssn, payload, size), the
         payloads live (the checkpoint store encodes it at once)."""
         return [
-            (dst, ssn, record["payload"], record["size"])
-            for (dst, ssn), record in sorted(self._by_key.items())
+            (dst, ssn, payload, size)
+            for dst in sorted(self._by_dst)
+            for ssn, (payload, size) in sorted(self._by_dst[dst].items())
         ]
 
     def load_state(self, state: List[Tuple[int, int, Dict[str, Any], int]]) -> None:
@@ -116,7 +119,7 @@ class SendLog:
             self.log(dst, ssn, payload, size)
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return sum(map(len, self._by_dst.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SendLog({len(self)} messages, {self.bytes_logged}B)"
@@ -129,6 +132,12 @@ def host_mask(hosts: Iterable[int]) -> int:
     for host in hosts:
         mask |= 1 << (host + 1)
     return mask
+
+
+#: ``(receiver, rsn)``: a determinant's ``delivery_id``
+DeliveryId = Tuple[int, int]
+#: a piggyback item: ``(delivery_id, determinant, host mask)``
+Item = Tuple[DeliveryId, Determinant, int]
 
 
 class DeterminantLog:
@@ -149,8 +158,8 @@ class DeterminantLog:
     """
 
     def __init__(self) -> None:
-        self._dets: Dict[Tuple[int, int], Determinant] = {}
-        self._masks: Dict[Tuple[int, int], int] = {}
+        self._dets: Dict[DeliveryId, Determinant] = {}
+        self._masks: Dict[DeliveryId, int] = {}
         #: a determinant stored at more than ``f`` hosts is stable; the
         #: FBL family sets it once (untold, only the stable host counts)
         self.f: float = float("inf")
@@ -203,22 +212,16 @@ class DeterminantLog:
         the stable-storage host (bit 0) or at more than ``f`` hosts?"""
         return bool(mask & 1) or mask.bit_count() > self.f
 
-    def unstable(self) -> List[Determinant]:
-        """Every determinant :meth:`stable` rejects, by full scan: the
-        reference the protocols' unstable caches are tested against."""
-        return sorted(
-            det for key, det in self._dets.items() if not self.stable(self._masks[key])
-        )
-
     def spread(
-        self, dst: int, unstable: Dict[Tuple[int, int], Determinant], me: int,
+        self, dst: int, unstable: Dict[DeliveryId, Determinant], me: int,
         on_stable: Callable[[Determinant, bool], None],
-    ) -> List[Tuple[Determinant, int]]:
-        """One pass for a message to ``dst``: the ``(determinant, mask)``
-        of every cached determinant ``dst`` does not store yet, in key
-        order, each then counted as stored there (reliable FIFO channel:
-        it will be, on receipt) and, if that made it stable, uncached as
-        in :meth:`absorb`."""
+    ) -> List[Item]:
+        """One pass for a message to ``dst``: the ``(key, determinant,
+        mask)`` of every cached determinant ``dst`` does not store yet, in
+        key order, each then counted as stored there (reliable FIFO
+        channel: it will be, on receipt) and, if that made it stable,
+        uncached as in :meth:`absorb`.  ``key`` is the cache's own
+        delivery-id tuple, so every log downstream shares it."""
         items = []
         masks, f, dst_bit = self._masks, self.f, 1 << (dst + 1)
         for key in sorted(unstable):
@@ -226,7 +229,7 @@ class DeterminantLog:
             if mask & dst_bit:
                 continue  # dst already stores it; no point re-sending
             det = unstable[key]
-            items.append((det, mask))
+            items.append((key, det, mask))
             masks[key] = mask = mask | dst_bit
             if mask & 1 or mask.bit_count() > f:
                 del unstable[key]
@@ -235,11 +238,12 @@ class DeterminantLog:
         return items
 
     def absorb(
-        self, items: Iterable[Tuple[Determinant, int]], hosts: Iterable[int],
-        unstable: Dict[Tuple[int, int], Determinant], me: int,
+        self, items: Iterable[Item], hosts: Iterable[int],
+        unstable: Dict[DeliveryId, Determinant], me: int,
         on_stable: Callable[[Determinant, bool], None],
     ) -> None:
-        """One pass over ``(determinant, mask)`` items: merge ``mask`` and
+        """One pass over ``(key, determinant, mask)`` items (``key`` is the
+        determinant's ``delivery_id``, stored as given): merge ``mask`` and
         ``hosts`` into each host set, then cache the determinant in
         ``unstable`` or, if it is stable (:meth:`stable`, inline), uncache
         it and, for one of ``me``'s own deliveries, call ``on_stable(det,
@@ -247,8 +251,7 @@ class DeterminantLog:
         masks, f, seen_at = self._masks, self.f, 0
         for host in hosts:
             seen_at |= 1 << (host + 1)
-        for det, mask in items:
-            key = det.delivery_id
+        for key, det, mask in items:
             known = masks.get(key)
             if known is None:
                 self._dets[key] = det

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import SystemConfig, build_system, run_config
+from repro.causality.determinant import Determinant
 from repro.procs.failure import CrashPlan
+from repro.storage.volatile import DeterminantLog, SendLog
 
 
 def small_config(
@@ -61,3 +63,17 @@ def e2e_workloads():
 def run_small(**kwargs):
     """Build and run a :func:`small_config` in one call."""
     return run_config(small_config(**kwargs))
+
+
+# -- test-only views of the volatile logs ----------------------------------
+def send_log_lookup(log: SendLog, dst: int, ssn: int) -> Optional[Tuple[Dict[str, Any], int]]:
+    """The ``(payload, size)`` a :class:`SendLog` holds for ``(dst, ssn)``, or None."""
+    return log._by_dst.get(dst, {}).get(ssn)
+
+
+def unstable(log: DeterminantLog) -> List[Determinant]:
+    """Every determinant ``log.stable`` rejects, by full scan: the
+    reference the protocols' unstable caches are tested against."""
+    return sorted(
+        det for key, det in log._dets.items() if not log.stable(log._masks[key])
+    )

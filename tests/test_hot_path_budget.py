@@ -13,8 +13,6 @@ on the wire (first transmissions + retransmissions).
 (what ``bench-smoke`` appends to its job summary).
 """
 
-import importlib.util
-import os
 import sys
 from collections import Counter
 
@@ -24,15 +22,9 @@ from repro import build_system
 from repro.runner import TrialRunner
 from repro.sanitizer.monitor import Sanitizer
 
-ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
-# the benchmark's own workload definitions, loaded by path so that the
-# rest of the test session's import path is left alone
-_spec = importlib.util.spec_from_file_location(
-    "e2e_workloads", os.path.join(ROOT, "benchmarks", "e2e", "workloads.py")
-)
-_workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_workloads)
-WORKLOADS = _workloads.WORKLOADS
+from helpers import e2e_workloads
+
+WORKLOADS = e2e_workloads()
 
 #: calls per wire message this code base reaches (CPython 3.11), + 5 %.
 #: The parent of the PR that added the gate (PR 17) read 103.9 and 77.5;

@@ -135,10 +135,10 @@ class TestRetransmissionHelpers:
         system.sim.run(until=0.05)
         sender = next(n for n in system.nodes if len(n.protocol.send_log))
         peer = sender.protocol.send_log.messages_for(
-            next(d for (d, _s) in sender.protocol.send_log._by_key)
+            next(iter(sender.protocol.send_log._by_dst))
         )
         before = system.network.stats.total_messages()
-        target = next(d for (d, _s) in sender.protocol.send_log._by_key)
+        target = next(iter(sender.protocol.send_log._by_dst))
         sender.protocol._serve_retransmissions(target)
         assert system.network.stats.total_messages() > before
         system.sim.run()

@@ -10,7 +10,7 @@ from repro.net.network import Message, MessageKind
 from repro.protocols.fbl import STABLE_HOST, FamilyBasedLogging
 from repro.storage.volatile import host_mask
 
-from helpers import small_config
+from helpers import small_config, unstable
 
 
 def run_system(config):
@@ -58,7 +58,7 @@ def test_propagation_stops_at_f_plus_one():
             hosts = protocol.det_log.logged_at(det)
             if len(hosts) >= 3 or STABLE_HOST in hosts:
                 assert protocol._det_stable(det)
-                assert det not in protocol.det_log.unstable()
+                assert det not in unstable(protocol.det_log)
 
 
 def test_visible_determinants_replicated_at_claimed_hosts():
@@ -170,7 +170,7 @@ def test_unstable_cache_equals_full_scan_under_chaos(protocol, recovery, max_cra
     for node in system.nodes:
         # what stats()["unstable_determinants"] counted before it read
         # the cache: the log's full scan under the one stability predicate
-        scanned = node.protocol.det_log.unstable()
+        scanned = unstable(node.protocol.det_log)
         assert sorted(node.protocol._unstable.values()) == scanned
         assert node.protocol.stats()["unstable_determinants"] == len(scanned)
 
@@ -179,15 +179,19 @@ def test_unstable_cache_equals_full_scan_under_chaos(protocol, recovery, max_cra
 # batch path == per-determinant path
 # ----------------------------------------------------------------------
 class PerDeterminantReference:
-    """The determinant path as it was before the per-message loops
-    (PR 21's parent, verbatim): one ``merge`` + one ``_track`` per item,
-    the stability test a method of the protocol.  Bound onto a built
-    protocol instance by :func:`_as_reference`."""
+    """The determinant path as it was before the per-message loops: one
+    ``merge`` + one ``_track`` per item, the stability test a method of
+    the protocol.  Bound onto a built protocol instance by
+    :func:`_as_reference`.  Two shapes follow the protocol's: ``_track``
+    merges the mask it is given (own deliveries hand it the unmerged
+    own-host mask), and piggyback items are ``(delivery_id, determinant,
+    mask)``."""
 
     def _mask_stable(self, mask):
         return bool(mask & 1) or mask.bit_count() > self.f
 
     def _track(self, det, mask):
+        mask = self.det_log.merge(det, mask)
         key = det.delivery_id
         if self._mask_stable(mask):
             was = self._unstable.pop(key, None)
@@ -210,14 +214,14 @@ class PerDeterminantReference:
             mask = det_log.mask(det)
             if mask & dst_bit:
                 continue
-            items.append((det, mask))
+            items.append((key, det, mask))
             self._track(det, det_log.merge(det, dst_bit))
         return items
 
     def _absorb_piggyback(self, msg):
         seen_at = host_mask((msg.src, self.node.node_id))
         merge = self.det_log.merge
-        for det, mask in msg.piggyback:
+        for _key, det, mask in msg.piggyback:
             self._track(det, merge(det, mask | seen_at))
 
 
@@ -255,7 +259,8 @@ def _drive(system, ops):
         for sender, receiver, rsn, mask in raw:
             sender, receiver = sender % _N, receiver % _N
             if sender != receiver:
-                items.append((Determinant(sender, rsn, receiver, rsn), mask))
+                det = Determinant(sender, rsn, receiver, rsn)
+                items.append((det.delivery_id, det, mask))
         return items
 
     def own(index):
@@ -277,7 +282,7 @@ def _drive(system, ops):
         elif op == "send":
             protocol.send_app(peer, {"chain": "0.9", "hops": 0}, 10)
         elif op == "det_ack":
-            for det, _mask in items_of(raw):
+            for _key, det, _mask in items_of(raw):
                 protocol.on_protocol_message(Message(
                     peer, 0, MessageKind.PROTOCOL, "det_ack", {"det": det.to_tuple()}))
         elif op == "det_push_ack" and own(b) is not None:
@@ -320,7 +325,7 @@ def test_batch_determinant_path_equals_per_determinant_reference(protocol, f, op
     # (keys: a forged item may name a delivery the log knows under
     # another message; the cache keeps the latest, the log the first)
     assert sorted(new._unstable) == sorted(
-        d.delivery_id for d in new.det_log.unstable())
+        d.delivery_id for d in unstable(new.det_log))
     assert list(batch.trace.events) == list(reference.trace.events)
     assert [(o.output_id, o.payload) for o in batch.output_device.outputs] == [
         (o.output_id, o.payload) for o in reference.output_device.outputs]

@@ -169,7 +169,7 @@ class TestGatherRaces:
         carrier = Message(
             src=1, dst=0, kind=MessageKind.APPLICATION, mtype="app",
             payload={"data": {}}, ssn=0,
-            piggyback=[(Determinant(1, 0, 3, 5), host_mask((1, 3)))],
+            piggyback=[((3, 5), Determinant(1, 0, 3, 5), host_mask((1, 3)))],
         )
         node.receive(carrier)
         assert (1, 0, 3, 5) not in node.protocol.local_depinfo_wire()

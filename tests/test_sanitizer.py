@@ -92,9 +92,9 @@ def test_manetho_dropped_determinant_flush_caught(monkeypatch):
     from repro.protocols.fbl import STABLE_HOST
     from repro.protocols.manetho import ManethoLogging
 
-    def mutant(self, det, msg, mask):
+    def mutant(self, det, msg):
         # drop the log_append entirely; claim stability anyway
-        self._track(det, mask)
+        self._track(det, self._own_mask)
         self._track(det, self.det_log.note_logged_at(det, STABLE_HOST))
         self._check_pending_outputs()
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.causality.determinant import Determinant
 from repro.storage.volatile import DeterminantLog, SendLog, VolatileLog, host_mask
 
+from helpers import send_log_lookup, unstable
+
 
 def det(sender=0, ssn=0, receiver=1, rsn=0):
     return Determinant(sender=sender, ssn=ssn, receiver=receiver, rsn=rsn)
@@ -37,16 +39,23 @@ class TestSendLog:
     def test_log_and_lookup(self):
         log = SendLog()
         log.log(2, 0, {"x": 1}, 128)
-        record = log.lookup(2, 0)
-        assert record["payload"] == {"x": 1}
-        assert record["size"] == 128
-        assert log.lookup(2, 1) is None
+        payload, size = send_log_lookup(log, 2, 0)
+        assert payload == {"x": 1}
+        assert size == 128
+        assert send_log_lookup(log, 2, 1) is None
+
+    def test_payload_kept_by_reference(self):
+        """Nothing mutates a sent payload, so the log holds no copy."""
+        log, payload = SendLog(), {"x": 1}
+        log.log(2, 0, payload, 128)
+        assert send_log_lookup(log, 2, 0)[0] is payload
+        assert log.messages_for(2) == [(0, (payload, 128))]
 
     def test_duplicate_log_ignored(self):
         log = SendLog()
         log.log(2, 0, {"x": 1}, 128)
         log.log(2, 0, {"x": 999}, 128)
-        assert log.lookup(2, 0)["payload"] == {"x": 1}
+        assert send_log_lookup(log, 2, 0)[0] == {"x": 1}
         assert log.bytes_logged == 128
 
     def test_messages_for_sorted_by_ssn(self):
@@ -78,7 +87,7 @@ class TestSendLog:
         log.log(3, 1, {"k": "w"}, 32)
         restored = SendLog()
         restored.load_state(log.to_state())
-        assert restored.lookup(2, 0)["payload"] == {"k": "v"}
+        assert send_log_lookup(restored, 2, 0)[0] == {"k": "v"}
         assert restored.bytes_logged == 96
 
 
@@ -109,9 +118,9 @@ class TestDeterminantLog:
         log.add(d1, logged_at=(1, 2, 3))
         log.add(d2, logged_at=(1,))
         log.f = 2
-        assert log.unstable() == [d2]
+        assert unstable(log) == [d2]
         log.f = 3
-        assert log.unstable() == [d1, d2]
+        assert unstable(log) == [d1, d2]
 
     def test_stable_host_alone_makes_a_determinant_stable(self):
         """The log and the protocol used to disagree here: the scan
@@ -120,9 +129,9 @@ class TestDeterminantLog:
         d = det()
         assert log.stable(log.note_logged_at(d, -1))  # fbl.STABLE_HOST
         log.f = 2
-        assert log.unstable() == []
+        assert unstable(log) == []
         assert not log.stable(log.note_logged_at(det(rsn=1), 4))
-        assert log.unstable() == [det(rsn=1)]
+        assert unstable(log) == [det(rsn=1)]
 
     def test_for_receiver(self):
         log = DeterminantLog()
@@ -193,7 +202,7 @@ def test_determinant_log_host_masks_match_a_set_model(ops, target):
     for d in log.determinants():
         assert log.logged_at(d) == frozenset(model[d.delivery_id])
     log.f = target - 1
-    assert log.unstable() == sorted(
+    assert unstable(log) == sorted(
         d for d in log.determinants()
         if len(model[d.delivery_id]) < target and -1 not in model[d.delivery_id]
     )

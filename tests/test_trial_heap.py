@@ -1,4 +1,5 @@
-"""A finished trial leaves nothing for the cyclic collector.
+"""A finished trial leaves nothing for the cyclic collector, and a live
+one holds a bounded heap per delivery.
 
 ``run_trial`` closes its :class:`~repro.core.system.System` once the
 :class:`TrialResult` exists, which breaks the reference cycles the wired
@@ -17,17 +18,28 @@ workload, the fully observed ``observed_run`` trial (trace kept, spans,
 sanitizer, ledger, sampler, profiler), a lossy reliable-transport run, the
 same cut at a horizon with events still queued, and a storage-realism run
 with group commit and compaction.
+
+The third check is a *heap budget*, exact per CPython build like the
+call budget in ``test_hot_path_budget.py``: what a finished, not yet
+closed trial still holds per delivery -- live bytes under
+``tracemalloc`` and net GC-tracked allocations (the
+``gc.get_count()[0]`` delta, the collector off) -- on three benchmark
+workloads at scale 0.25.  Both repeat run to run.
+
+    PYTHONPATH=src python tests/test_trial_heap.py   # the table, as markdown
 """
 
 import gc
 import json
+import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
 from repro.core.config import FaultConfig, StorageRealismConfig
-from repro.core.system import System
+from repro.core.system import System, run_config
 from repro.procs.failure import crash_at
 from repro.runner import TrialSpec, run_trial
 
@@ -120,3 +132,77 @@ def test_closing_changes_no_result(spec):
     )
     closed = _comparable(trial.summary, trial.metrics, trial.trace_counters, trial.cost)
     assert closed == unclosed
+
+
+# ----------------------------------------------------------------------
+# heap budget per delivery
+# ----------------------------------------------------------------------
+#: (live bytes, net GC-tracked allocations) per delivery this code base
+#: reaches (CPython 3.11); the budget is each + 5 %.  The parent of the
+#: change that recorded each delivery once read 1,974 B / 15.24,
+#: 2,092 B / 16.88 and 3,068 B / 23.56.
+HEAP_REACHED = {
+    "steady_fbl": (1184, 5.59),
+    "lossy_transport": (1370, 7.68),
+    "recovery_churn": (2604, 18.41),
+}
+HEAP_BUDGET = {
+    workload: (live * 1.05, tracked * 1.05)
+    for workload, (live, tracked) in HEAP_REACHED.items()
+}
+
+
+def heap_per_delivery(workload: str, seed: int = 1000, scale: float = 0.25):
+    """``(live bytes, GC-tracked allocations, deliveries)`` per delivery
+    over one rep of ``workload``, each trial read when its run ends."""
+    specs = e2e_workloads()[workload].specs
+    run_config(specs(seed, 0.05)[0].materialize())  # warm imports and caches
+    live = tracked = deliveries = 0
+    for spec in specs(seed, scale):
+        config = spec.materialize()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            bytes0, count0 = tracemalloc.get_traced_memory()[0], gc.get_count()[0]
+            system = System(config)
+            result = system.run()
+            live += tracemalloc.get_traced_memory()[0] - bytes0
+            tracked += gc.get_count()[0] - count0
+            system.close()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        deliveries += result.total_deliveries
+    return live / deliveries, tracked / deliveries, deliveries
+
+
+@pytest.mark.parametrize("workload", sorted(HEAP_BUDGET))
+def test_heap_per_delivery_stays_in_budget(workload):
+    live, tracked, deliveries = heap_per_delivery(workload)
+    live_budget, tracked_budget = HEAP_BUDGET[workload]
+    assert live <= live_budget and tracked <= tracked_budget, (
+        f"{workload}: a trial holds {live:.0f} B and {tracked:.2f} GC-tracked "
+        f"allocations per delivery ({deliveries} deliveries), budget "
+        f"{live_budget:.0f} B / {tracked_budget:.2f}. Something now keeps more per "
+        f"delivery; tracemalloc's lineno statistics name the line."
+    )
+
+
+def main() -> int:
+    """Print the three workloads' figures against their budgets (markdown)."""
+    print("| workload | live B per delivery | budget | GC-tracked allocations "
+          "per delivery | budget |")
+    print("|---|---|---|---|---|")
+    over = 0
+    for workload in sorted(HEAP_BUDGET):
+        live, tracked, deliveries = heap_per_delivery(workload)
+        live_budget, tracked_budget = HEAP_BUDGET[workload]
+        over += live > live_budget or tracked > tracked_budget
+        print(f"| `{workload}` | {live:.0f} ({deliveries} deliveries) | {live_budget:.0f} "
+              f"| {tracked:.2f} | {tracked_budget:.2f} |")
+    return 1 if over else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
