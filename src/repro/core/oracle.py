@@ -62,8 +62,9 @@ class ConsistencyOracle:
 
     def __init__(self) -> None:
         self.graph = CausalGraph()
-        #: receiver -> [digest after each live delivery], in step with graph.deliveries
-        self._digests: Dict[int, List[str]] = defaultdict(list)
+        #: receiver -> [digest after each live delivery, as its 32 raw
+        #: bytes], in step with graph.deliveries
+        self._digests: Dict[int, List[bytes]] = defaultdict(list)
         self.violations: List[OracleViolation] = []
 
     # ------------------------------------------------------------------
@@ -85,15 +86,16 @@ class ConsistencyOracle:
         self, receiver: int, rsn: int, message_id: Tuple[int, int], digest: str
     ) -> None:
         """Record the delivery (or replay) of ``message_id = (sender,
-        ssn)``; the tuple is stored as given, not copied."""
+        ssn)``; the tuple is stored as given, not copied.  ``digest`` is
+        the process's sha256 hex digest after the delivery."""
         previous = self.graph.record_delivery(receiver, rsn, message_id)
         if previous is None:
-            claim(self._digests[receiver], rsn, digest)
+            claim(self._digests[receiver], rsn, bytes.fromhex(digest))
             return
         if previous != message_id:
             self._flag("replay-order", receiver, (
                 f"rsn {rsn} originally delivered {previous}, replayed as {message_id}"))
-        elif slot(self._digests, receiver, rsn) != digest:
+        elif slot(self._digests, receiver, rsn) != bytes.fromhex(digest):
             self._flag("replay-digest", receiver, f"rsn {rsn} digest diverged on replay")
 
     def on_rollback(self, node: int, final_count: int) -> None:
@@ -157,7 +159,7 @@ class ConsistencyOracle:
             if expected is None:
                 continue
             digest = slot(self._digests, node, rsn)
-            if digest is None or digest[:8] != expected:
+            if digest is None or digest[:4].hex() != expected:
                 self._flag("output-from-rolled-back-state", node, (
                     f"output {record.output_id} was released but the "
                     f"delivery that produced it did not survive"))

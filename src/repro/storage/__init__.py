@@ -16,7 +16,7 @@ Three layers, mirroring the paper's cost model:
 
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
 from repro.storage.stable import StableStorage, StableStorageStats
-from repro.storage.volatile import DeterminantLog, SendLog, VolatileLog
+from repro.storage.volatile import DeterminantLog, SendLog
 
 __all__ = [
     "Checkpoint",
@@ -25,5 +25,4 @@ __all__ = [
     "StableStorageStats",
     "DeterminantLog",
     "SendLog",
-    "VolatileLog",
 ]

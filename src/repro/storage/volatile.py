@@ -5,43 +5,75 @@ Everything here lives in a process's memory and is wiped by
 volatile structures: the *send log* (message data, kept by the sender for
 replay) and the *determinant log* (receipt orders of its own and other
 processes' deliveries, replicated via piggybacking).
+
+Both keep their entries in *rows*: per owner (a destination, a receiver)
+one ``[base, first, second]`` list whose two columns hold the entry for
+sequence number ``base + i`` at index ``i``, ``None`` in both where there
+is none.  Recording an entry builds no key: the per-message paths do one
+bounds check and a store (a row grows in chunks, :func:`_fit`), and
+pruning a prefix moves ``base`` up (:func:`_drop_prefix`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.causality.determinant import Determinant
 
-T = TypeVar("T")
+#: ``[base, first column, second column]``, both columns indexed by
+#: ``seq - base``; an owner has a row while it holds an entry
+Row = List[Any]
+#: slots a new row starts with, from its first entry's sequence number on
+_START = 8
 
 
-class VolatileLog(Generic[T]):
-    """A generic append-only in-memory log."""
+def _fit(row: Row, seq: int) -> int:
+    """Make room in ``row`` for sequence number ``seq``; returns its index.
 
-    def __init__(self) -> None:
-        self._entries: List[T] = []
+    Below ``base`` (an entry recorded again under a pruned prefix) both
+    columns are padded at the front and ``base`` moves down; past the end
+    they grow by an eighth more than needed, so an append lands here once
+    every few entries, not every time."""
+    base, first, second = row
+    index = seq - base
+    if index < 0:
+        first[:0] = second[:0] = [None] * -index
+        row[0] = seq
+        return 0
+    pad = [None] * (index + 4 - len(first) + (index >> 3))
+    first += pad
+    second += pad
+    return index
 
-    def append(self, entry: T) -> None:
-        """Append ``entry`` to the log."""
-        self._entries.append(entry)
 
-    def entries(self) -> List[T]:
-        """Snapshot of the log contents."""
-        return list(self._entries)
+def _slots(rows: Dict[int, Row], owners: Iterable[int]) -> List[Tuple[int, int, Any, Any]]:
+    """``(owner, seq, first, second)`` for every entry of the named owners'
+    rows, owner by owner in the order given, each by sequence number."""
+    return [
+        (owner, base + index, a, b)
+        for owner in owners if owner in rows
+        for base, first, second in (rows[owner],)
+        for index, (a, b) in enumerate(zip(first, second))
+        if b is not None
+    ]
 
-    def clear(self) -> None:
-        """Crash: all volatile contents are lost."""
-        self._entries.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VolatileLog({len(self)} entries)"
+def _drop_prefix(rows: Dict[int, Row], owner: int, seq: int) -> List[Any]:
+    """Drop ``owner``'s entries below sequence number ``seq``; returns the
+    second-column values of the entries dropped.  A row cut to nothing
+    goes, so the next entry starts a row at its own sequence number."""
+    row = rows.get(owner)
+    if row is None or seq <= row[0]:
+        return []
+    base, first, second = row
+    cut = seq - base
+    dropped = [value for value in second[:cut] if value is not None]
+    if cut < len(second):
+        del first[:cut], second[:cut]
+        row[0] = seq
+    else:
+        del rows[owner]
+    return dropped
 
 
 #: one logged message: the payload (by reference) and its body size
@@ -51,16 +83,20 @@ Logged = Tuple[Dict[str, Any], int]
 class SendLog:
     """Sender-side volatile log of outgoing message data.
 
-    Per destination, ``ssn -> (payload, size)``; holds the application
-    payload so the sender can retransmit during a receiver's recovery.
-    This is the "log each message in the volatile store of its sender"
-    half of the FBL idea.  The payload is kept by reference, not copied:
-    nothing mutates an application payload once it is sent (a logged
-    payload that changed would replay a different digest).
+    Per destination, a row of payloads and a row of body sizes indexed by
+    ssn; holds the application payload so the sender can retransmit
+    during a receiver's recovery.  This is the "log each message in the
+    volatile store of its sender" half of the FBL idea.  The payload is
+    kept by reference, not copied: nothing mutates an application payload
+    once it is sent (a logged payload that changed would replay a
+    different digest).
     """
 
     def __init__(self) -> None:
-        self._by_dst: Dict[int, Dict[int, Logged]] = {}
+        #: dst -> [base, payloads, sizes]
+        self._rows: Dict[int, Row] = {}
+        #: entries held (a row scan would cost every summary a pass)
+        self._entries = 0
         self.bytes_logged = 0
         #: cumulative bytes released by checkpoint-driven pruning
         self.bytes_pruned = 0
@@ -69,18 +105,24 @@ class SendLog:
 
     def log(self, dst: int, ssn: int, payload: Dict[str, Any], size_bytes: int) -> None:
         """Record an outgoing message for possible replay."""
-        logged = self._by_dst.get(dst)
-        if logged is None:
-            logged = self._by_dst[dst] = {}
-        elif ssn in logged:
+        row = self._rows.get(dst)
+        if row is None:
+            row = self._rows[dst] = [ssn, [None] * _START, [None] * _START]
+        base, payloads, sizes = row
+        index = ssn - base
+        if not 0 <= index < len(sizes):
+            index = _fit(row, ssn)
+        elif sizes[index] is not None:
             return  # duplicate regeneration during replay
-        logged[ssn] = (payload, size_bytes)
+        payloads[index] = payload
+        sizes[index] = size_bytes
+        self._entries += 1
         self.bytes_logged += size_bytes
 
     def messages_for(self, dst: int) -> List[Tuple[int, Logged]]:
         """All logged ``(ssn, (payload, size))`` pairs destined for
         ``dst``, by ssn."""
-        return sorted(self._by_dst.get(dst, {}).items())
+        return [(ssn, (payload, size)) for _, ssn, payload, size in _slots(self._rows, (dst,))]
 
     def prune_upto(self, dst: int, ssn: int) -> int:
         """Garbage-collect entries for ``dst`` with ssn <= the given bound.
@@ -88,29 +130,25 @@ class SendLog:
         Returns how many entries were dropped.  Called when the receiver
         checkpoints (it will never need those messages replayed again).
         """
-        logged = self._by_dst.get(dst, {})
-        victims = [key for key in logged if key <= ssn]
-        for key in victims:
-            size = logged.pop(key)[1]
-            self.bytes_logged -= size
-            self.bytes_pruned += size
-        self.entries_pruned += len(victims)
-        return len(victims)
+        sizes = _drop_prefix(self._rows, dst, ssn + 1)
+        freed = sum(sizes)
+        self._entries -= len(sizes)
+        self.bytes_logged -= freed
+        self.bytes_pruned += freed
+        self.entries_pruned += len(sizes)
+        return len(sizes)
 
     def clear(self) -> None:
         """Crash: the send log is volatile."""
-        self._by_dst.clear()
+        self._rows.clear()
+        self._entries = 0
         self.bytes_logged = 0
 
     # -- checkpoint support ------------------------------------------------
     def to_state(self) -> List[Tuple[int, int, Dict[str, Any], int]]:
         """Serializable snapshot: list of (dst, ssn, payload, size), the
         payloads live (the checkpoint store encodes it at once)."""
-        return [
-            (dst, ssn, payload, size)
-            for dst in sorted(self._by_dst)
-            for ssn, (payload, size) in sorted(self._by_dst[dst].items())
-        ]
+        return _slots(self._rows, sorted(self._rows))
 
     def load_state(self, state: List[Tuple[int, int, Dict[str, Any], int]]) -> None:
         """Rebuild from a checkpointed snapshot."""
@@ -119,7 +157,7 @@ class SendLog:
             self.log(dst, ssn, payload, size)
 
     def __len__(self) -> int:
-        return sum(map(len, self._by_dst.values()))
+        return self._entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SendLog({len(self)} messages, {self.bytes_logged}B)"
@@ -151,6 +189,12 @@ class DeterminantLog:
     cyclic collector, which the tens of thousands of long-lived host
     sets of a run otherwise keep busy.
 
+    Per receiver, a row of determinants and a row of host masks, indexed
+    by rsn.  A slot belongs to the first determinant logged in it: a
+    different determinant for a filled slot merges its hosts into the
+    slot's mask but is not stored (``det in log`` is False for it).  The
+    slot code is written out on every per-determinant path, not called.
+
     :meth:`stable` is the one definition of "replicated enough"; the two
     per-message loops (:meth:`spread`, :meth:`absorb`) inline it and keep
     the caller's *unstable cache* -- ``delivery_id -> determinant`` for
@@ -158,8 +202,10 @@ class DeterminantLog:
     """
 
     def __init__(self) -> None:
-        self._dets: Dict[DeliveryId, Determinant] = {}
-        self._masks: Dict[DeliveryId, int] = {}
+        #: receiver -> [base, determinants, host masks]
+        self._rows: Dict[int, Row] = {}
+        #: entries held (a row scan would cost every summary a pass)
+        self._entries = 0
         #: a determinant stored at more than ``f`` hosts is stable; the
         #: FBL family sets it once (untold, only the stable host counts)
         self.f: float = float("inf")
@@ -170,21 +216,42 @@ class DeterminantLog:
     def merge(self, det: Determinant, mask: int) -> int:
         """Record ``det`` and OR ``mask`` into its host set; returns the
         merged mask, so per-message callers never look it up again."""
-        key = det.delivery_id
-        known = self._masks.get(key)
+        _, _, receiver, rsn = det
+        row = self._rows.get(receiver)
+        if row is None:
+            row = self._rows[receiver] = [rsn, [None] * _START, [None] * _START]
+        base, dets, masks = row
+        index = rsn - base
+        if not 0 <= index < len(masks):
+            index = _fit(row, rsn)
+        known = masks[index]
         if known is None:
-            self._dets[key] = det
+            dets[index] = det
+            self._entries += 1
             known = 0
-        self._masks[key] = known = known | mask
+        masks[index] = known = known | mask
         return known
 
     def add(self, det: Determinant, logged_at: Iterable[int] = ()) -> bool:
         """Record ``det``; merge ``logged_at`` host knowledge.
 
-        Returns True if the determinant was new to this log.
+        Returns True if the determinant's slot was empty in this log.
         """
-        new = det.delivery_id not in self._dets
-        self.merge(det, host_mask(logged_at))
+        _, _, receiver, rsn = det
+        row = self._rows.get(receiver)
+        if row is None:
+            row = self._rows[receiver] = [rsn, [None] * _START, [None] * _START]
+        base, dets, masks = row
+        index = rsn - base
+        if not 0 <= index < len(masks):
+            index = _fit(row, rsn)
+        known = masks[index]
+        new = known is None
+        if new:
+            dets[index] = det
+            self._entries += 1
+            known = 0
+        masks[index] = known | host_mask(logged_at)
         return new
 
     def note_logged_at(self, det: Determinant, host: int) -> int:
@@ -193,7 +260,15 @@ class DeterminantLog:
 
     def mask(self, det: Determinant) -> int:
         """Bitmask of the hosts known to store ``det`` (0 if unknown)."""
-        return self._masks.get(det.delivery_id, 0)
+        _, _, receiver, rsn = det
+        row = self._rows.get(receiver)
+        if row is None:
+            return 0
+        base, _, masks = row
+        index = rsn - base
+        if not 0 <= index < len(masks):
+            return 0
+        return masks[index] or 0
 
     def logged_at(self, det: Determinant) -> frozenset:
         """Hosts known to store ``det`` (possibly empty), decoded."""
@@ -205,7 +280,9 @@ class DeterminantLog:
     # ------------------------------------------------------------------
     def determinants(self) -> List[Determinant]:
         """Every stored determinant, deterministically ordered."""
-        return sorted(self._dets.values())
+        return sorted([
+            det for _, dets, _ in self._rows.values() for det in dets if det is not None
+        ])
 
     def stable(self, mask: int) -> bool:
         """Is a determinant with host set ``mask`` replicated enough: at
@@ -223,17 +300,20 @@ class DeterminantLog:
         uncached as in :meth:`absorb`.  ``key`` is the cache's own
         delivery-id tuple, so every log downstream shares it."""
         items = []
-        masks, f, dst_bit = self._masks, self.f, 1 << (dst + 1)
+        rows, f, dst_bit = self._rows, self.f, 1 << (dst + 1)
         for key in sorted(unstable):
-            mask = masks[key]
+            receiver, rsn = key
+            base, _, masks = rows[receiver]
+            index = rsn - base
+            mask = masks[index]
             if mask & dst_bit:
                 continue  # dst already stores it; no point re-sending
             det = unstable[key]
             items.append((key, det, mask))
-            masks[key] = mask = mask | dst_bit
+            masks[index] = mask = mask | dst_bit
             if mask & 1 or mask.bit_count() > f:
                 del unstable[key]
-                if key[0] == me:
+                if receiver == me:
                     on_stable(det, True)
         return items
 
@@ -243,61 +323,75 @@ class DeterminantLog:
         on_stable: Callable[[Determinant, bool], None],
     ) -> None:
         """One pass over ``(key, determinant, mask)`` items (``key`` is the
-        determinant's ``delivery_id``, stored as given): merge ``mask`` and
-        ``hosts`` into each host set, then cache the determinant in
-        ``unstable`` or, if it is stable (:meth:`stable`, inline), uncache
-        it and, for one of ``me``'s own deliveries, call ``on_stable(det,
-        was_cached)`` in place, before the next item is looked at."""
-        masks, f, seen_at = self._masks, self.f, 0
+        determinant's ``delivery_id``): merge ``mask`` and ``hosts`` into
+        each host set, then cache the determinant in ``unstable`` or, if
+        it is stable (:meth:`stable`, inline), uncache it and, for one of
+        ``me``'s own deliveries, call ``on_stable(det, was_cached)`` in
+        place, before the next item is looked at."""
+        rows, f, seen_at, added = self._rows, self.f, 0, 0
         for host in hosts:
             seen_at |= 1 << (host + 1)
         for key, det, mask in items:
-            known = masks.get(key)
+            receiver, rsn = key
+            row = rows.get(receiver)
+            if row is None:
+                row = rows[receiver] = [rsn, [None] * _START, [None] * _START]
+            base, dets, masks = row
+            index = rsn - base
+            if index < 0:
+                index = _fit(row, rsn)
+            try:  # on this loop, cheaper than checking the end every time
+                known = masks[index]
+            except IndexError:
+                _fit(row, rsn)
+                known = None
             if known is None:
-                self._dets[key] = det
+                dets[index] = det
+                added += 1
                 known = 0
-            masks[key] = mask = known | mask | seen_at
+            masks[index] = mask = known | mask | seen_at
             if not (mask & 1 or mask.bit_count() > f):
                 unstable[key] = det
-            elif key[0] == me:
+            elif receiver == me:
                 on_stable(det, unstable.pop(key, None) is not None)
             elif key in unstable:
                 del unstable[key]
+        self._entries += added
 
     def for_receiver(self, receiver: int) -> Dict[int, Determinant]:
         """``rsn -> determinant`` for one receiver."""
-        return {
-            rsn: det for (recv, rsn), det in self._dets.items() if recv == receiver
-        }
+        return {rsn: det for _, rsn, det, _ in _slots(self._rows, (receiver,))}
 
     def __contains__(self, det: Determinant) -> bool:
-        return self._dets.get(det.delivery_id) == det
+        _, _, receiver, rsn = det
+        row = self._rows.get(receiver)
+        if row is None:
+            return False
+        base, dets, _ = row
+        index = rsn - base
+        return 0 <= index < len(dets) and dets[index] == det
 
     def drop_receiver_prefix(self, receiver: int, before_rsn: int) -> int:
         """Garbage-collect determinants of ``receiver``'s deliveries with
         rsn < ``before_rsn`` (covered by its durable checkpoint, so never
         needed for replay again).  Returns how many were dropped."""
-        victims = [
-            key for key in self._dets
-            if key[0] == receiver and key[1] < before_rsn
-        ]
-        for key in victims:
-            del self._dets[key]
-            del self._masks[key]
-        self.entries_pruned += len(victims)
-        return len(victims)
+        dropped = len(_drop_prefix(self._rows, receiver, before_rsn))
+        self._entries -= dropped
+        self.entries_pruned += dropped
+        return dropped
 
     def clear(self) -> None:
         """Crash: all volatile contents are lost."""
-        self._dets.clear()
-        self._masks.clear()
+        self._rows.clear()
+        self._entries = 0
 
     # -- checkpoint support ------------------------------------------------
     def to_state(self) -> List[Tuple[Tuple[int, int, int, int], int]]:
-        """Serializable snapshot: list of (det tuple, host mask)."""
+        """Serializable snapshot: list of (det tuple, host mask), by
+        ``(receiver, rsn)``."""
         return [
-            (det.to_tuple(), self._masks[key])
-            for key, det in sorted(self._dets.items())
+            (det.to_tuple(), mask)
+            for _, _, det, mask in _slots(self._rows, sorted(self._rows))
         ]
 
     def load_state(self, state: List[Tuple[Tuple[int, int, int, int], int]]) -> None:
@@ -307,7 +401,7 @@ class DeterminantLog:
             self.merge(Determinant.from_tuple(det_tuple), mask)
 
     def __len__(self) -> int:
-        return len(self._dets)
+        return self._entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeterminantLog({len(self)} determinants)"

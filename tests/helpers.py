@@ -68,12 +68,10 @@ def run_small(**kwargs):
 # -- test-only views of the volatile logs ----------------------------------
 def send_log_lookup(log: SendLog, dst: int, ssn: int) -> Optional[Tuple[Dict[str, Any], int]]:
     """The ``(payload, size)`` a :class:`SendLog` holds for ``(dst, ssn)``, or None."""
-    return log._by_dst.get(dst, {}).get(ssn)
+    return dict(log.messages_for(dst)).get(ssn)
 
 
 def unstable(log: DeterminantLog) -> List[Determinant]:
     """Every determinant ``log.stable`` rejects, by full scan: the
     reference the protocols' unstable caches are tested against."""
-    return sorted(
-        det for key, det in log._dets.items() if not log.stable(log._masks[key])
-    )
+    return [det for det in log.determinants() if not log.stable(log.mask(det))]

@@ -1,12 +1,19 @@
 """Unit tests for the consistency oracle."""
 
+from hashlib import sha256
+
 from repro.core.oracle import ConsistencyOracle, NullOracle, OracleViolation
+
+
+def digest(state: str) -> str:
+    """A process digest as the application hands it over: sha256, hex."""
+    return sha256(state.encode()).hexdigest()
 
 
 def test_clean_run_is_consistent():
     oracle = ConsistencyOracle()
     oracle.on_send(0, 0, 1, 0)
-    oracle.on_deliver(1, 0, (0, 0), "d1")
+    oracle.on_deliver(1, 0, (0, 0), digest("d1"))
     assert oracle.consistent
     oracle.check_safety({0: [], 1: [(0, 0)]})
     assert oracle.consistent
@@ -15,25 +22,25 @@ def test_clean_run_is_consistent():
 def test_replay_matching_original_is_clean():
     oracle = ConsistencyOracle()
     oracle.on_send(0, 0, 1, 0)
-    oracle.on_deliver(1, 0, (0, 0), "d1")
+    oracle.on_deliver(1, 0, (0, 0), digest("d1"))
     # replay: identical send and delivery
     oracle.on_send(0, 0, 1, 0)
-    oracle.on_deliver(1, 0, (0, 0), "d1")
+    oracle.on_deliver(1, 0, (0, 0), digest("d1"))
     assert oracle.consistent
 
 
 def test_replay_order_divergence_detected():
     oracle = ConsistencyOracle()
-    oracle.on_deliver(1, 0, (0, 0), "d1")
-    oracle.on_deliver(1, 0, (2, 5), "d1")  # same rsn, different message
+    oracle.on_deliver(1, 0, (0, 0), digest("d1"))
+    oracle.on_deliver(1, 0, (2, 5), digest("d1"))  # same rsn, different message
     assert not oracle.consistent
     assert oracle.violations[0].kind == "replay-order"
 
 
 def test_replay_digest_divergence_detected():
     oracle = ConsistencyOracle()
-    oracle.on_deliver(1, 0, (0, 0), "d1")
-    oracle.on_deliver(1, 0, (0, 0), "DIFFERENT")
+    oracle.on_deliver(1, 0, (0, 0), digest("d1"))
+    oracle.on_deliver(1, 0, (0, 0), digest("DIFFERENT"))
     assert not oracle.consistent
     assert oracle.violations[0].kind == "replay-digest"
 
@@ -50,9 +57,9 @@ def test_orphan_detected():
     """A surviving delivery depending on a rolled-back delivery."""
     oracle = ConsistencyOracle()
     # p delivers m at rsn 0, then sends to q, which delivers it
-    oracle.on_deliver(0, 0, (9, 0), "p-digest")
+    oracle.on_deliver(0, 0, (9, 0), digest("p"))
     oracle.on_send(0, 0, 1, 1)  # p's send happened after 1 delivery
-    oracle.on_deliver(1, 0, (0, 0), "q-digest")
+    oracle.on_deliver(1, 0, (0, 0), digest("q"))
     # p's delivery was rolled back (final history empty), q's survived
     oracle.check_safety({0: [], 1: [(0, 0)], 9: []})
     assert not oracle.consistent
@@ -62,10 +69,10 @@ def test_orphan_detected():
 def test_rollback_forgets_invisible_suffix():
     """Rolled-back deliveries do not trigger false replay divergence."""
     oracle = ConsistencyOracle()
-    oracle.on_deliver(1, 0, (0, 0), "a")
-    oracle.on_deliver(1, 1, (2, 0), "b")  # this one will be rolled back
+    oracle.on_deliver(1, 0, (0, 0), digest("a"))
+    oracle.on_deliver(1, 1, (2, 0), digest("b"))  # this one will be rolled back
     oracle.on_rollback(1, 1)
-    oracle.on_deliver(1, 1, (3, 0), "c")  # fresh execution takes rsn 1
+    oracle.on_deliver(1, 1, (3, 0), digest("c"))  # fresh execution takes rsn 1
     assert oracle.consistent
 
 
@@ -80,9 +87,9 @@ def test_rollback_archives_sends():
 def test_orphan_still_detected_after_rollback_archiving():
     """Archived events keep their causal edges for the safety check."""
     oracle = ConsistencyOracle()
-    oracle.on_deliver(0, 0, (9, 0), "p")
+    oracle.on_deliver(0, 0, (9, 0), digest("p"))
     oracle.on_send(0, 0, 1, 1)
-    oracle.on_deliver(1, 0, (0, 0), "q")
+    oracle.on_deliver(1, 0, (0, 0), digest("q"))
     oracle.on_rollback(0, 0)  # p rolled back to zero deliveries
     oracle.check_safety({0: [], 1: [(0, 0)], 9: []})
     assert any(v.kind == "orphan" for v in oracle.violations)
@@ -90,7 +97,7 @@ def test_orphan_still_detected_after_rollback_archiving():
 
 def test_history_divergence_detected():
     oracle = ConsistencyOracle()
-    oracle.on_deliver(1, 0, (0, 0), "a")
+    oracle.on_deliver(1, 0, (0, 0), digest("a"))
     oracle.check_safety({1: [(9, 9)]})
     assert any(v.kind == "history-divergence" for v in oracle.violations)
 
@@ -103,17 +110,17 @@ def test_violation_str():
 
 def test_deliveries_recorded_counts_unique():
     oracle = ConsistencyOracle()
-    oracle.on_deliver(1, 0, (0, 0), "a")
-    oracle.on_deliver(1, 0, (0, 0), "a")
-    oracle.on_deliver(1, 1, (0, 1), "b")
+    oracle.on_deliver(1, 0, (0, 0), digest("a"))
+    oracle.on_deliver(1, 0, (0, 0), digest("a"))
+    oracle.on_deliver(1, 1, (0, 1), digest("b"))
     assert oracle.deliveries_recorded() == 2
 
 
 def test_null_oracle_observes_nothing():
     oracle = NullOracle()
     oracle.on_send(0, 0, 1, 0)
-    oracle.on_deliver(1, 0, (0, 99), "x")
-    oracle.on_deliver(1, 0, (5, 5), "y")  # would be a violation normally
+    oracle.on_deliver(1, 0, (0, 99), digest("x"))
+    oracle.on_deliver(1, 0, (5, 5), digest("y"))  # would be a violation normally
     oracle.on_rollback(1, 0)
     oracle.check_safety({1: [(9, 9)]})
     assert oracle.consistent

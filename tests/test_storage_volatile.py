@@ -1,38 +1,19 @@
-"""Unit tests for volatile logs."""
+"""Unit tests for volatile logs, and the row-based logs held equal to
+the dict-based ones they replaced."""
+
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.causality.determinant import Determinant
-from repro.storage.volatile import DeterminantLog, SendLog, VolatileLog, host_mask
+from repro.storage.volatile import DeliveryId, DeterminantLog, Item, SendLog, host_mask
 
 from helpers import send_log_lookup, unstable
 
 
 def det(sender=0, ssn=0, receiver=1, rsn=0):
     return Determinant(sender=sender, ssn=ssn, receiver=receiver, rsn=rsn)
-
-
-class TestVolatileLog:
-    def test_append_and_iterate(self):
-        log = VolatileLog()
-        log.append("a")
-        log.append("b")
-        assert list(log) == ["a", "b"]
-        assert len(log) == 2
-
-    def test_clear_loses_everything(self):
-        log = VolatileLog()
-        log.append(1)
-        log.clear()
-        assert len(log) == 0
-
-    def test_entries_returns_copy(self):
-        log = VolatileLog()
-        log.append(1)
-        snapshot = log.entries()
-        snapshot.append(2)
-        assert len(log) == 1
 
 
 class TestSendLog:
@@ -172,6 +153,7 @@ _log_ops = st.lists(
         st.integers(min_value=1, max_value=3),   # receiver
         st.integers(min_value=0, max_value=5),   # rsn
         st.lists(_hosts, max_size=4),
+        st.integers(min_value=0, max_value=1),   # which message fills the slot
     ),
     max_size=50,
 )
@@ -180,12 +162,14 @@ _log_ops = st.lists(
 @settings(max_examples=80)
 @given(ops=_log_ops, target=st.integers(min_value=1, max_value=5))
 def test_determinant_log_host_masks_match_a_set_model(ops, target):
-    """The bitmask host sets against the ``Dict[key, set]`` they replaced."""
+    """The bitmask host sets against the ``Dict[key, set]`` they replaced.
+    A slot may be drawn with a second message: the first determinant
+    logged owns the slot, the second's hosts merge into its set."""
     log = DeterminantLog()
-    model = {}
-    for op, receiver, rsn, hosts in ops:
-        d = det(receiver=receiver, rsn=rsn, ssn=rsn)
-        known = model.get(d.delivery_id)
+    model = {}  # delivery_id -> (the slot's determinant, its hosts)
+    for op, receiver, rsn, hosts, message in ops:
+        d = det(receiver=receiver, rsn=rsn, ssn=rsn + 10 * message)
+        owner, known = model.get(d.delivery_id, (d, None))
         if op == "add":
             assert log.add(d, logged_at=hosts) == (known is None)
             merged = (known or set()) | set(hosts)
@@ -196,15 +180,17 @@ def test_determinant_log_host_masks_match_a_set_model(ops, target):
             host = hosts[0] if hosts else 0
             merged = (known or set()) | {host}
             assert log.note_logged_at(d, host) == host_mask(merged)
-        model[d.delivery_id] = merged
+        model[d.delivery_id] = (owner, merged)
         assert log.mask(d) == host_mask(merged)
+        assert (d in log) == (d == owner)
     assert len(log) == len(model)
+    assert log.determinants() == sorted(owner for owner, _ in model.values())
     for d in log.determinants():
-        assert log.logged_at(d) == frozenset(model[d.delivery_id])
+        assert log.logged_at(d) == frozenset(model[d.delivery_id][1])
     log.f = target - 1
     assert unstable(log) == sorted(
-        d for d in log.determinants()
-        if len(model[d.delivery_id]) < target and -1 not in model[d.delivery_id]
+        owner for owner, hosts in model.values()
+        if len(hosts) < target and -1 not in hosts
     )
     assert log.logged_at(det(receiver=9)) == frozenset()
     restored = DeterminantLog()
@@ -212,3 +198,332 @@ def test_determinant_log_host_masks_match_a_set_model(ops, target):
     assert restored.to_state() == log.to_state()
     for d in log.determinants():
         assert restored.logged_at(d) == log.logged_at(d)
+
+
+# -- the row-based logs against the dict-based references ------------------
+Logged = Tuple[Dict[str, Any], int]
+
+
+class DictSendLog:
+    """The dict-based send log the row-based :class:`SendLog` replaced,
+    kept verbatim as its reference.
+
+    Per destination, ``ssn -> (payload, size)``; holds the application
+    payload so the sender can retransmit during a receiver's recovery.
+    """
+
+    def __init__(self) -> None:
+        self._by_dst: Dict[int, Dict[int, Logged]] = {}
+        self.bytes_logged = 0
+        #: cumulative bytes released by checkpoint-driven pruning
+        self.bytes_pruned = 0
+        #: cumulative entries released by checkpoint-driven pruning
+        self.entries_pruned = 0
+
+    def log(self, dst: int, ssn: int, payload: Dict[str, Any], size_bytes: int) -> None:
+        """Record an outgoing message for possible replay."""
+        logged = self._by_dst.get(dst)
+        if logged is None:
+            logged = self._by_dst[dst] = {}
+        elif ssn in logged:
+            return  # duplicate regeneration during replay
+        logged[ssn] = (payload, size_bytes)
+        self.bytes_logged += size_bytes
+
+    def messages_for(self, dst: int) -> List[Tuple[int, Logged]]:
+        """All logged ``(ssn, (payload, size))`` pairs destined for
+        ``dst``, by ssn."""
+        return sorted(self._by_dst.get(dst, {}).items())
+
+    def prune_upto(self, dst: int, ssn: int) -> int:
+        """Garbage-collect entries for ``dst`` with ssn <= the given bound."""
+        logged = self._by_dst.get(dst, {})
+        victims = [key for key in logged if key <= ssn]
+        for key in victims:
+            size = logged.pop(key)[1]
+            self.bytes_logged -= size
+            self.bytes_pruned += size
+        self.entries_pruned += len(victims)
+        return len(victims)
+
+    def clear(self) -> None:
+        """Crash: the send log is volatile."""
+        self._by_dst.clear()
+        self.bytes_logged = 0
+
+    def to_state(self) -> List[Tuple[int, int, Dict[str, Any], int]]:
+        """Serializable snapshot: list of (dst, ssn, payload, size)."""
+        return [
+            (dst, ssn, payload, size)
+            for dst in sorted(self._by_dst)
+            for ssn, (payload, size) in sorted(self._by_dst[dst].items())
+        ]
+
+    def load_state(self, state: List[Tuple[int, int, Dict[str, Any], int]]) -> None:
+        """Rebuild from a checkpointed snapshot."""
+        self.clear()
+        for dst, ssn, payload, size in state:
+            self.log(dst, ssn, payload, size)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._by_dst.values()))
+
+
+class DictDeterminantLog:
+    """The dict-based determinant log the row-based
+    :class:`DeterminantLog` replaced, kept verbatim as its reference:
+    two dicts keyed by ``delivery_id``, the determinant and its host
+    mask."""
+
+    def __init__(self) -> None:
+        self._dets: Dict[DeliveryId, Determinant] = {}
+        self._masks: Dict[DeliveryId, int] = {}
+        self.f: float = float("inf")
+        self.entries_pruned = 0
+
+    def merge(self, det: Determinant, mask: int) -> int:
+        key = det.delivery_id
+        known = self._masks.get(key)
+        if known is None:
+            self._dets[key] = det
+            known = 0
+        self._masks[key] = known = known | mask
+        return known
+
+    def add(self, det: Determinant, logged_at: Iterable[int] = ()) -> bool:
+        new = det.delivery_id not in self._dets
+        self.merge(det, host_mask(logged_at))
+        return new
+
+    def note_logged_at(self, det: Determinant, host: int) -> int:
+        return self.merge(det, 1 << (host + 1))
+
+    def mask(self, det: Determinant) -> int:
+        return self._masks.get(det.delivery_id, 0)
+
+    def determinants(self) -> List[Determinant]:
+        return sorted(self._dets.values())
+
+    def spread(
+        self, dst: int, unstable: Dict[DeliveryId, Determinant], me: int,
+        on_stable: Callable[[Determinant, bool], None],
+    ) -> List[Item]:
+        items = []
+        masks, f, dst_bit = self._masks, self.f, 1 << (dst + 1)
+        for key in sorted(unstable):
+            mask = masks[key]
+            if mask & dst_bit:
+                continue
+            det = unstable[key]
+            items.append((key, det, mask))
+            masks[key] = mask = mask | dst_bit
+            if mask & 1 or mask.bit_count() > f:
+                del unstable[key]
+                if key[0] == me:
+                    on_stable(det, True)
+        return items
+
+    def absorb(
+        self, items: Iterable[Item], hosts: Iterable[int],
+        unstable: Dict[DeliveryId, Determinant], me: int,
+        on_stable: Callable[[Determinant, bool], None],
+    ) -> None:
+        masks, f, seen_at = self._masks, self.f, 0
+        for host in hosts:
+            seen_at |= 1 << (host + 1)
+        for key, det, mask in items:
+            known = masks.get(key)
+            if known is None:
+                self._dets[key] = det
+                known = 0
+            masks[key] = mask = known | mask | seen_at
+            if not (mask & 1 or mask.bit_count() > f):
+                unstable[key] = det
+            elif key[0] == me:
+                on_stable(det, unstable.pop(key, None) is not None)
+            elif key in unstable:
+                del unstable[key]
+
+    def for_receiver(self, receiver: int) -> Dict[int, Determinant]:
+        return {
+            rsn: det for (recv, rsn), det in self._dets.items() if recv == receiver
+        }
+
+    def __contains__(self, det: Determinant) -> bool:
+        return self._dets.get(det.delivery_id) == det
+
+    def drop_receiver_prefix(self, receiver: int, before_rsn: int) -> int:
+        victims = [
+            key for key in self._dets
+            if key[0] == receiver and key[1] < before_rsn
+        ]
+        for key in victims:
+            del self._dets[key]
+            del self._masks[key]
+        self.entries_pruned += len(victims)
+        return len(victims)
+
+    def clear(self) -> None:
+        self._dets.clear()
+        self._masks.clear()
+
+    def to_state(self) -> List[Tuple[Tuple[int, int, int, int], int]]:
+        return [
+            (det.to_tuple(), self._masks[key])
+            for key, det in sorted(self._dets.items())
+        ]
+
+    def load_state(self, state: List[Tuple[Tuple[int, int, int, int], int]]) -> None:
+        self.clear()
+        for det_tuple, mask in state:
+            self.merge(Determinant.from_tuple(det_tuple), mask)
+
+    def __len__(self) -> int:
+        return len(self._dets)
+
+
+_DSTS = 3
+_send_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["log", "log", "log", "log", "prune", "clear", "reload"]),
+        st.integers(min_value=0, max_value=_DSTS - 1),
+        st.integers(min_value=-1, max_value=40),
+        st.integers(min_value=0, max_value=200),  # body size
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_send_ops)
+def test_row_send_log_matches_the_dict_reference(ops):
+    """Any sequence of logs -- in order, with gaps, duplicates, and below
+    a pruned prefix -- prunes, crashes and checkpoint round trips leaves
+    the ssn rows and the dict-based log with the same answers: every
+    ``prune_upto`` return, ``messages_for`` (payloads by identity),
+    ``to_state``, ``len`` and the byte and entry counters."""
+    rows, reference = SendLog(), DictSendLog()
+    next_ssn = [0] * _DSTS
+    for op, dst, ssn, size in ops:
+        if op == "log":
+            if ssn < 0:  # the channel's next send
+                ssn = next_ssn[dst]
+            next_ssn[dst] = max(next_ssn[dst], ssn + 1)
+            payload = {"dst": dst, "ssn": ssn}
+            rows.log(dst, ssn, payload, size)
+            reference.log(dst, ssn, payload, size)
+        elif op == "prune":
+            assert rows.prune_upto(dst, ssn) == reference.prune_upto(dst, ssn)
+        elif op == "clear":
+            rows.clear()
+            reference.clear()
+        else:
+            rows.load_state(rows.to_state())
+            reference.load_state(reference.to_state())
+        for dst in range(_DSTS):
+            new, old = rows.messages_for(dst), reference.messages_for(dst)
+            assert new == old
+            assert all(a[1][0] is b[1][0] for a, b in zip(new, old))
+        assert rows.to_state() == reference.to_state()
+        assert len(rows) == len(reference)
+        assert (rows.bytes_logged, rows.bytes_pruned, rows.entries_pruned) == (
+            reference.bytes_logged, reference.bytes_pruned, reference.entries_pruned)
+
+
+_RECEIVERS, _RSNS = 4, 12
+
+
+def _slot_det(receiver: int, rsn: int, message: int) -> Determinant:
+    """The determinant of delivery ``(receiver, rsn)``: ``message`` 0 or
+    1 names one of two different messages that may claim the slot."""
+    return Determinant(receiver + 1 + message, rsn + 100 * message, receiver, rsn)
+
+
+_entries = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=_RECEIVERS - 1),
+        st.integers(min_value=0, max_value=_RSNS - 1),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=2 ** 7 - 1),  # mask
+    ),
+    min_size=1, max_size=6,
+)
+_det_log_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["merge", "add", "note", "absorb", "absorb", "absorb", "spread", "spread",
+             "drop", "clear", "reload"]
+        ),
+        _entries,
+        st.lists(st.integers(min_value=-1, max_value=5), max_size=3),  # hosts
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_det_log_ops, f=st.integers(min_value=1, max_value=4),
+       me=st.integers(min_value=0, max_value=_RECEIVERS - 1))
+def test_row_determinant_log_matches_the_dict_reference(ops, f, me):
+    """Any sequence of merges, adds, piggyback absorbs and spreads (each
+    with its own unstable cache), prefix drops with re-entries below the
+    pruned base, crashes and checkpoint round trips -- holes, out-of-order
+    arrivals and a second determinant for a filled slot included -- gets
+    the same answer from the rsn rows as from the dict-based log: every
+    return value, the caches and ``on_stable`` calls, ``determinants()``,
+    ``for_receiver``, ``mask`` and ``in`` for every slot and message,
+    ``to_state``, ``len`` and ``entries_pruned``."""
+    rows, reference = DeterminantLog(), DictDeterminantLog()
+    rows.f = reference.f = f
+    caches: Tuple[Dict, Dict] = ({}, {})
+    calls: Tuple[List, List] = ([], [])
+    logs = (rows, reference)
+
+    def on_stable(side):
+        return lambda det, was_cached: calls[side].append((det, was_cached))
+
+    for op, entries, hosts in ops:
+        receiver, rsn, message, mask = entries[0]
+        d = _slot_det(receiver, rsn, message)
+        if op == "merge":
+            assert rows.merge(d, mask) == reference.merge(d, mask)
+        elif op == "add":
+            assert rows.add(d, hosts) == reference.add(d, hosts)
+        elif op == "note":
+            host = hosts[0] if hosts else receiver
+            assert rows.note_logged_at(d, host) == reference.note_logged_at(d, host)
+        elif op == "absorb":
+            slot_dets = [(_slot_det(r, s, m), k) for r, s, m, k in entries]
+            items = [(det.delivery_id, det, k) for det, k in slot_dets]
+            for side, log in enumerate(logs):
+                log.absorb(items, hosts, caches[side], me, on_stable(side))
+        elif op == "spread":
+            dst = hosts[0] % _RECEIVERS if hosts else receiver
+            assert rows.spread(dst, caches[0], me, on_stable(0)) == reference.spread(
+                dst, caches[1], me, on_stable(1))
+        elif op == "drop":
+            assert rows.drop_receiver_prefix(receiver, rsn) == (
+                reference.drop_receiver_prefix(receiver, rsn))
+            for cache in caches:  # what the protocols do with their caches
+                for key in [k for k in cache if k[0] == receiver and k[1] < rsn]:
+                    del cache[key]
+        elif op == "clear":
+            for log, cache in zip(logs, caches):
+                log.clear()
+                cache.clear()
+        else:
+            for log in logs:
+                log.load_state(log.to_state())
+        assert caches[0] == caches[1]
+        assert calls[0] == calls[1]
+        assert rows.to_state() == reference.to_state()
+        assert len(rows) == len(reference)
+        assert rows.entries_pruned == reference.entries_pruned
+    assert rows.determinants() == reference.determinants()
+    for receiver in range(_RECEIVERS + 1):
+        assert rows.for_receiver(receiver) == reference.for_receiver(receiver)
+        for rsn in range(_RSNS + 1):
+            for message in (0, 1):
+                d = _slot_det(receiver, rsn, message)
+                assert rows.mask(d) == reference.mask(d)
+                assert (d in rows) == (d in reference)
