@@ -21,7 +21,7 @@ across a mode boundary is as clean as within one.
 
 import pytest
 
-from repro import build_system, crash_at
+from repro import crash_at, run_config
 from repro.core.config import StorageRealismConfig
 from repro.runner import run_results
 
@@ -167,7 +167,7 @@ def test_exp14_crash_during_migration_window(benchmark):
             "e14-adaptive-crash",
             crashes=[crash_at(node=4, time=0.012)],
         )
-        return build_system(config).run()
+        return run_config(config)
 
     result = once(benchmark, run)
     _assert_green(result, "adaptive+crash")

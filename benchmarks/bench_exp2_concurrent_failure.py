@@ -13,7 +13,7 @@ was negligible (about milliseconds)."
 
 import pytest
 
-from repro import build_system, crash_at, crash_on
+from repro import build_system, crash_at, crash_on, run_config
 
 from paper_setup import emit, once, paper_config
 
@@ -133,7 +133,7 @@ def test_exp2_leader_crash_handoff_vs_restart(benchmark):
                 f"e2-churn-{recovery}", recovery=recovery, f=3,
                 crashes=churn_crashes(),
             )
-            result = build_system(config).run()
+            result = run_config(config)
             assert result.consistent
             results[recovery] = result
         return results
@@ -202,7 +202,7 @@ def test_exp2_partition_during_recovery_starves_restart(benchmark):
                 # observation window well past the partition heal
                 run_until=30.0,
             )
-            results[recovery] = build_system(config).run()
+            results[recovery] = run_config(config)
         return results
 
     results = once(benchmark, run_pair)
@@ -261,4 +261,4 @@ def test_exp2_partition_during_recovery_starves_restart(benchmark):
         max_events=200_000,
     )
     with pytest.raises(RuntimeError, match="max_events"):
-        build_system(config).run()
+        run_config(config)

@@ -10,7 +10,7 @@ seconds or a few minutes", Section 2.2).
 
 import pytest
 
-from repro import build_system, crash_at
+from repro import crash_at, run_config
 
 from paper_setup import emit, once, paper_config
 
@@ -37,7 +37,7 @@ def _config(recovery, op_latency, bandwidth, state_bytes=1_000_000):
 
 
 def run(recovery, op_latency, bandwidth, state_bytes=1_000_000):
-    result = build_system(_config(recovery, op_latency, bandwidth, state_bytes)).run()
+    result = run_config(_config(recovery, op_latency, bandwidth, state_bytes))
     assert result.consistent
     return result
 

@@ -12,7 +12,7 @@ where a few simultaneous failures may occur."  Sweeping n shows:
 
 import pytest
 
-from repro import build_system, crash_at
+from repro import crash_at, run_config
 
 from paper_setup import emit, once, paper_config
 
@@ -33,7 +33,7 @@ def _config(recovery: str, n: int):
 
 
 def run(recovery: str, n: int):
-    result = build_system(_config(recovery, n)).run()
+    result = run_config(_config(recovery, n))
     assert result.consistent
     return result
 

@@ -10,7 +10,7 @@ cost is a synchronous storage stall per delivery.
 
 import pytest
 
-from repro import build_system
+from repro import run_config
 from repro.analysis.cost import overhead_shares
 from repro.runner import run_results
 
@@ -26,7 +26,7 @@ def _fbl_config(f: int, seed: int = 0):
 
 
 def run_fbl(f: int, seed: int = 0):
-    result = build_system(_fbl_config(f, seed)).run()
+    result = run_config(_fbl_config(f, seed))
     assert result.consistent
     return result
 
@@ -36,7 +36,7 @@ def run_named(protocol: str, recovery: str):
         f"e6-{protocol}", protocol=protocol, recovery=recovery, hops=40,
         cost_ledger=True,
     )
-    result = build_system(config).run()
+    result = run_config(config)
     assert result.consistent
     return result
 

@@ -13,7 +13,7 @@ Three knobs the paper's design fixes, measured here:
 
 import pytest
 
-from repro import build_system, crash_at, crash_on
+from repro import crash_at, crash_on, run_config
 
 from paper_setup import emit, once, paper_config
 
@@ -28,7 +28,7 @@ def _config(crashes, name, detection_delay=3.0, recovery="nonblocking"):
 
 
 def run(crashes, name, detection_delay=3.0):
-    result = build_system(_config(crashes, name, detection_delay)).run()
+    result = run_config(_config(crashes, name, detection_delay))
     assert result.consistent
     return result
 

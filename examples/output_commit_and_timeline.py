@@ -19,7 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import SystemConfig, build_system, crash_at, crash_on
+from repro import SystemConfig, build_system, crash_at, crash_on, run_config
 from repro.analysis.report import format_table
 from repro.analysis.stats import summarize
 from repro.analysis.timeline import render_timeline
@@ -46,7 +46,7 @@ def output_latency_table() -> None:
             detection_delay=3.0, state_bytes=1_000_000,
             checkpoint_every=checkpoint_every,
         )
-        result = build_system(config).run()
+        result = run_config(config)
         assert result.consistent
         stats = summarize(result.output_latencies())
         rows.append([

@@ -32,7 +32,6 @@ Quickstart::
 """
 
 from repro.core.config import SystemConfig
-from repro.core.experiment import ExperimentRunner, SweepResult
 from repro.core.metrics import RecoveryEpisode, RunResult
 from repro.core.system import System, build_system, run_config
 from repro.procs.failure import crash_at, crash_on
@@ -44,8 +43,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "SystemConfig",
-    "ExperimentRunner",
-    "SweepResult",
     "RecoveryEpisode",
     "RunResult",
     "System",

@@ -84,10 +84,6 @@ class VectorClock:
         return dict(self.clocks)
 
     @classmethod
-    def from_dict(cls, data: Mapping[int, int]) -> "VectorClock":
-        return cls(data)
-
-    @classmethod
     def join(cls, clocks: Iterable["VectorClock"]) -> "VectorClock":
         """Least upper bound of several clocks."""
         result = cls()

@@ -1,20 +1,19 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven commands cover the common uses:
+Six commands cover the common uses:
 
 * ``run``     -- one simulation with chosen protocol/recovery/failures,
                  printed as a run summary (``--sanitize`` runs the
                  online invariant monitor alongside);
-* ``check``   -- re-run one scenario as N tie-break replicas and diff
-                 the outcomes: a semantic divergence means the scenario
-                 hides a schedule race (see docs/SANITIZER.md);
+* ``check``   -- re-run one scenario as N tie-break replicas, or under
+                 every legal same-instant schedule (``--exhaustive``), and
+                 diff the outcomes: a semantic divergence means the
+                 scenario hides a schedule race (see docs/SANITIZER.md);
 * ``compare`` -- the paper's head-to-head (blocking vs non-blocking, or
-                 any set of stacks) on an identical scenario;
-* ``sweep``   -- vary one numeric knob (n, f, detection delay, storage
-                 latency, state size, checkpoint interval, group-commit
-                 batch window) and print one row per value;
-* ``grid``    -- cartesian product over several knobs x seeds, fanned
-                 across worker processes (``--jobs``);
+                 all seven stacks) on an identical scenario;
+* ``grid``    -- cartesian product over one or more numeric knobs (n, f,
+                 detection delay, storage latency, state size, loss,
+                 checkpoint interval, group-commit batch window) x seeds;
 * ``report``  -- aggregate reports; ``report cost`` prints per-protocol
                  communication-cost breakdowns (purpose/phase/link),
                  overhead-vs-time curves, flamegraph export, and checks
@@ -22,7 +21,7 @@ Seven commands cover the common uses:
 * ``trace``   -- inspect a saved JSONL trace: filter, summarize, span
                  trees, the recovery critical path, Chrome export.
 
-``sweep`` and ``grid`` execute their trials through the parallel runner
+Every multi-trial command runs its trials through the parallel runner
 (:mod:`repro.runner`); ``--jobs 1`` and ``--jobs N`` print identical
 tables, the trials just finish sooner.
 
@@ -33,7 +32,7 @@ Examples::
     python -m repro run --protocol manetho --crash 2@0.05 --sanitize
     python -m repro check --protocol fbl --crash 2@0.03 --replicas 3 --seeds 0,7
     python -m repro compare --crash 3@0.05 --crash 5@0.06
-    python -m repro sweep --knob n --values 4,8,16,32 --crash 1@0.05 --jobs 4
+    python -m repro grid --knob n=4,8,16,32 --crash 1@0.05 --jobs 4
     python -m repro grid --knob n=4,8,16 --knob loss=0.0,0.05 --seeds 3
     python -m repro report cost --all-protocols --check
     python -m repro report cost --crash 3@0.05 --flame-out cost.folded
@@ -50,6 +49,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import SystemConfig, build_system, crash_at
 from repro.analysis.report import format_run_summary, format_table
 from repro.analysis.stats import summarize
+from repro.protocols import PROTOCOLS
+from repro.runner import TrialRunner, TrialSpec, run_results
 
 
 def _parse_crash(text: str):
@@ -140,7 +141,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     realism.add_argument(
         "--batch-window", type=float, default=0.005,
-        help="group-commit flush window in seconds (sweeping the "
+        help="group-commit flush window in seconds (a grid over the "
              "batch-window knob implies --group-commit)",
     )
     realism.add_argument(
@@ -175,22 +176,37 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-DEFAULT_RECOVERY = {
-    "fbl": "nonblocking",
-    "sender_based": "nonblocking",
-    "manetho": "nonblocking",
-    "pessimistic": "local",
-    "optimistic": "optimistic",
-    "coordinated": "coordinated",
-    "adaptive": "nonblocking",
-}
+#: ``(label, protocol, recovery)`` of every stack ``compare
+#: --all-protocols`` and ``report --all-protocols`` run; ``compare``
+#: alone runs the first two.  The labels key benchmarks/BENCH_COST.json.
+STACKS = [
+    ("fbl+nonblocking", "fbl", "nonblocking"),
+    ("fbl+blocking", "fbl", "blocking"),
+    ("sender_based", "sender_based", "nonblocking"),
+    ("manetho", "manetho", "nonblocking"),
+    ("pessimistic", "pessimistic", "local"),
+    ("optimistic", "optimistic", "optimistic"),
+    ("coordinated", "coordinated", "coordinated"),
+]
+
+
+def _recovery(args: argparse.Namespace) -> str:
+    """``--recovery``, else the protocol's natural (first supported) one."""
+    return args.recovery or PROTOCOLS[args.protocol].supported_recovery[0]
+
+
+def _repetitions(args: argparse.Namespace, config: SystemConfig, label: str):
+    """``--seeds`` trial specs of one config; repetition ``r`` runs at
+    seed ``--seed + r * 10_007``."""
+    return [
+        TrialSpec(config=config, seed=args.seed + rep * 10_007, label=label)
+        for rep in range(args.seeds)
+    ]
 
 
 def _config_from_args(args: argparse.Namespace, **overrides: Any) -> SystemConfig:
     protocol = overrides.pop("protocol", args.protocol)
-    recovery = overrides.pop(
-        "recovery", args.recovery or DEFAULT_RECOVERY[protocol]
-    )
+    recovery = overrides.pop("recovery", None) or _recovery(args)
     protocol_params: Dict[str, Any] = {}
     if protocol in ("fbl", "adaptive"):
         protocol_params = {"f": overrides.pop("f", args.f)}
@@ -245,7 +261,7 @@ def _config_from_args(args: argparse.Namespace, **overrides: Any) -> SystemConfi
             incremental_checkpoints=args.incremental_checkpoints,
             full_checkpoint_every=args.full_checkpoint_every,
             dirty_bytes_per_delivery=args.dirty_bytes_per_delivery,
-            # sweeping the batch window only makes sense with batching on
+            # a batch-window grid point only makes sense with batching on
             group_commit=args.group_commit or batch_window is not None,
             batch_window=(
                 batch_window if batch_window is not None else args.batch_window
@@ -383,132 +399,86 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """Tie-break replica diff: flag scenarios hiding schedule races."""
+    """Schedule-race check: diff tie-break replicas of each seed, or
+    (``--exhaustive``) every legal same-instant schedule."""
     import json
     import os
 
-    from repro.sanitizer.differ import check_trial
+    from repro.sanitizer.differ import check_trial, exhaustive_check_trial
 
     seeds = (
         [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     )
     if args.exhaustive:
-        return _cmd_check_exhaustive(args, seeds)
+        prefix, title = "check-exh", "exhaustive schedule check"
+        columns = ["seed", "schedules", "decisions", "max width", "complete"]
+    else:
+        prefix, title = "check", "tie-break schedule check"
+        columns = ["seed", "replicas", "consistent", "sanitizer", "timing drift"]
     rows = []
     reports = []
-    exit_code = 0
     for seed in seeds:
         config = _config_from_args(args)
         config.seed = seed
-        config.name = f"check-{config.protocol}-s{seed}"
+        config.name = f"{prefix}-{config.protocol}-s{seed}"
         config.sanitize = not args.no_sanitize
-        report = check_trial(config, replicas=args.replicas, jobs=args.jobs)
-        reports.append(report)
-        semantic = report.replicas[0].semantic
-        rows.append([
-            seed,
-            args.replicas,
-            "yes" if semantic["consistent"] else "NO",
-            {None: "-", True: "yes", False: "NO"}[semantic["sanitizer_clean"]],
-            len(report.strict_drift),
-            "none" if report.ok else f"{len(report.divergences)} DIVERGENT",
-        ])
-        if not report.ok:
-            exit_code = 1
-    print(format_table(
-        ["seed", "replicas", "consistent", "sanitizer", "timing drift",
-         "divergence"],
-        rows,
-        title=f"tie-break schedule check ({args.protocol} + "
-              f"{args.recovery or DEFAULT_RECOVERY[args.protocol]})",
-    ))
-    for report in reports:
-        for line in report.divergences:
-            print(f"  seed {report.seed}: {line}")
-    if args.report_dir:
-        os.makedirs(args.report_dir, exist_ok=True)
-        for report in reports:
-            path = os.path.join(args.report_dir, f"check-seed{report.seed}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(report.as_dict(), handle, indent=2, default=str)
-        print(f"  reports: wrote {len(reports)} file(s) to {args.report_dir}")
-    return exit_code
-
-
-def _cmd_check_exhaustive(args: argparse.Namespace, seeds: List[int]) -> int:
-    """Small-scope systematic search: every legal same-instant schedule."""
-    import json
-    import os
-
-    from repro.sanitizer.differ import exhaustive_check_trial
-
-    rows = []
-    reports = []
-    exit_code = 0
-    for seed in seeds:
-        config = _config_from_args(args)
-        config.seed = seed
-        config.name = f"check-exh-{config.protocol}-s{seed}"
-        config.sanitize = not args.no_sanitize
-        report = exhaustive_check_trial(
-            config,
-            max_schedules=args.max_schedules,
-            max_depth=args.max_depth,
-        )
-        reports.append(report)
-        rows.append([
-            seed,
-            report.schedules,
-            report.decision_points,
-            report.max_width,
-            "yes" if report.complete else "no",
-            "none" if report.ok else f"{len(report.divergences)} DIVERGENT",
-        ])
-        if not report.ok:
-            exit_code = 1
-    print(format_table(
-        ["seed", "schedules", "decisions", "max width", "complete",
-         "divergence"],
-        rows,
-        title=f"exhaustive schedule check ({args.protocol} + "
-              f"{args.recovery or DEFAULT_RECOVERY[args.protocol]})",
-    ))
-    for report in reports:
-        for line in report.divergences:
-            print(f"  seed {report.seed}: {line}")
-    if args.report_dir:
-        os.makedirs(args.report_dir, exist_ok=True)
-        for report in reports:
-            path = os.path.join(
-                args.report_dir, f"check-exh-seed{report.seed}.json"
+        if args.exhaustive:
+            report = exhaustive_check_trial(
+                config,
+                max_schedules=args.max_schedules,
+                max_depth=args.max_depth,
             )
+            row = [
+                report.schedules,
+                report.decision_points,
+                report.max_width,
+                "yes" if report.complete else "no",
+            ]
+        else:
+            report = check_trial(config, replicas=args.replicas, jobs=args.jobs)
+            semantic = report.replicas[0].semantic
+            row = [
+                args.replicas,
+                "yes" if semantic["consistent"] else "NO",
+                {None: "-", True: "yes", False: "NO"}[semantic["sanitizer_clean"]],
+                len(report.strict_drift),
+            ]
+        reports.append(report)
+        rows.append([
+            seed,
+            *row,
+            "none" if report.ok else f"{len(report.divergences)} DIVERGENT",
+        ])
+    print(format_table(
+        columns + ["divergence"],
+        rows,
+        title=f"{title} ({args.protocol} + {_recovery(args)})",
+    ))
+    for report in reports:
+        for line in report.divergences:
+            print(f"  seed {report.seed}: {line}")
+    if args.report_dir:
+        os.makedirs(args.report_dir, exist_ok=True)
+        for report in reports:
+            path = os.path.join(args.report_dir, f"{prefix}-seed{report.seed}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(report.as_dict(), handle, indent=2, default=str)
         print(f"  reports: wrote {len(reports)} file(s) to {args.report_dir}")
-    return exit_code
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    stacks = [
-        ("fbl + nonblocking", {"protocol": "fbl", "recovery": "nonblocking"}),
-        ("fbl + blocking", {"protocol": "fbl", "recovery": "blocking"}),
+    stacks = STACKS if args.all_protocols else STACKS[:2]
+    configs = [
+        _config_from_args(args, name=label, protocol=protocol, recovery=recovery)
+        for label, protocol, recovery in stacks
     ]
-    if args.all_protocols:
-        stacks += [
-            ("sender_based", {"protocol": "sender_based", "recovery": "nonblocking"}),
-            ("manetho", {"protocol": "manetho", "recovery": "nonblocking"}),
-            ("pessimistic", {"protocol": "pessimistic", "recovery": "local"}),
-            ("optimistic", {"protocol": "optimistic", "recovery": "optimistic"}),
-            ("coordinated", {"protocol": "coordinated", "recovery": "coordinated"}),
-        ]
     rows = []
     exit_code = 0
-    for label, overrides in stacks:
-        config = _config_from_args(args, name=label, **overrides)
-        result = build_system(config).run()
+    for config, result in zip(configs, run_results(configs)):
         durations = result.recovery_durations()
         rows.append([
-            label,
+            config.name,
             f"{max(durations):.2f}" if durations else "-",
             f"{result.mean_blocked_time(exclude=_crashed_nodes(config)) * 1000:.1f}",
             result.recovery_messages(),
@@ -530,40 +500,27 @@ def cmd_report(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.cost import format_cost_report, overhead_shares
-    from repro.runner import TrialRunner, TrialSpec, merge_cost
+    from repro.runner import merge_cost
 
-    stacks = [(
-        f"{args.protocol}+{args.recovery or DEFAULT_RECOVERY[args.protocol]}",
-        {},
-    )]
-    if args.all_protocols:
-        stacks = [
-            ("fbl+nonblocking", {"protocol": "fbl", "recovery": "nonblocking"}),
-            ("fbl+blocking", {"protocol": "fbl", "recovery": "blocking"}),
-            ("sender_based", {"protocol": "sender_based", "recovery": "nonblocking"}),
-            ("manetho", {"protocol": "manetho", "recovery": "nonblocking"}),
-            ("pessimistic", {"protocol": "pessimistic", "recovery": "local"}),
-            ("optimistic", {"protocol": "optimistic", "recovery": "optimistic"}),
-            ("coordinated", {"protocol": "coordinated", "recovery": "coordinated"}),
-        ]
+    stacks = STACKS if args.all_protocols else [
+        (f"{args.protocol}+{_recovery(args)}", args.protocol, _recovery(args))
+    ]
 
     exit_code = 0
     shares_by_stack: Dict[str, Dict[str, float]] = {}
     flame_lines: List[str] = []
     json_payload: Dict[str, Any] = {}
-    for label, overrides in stacks:
-        config = _config_from_args(args, name=label, **overrides)
+    for label, protocol, recovery in stacks:
+        config = _config_from_args(
+            args, name=label, protocol=protocol, recovery=recovery
+        )
         config.cost_ledger = True
         config.timeseries_window = args.window
         if args.flame_out:
             config.spans = True
         # repetitions exercise the runner's dump/merge path: per-trial
         # ledgers fold in spec order, identical at any --jobs
-        specs = [
-            TrialSpec(config=config, seed=args.seed + rep * 10_007, label=label)
-            for rep in range(args.seeds)
-        ]
-        results = TrialRunner(jobs=args.jobs).run(specs)
+        results = TrialRunner(jobs=args.jobs).run(_repetitions(args, config, label))
         conserved = all(
             trial.summary.extra["cost"]["conserved"] for trial in results
         )
@@ -631,7 +588,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     return exit_code
 
 
-SWEEP_KNOBS = {
+GRID_KNOBS = {
     "n": ("n", int),
     "f": ("f", int),
     "detection": ("detection_delay", float),
@@ -643,50 +600,15 @@ SWEEP_KNOBS = {
 }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.runner import run_results
-
-    knob, caster = SWEEP_KNOBS[args.knob]
-    values = [caster(v) for v in args.values.split(",")]
-    configs = []
-    for value in values:
-        config = _config_from_args(args, name=f"{args.knob}={value}", **{knob: value})
-        # sweeps only read aggregates; keep memory flat across many runs
-        config.keep_trace_events = False
-        configs.append(config)
-    rows = []
-    exit_code = 0
-    for value, result in zip(values, run_results(configs, jobs=args.jobs)):
-        durations = result.recovery_durations()
-        rows.append([
-            value,
-            f"{max(durations):.2f}" if durations else "-",
-            f"{result.total_blocked_time:.3f}",
-            result.recovery_messages(),
-            result.final_progress,
-            "yes" if result.consistent else "NO",
-        ])
-        if not result.consistent:
-            exit_code = 1
-    print(format_table(
-        [args.knob, "recovery (s)", "total blocked (s)", "ctl msgs",
-         "progress", "consistent"],
-        rows,
-        title=f"sweep over {args.knob} ({args.protocol} + "
-              f"{args.recovery or DEFAULT_RECOVERY[args.protocol]})",
-    ))
-    return exit_code
-
-
 def _parse_grid_knob(text: str):
-    """``NAME=V1,V2,...`` with NAME from :data:`SWEEP_KNOBS`."""
+    """``NAME=V1,V2,...`` with NAME from :data:`GRID_KNOBS`."""
     name, _, values_text = text.partition("=")
-    if name not in SWEEP_KNOBS or not values_text:
+    if name not in GRID_KNOBS or not values_text:
         raise argparse.ArgumentTypeError(
             f"grid knob must look like NAME=V1,V2 with NAME in "
-            f"{sorted(SWEEP_KNOBS)}, got {text!r}"
+            f"{sorted(GRID_KNOBS)}, got {text!r}"
         )
-    _, caster = SWEEP_KNOBS[name]
+    _, caster = GRID_KNOBS[name]
     try:
         return name, [caster(v) for v in values_text.split(",")]
     except ValueError as exc:
@@ -698,7 +620,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     executed through the parallel runner; one aggregated row per point."""
     import itertools
 
-    from repro.runner import TrialRunner, TrialSpec, merge_metrics
+    from repro.runner import merge_metrics
 
     knobs = args.knob or []
     if not knobs:
@@ -708,7 +630,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     labels: List[str] = []
     for combo in itertools.product(*(values for _, values in knobs)):
         overrides = {
-            SWEEP_KNOBS[name][0]: value
+            GRID_KNOBS[name][0]: value
             for (name, _), value in zip(knobs, combo)
         }
         label = ",".join(
@@ -717,12 +639,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         config = _config_from_args(args, name=label, **overrides)
         config.keep_trace_events = False
         labels.append(label)
-        for rep in range(args.seeds):
-            # the same seed derivation as ExperimentRunner, so a grid
-            # point reproduces the equivalent repeated serial run
-            specs.append(TrialSpec(
-                config=config, seed=args.seed + rep * 10_007, label=label,
-            ))
+        specs.extend(_repetitions(args, config, label))
 
     results = TrialRunner(jobs=args.jobs).run(specs)
     by_label: Dict[str, List[Any]] = {}
@@ -751,8 +668,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
          "ctl msgs", "min progress", "consistent"],
         rows,
         title=f"grid over {' x '.join(name for name, _ in knobs)} "
-              f"x {args.seeds} seed(s) ({args.protocol} + "
-              f"{args.recovery or DEFAULT_RECOVERY[args.protocol]})",
+              f"x {args.seeds} seed(s) ({args.protocol} + {_recovery(args)})",
     ))
     merged = merge_metrics(results)
     events_gauge = merged.get("sim.events_processed")
@@ -941,26 +857,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare_parser.set_defaults(fn=cmd_compare)
 
-    sweep_parser = sub.add_parser("sweep", help="sweep one knob")
-    _add_common(sweep_parser)
-    sweep_parser.add_argument("--knob", required=True, choices=sorted(SWEEP_KNOBS))
-    sweep_parser.add_argument(
-        "--values", required=True, help="comma-separated values, e.g. 4,8,16"
-    )
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS, else usable cpus-1; "
-             "1 = in-process serial; the table is identical either way)",
-    )
-    sweep_parser.set_defaults(fn=cmd_sweep)
-
     grid_parser = sub.add_parser(
         "grid", help="cartesian sweep over several knobs x seeds, in parallel"
     )
     _add_common(grid_parser)
     grid_parser.add_argument(
         "--knob", type=_parse_grid_knob, action="append", metavar="NAME=V1,V2",
-        help=f"repeatable grid axis; NAME in {sorted(SWEEP_KNOBS)}",
+        help=f"repeatable grid axis; NAME in {sorted(GRID_KNOBS)}",
     )
     grid_parser.add_argument(
         "--seeds", type=int, default=1,

@@ -14,11 +14,9 @@
   cost) that checks the paper's safety and liveness properties on every
   run: replayed deliveries match the original order and digests, and no
   delivery visible at a live process depends on a rolled-back delivery.
-* :mod:`repro.core.experiment` -- parameter sweeps and repetition.
 """
 
 from repro.core.config import SystemConfig
-from repro.core.experiment import ExperimentRunner, SweepResult
 from repro.core.metrics import MetricsCollector, RecoveryEpisode, RunResult
 from repro.core.node import Node, NodeState
 from repro.core.oracle import ConsistencyOracle, OracleViolation
@@ -26,8 +24,6 @@ from repro.core.system import System, build_system, run_config
 
 __all__ = [
     "SystemConfig",
-    "ExperimentRunner",
-    "SweepResult",
     "MetricsCollector",
     "RecoveryEpisode",
     "RunResult",

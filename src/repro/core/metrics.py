@@ -206,10 +206,6 @@ class RunResult:
     def recovery_bytes(self) -> int:
         return self.network.of_kind(MessageKind.RECOVERY)[1]
 
-    def piggyback_bytes(self) -> int:
-        """Bytes attributable to determinant piggybacking (failure-free cost)."""
-        return self.extra.get("piggyback_bytes", 0)
-
     # -- reliability overhead (faulty-network runs) ----------------------
     def retransmissions(self) -> int:
         """Transport retransmissions (0 on the default perfect network)."""
@@ -229,19 +225,6 @@ class RunResult:
         """Total wire bytes spent re-establishing reliable channels:
         retransmitted copies plus acknowledgement traffic."""
         return self.retransmission_bytes() + self.transport_bytes()
-
-    def drops_by_cause(self) -> Dict[str, int]:
-        """Dropped messages split by cause (``no_handler`` vs injected
-        ``loss``/``partition``/``scheduled``)."""
-        return dict(self.network.drops_by_cause)
-
-    def injected_drops(self) -> int:
-        """Drops caused by the fault model (not by crashed destinations)."""
-        return sum(
-            count
-            for cause, count in self.network.drops_by_cause.items()
-            if cause != "no_handler"
-        )
 
     @property
     def consistent(self) -> bool:

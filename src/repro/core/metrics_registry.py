@@ -96,10 +96,6 @@ class Histogram:
         self.samples.append(value)
         self._sum += value
 
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
     def snapshot(self) -> Dict[str, Any]:
         ordered = sorted(self.samples)
         n = len(ordered)

@@ -194,10 +194,6 @@ class NetworkFaultModel:
         self.partitions.append(partition)
         return partition
 
-    def add_scheduled_drop(self, drop: ScheduledDrop) -> ScheduledDrop:
-        self.scheduled_drops.append(drop)
-        return drop
-
     # -- queries --------------------------------------------------------
     def severed(self, src: int, dst: int, now: float) -> bool:
         return any(p.severs(src, dst, now) for p in self.partitions)

@@ -180,10 +180,6 @@ class CostLedger:
         """The phase charges are currently attributed to."""
         return self._phase
 
-    @property
-    def episodes_begun(self) -> int:
-        return self._episodes_begun
-
     # ------------------------------------------------------------------
     # charging
     # ------------------------------------------------------------------
@@ -393,14 +389,6 @@ class CostLedger:
         return dict(
             sorted(totals.items(), key=lambda kv: (kv[0] != _FAILURE_FREE, kv[0]))
         )
-
-    def link_matrix(self) -> Dict[Tuple[int, int], int]:
-        """Wire bytes per directed ``(src, dst)`` link (all purposes)."""
-        totals: Dict[Tuple[int, int], int] = {}
-        for (dom, proc, peer, _purpose, _phase), cell in self.accounts.items():
-            if dom == "wire":
-                totals[(proc, peer)] = totals.get((proc, peer), 0) + cell[1]
-        return totals
 
     def totals(self) -> Dict[str, Any]:
         """Run totals, read off the purpose roll-up and the device ops:

@@ -100,7 +100,7 @@ class AdaptiveLogging(FamilyBasedLogging):
     """
 
     name = "adaptive"
-    supported_recovery = ("blocking", "nonblocking", "nonblocking-restart")
+    supported_recovery = ("nonblocking", "blocking", "nonblocking-restart")
 
     def __init__(
         self,

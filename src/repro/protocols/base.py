@@ -28,7 +28,8 @@ class LoggingProtocol(ABC):
 
     #: human-readable protocol name
     name: str = "abstract"
-    #: recovery manager names this protocol can be paired with
+    #: recovery manager names this protocol can be paired with; the first
+    #: is its natural one (the CLI's default when ``--recovery`` is unset)
     supported_recovery: Tuple[str, ...] = ()
     #: whether begin_replay should ask senders to retransmit logged data
     requests_retransmissions: bool = True

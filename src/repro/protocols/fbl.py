@@ -59,7 +59,7 @@ class FamilyBasedLogging(LogBasedProtocol):
     """
 
     name = "fbl"
-    supported_recovery = ("blocking", "nonblocking", "nonblocking-restart")
+    supported_recovery = ("nonblocking", "blocking", "nonblocking-restart")
 
     def __init__(self, f: int = 2, ack_to_sender: bool = False) -> None:
         super().__init__()

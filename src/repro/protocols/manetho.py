@@ -34,7 +34,7 @@ class ManethoLogging(FamilyBasedLogging):
     """FBL(f = n) with asynchronous stable-storage determinant logging."""
 
     name = "manetho"
-    supported_recovery = ("blocking", "nonblocking", "nonblocking-restart")
+    supported_recovery = ("nonblocking", "blocking", "nonblocking-restart")
 
     def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:

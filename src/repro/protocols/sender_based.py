@@ -18,7 +18,7 @@ class SenderBasedLogging(FamilyBasedLogging):
     """FBL(f=1) with explicit rsn acknowledgements to the sender."""
 
     name = "sender_based"
-    supported_recovery = ("blocking", "nonblocking", "nonblocking-restart")
+    supported_recovery = ("nonblocking", "blocking", "nonblocking-restart")
 
     def __init__(self) -> None:
         super().__init__(f=1, ack_to_sender=True)

@@ -11,8 +11,7 @@ without letting parallelism anywhere near virtual time:
   optional seed override), picklable and order-stamped;
 * every trial runs in its own freshly materialized :class:`System` --
   :meth:`TrialSpec.materialize` is the one place failure-plan trigger
-  state is re-armed (:class:`~repro.core.experiment.ExperimentRunner`
-  goes through it too) -- so a spec's result depends only on the spec,
+  state is re-armed -- so a spec's result depends only on the spec,
   never on which worker ran it or when;
 * results come back as picklable :class:`TrialResult` records and are
   returned ordered by spec index, regardless of completion order;
@@ -192,23 +191,15 @@ class TrialRunner:
         return results
 
 
-def run_configs(
-    configs: Iterable[SystemConfig],
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> List[TrialResult]:
-    """Convenience: one trial per config, in the given order."""
-    specs = [TrialSpec(config=config) for config in configs]
-    return TrialRunner(jobs=jobs, chunk_size=chunk_size).run(specs)
-
-
 def run_results(
     configs: Iterable[SystemConfig],
     jobs: Optional[int] = None,
 ) -> List[RunResult]:
-    """Like :func:`run_configs` but returns bare :class:`RunResult`\\ s,
-    a drop-in for serial ``[run_config(c) for c in configs]`` loops."""
-    return [trial.summary for trial in run_configs(configs, jobs=jobs)]
+    """One trial per config, in the given order, as bare
+    :class:`RunResult`\\ s: a drop-in for a serial
+    ``[run_config(c) for c in configs]`` loop."""
+    specs = [TrialSpec(config=config) for config in configs]
+    return [trial.summary for trial in TrialRunner(jobs=jobs).run(specs)]
 
 
 # ----------------------------------------------------------------------

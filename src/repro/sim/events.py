@@ -63,17 +63,6 @@ class Event:
         #: True only for handle-free schedule_fast events (pool-eligible)
         self.poolable = False
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Total order used by the kernel's heap.
-
-        This tuple is the one *definition* of the event order; it is
-        only built on cold paths (tests, external sorting).  The heap's
-        own comparisons go through :meth:`__lt__`, which compares the
-        same three fields directly so no tuples are allocated per
-        comparison -- the two must order identically.
-        """
-        return (self.time, self.priority, self.seq)
-
     def fire(self) -> None:
         """Invoke the callback unless the event was cancelled."""
         if not self.cancelled:
@@ -83,8 +72,9 @@ class Event:
                 self.fn(*self.args, **self.kwargs)
 
     def __lt__(self, other: "Event") -> bool:
-        # field-direct comparison: the hottest code in the kernel (one
-        # call per heap sift step).  Must match sort_key()'s tuple order.
+        # the kernel heap's total order: (time, priority, seq), compared
+        # field by field -- the hottest code in the kernel (one call per
+        # heap sift step), so no tuple is built per comparison
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:

@@ -89,9 +89,6 @@ class SpanTracker:
     def enable(self) -> None:
         self.enabled = True
 
-    def disable(self) -> None:
-        self.enabled = False
-
     # ------------------------------------------------------------------
     def begin(
         self,

@@ -242,9 +242,6 @@ class TraceSpillLog:
     def __len__(self) -> int:
         return self._spilled + len(self._window)
 
-    def __bool__(self) -> bool:
-        return self._spilled > 0 or bool(self._window)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceSpillLog(path={self.path!r}, spilled={self._spilled}, "

@@ -560,7 +560,7 @@ def make_workload(name: str, **params: Any) -> Workload:
     """Instantiate a workload by name.
 
     ``name`` is one of ``token_ring``, ``uniform``, ``client_server``,
-    ``ping_pong``, ``all_to_all``.
+    ``ping_pong``, ``all_to_all``, ``shifting``.
     """
     try:
         cls = _WORKLOADS[name]

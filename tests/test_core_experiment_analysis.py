@@ -1,82 +1,12 @@
-"""Tests for the experiment runner and the analysis helpers."""
+"""Tests for the analysis helpers."""
 
 import pytest
 
-from repro import ExperimentRunner, crash_at, run_config
+from repro import crash_at
 from repro.analysis.report import format_run_summary, format_table
 from repro.analysis.stats import percentile, summarize
-from repro.procs.failure import LinkFaultPlan
 
 from helpers import small_config
-
-
-class TestExperimentRunner:
-    def test_runs_each_config_once_by_default(self):
-        runner = ExperimentRunner()
-        config = small_config(hops=8)
-        sweep = runner.run([config])
-        assert len(sweep.of(config.name)) == 1
-
-    def test_names_key_results(self):
-        runner = ExperimentRunner()
-        a = small_config(hops=8)
-        a.name = "alpha"
-        b = small_config(hops=8)
-        b.name = "beta"
-        sweep = runner.run([a, b])
-        assert set(sweep.names()) == {"alpha", "beta"}
-        assert sweep.single("alpha").config_name == "alpha"
-
-    def test_repetitions_reseed(self):
-        runner = ExperimentRunner(repetitions=3)
-        config = small_config(hops=8)
-        config.name = "reps"
-        sweep = runner.run([config])
-        runs = sweep.of("reps")
-        assert len(runs) == 3
-        # different seeds => different jitter => different end times
-        assert len({r.end_time for r in runs}) == 3
-
-    def test_repetitions_with_crashes_rearm_plans(self):
-        runner = ExperimentRunner(repetitions=2)
-        config = small_config(hops=15, crashes=[crash_at(node=1, time=0.02)])
-        config.name = "crashy"
-        sweep = runner.run([config])
-        for run in sweep.of("crashy"):
-            assert len(run.recovery_durations()) == 1
-        assert sweep.all_consistent()
-
-    def test_rearms_injection_plans_spent_by_an_earlier_run(self):
-        plan = LinkFaultPlan(
-            category="net", action="deliver", dup_prob=1.0, duration=0.01
-        )
-        config = small_config(hops=8, injections=[plan], transport="reliable")
-        first = run_config(config)  # fires the trigger and disarms it in place
-        assert first.network.duplicates_injected > 0
-        assert not plan._armed
-        rerun = ExperimentRunner().run_one(config)
-        assert rerun.network.duplicates_injected == first.network.duplicates_injected
-        assert rerun.end_time == first.end_time
-
-    def test_mean_over_runs(self):
-        runner = ExperimentRunner(repetitions=2)
-        config = small_config(hops=8)
-        config.name = "m"
-        sweep = runner.run([config])
-        mean = sweep.mean_over_runs("m", lambda r: float(r.total_deliveries))
-        assert mean > 0
-
-    def test_single_raises_on_multiple(self):
-        runner = ExperimentRunner(repetitions=2)
-        config = small_config(hops=8)
-        config.name = "s"
-        sweep = runner.run([config])
-        with pytest.raises(ValueError):
-            sweep.single("s")
-
-    def test_rejects_zero_repetitions(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(repetitions=0)
 
 
 class TestStats:

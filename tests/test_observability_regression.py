@@ -10,7 +10,7 @@ read.
 
 import pytest
 
-from repro import build_system
+from repro import build_system, run_config
 from repro.experiments import failure_during_recovery, single_failure
 
 from helpers import small_config
@@ -62,20 +62,34 @@ def test_counters_only_matches_full_trace_counters():
 
 
 def test_cli_sweep_uses_counters_only_traces(capsys):
-    """The sweep path drops event lists but its numbers must not change."""
-    from repro.cli import main
+    """A grid sweep drops event lists but its numbers must not change."""
+    from repro.cli import _config_from_args, build_parser, main
 
-    code = main([
-        "sweep", "--knob", "n", "--values", "4,5",
+    argv = [
+        "grid", "--knob", "n=4,5",
         "--hops", "10", "--detection-delay", "0.5",
         "--state-bytes", "100000", "--crash", "1@0.03",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    # one row per value with a real recovery duration and progress
-    assert "n=4" not in out  # config names don't leak into the table
-    lines = [l for l in out.splitlines() if l and l[0].isdigit()]
-    assert len(lines) == 2
+    ]
+    assert main(argv) == 0
+    rows = {
+        cells[0]: cells
+        for cells in (
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("n=")
+        )
+    }
+    assert sorted(rows) == ["n=4", "n=5"]
+    # each row matches a run of the same config that keeps its events
+    args = build_parser().parse_args(argv)
+    for n in (4, 5):
+        full = run_config(_config_from_args(args, n=n))
+        _, _, worst, _, ctl, progress, consistent = rows[f"n={n}"]
+        assert worst == f"{max(full.recovery_durations()):.2f}"
+        assert (ctl, progress) == (
+            str(full.recovery_messages()), str(full.final_progress)
+        )
+        assert consistent == "yes"
 
 
 def test_profiler_snapshot_rides_along_without_changing_results():

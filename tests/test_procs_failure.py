@@ -496,6 +496,31 @@ class TestUnifiedPlanner:
         assert storage.stats.faults_injected > 0
         assert finishes and finishes[0] > 1.5  # succeeded after the heal
 
+    def test_storage_fail_prob_plan_heals_to_the_previous_probability(self):
+        from repro.storage.stable import StableStorage, StorageFaultModel
+
+        sim = Simulator()
+        trace = TraceRecorder()
+        storage = StableStorage(sim, owner=0)
+        storage.faults = StorageFaultModel(fail_prob=0.1)
+        injector = FailureInjector(
+            sim, trace, lambda n: None,
+            plans=[StorageFaultPlan(at_time=1.0, node=0, fail_prob=0.6,
+                                    duration=0.5)],
+            storages={0: storage},
+        )
+        injector.arm()
+        seen = []
+        for at in (0.5, 1.2, 2.0):
+            sim.schedule_at(at, lambda: seen.append(storage.faults.fail_prob))
+        sim.run()
+        assert seen == [0.1, 0.6, 0.1]
+        assert trace.count("inject", "storage_faults") == 1
+        assert [
+            (e.time, e.node) for e in trace.events
+            if e.action == "storage_faults_reverted"
+        ] == [(1.5, 0)]
+
     def test_trace_triggered_partition(self):
         sim, trace, net = self.make_net()
         plan = PartitionPlan(

@@ -18,14 +18,14 @@ import sys
 from helpers import small_config
 
 from repro.cli import main as cli_main
-from repro.procs.failure import crash_at
+from repro.core.system import run_config
+from repro.procs.failure import LinkFaultPlan, crash_at
 from repro.runner import (
     TrialRunner,
     TrialSpec,
     default_jobs,
     merge_metrics,
     merge_trace_counters,
-    run_configs,
     run_results,
 )
 
@@ -144,15 +144,14 @@ def test_chunking_does_not_change_results():
         assert chunked == baseline, f"chunk_size={chunk_size} broke parity"
 
 
-def test_run_configs_and_run_results_helpers():
+def test_run_results_helper():
     configs = [
         small_config(protocol="fbl", recovery="nonblocking", seed=s,
                      crashes=[crash_at(node=1, time=0.05)])
         for s in range(2)
     ]
-    trials = run_configs(configs, jobs=2)
-    summaries = run_results(configs, jobs=1)
-    assert [t.summary for t in trials] == summaries
+    trials = TrialRunner(jobs=1).run([TrialSpec(config=c) for c in configs])
+    assert run_results(configs, jobs=2) == [t.summary for t in trials]
 
 
 def test_seed_override_reseeds_the_trial():
@@ -162,6 +161,29 @@ def test_seed_override_reseeds_the_trial():
         TrialSpec(config=config, seed=1234),
     ])
     assert base.summary.digests != reseeded.summary.digests
+
+
+def test_repetitions_with_crashes_rearm_plans():
+    config = small_config(hops=15, crashes=[crash_at(node=1, time=0.02)])
+    trials = TrialRunner(jobs=1).run([
+        TrialSpec(config=config, seed=seed) for seed in (0, 10_007)
+    ])
+    for trial in trials:
+        assert len(trial.summary.recovery_durations()) == 1
+        assert trial.summary.consistent
+
+
+def test_rearms_injection_plans_spent_by_an_earlier_run():
+    plan = LinkFaultPlan(
+        category="net", action="deliver", dup_prob=1.0, duration=0.01
+    )
+    config = small_config(hops=8, injections=[plan], transport="reliable")
+    first = run_config(config)  # fires the trigger and disarms it in place
+    assert first.network.duplicates_injected > 0
+    assert not plan._armed
+    (rerun,) = TrialRunner(jobs=1).run([TrialSpec(config=config)])
+    assert rerun.summary.network.duplicates_injected == first.network.duplicates_injected
+    assert rerun.summary.end_time == first.end_time
 
 
 def test_default_jobs_env_override(monkeypatch):
@@ -183,13 +205,6 @@ def _cli_table(argv):
         sys.stdout = old
     assert code == 0
     return captured.getvalue()
-
-
-def test_cli_sweep_table_identical_across_jobs():
-    argv = ["sweep", "--knob", "n", "--values", "4,6", "--crash", "1@0.05"]
-    assert _cli_table(argv + ["--jobs", "1"]) == _cli_table(
-        argv + ["--jobs", str(PARALLEL_JOBS)]
-    )
 
 
 def test_cli_grid_table_identical_across_jobs():

@@ -34,7 +34,9 @@ from repro.workloads.generators import (
 
 from .helpers import run_small
 
-ALL_NAMES = ["token_ring", "uniform", "client_server", "ping_pong", "all_to_all"]
+ALL_NAMES = [
+    "token_ring", "uniform", "client_server", "ping_pong", "all_to_all", "shifting",
+]
 
 
 def _walk_chain(workload, n_nodes, steps=64):
@@ -138,13 +140,16 @@ def test_all_to_all_thinning_rate_near_design():
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_body_bytes_propagates_to_every_send(name):
-    w = make_workload(name, body_bytes=999)
+    # shifting's bursty phase carries its own (large) body size
+    extra = {"bursty_body_bytes": 999} if name == "shifting" else {}
+    w = make_workload(name, body_bytes=999, **extra)
     payloads = {
         "token_ring": {"token": 0, "hops": 3},
         "uniform": {"chain": "0.0", "hops": 3},
         "client_server": {"op": "request", "client": 1, "remaining": 3},
         "ping_pong": {"hops": 3},
         "all_to_all": {"origin": 0, "hops": 3},
+        "shifting": {"phase": "steady", "chain": "0.0", "hops": 3},
     }
     sends = []
     for node in range(6):
