@@ -116,7 +116,7 @@ def chrome_trace_events(
                     "pid": 0,
                     "tid": _track(event.node),
                     "ts": event.time * _US,
-                    "args": dict(event.details),
+                    "args": event.details,
                 }
             )
     out.extend(_counter_events(events))

@@ -21,7 +21,7 @@ def event_to_dict(event: TraceEvent) -> dict:
         "category": event.category,
         "node": event.node,
         "action": event.action,
-        "details": dict(event.details),
+        "details": event.details,
     }
 
 
@@ -62,7 +62,7 @@ def event_from_dict(data: dict, line: Optional[int] = None) -> TraceEvent:
         category=category,
         node=node,
         action=action,
-        details=dict(details),
+        details=details,
     )
 
 

@@ -175,8 +175,9 @@ class TriggeredPlan:
         if not event.matches(self.category, self.match_node, self.action):
             return False
         if self.match_details:
+            details = event.details
             for key, value in self.match_details.items():
-                if event.details.get(key) != value:
+                if details.get(key) != value:
                     return False
         return True
 

@@ -513,8 +513,10 @@ class Sanitizer:
         self._check("recovery-epoch")
 
     def _on_epoch_action(self, event: "TraceEvent") -> None:
+        self._check_epoch(event, event.details.get("epoch"))
+
+    def _check_epoch(self, event: "TraceEvent", epoch: Optional[int]) -> None:
         node = event.node
-        epoch = event.details.get("epoch")
         if node is None or epoch is None:
             return
         self._check("recovery-epoch")
@@ -529,8 +531,8 @@ class Sanitizer:
             )
 
     def _on_leader_handoff(self, event: "TraceEvent") -> None:
-        self._on_epoch_action(event)
         d = event.details
+        self._check_epoch(event, d.get("epoch"))
         self._check("recovery-epoch")
         if d["from_epoch"] >= d["epoch"]:
             self._flag(
@@ -542,9 +544,10 @@ class Sanitizer:
             )
 
     def _on_distribute(self, event: "TraceEvent") -> None:
-        self._on_epoch_action(event)
+        d = event.details
+        self._check_epoch(event, d.get("epoch"))
         node = event.node
-        incvector = event.details.get("incvector")
+        incvector = d.get("incvector")
         if node is None or not incvector:
             return
         self._check("recovery-epoch")
@@ -596,8 +599,9 @@ class Sanitizer:
 
     def _on_det_ack(self, event: "TraceEvent") -> None:
         pusher = event.node
-        storer = event.details["src"]
-        for det in event.details["dets"]:
+        d = event.details
+        storer = d["src"]
+        for det in d["dets"]:
             self._check("det-complete")
             if (storer, tuple(det)) not in self._det_stored:
                 self._flag(
@@ -697,19 +701,21 @@ class Sanitizer:
         if node is None:
             return
         self._check("mode-epoch")
-        self._mode[node] = event.details["mode"]
-        self._mode_epoch[node] = event.details["epoch"]
+        d = event.details
+        self._mode[node] = d["mode"]
+        self._mode_epoch[node] = d["epoch"]
 
     # ------------------------------------------------------------------
     # output commit ordering
     # ------------------------------------------------------------------
     def _on_output_commit(self, event: "TraceEvent") -> None:
-        if event.details.get("duplicate"):
+        d = event.details
+        if d.get("duplicate"):
             return  # a replayed re-request; the first release was checked
         node = event.node
         if node is None:
             return
-        rsn = event.details["output_id"][1]
+        rsn = d["output_id"][1]
         time = event.time
         self._check("commit-order")
         if self.protocol in DET_STABILITY_PROTOCOLS:

@@ -20,13 +20,19 @@ from repro.sim.spans import SpanTracker
 class TraceEvent:
     """One timestamped record in the execution trace.
 
-    A plain slotted record: a run that keeps its trace builds one per
-    record, so construction is five attribute stores and an instance
-    carries no ``__dict__``.  Treat it as immutable -- observers and the
-    kept trace share the one object.
+    A plain slotted record that keeps its details packed, in the form
+    its emitter holds them: ``fields``, the detail names (a
+    :class:`BoundEmitter`'s tuple, shared by all of its events), and
+    ``values``, the values in the same order.  A run that keeps its
+    trace builds one per record, so an instance carries no ``__dict__``
+    and no per-event dict.  A ``details`` mapping given to the
+    constructor (:meth:`TraceRecorder.record`'s keyword arguments, a
+    JSONL record read back) is packed into the same two tuples, and
+    :attr:`details` builds the dict on read.  Treat it as immutable --
+    observers and the kept trace share the one object.
     """
 
-    __slots__ = ("time", "category", "node", "action", "details")
+    __slots__ = ("time", "category", "node", "action", "fields", "values")
 
     def __init__(
         self,
@@ -35,12 +41,27 @@ class TraceEvent:
         node: Optional[int],
         action: str,
         details: Optional[Dict[str, Any]] = None,
+        fields: Tuple[str, ...] = (),
+        values: Tuple[Any, ...] = (),
     ) -> None:
         self.time = time
         self.category = category
         self.node = node
         self.action = action
-        self.details = {} if details is None else details
+        if details:
+            fields = tuple(details)
+            values = tuple(details.values())
+        self.fields = fields
+        self.values = values
+
+    @property
+    def details(self) -> Dict[str, Any]:
+        """The event's details as ``dict(zip(fields, values))``.
+
+        A fresh copy on every read: writing to it leaves the event
+        unchanged, and a handler that looks at several keys reads it
+        once and keeps the dict."""
+        return dict(zip(self.fields, self.values))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceEvent):
@@ -85,7 +106,8 @@ class BoundEmitter:
     values positionally: ``emit(time, node, *values)``.  The counters-only
     path (no :class:`TraceEvent` wanted by anybody) then allocates
     nothing -- no key string, no kwargs dict -- and an event, when one is
-    wanted, gets ``dict(zip(fields, values))``: the same keys in the same
+    wanted, keeps the emitter's ``fields`` tuple and the call's ``values``
+    tuple as they are: its ``details`` are the same keys in the same
     order ``trace.record(..., **details)`` would have produced.
     Obtained from :meth:`TraceRecorder.emitter`.
     """
@@ -121,7 +143,7 @@ class BoundEmitter:
                     f"{key} declares {fields}, got {len(values)} values")
             return trace._publish(
                 TraceEvent(time, self.category, node, self.action,
-                           dict(zip(fields, values))),
+                           None, fields, values),
                 key,
             )
         return None

@@ -357,9 +357,10 @@ class TestFailureInjector:
 
         built = []
 
-        def counting_event(time, category, node, action, details):
+        def counting_event(time, category, node, action, details=None,
+                           fields=(), values=()):
             built.append((f"{category}.{action}", node))
-            return TraceEvent(time, category, node, action, details)
+            return TraceEvent(time, category, node, action, details, fields, values)
 
         monkeypatch.setattr(trace_module, "TraceEvent", counting_event)
 
@@ -454,6 +455,28 @@ class TestUnifiedPlanner:
         assert len(got) == 2
         assert net.stats.drops_by_cause == {"loss": 1}
         assert trace.count("inject", "link_faults") == 1
+        assert trace.count("inject", "link_faults_reverted") == 1
+
+    def test_link_plan_clears_its_override_on_revert(self):
+        """A plan on one link that had no override of its own leaves none
+        behind: the revert clears the link, so the default applies again."""
+        sim, trace, net = self.make_net()
+        injector = FailureInjector(
+            sim, trace, lambda n: None,
+            plans=[link_faults_at(1.0, loss_prob=1.0, duration=2.0, src=0, dst=1)],
+            network=net,
+        )
+        injector.arm()
+        got = []
+        net.register(1, got.append)
+        sim.schedule_at(1.5, lambda: net.send(_msg()))  # during: lost
+        sim.run(until=2.0)
+        assert set(net.faults.links) == {(0, 1)}
+        sim.schedule_at(3.5, lambda: net.send(_msg()))  # after revert: delivered
+        sim.run()
+        assert net.faults.links == {}
+        assert len(got) == 1
+        assert net.stats.drops_by_cause == {"loss": 1}
         assert trace.count("inject", "link_faults_reverted") == 1
 
     def test_partition_plan_cuts_and_heals_with_trace(self):

@@ -185,3 +185,30 @@ class TestGatherRaces:
         assert rec._replay_gap([(1, 0, me, 0), (1, 1, me, 2)]) == [1]
         # other receivers' determinants are not this replay's problem
         assert rec._replay_gap([(0, 0, 4, 7)]) == []
+
+    def test_gather_retry_gathers_again(self, monkeypatch):
+        """A replay gap in the merged replies (a counted determinant copy
+        still in flight) makes the recovering node gather again after
+        ``GATHER_RETRY_DELAY`` instead of replaying with a known gap."""
+        from repro.recovery.blocking import BlockingRecovery
+
+        gaps = [[0]]  # the first gather reports receipt order 0 missing
+        real_gap = BlockingRecovery._replay_gap
+        monkeypatch.setattr(
+            BlockingRecovery, "_replay_gap",
+            lambda self, wire: gaps.pop() if gaps else real_gap(self, wire),
+        )
+        system, result = run_system(single_crash())
+        trace = system.trace
+        assert trace.count("recovery", "gather_retry") == 1
+        broadcasts = trace.select("recovery", node=2, action="recovery_request_broadcast")
+        retry = trace.first("recovery", node=2, action="gather_retry")
+        assert len(broadcasts) == 2
+        assert broadcasts[1].time == pytest.approx(
+            retry.time + BlockingRecovery.GATHER_RETRY_DELAY)
+        assert result.consistent
+        assert [e.complete for e in result.episodes] == [True]
+        # a retry scheduled by an incarnation that is no longer recovering
+        # does nothing
+        system.nodes[2].recovery._retry_gather(system.nodes[2].incarnation)
+        assert trace.count("recovery", "recovery_request_broadcast") == 2

@@ -1,6 +1,16 @@
 """Unit tests for the trace recorder."""
 
+import io
+import json
+
+import pytest
+
+from repro import build_system, crash_at
+from repro.analysis.trace_io import dump_trace, event_to_dict
+from repro.core.config import FaultConfig
 from repro.sim.trace import TraceEvent, TraceRecorder
+
+from helpers import small_config
 
 
 def test_record_and_select():
@@ -147,3 +157,95 @@ def test_iter_select_lazy():
         trace.record(float(i), "x", i, "a")
     nodes = [e.node for e in trace.iter_select(category="x")]
     assert nodes == [0, 1, 2, 3, 4]
+
+
+# ----------------------------------------------------------------------
+# the packed record: an event keeps its emitter's names and values
+# ----------------------------------------------------------------------
+#: every BoundEmitter site in the code base and the detail names, in
+#: order, that its events carry
+EMITTER_FIELDS = {
+    "net.send": ("dst", "mtype", "kind", "size", "msg_id"),
+    "net.retransmit": ("dst", "mtype", "kind", "size", "msg_id"),
+    "net.lose": ("dst", "mtype", "cause", "msg_id"),
+    "net.deliver": ("src", "mtype", "kind", "msg_id"),
+    "net.drop": ("src", "mtype", "msg_id"),
+    "app.send": ("dst", "ssn", "deliveries"),
+    "app.deliver": ("sender", "ssn", "rsn"),
+    "protocol.det_stable": ("rsn", "sender", "ssn"),
+}
+
+
+@pytest.fixture(scope="module")
+def emitted():
+    """The kept events of a lossy, crashing FBL run, which reaches every
+    emitter site, grouped by ``category.action``."""
+    system = build_system(small_config(
+        n=4, crashes=[crash_at(1, 0.02)], transport="reliable",
+        faults=FaultConfig(loss_prob=0.2),
+    ))
+    system.run()
+    events = {}
+    for event in system.trace.events:
+        events.setdefault(f"{event.category}.{event.action}", []).append(event)
+    system.close()
+    return events
+
+
+@pytest.mark.parametrize("key", sorted(EMITTER_FIELDS))
+def test_emitter_site_details_match_record(emitted, key):
+    events = emitted[key]
+    assert events
+    # one name tuple per site, shared by all of its events
+    assert len({id(event.fields) for event in events}) == 1
+    for event in events:
+        assert event.fields == EMITTER_FIELDS[key]
+        assert len(event.values) == len(event.fields)
+        details = event.details
+        rebuilt = TraceRecorder().record(
+            event.time, event.category, event.node, event.action, **details
+        )
+        assert rebuilt == event
+        assert list(rebuilt.details) == list(details) == list(EMITTER_FIELDS[key])
+        assert rebuilt.values == event.values
+
+
+def test_emitter_and_record_events_are_equal_and_dump_alike():
+    trace = TraceRecorder()
+    emit = trace.emitter("net", "send", ("dst", "mtype", "size"))
+    packed = emit(1.5, 0, 3, "app", 100)
+    recorded = trace.record(1.5, "net", 0, "send", dst=3, mtype="app", size=100)
+    assert packed == recorded
+    assert packed.fields == recorded.fields and packed.values == recorded.values
+    assert json.dumps(event_to_dict(packed)) == json.dumps(event_to_dict(recorded))
+    out = io.StringIO()
+    assert dump_trace(trace, out) == 2
+    first, second = out.getvalue().splitlines()
+    assert first == second
+
+
+def test_spill_round_trip_returns_equal_events(tmp_path):
+    trace = TraceRecorder(spill_path=str(tmp_path / "t.jsonl"), spill_window=2)
+    emit = trace.emitter("app", "deliver", ("sender", "ssn", "rsn"))
+    kept = [emit(float(i), i % 3, i, 2 * i, i + 1) for i in range(5)]
+    kept.append(trace.record(9.0, "node", 1, "crash"))
+    kept.append(trace.record(9.5, "cost", None, "sample", wire={"app": 40}, window=0.5))
+    try:
+        trace.finalize()
+        assert list(trace.events) == kept
+        assert [event.fields for event in trace.events] == [event.fields for event in kept]
+    finally:
+        trace.spill.close()
+
+
+def test_details_is_a_copy():
+    trace = TraceRecorder()
+    recorded = trace.record(1.0, "net", 0, "send", dst=7, size=100)
+    packed = trace.emitter("net", "send", ("dst", "size"))(1.0, 0, 7, 100)
+    for event in (recorded, packed):
+        details = event.details
+        details["dst"] = 99
+        details["extra"] = True
+        del details["size"]
+        assert event.details == {"dst": 7, "size": 100}
+        assert event.details is not event.details
