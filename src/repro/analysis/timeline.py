@@ -32,6 +32,21 @@ CRASH = "X"
 RESTORE_MARK = "R"
 RECOVERED = "*"
 
+#: the lane state a ``node.*`` action starts
+_STATE_AFTER = {
+    "crash": DOWN,
+    "restart_begin": RESTORING,
+    "restored": RECOVERING,
+    "recovered": LIVE,
+    "block": BLOCKED,
+    "unblock": LIVE,
+}
+#: the point mark a ``node.*`` action leaves
+_MARK = {"crash": CRASH, "restart_begin": RESTORE_MARK, "recovered": RECOVERED}
+
+#: one ``node.*`` event as the lanes read it: ``(time, node, action)``
+NodeEvent = Tuple[float, int, str]
+
 
 class TimelineRenderer:
     """Builds per-node lanes from a :class:`TraceRecorder`."""
@@ -43,11 +58,25 @@ class TimelineRenderer:
         self.width = width
 
     # ------------------------------------------------------------------
-    def _intervals(self, end_time: float) -> Dict[int, List[Tuple[float, float, str]]]:
-        """Per node: (start, end, glyph) state intervals plus point marks."""
-        nodes = sorted(
-            {e.node for e in self.trace.events if e.category == "node" and e.node is not None}
-        )
+    def _node_events(self) -> Tuple[List[NodeEvent], float]:
+        """``(time, node, action)`` of every ``node.*`` event with a node,
+        and the last event's time: the one pass over the trace, since
+        reading it builds its events."""
+        node_events: List[NodeEvent] = []
+        last = 0.0
+        for event in self.trace.events:
+            if event.time > last:
+                last = event.time
+            if event.category == "node" and event.node is not None:
+                node_events.append((event.time, event.node, event.action))
+        return node_events, last
+
+    @staticmethod
+    def _intervals(
+        node_events: List[NodeEvent], end_time: float
+    ) -> Dict[int, List[Tuple[float, float, str]]]:
+        """Per node: (start, end, glyph) state intervals."""
+        nodes = sorted({node for _, node, _ in node_events})
         lanes: Dict[int, List[Tuple[float, float, str]]] = {n: [] for n in nodes}
         state_since: Dict[int, Tuple[float, str]] = {n: (0.0, LIVE) for n in nodes}
 
@@ -57,38 +86,21 @@ class TimelineRenderer:
                 lanes[node].append((since, at, glyph))
             state_since[node] = (at, new_glyph)
 
-        for event in self.trace.events:
-            if event.node not in lanes:
-                continue
-            node, t = event.node, event.time
-            if event.category == "node":
-                if event.action == "crash":
-                    close(node, t, DOWN)
-                elif event.action == "restart_begin":
-                    close(node, t, RESTORING)
-                elif event.action == "restored":
-                    close(node, t, RECOVERING)
-                elif event.action == "recovered":
-                    close(node, t, LIVE)
-                elif event.action == "block":
-                    close(node, t, BLOCKED)
-                elif event.action == "unblock":
-                    close(node, t, LIVE)
+        for t, node, action in node_events:
+            glyph = _STATE_AFTER.get(action)
+            if glyph is not None:
+                close(node, t, glyph)
         for node in nodes:
             close(node, end_time, LIVE)
         return lanes
 
-    def _marks(self) -> Dict[int, List[Tuple[float, str]]]:
+    @staticmethod
+    def _marks(node_events: List[NodeEvent]) -> Dict[int, List[Tuple[float, str]]]:
         marks: Dict[int, List[Tuple[float, str]]] = {}
-        for event in self.trace.events:
-            if event.category == "node" and event.node is not None:
-                glyph = {
-                    "crash": CRASH,
-                    "restart_begin": RESTORE_MARK,
-                    "recovered": RECOVERED,
-                }.get(event.action)
-                if glyph:
-                    marks.setdefault(event.node, []).append((event.time, glyph))
+        for t, node, action in node_events:
+            glyph = _MARK.get(action)
+            if glyph is not None:
+                marks.setdefault(node, []).append((t, glyph))
         return marks
 
     # ------------------------------------------------------------------
@@ -96,8 +108,9 @@ class TimelineRenderer:
         """Render the timeline; ``end_time`` defaults to the last event."""
         if not self.trace.events:
             return "(empty trace)"
+        node_events, last = self._node_events()
         if end_time is None:
-            end_time = max(e.time for e in self.trace.events)
+            end_time = last
         if end_time <= 0:
             end_time = 1.0
         scale = (self.width - 1) / end_time
@@ -105,8 +118,8 @@ class TimelineRenderer:
         def column(t: float) -> int:
             return min(self.width - 1, max(0, int(t * scale)))
 
-        lanes = self._intervals(end_time)
-        marks = self._marks()
+        lanes = self._intervals(node_events, end_time)
+        marks = self._marks(node_events)
         lines = [f"t=0.000{' ' * (self.width - 14)}t={end_time:.3f}"]
         for node in sorted(lanes):
             row = [LIVE] * self.width

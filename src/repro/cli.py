@@ -687,7 +687,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    events = trace.events
+    events = list(trace.events)  # reading the trace builds its events: once
     if args.node is not None:
         events = [e for e in events if e.node == args.node]
     if args.category:

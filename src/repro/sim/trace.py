@@ -1,35 +1,45 @@
 """Structured execution traces.
 
 Every interesting action in a run -- a send, a delivery, a crash, a
-recovery phase transition, a stable-storage write -- is appended to a
-:class:`TraceRecorder` as a :class:`TraceEvent`.  The experiment harness
-derives its measurements (blocked intervals, recovery durations, message
-counts) from the trace rather than from ad-hoc counters, so every reported
-number can be audited against the raw event stream.
+recovery phase transition, a stable-storage write -- is recorded by a
+:class:`TraceRecorder`.  The experiment harness derives its measurements
+(blocked intervals, recovery durations, message counts) from the trace
+rather than from ad-hoc counters, so every reported number can be audited
+against the raw event stream.
+
+A kept record is not an object: :class:`TraceColumns` keeps one flat row
+of ``time, node, *values`` per stream (one ``(category, action, fields)``
+triple) and the stream of each record in record order, and builds a
+:class:`TraceEvent` when the trace is read.  Subscribers are handed
+events as they happen; only a record somebody subscribed to is built
+while the run goes on.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union, overload
 
 from repro.sim.spans import SpanTracker
+
+#: a stream: the ``(category, action, fields)`` its records share
+Stream = Tuple[str, str, Tuple[str, ...]]
 
 
 class TraceEvent:
     """One timestamped record in the execution trace.
 
     A plain slotted record that keeps its details packed, in the form
-    its emitter holds them: ``fields``, the detail names (a
-    :class:`BoundEmitter`'s tuple, shared by all of its events), and
-    ``values``, the values in the same order.  A run that keeps its
-    trace builds one per record, so an instance carries no ``__dict__``
-    and no per-event dict.  A ``details`` mapping given to the
-    constructor (:meth:`TraceRecorder.record`'s keyword arguments, a
+    its emitter holds them: ``fields``, the detail names (its stream's
+    tuple, shared by all of the stream's events), and ``values``, the
+    values in the same order.  It is what a subscriber is handed and
+    what reading the kept trace yields; the kept trace itself holds no
+    events (:class:`TraceColumns`), so two reads of one record build two
+    equal events.  A ``details`` mapping given to the constructor (a
     JSONL record read back) is packed into the same two tuples, and
     :attr:`details` builds the dict on read.  Treat it as immutable --
-    observers and the kept trace share the one object.
+    all of a record's subscribers share the one object.
     """
 
     __slots__ = ("time", "category", "node", "action", "fields", "values")
@@ -104,15 +114,18 @@ class BoundEmitter:
     with the same category, action and detail *names*.  The emitter
     declares those names once, when it is bound, and call sites pass the
     values positionally: ``emit(time, node, *values)``.  The counters-only
-    path (no :class:`TraceEvent` wanted by anybody) then allocates
-    nothing -- no key string, no kwargs dict -- and an event, when one is
-    wanted, keeps the emitter's ``fields`` tuple and the call's ``values``
-    tuple as they are: its ``details`` are the same keys in the same
-    order ``trace.record(..., **details)`` would have produced.
-    Obtained from :meth:`TraceRecorder.emitter`.
+    path (nothing kept, nobody subscribed) allocates nothing -- no key
+    string, no kwargs dict.  A kept record goes to the trace's backend
+    under the emitter's stream, ``(category, action, fields)``: the
+    columnar store appends ``time``, ``node`` and the values to the
+    stream's row, and no :class:`TraceEvent` is built.  One is built
+    only for a subscriber; it keeps the emitter's ``fields`` tuple and
+    the call's ``values`` tuple as they are, so its ``details`` are the
+    same keys in the same order ``trace.record(..., **details)`` would
+    have produced.  Obtained from :meth:`TraceRecorder.emitter`.
     """
 
-    __slots__ = ("_trace", "category", "action", "fields", "_key")
+    __slots__ = ("_trace", "category", "action", "fields", "_key", "_stream")
 
     def __init__(
         self,
@@ -126,12 +139,14 @@ class BoundEmitter:
         self.action = action
         self.fields = tuple(fields)
         self._key = category + "." + action
+        self._stream: Stream = (category, action, self.fields)
 
     def __call__(
         self, time: float, node: Optional[int], *values: Any
     ) -> Optional[TraceEvent]:
         """Equivalent to ``trace.record(time, category, node, action,
-        **dict(zip(fields, values)))``."""
+        **dict(zip(fields, values)))``: returns the event a subscriber
+        was handed, or ``None`` when nobody subscribed to this record."""
         trace = self._trace
         counters = trace.counters
         key = self._key
@@ -141,15 +156,111 @@ class BoundEmitter:
             if len(values) != len(fields):
                 raise ValueError(
                     f"{key} declares {fields}, got {len(values)} values")
-            return trace._publish(
-                TraceEvent(time, self.category, node, self.action,
-                           None, fields, values),
-                key,
-            )
+            if trace.keep_events:
+                trace.events.keep(self._stream, time, node, values)
+            if trace._subscribers or key in trace._keyed:
+                return trace._publish(
+                    TraceEvent(time, self.category, node, self.action,
+                               None, fields, values),
+                    key,
+                )
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundEmitter({self._key}{self.fields})"
+
+
+class TraceColumns:
+    """The in-memory backend for ``TraceRecorder.events``: columns, not
+    events.
+
+    Each stream -- one ``(category, action, fields)`` triple -- owns one
+    flat row, ``[time, node, *values, time, node, *values, ...]``, and
+    ``_order`` holds the stream id of every record in record order.  A
+    kept record is a few slots in two lists and allocates no object of
+    its own.  Reading builds the :class:`TraceEvent` s: iteration,
+    ``len``/truthiness, ``reversed``, indexing and slicing, and equality
+    with a list of events all work, so the store reads like a list of
+    events.  Each read builds new events; a reader
+    that looks twice takes ``list(events)`` once.
+    """
+
+    __slots__ = ("_streams", "_index", "_rows", "_order")
+
+    def __init__(self) -> None:
+        self._streams: List[Stream] = []
+        self._index: Dict[Stream, int] = {}
+        self._rows: List[List[Any]] = []
+        self._order: List[int] = []
+
+    # -- write side ----------------------------------------------------
+    def keep(self, stream: Stream, time: float, node: Optional[int],
+             values: Tuple[Any, ...]) -> None:
+        """Keep one record of ``stream``, opening its row on first use;
+        ``values`` must match the stream's fields in number (the caller
+        checks)."""
+        sid = self._index.get(stream)
+        if sid is None:
+            sid = self._index[stream] = len(self._streams)
+            self._streams.append(stream)
+            self._rows.append([])
+        row = self._rows[sid]
+        row.append(time)
+        row.append(node)
+        row += values
+        self._order.append(sid)
+
+    def clear(self) -> None:
+        """Drop every record."""
+        self._streams.clear()
+        self._index.clear()
+        self._rows.clear()
+        self._order.clear()
+
+    # -- read side -----------------------------------------------------
+    def _event(self, sid: int, at: int) -> TraceEvent:
+        """The event whose record starts at ``at`` in stream ``sid``'s row."""
+        category, action, fields = self._streams[sid]
+        row = self._rows[sid]
+        return TraceEvent(row[at], category, row[at + 1], action, None,
+                          fields, tuple(row[at + 2:at + 2 + len(fields)]))
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        cursor = [0] * len(self._rows)
+        for sid in self._order:
+            at = cursor[sid]
+            cursor[sid] = at + 2 + len(self._streams[sid][2])
+            yield self._event(sid, at)
+
+    def __reversed__(self) -> Iterator[TraceEvent]:
+        cursor = [len(row) for row in self._rows]
+        for sid in reversed(self._order):
+            at = cursor[sid] = cursor[sid] - 2 - len(self._streams[sid][2])
+            yield self._event(sid, at)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    @overload
+    def __getitem__(self, index: int) -> TraceEvent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[TraceEvent]: ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[TraceEvent, List[TraceEvent]]:
+        """Builds every event up to the one asked for: a reader that
+        indexes more than once takes ``list(events)`` first."""
+        return list(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"TraceColumns(records={len(self._order)}, streams={len(self._streams)})"
 
 
 class TraceSpillLog:
@@ -162,9 +273,11 @@ class TraceSpillLog:
     ``{"time", "category", "node", "action", "details"}`` object per
     line), so ``repro trace`` and :func:`load_trace` read it directly.
 
-    The class quacks like the plain event list it replaces: ``append``,
-    iteration, ``len``/truthiness, ``reversed`` and ``clear`` all work,
-    with iteration transparently replaying the spilled prefix from disk
+    It takes records the way :class:`TraceColumns` does (:meth:`keep`),
+    but builds each one's :class:`TraceEvent` for its window, since the
+    window is spilled event by event.  Iteration, ``len``/truthiness,
+    ``reversed`` and ``clear`` work as they do on the store, with
+    iteration transparently replaying the spilled prefix from disk
     before the in-memory window.  One observable difference is inherent
     to the JSON round trip: tuple values inside ``details`` come back as
     lists (exactly as they do from ``dump_trace``/``load_trace``).
@@ -180,9 +293,13 @@ class TraceSpillLog:
         self._spilled = 0
 
     # -- write side ----------------------------------------------------
-    def append(self, event: TraceEvent) -> None:
+    def keep(self, stream: Stream, time: float, node: Optional[int],
+             values: Tuple[Any, ...]) -> None:
+        """Keep one record of ``stream`` as an event in the window,
+        spilling the oldest one when the window is full."""
+        category, action, fields = stream
         window = self._window
-        window.append(event)
+        window.append(TraceEvent(time, category, node, action, None, fields, values))
         if len(window) > self.window:
             self._spill_one(window.popleft())
 
@@ -274,20 +391,23 @@ class TraceSpillLog:
 class TraceRecorder:
     """Append-only trace with counters and simple query support.
 
+    ``events`` is the kept trace: a :class:`TraceColumns` store, or a
+    :class:`TraceSpillLog` when spilling.  Either way it reads as the
+    sequence of :class:`TraceEvent` s in record order.  An event is
+    built while the run goes on only for a subscriber: one attached to
+    the whole recorder sees every event, one attached under a
+    ``category.action`` key only that key's (subscribers may come and
+    go mid-run, so the check is made per call).
+
     Parameters
     ----------
     keep_events:
         If ``False`` only the counters are maintained; useful for large
-        parameter sweeps where the full event list would dominate memory.
-        Events are then not even constructed unless a subscriber wants
-        them: one attached to the whole recorder sees every event, one
-        attached under a ``category.action`` key only that key's
-        (subscribers may come and go mid-run, so the check is made per
-        call).
+        parameter sweeps where the full trace would dominate memory.
     spill_path:
         When set (and ``keep_events`` is on), events stream to this
         JSONL file through a :class:`TraceSpillLog` instead of
-        accumulating in an unbounded list: only the newest
+        accumulating in memory: only the newest
         ``spill_window`` events stay in memory, and every query API
         (:meth:`select`, :meth:`first`, :meth:`last`, iteration, span
         reconstruction, ``repro trace``) reads transparently through the
@@ -303,11 +423,11 @@ class TraceRecorder:
         spill_window: int = 10_000,
     ) -> None:
         self.keep_events = keep_events
-        self.events: Union[List[TraceEvent], TraceSpillLog]
+        self.events: Union[TraceColumns, TraceSpillLog]
         if spill_path is not None and keep_events:
             self.events = TraceSpillLog(spill_path, spill_window)
         else:
-            self.events = []
+            self.events = TraceColumns()
         self.counters: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceEvent], None]] = []
         #: ``category.action`` -> subscribers that want only that key
@@ -317,14 +437,14 @@ class TraceRecorder:
 
     @property
     def spill(self) -> Optional[TraceSpillLog]:
-        """The spill backend, or ``None`` when events live in a list."""
+        """The spill backend, or ``None`` when the trace is kept in memory."""
         events = self.events
         return events if isinstance(events, TraceSpillLog) else None
 
     def finalize(self) -> None:
         """Flush any spill backend so its file holds the full trace.
 
-        No-op for the default in-memory list backend."""
+        No-op for the in-memory store."""
         spill = self.spill
         if spill is not None:
             spill.finalize()
@@ -338,27 +458,34 @@ class TraceRecorder:
         action: str,
         **details: Any,
     ) -> Optional[TraceEvent]:
-        """Bump the ``category.action`` counter and append one event.
+        """Bump the ``category.action`` counter, keep the record (in the
+        stream ``(category, action, tuple(details))``) and hand it to
+        its subscribers.
 
-        Returns ``None`` on the counters-only fast path (``keep_events``
-        off and nobody subscribed); the counter is bumped either way, so
-        the audit totals are identical whichever path runs.
+        Returns the event the subscribers were handed, or ``None`` when
+        nobody subscribed (the record is kept without building one); the
+        counter is bumped either way, so the audit totals are identical
+        whichever path runs.
         """
         key = f"{category}.{action}"
         self.counters[key] = self.counters.get(key, 0) + 1
         if self.keep_events or self._subscribers or key in self._keyed:
-            return self._publish(TraceEvent(time, category, node, action, details), key)
+            fields = tuple(details)
+            values = tuple(details.values())
+            if self.keep_events:
+                self.events.keep((category, action, fields), time, node, values)
+            if self._subscribers or key in self._keyed:
+                return self._publish(
+                    TraceEvent(time, category, node, action, None, fields, values), key)
         return None
 
     def _publish(self, event: TraceEvent, key: str) -> TraceEvent:
-        """Hand one wanted event to the event list and the subscribers:
-        the whole-recorder ones, then those under the event's own
+        """Hand one kept-or-not event to the subscribers: the
+        whole-recorder ones, then those under the event's own
         ``category.action``.  Both lists are the ones in place before any
         subscriber has run -- ``subscribe``/``unsubscribe`` replace a list
         and never mutate it, so a subscriber may do either."""
         keyed = self._keyed.get(key)
-        if self.keep_events:
-            self.events.append(event)
         for subscriber in self._subscribers:
             subscriber(event)
         if keyed is not None:

@@ -1,5 +1,6 @@
 """Tests for the ``repro trace`` subcommand and the run observability flags."""
 
+import hashlib
 import json
 
 import pytest
@@ -120,3 +121,30 @@ class TestTraceCommand:
         )
         assert main(["trace", str(path), "--critical-path"]) == 0
         assert "--spans" in capsys.readouterr().out
+
+
+#: sha256 of ``repro trace`` output on the ``trace_path`` run, per flag
+#: set, as printed when the kept trace was a list of events.  Reading the
+#: trace builds its events, so these pin that the readers still print
+#: the same bytes (``--chrome-out``: the printed line, then the file).
+TRACE_OUTPUT_SHA256 = {
+    "": "a9b7e0fb6d14b3feeb02cf6a8c42036d132fe76fa7f739067122a033ab3eed55",
+    "--tail 20": "ca314e69cf3a8fc107515f8f7180b202f5951584c4f13ce1fbf547a30f9d5851",
+    "--timeline": "b837fcdad2eac01c62e56d374d54c17dddfecfb5b2e7d3e5b602ccb44a954030",
+    "--spans": "7579d77b20c939d0c214acaec5b0303463832b5b098b7139cba9dcf39819cb50",
+    "--critical-path": "3d7c4feedd03834b5d6d35eda72be5f7877a08f6c8126c7577f9d742f60b2ef4",
+    "--chrome-out": "d6b7c8d18878fb04c2d97d7b4b434e60663fca3212b44ff26ff1a4aa42244bbb",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(TRACE_OUTPUT_SHA256))
+def test_trace_output_is_byte_identical(flags, trace_path, tmp_path, capsys):
+    args = flags.split()
+    chrome = tmp_path / "chrome.json"
+    if flags == "--chrome-out":
+        args.append(str(chrome))
+    assert main(["trace", trace_path] + args) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    if flags == "--chrome-out":
+        out += chrome.read_text(encoding="utf-8")
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_OUTPUT_SHA256[flags]

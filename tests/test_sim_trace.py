@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import build_system, crash_at
-from repro.analysis.trace_io import dump_trace, event_to_dict
+from repro.analysis.trace_io import dump_trace, event_to_dict, load_trace
 from repro.core.config import FaultConfig
 from repro.sim.trace import TraceEvent, TraceRecorder
 
@@ -147,7 +147,8 @@ def test_clear_resets_everything():
 
 def test_details_stored():
     trace = TraceRecorder()
-    event = trace.record(1.0, "net", 0, "send", dst=7, size=100)
+    trace.record(1.0, "net", 0, "send", dst=7, size=100)
+    (event,) = trace.events
     assert event.details == {"dst": 7, "size": 100}
 
 
@@ -202,9 +203,11 @@ def test_emitter_site_details_match_record(emitted, key):
         assert event.fields == EMITTER_FIELDS[key]
         assert len(event.values) == len(event.fields)
         details = event.details
-        rebuilt = TraceRecorder().record(
+        rebuilt_trace = TraceRecorder()
+        rebuilt_trace.record(
             event.time, event.category, event.node, event.action, **details
         )
+        (rebuilt,) = rebuilt_trace.events
         assert rebuilt == event
         assert list(rebuilt.details) == list(details) == list(EMITTER_FIELDS[key])
         assert rebuilt.values == event.values
@@ -213,8 +216,9 @@ def test_emitter_site_details_match_record(emitted, key):
 def test_emitter_and_record_events_are_equal_and_dump_alike():
     trace = TraceRecorder()
     emit = trace.emitter("net", "send", ("dst", "mtype", "size"))
-    packed = emit(1.5, 0, 3, "app", 100)
-    recorded = trace.record(1.5, "net", 0, "send", dst=3, mtype="app", size=100)
+    emit(1.5, 0, 3, "app", 100)
+    trace.record(1.5, "net", 0, "send", dst=3, mtype="app", size=100)
+    packed, recorded = trace.events
     assert packed == recorded
     assert packed.fields == recorded.fields and packed.values == recorded.values
     assert json.dumps(event_to_dict(packed)) == json.dumps(event_to_dict(recorded))
@@ -226,10 +230,14 @@ def test_emitter_and_record_events_are_equal_and_dump_alike():
 
 def test_spill_round_trip_returns_equal_events(tmp_path):
     trace = TraceRecorder(spill_path=str(tmp_path / "t.jsonl"), spill_window=2)
-    emit = trace.emitter("app", "deliver", ("sender", "ssn", "rsn"))
-    kept = [emit(float(i), i % 3, i, 2 * i, i + 1) for i in range(5)]
-    kept.append(trace.record(9.0, "node", 1, "crash"))
-    kept.append(trace.record(9.5, "cost", None, "sample", wire={"app": 40}, window=0.5))
+    memory = TraceRecorder()
+    for recorder in (trace, memory):
+        emit = recorder.emitter("app", "deliver", ("sender", "ssn", "rsn"))
+        for i in range(5):
+            emit(float(i), i % 3, i, 2 * i, i + 1)
+        recorder.record(9.0, "node", 1, "crash")
+        recorder.record(9.5, "cost", None, "sample", wire={"app": 40}, window=0.5)
+    kept = list(memory.events)
     try:
         trace.finalize()
         assert list(trace.events) == kept
@@ -240,8 +248,9 @@ def test_spill_round_trip_returns_equal_events(tmp_path):
 
 def test_details_is_a_copy():
     trace = TraceRecorder()
-    recorded = trace.record(1.0, "net", 0, "send", dst=7, size=100)
-    packed = trace.emitter("net", "send", ("dst", "size"))(1.0, 0, 7, 100)
+    trace.record(1.0, "net", 0, "send", dst=7, size=100)
+    trace.emitter("net", "send", ("dst", "size"))(1.0, 0, 7, 100)
+    recorded, packed = trace.events
     for event in (recorded, packed):
         details = event.details
         details["dst"] = 99
@@ -249,3 +258,131 @@ def test_details_is_a_copy():
         del details["size"]
         assert event.details == {"dst": 7, "size": 100}
         assert event.details is not event.details
+
+
+# ----------------------------------------------------------------------
+# the columnar store: one flat row per stream, events built on read
+# ----------------------------------------------------------------------
+def _interleaved():
+    """A recorder with three streams recorded in turn, and the events
+    a list of them would hold, in record order."""
+    trace = TraceRecorder()
+    send = trace.emitter("net", "send", ("dst", "size"))
+    deliver = trace.emitter("net", "deliver", ("src",))
+    expected = []
+    for i in range(6):
+        send(float(i), i % 2, i + 1, 10 * i)
+        expected.append(TraceEvent(float(i), "net", i % 2, "send", {"dst": i + 1, "size": 10 * i}))
+        if i % 2:
+            deliver(i + 0.5, i % 2, i)
+            expected.append(TraceEvent(i + 0.5, "net", i % 2, "deliver", {"src": i}))
+        if i % 3 == 0:
+            trace.record(i + 0.25, "node", None, "tick")
+            expected.append(TraceEvent(i + 0.25, "node", None, "tick"))
+    return trace, expected
+
+
+def test_store_reads_interleaved_streams_back_in_record_order():
+    trace, expected = _interleaved()
+    events = list(trace.events)
+    assert events == expected
+    assert [event.time for event in events] == [event.time for event in expected]
+    assert [list(event.details) for event in events] == [list(e.details) for e in expected]
+
+
+def test_store_reads_like_a_list():
+    trace, expected = _interleaved()
+    events = trace.events
+    assert len(events) == len(expected) == len(trace)
+    assert events and not TraceRecorder().events
+    assert events[0] == expected[0] and events[-1] == expected[-1]
+    for i in range(-len(expected), len(expected)):
+        assert events[i] == expected[i]
+    with pytest.raises(IndexError):
+        events[len(expected)]
+    with pytest.raises(IndexError):
+        events[-len(expected) - 1]
+    assert events[2:5] == expected[2:5]
+    assert events[-3:] == expected[-3:]
+    assert events[::2] == expected[::2]
+    assert list(reversed(events)) == expected[::-1]
+    assert events == expected and events != expected[:-1]
+    assert TraceRecorder().events == []
+    assert events != []
+    assert trace.last("net", action="send") == expected[-2]
+
+
+def test_record_under_one_key_with_other_kwargs_opens_another_stream():
+    trace = TraceRecorder()
+    trace.record(1.0, "cost", None, "sample", wire=1)
+    trace.record(2.0, "cost", None, "sample", wire=2, window=0.5)
+    trace.record(3.0, "cost", None, "sample", wire=3)
+    trace.record(4.0, "cost", None, "sample", window=0.5, wire=4)
+    assert len(trace.events._streams) == 3
+    assert [event.details for event in trace.events] == [
+        {"wire": 1}, {"wire": 2, "window": 0.5}, {"wire": 3}, {"window": 0.5, "wire": 4},
+    ]
+    assert [list(event.details) for event in trace.events][-1] == ["window", "wire"]
+    assert trace.counters == {"cost.sample": 4}
+
+
+def test_store_clear_drops_records_and_keeps_taking_them():
+    trace, _ = _interleaved()
+    emit = trace.emitter("net", "send", ("dst", "size"))
+    trace.clear()
+    assert len(trace.events) == 0 and trace.events == [] and trace.counters == {}
+    emit(7.0, 1, 2, 3)
+    trace.record(8.0, "node", 0, "crash")
+    assert trace.events == [
+        TraceEvent(7.0, "net", 1, "send", {"dst": 2, "size": 3}),
+        TraceEvent(8.0, "node", 0, "crash"),
+    ]
+
+
+def test_subscriber_and_store_see_equal_events():
+    trace = TraceRecorder()
+    seen, keyed = [], []
+    trace.subscribe(seen.append)
+    trace.subscribe(keyed.append, key="net.send")
+    emit = trace.emitter("net", "send", ("dst", "size"))
+    returned = [emit(0.5, 1, 2, 100), trace.record(1.0, "node", 1, "crash", reason="x")]
+    assert returned == seen == list(trace.events)
+    assert keyed == [seen[0]]
+
+
+def test_emitter_returns_none_unless_a_subscriber_was_handed_the_event():
+    trace = TraceRecorder()
+    emit = trace.emitter("net", "send", ("dst",))
+    assert emit(0.0, 0, 1) is None
+    assert trace.record(0.0, "node", 0, "crash") is None
+    trace.subscribe(lambda event: None, key="node.crash")
+    assert emit(1.0, 0, 1) is None
+    assert trace.record(1.0, "node", 0, "crash") == TraceEvent(1.0, "node", 0, "crash")
+    assert len(trace.events) == 4
+
+
+def test_dump_load_dump_is_byte_identical():
+    system = build_system(small_config(n=4, crashes=[crash_at(1, 0.02)]))
+    system.run()
+    first = io.StringIO()
+    count = dump_trace(system.trace, first)
+    system.close()
+    assert count > 100
+    second = io.StringIO()
+    assert dump_trace(load_trace(io.StringIO(first.getvalue())), second) == count
+    assert second.getvalue() == first.getvalue()
+
+
+def test_arity_mismatch_raises_and_leaves_the_store_unchanged():
+    trace = TraceRecorder()
+    emit = trace.emitter("net", "send", ("dst", "mtype"))
+    emit(0.0, 0, 1, "app")
+    before = list(trace.events)
+    for values in ((1,), (1, "app", "extra"), ()):
+        with pytest.raises(ValueError):
+            emit(1.0, 0, *values)
+    assert list(trace.events) == before
+    emit(2.0, 0, 2, "ack")
+    assert [event.details for event in trace.events] == [
+        {"dst": 1, "mtype": "app"}, {"dst": 2, "mtype": "ack"},
+    ]

@@ -144,14 +144,14 @@ def test_closing_changes_no_result(spec):
 #: made the volatile logs rows read 1,184 B / 5.59, 1,366 B / 7.68 and
 #: 2,603 B / 18.41.  ``observed_run`` keeps its trace: the parent of the
 #: change that made a kept event its emitter's names and values tuple
-#: (no details dict) read 3,693 B / 27.10 there.  Its tracked count
-#: rose slightly because the kept values tuple stays GC-tracked until a
-#: collection untracks it, while an all-atomic details dict never was.
+#: (no details dict) read 3,693 B / 27.10 there, and the parent of the
+#: change that keeps the trace as columns (one flat row per stream, no
+#: event object per kept record) read 3,053 B / 27.51.
 HEAP_REACHED = {
     "steady_fbl": (796, 3.79),
     "lossy_transport": (1061, 5.74),
     "recovery_churn": (2160, 17.09),
-    "observed_run": (3053, 27.51),
+    "observed_run": (2402, 15.01),
 }
 HEAP_BUDGET = {
     workload: (live * 1.05, tracked * 1.05)

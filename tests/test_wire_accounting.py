@@ -298,10 +298,11 @@ def test_retransmit_clone_copies_every_field_but_the_two_transmit_stamps():
 def test_emitter_event_equals_the_kwargs_form_key_order_included():
     trace = TraceRecorder()
     emit = trace.emitter("net", "send", ("dst", "mtype", "kind", "size", "msg_id"))
-    by_emitter = emit(0.5, 3, 4, "app", "application", 200, 17)
-    by_record = trace.record(
+    emit(0.5, 3, 4, "app", "application", 200, 17)
+    trace.record(
         0.5, "net", 3, "send", dst=4, mtype="app", kind="application", size=200, msg_id=17
     )
+    by_emitter, by_record = trace.events
     assert by_emitter == by_record
     assert list(by_emitter.details) == list(by_record.details)
     assert trace.counters == {"net.send": 2}
