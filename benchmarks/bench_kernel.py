@@ -219,37 +219,6 @@ def host_info() -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # runner speedup (E5 / E11 trial sets, serial vs parallel)
 # ----------------------------------------------------------------------
-def _e5_configs():
-    sys.path.insert(0, _HERE)
-    from paper_setup import paper_config
-
-    from repro.procs.failure import crash_at
-
-    configs = []
-    for n in (4, 8, 16, 32):
-        for recovery in ("blocking", "nonblocking"):
-            configs.append(paper_config(
-                f"e5-{recovery}-{n}", recovery=recovery, n=n,
-                crashes=[crash_at(node=1, time=0.05)], hops=30,
-                keep_trace_events=False,
-            ))
-    return configs
-
-
-def _e11_configs():
-    from repro.experiments import lossy_network
-
-    configs = []
-    for loss in (0.0, 0.02, 0.05, 0.1, 0.2):
-        for recovery in ("blocking", "nonblocking"):
-            system = lossy_network(
-                recovery=recovery, loss=loss, victim=3,
-                transport_params={"max_retries": 30},
-            )
-            configs.append(system.config)
-    return configs
-
-
 def measure_runner_speedup(jobs: int = 4) -> Dict[str, Any]:
     from repro.runner import TrialRunner, TrialSpec
 
@@ -263,7 +232,10 @@ def measure_runner_speedup(jobs: int = 4) -> Dict[str, Any]:
             "overhead, not scaling"
         )
         print(f"  speedup not reported: {out['skipped']}")
-    for name, maker in (("e5", _e5_configs), ("e11", _e11_configs)):
+    sys.path.insert(0, _HERE)
+    from paper_tables import e5_configs, e11_configs
+
+    for name, maker in (("e5", e5_configs), ("e11", e11_configs)):
         specs = [TrialSpec(config=c) for c in maker()]
         t0 = time.perf_counter()
         serial = TrialRunner(jobs=1).run([TrialSpec(config=s.config) for s in specs])

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 
-#: purposes whose share the CI baseline tracks (see BENCH_COST.json)
+#: purposes whose share EXPERIMENTS.md's E6 tables report
 SHARE_PURPOSES = ("piggyback-determinant", "determinant-log", "control-plane")
 
 

@@ -16,8 +16,7 @@ Six commands cover the common uses:
                  checkpoint interval, group-commit batch window) x seeds;
 * ``report``  -- aggregate reports; ``report cost`` prints per-protocol
                  communication-cost breakdowns (purpose/phase/link),
-                 overhead-vs-time curves, flamegraph export, and checks
-                 overhead shares against a committed baseline;
+                 overhead-vs-time curves and flamegraph export;
 * ``trace``   -- inspect a saved JSONL trace: filter, summarize, span
                  trees, the recovery critical path, Chrome export.
 
@@ -34,7 +33,7 @@ Examples::
     python -m repro compare --crash 3@0.05 --crash 5@0.06
     python -m repro grid --knob n=4,8,16,32 --crash 1@0.05 --jobs 4
     python -m repro grid --knob n=4,8,16 --knob loss=0.0,0.05 --seeds 3
-    python -m repro report cost --all-protocols --check
+    python -m repro report cost --all-protocols --json-out cost.json
     python -m repro report cost --crash 3@0.05 --flame-out cost.folded
     python -m repro trace run.jsonl --critical-path
     python -m repro trace run.jsonl --chrome-out run.chrome.json
@@ -49,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro import SystemConfig, build_system, crash_at
 from repro.analysis.report import format_run_summary, format_table
 from repro.analysis.stats import summarize
+from repro.experiments import default_protocol_params
 from repro.protocols import PROTOCOLS
 from repro.runner import TrialRunner, TrialSpec, run_results
 
@@ -178,7 +178,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 #: ``(label, protocol, recovery)`` of every stack ``compare
 #: --all-protocols`` and ``report --all-protocols`` run; ``compare``
-#: alone runs the first two.  The labels key benchmarks/BENCH_COST.json.
+#: alone runs the first two.  EXPERIMENTS.md's E6 landscape table uses
+#: the same labels.
 STACKS = [
     ("fbl+nonblocking", "fbl", "nonblocking"),
     ("fbl+blocking", "fbl", "blocking"),
@@ -207,11 +208,9 @@ def _repetitions(args: argparse.Namespace, config: SystemConfig, label: str):
 def _config_from_args(args: argparse.Namespace, **overrides: Any) -> SystemConfig:
     protocol = overrides.pop("protocol", args.protocol)
     recovery = overrides.pop("recovery", None) or _recovery(args)
-    protocol_params: Dict[str, Any] = {}
-    if protocol in ("fbl", "adaptive"):
-        protocol_params = {"f": overrides.pop("f", args.f)}
-    elif protocol == "coordinated":
-        protocol_params = {"snapshot_every": 12}
+    protocol_params = default_protocol_params(protocol, overrides.get("f", args.f))
+    if "f" in protocol_params:
+        overrides.pop("f", None)
     adaptive_config = None
     if protocol == "adaptive":
         from repro.core.config import AdaptiveConfig
@@ -496,10 +495,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """``repro report cost``: per-protocol cost breakdowns, overhead
-    curves, flamegraph export and the baseline drift check."""
+    curves and flamegraph export."""
     import json
 
-    from repro.analysis.cost import format_cost_report, overhead_shares
+    from repro.analysis.cost import format_cost_report
     from repro.runner import merge_cost
 
     stacks = STACKS if args.all_protocols else [
@@ -507,7 +506,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     ]
 
     exit_code = 0
-    shares_by_stack: Dict[str, Dict[str, float]] = {}
     flame_lines: List[str] = []
     json_payload: Dict[str, Any] = {}
     for label, protocol, recovery in stacks:
@@ -536,7 +534,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print()
         if not conserved:
             exit_code = 1
-        shares_by_stack[label] = overhead_shares(cost)
         flame_lines.extend(f"{label};{line}" for line in merged.flame_lines())
         json_payload[label] = cost
 
@@ -551,40 +548,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(json_payload, handle, indent=2, default=str)
         print(f"json: wrote {len(json_payload)} stack summaries to {args.json_out}")
-
-    if args.update_baseline:
-        with open(args.baseline, "w", encoding="utf-8") as handle:
-            json.dump(shares_by_stack, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baseline: wrote {len(shares_by_stack)} stacks to {args.baseline}")
-    elif args.check_baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        drifted = []
-        for label, shares in shares_by_stack.items():
-            expected = baseline.get(label)
-            if expected is None:
-                drifted.append(f"{label}: not in baseline {args.baseline}")
-                continue
-            for purpose, share in shares.items():
-                want = expected.get(purpose, 0.0)
-                # relative drift against the committed share, with an
-                # absolute floor so near-zero shares don't trip on noise
-                if abs(share - want) > max(args.tolerance * want, 0.005):
-                    drifted.append(
-                        f"{label}: {purpose} share {share:.4f} drifted "
-                        f">{args.tolerance:.0%} from baseline {want:.4f}"
-                    )
-        if drifted:
-            print("BASELINE DRIFT:")
-            for line in drifted:
-                print(f"  {line}")
-            exit_code = 1
-        else:
-            print(
-                f"baseline: {len(shares_by_stack)} stacks within "
-                f"{args.tolerance:.0%} of {args.baseline}"
-            )
     return exit_code
 
 
@@ -908,23 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--json-out", metavar="PATH", default=None,
         help="write the per-stack cost summaries as JSON",
-    )
-    report_parser.add_argument(
-        "--baseline", metavar="PATH", default="benchmarks/BENCH_COST.json",
-        help="overhead-share baseline file (see --check/--update)",
-    )
-    report_parser.add_argument(
-        "--check", dest="check_baseline", action="store_true",
-        help="fail if any stack's overhead shares drift beyond --tolerance "
-             "from the baseline",
-    )
-    report_parser.add_argument(
-        "--update", dest="update_baseline", action="store_true",
-        help="rewrite the baseline from this run's shares",
-    )
-    report_parser.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="relative drift allowed by --check (default 0.30)",
     )
     report_parser.set_defaults(fn=cmd_report)
 

@@ -1,7 +1,8 @@
 """Ready-made scenario builders for the paper's experiments.
 
-The benchmark files print tables; this module exposes the same scenarios
-as a library API, so a downstream user can write::
+``benchmarks/paper_tables.py`` builds EXPERIMENTS.md's tables from
+:func:`paper_config`; this module exposes the same scenarios as a
+library API, so a downstream user can write::
 
     from repro.experiments import single_failure, failure_during_recovery
 
@@ -32,6 +33,40 @@ PAPER_DEFAULTS: Dict[str, Any] = {
 }
 
 
+def default_protocol_params(protocol: str, f: int = 2) -> Dict[str, Any]:
+    """A protocol's construction parameters when none are given: FBL and
+    the adaptive hybrid tolerate ``f`` failures, coordinated
+    checkpointing snapshots every 12 deliveries, the others take none.
+    Every paper table, scenario builder and CLI run uses this rule."""
+    if protocol in ("fbl", "adaptive"):
+        return {"f": f}
+    if protocol == "coordinated":
+        return {"snapshot_every": 12}
+    return {}
+
+
+def paper_config(
+    name: str,
+    recovery: str = "nonblocking",
+    crashes: Optional[List[CrashPlan]] = None,
+    f: int = 2,
+    hops: int = 40,
+    **overrides: Any,
+) -> SystemConfig:
+    """The evaluation's configuration plus overrides: ``protocol_params``
+    default to :func:`default_protocol_params` at ``f``, and ``hops``
+    sizes the uniform workload."""
+    settings: Dict[str, Any] = dict(
+        PAPER_DEFAULTS, workload_params={"hops": hops, "fanout": 2}
+    )
+    settings.update(overrides)
+    if overrides.get("protocol_params") is None:
+        settings["protocol_params"] = default_protocol_params(settings["protocol"], f)
+    return SystemConfig(
+        name=name, recovery=recovery, crashes=list(crashes or []), **settings
+    )
+
+
 def paper_system(
     name: str,
     recovery: str = "nonblocking",
@@ -39,12 +74,7 @@ def paper_system(
     **overrides: Any,
 ) -> System:
     """A system with the paper's parameters plus overrides."""
-    settings: Dict[str, Any] = dict(PAPER_DEFAULTS)
-    settings.update(overrides)
-    config = SystemConfig(
-        name=name, recovery=recovery, crashes=list(crashes or []), **settings
-    )
-    return build_system(config)
+    return build_system(paper_config(name, recovery=recovery, crashes=crashes, **overrides))
 
 
 # ----------------------------------------------------------------------
@@ -193,17 +223,11 @@ def output_commit_scenario(
     **overrides: Any,
 ) -> System:
     """E9: the workload externalises an output every k deliveries."""
-    params = overrides.pop("protocol_params", None)
-    if params is None:
-        params = {"f": 2} if protocol == "fbl" else {}
-        if protocol == "coordinated":
-            params = {"snapshot_every": 12}
     return paper_system(
         f"output-{protocol}-{recovery}",
         recovery=recovery,
         crashes=crashes,
         protocol=protocol,
-        protocol_params=params,
         workload_params={"hops": 40, "fanout": 2, "output_every": output_every},
         **overrides,
     )

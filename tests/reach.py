@@ -10,7 +10,7 @@ Collect::
 
     # tier-1 or the benchmarks, as a pytest plugin
     PYTHONPATH=src python -m pytest -q -p tests.reach
-    PYTHONPATH=src python -m pytest -q -p tests.reach benchmarks/ --benchmark-disable
+    PYTHONPATH=src python -m pytest -q -p tests.reach benchmarks/
     # a script or a CLI command line
     PYTHONPATH=src python tests/reach.py --run examples/quickstart.py
     PYTHONPATH=src python tests/reach.py --run -m repro check --protocol fbl --crash 2@0.03
@@ -26,18 +26,12 @@ a ``multiprocessing`` after-fork hook registers the dump as a
 ``multiprocessing.util.Finalize``.  Workers started by ``spawn`` or
 ``forkserver`` are not traced.
 
-Two findings from using it:
-
-* ``pytest-benchmark`` installs its own tracer inside
-  ``benchmark.pedantic`` and does not restore this one, so a benchmark
-  run must pass ``--benchmark-disable``, or everything after the first
-  benchmark goes unrecorded.
-* Under the collector, three or four of the six cases of
-  ``test_workload_traced_and_untraced`` in ``benchmarks/e2e`` fail
-  their CPU-attribution check (the layers' span self times must sum to
-  the rep's wall time): that harness times itself with hooks this
-  tracer disturbs.  The failure is expected and does not point to a
-  bug in the simulator.
+Under the collector, three or four of the six cases of
+``test_workload_traced_and_untraced`` in ``benchmarks/e2e`` fail their
+CPU-attribution check (the layers' span self times must sum to the
+rep's wall time): that harness times itself with hooks this tracer
+disturbs.  The failure is expected and does not point to a bug in the
+simulator.
 
 On a 2-core host, tier-1 (1,159 tests) took 2 min 29 s under the
 collector, against 59 s without it.

@@ -221,12 +221,3 @@ class TestReportCommand:
         assert payload["fbl+nonblocking"]["conserved"] is True
         lines = flame_out.read_text().splitlines()
         assert lines and all(l.startswith("fbl+nonblocking;") for l in lines)
-
-    def test_report_cost_update_then_check(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        argv = ["report", "cost", *SMALL, "--baseline", str(baseline)]
-        assert main(argv + ["--update"]) == 0
-        assert "baseline: wrote 1 stacks" in capsys.readouterr().out
-        assert list(json.loads(baseline.read_text())) == ["fbl+nonblocking"]
-        assert main(argv + ["--check"]) == 0
-        assert "baseline: 1 stacks within 30%" in capsys.readouterr().out
