@@ -5,8 +5,7 @@ One function per table.  Each builds its configs from
 eight processes, FBL f = 2, a 1 MB process image, 3 s failure
 detection), runs them through :func:`repro.runner.run_results`, asserts
 the paper claims the table stands for, and returns its headers and
-rows.  Every run must end oracle-consistent unless a table says
-otherwise (E2c observes a starved recovery on purpose).
+rows.  Every run must end oracle-consistent.
 
 Rewrite every table in EXPERIMENTS.md::
 
@@ -31,7 +30,7 @@ _HERE = Path(__file__).resolve().parent
 if str(_HERE.parent / "src") not in sys.path:
     sys.path.insert(0, str(_HERE.parent / "src"))
 
-from repro import crash_at, crash_on, run_config  # noqa: E402
+from repro import crash_at, crash_on  # noqa: E402
 from repro.analysis.cost import overhead_shares  # noqa: E402
 from repro.analysis.stats import summarize  # noqa: E402
 from repro.cli import STACKS  # noqa: E402
@@ -256,105 +255,56 @@ def _churn_crashes():
     ]
 
 
-#: ``nonblocking`` resumes a dead leader's persisted round (the new
-#: control plane); ``nonblocking-restart`` pins the paper's literal
-#: restart-everything behaviour
-CONTROL_PLANES = (("handoff (new)", "nonblocking"), ("restart (old)", "nonblocking-restart"))
-
-
 @table("E2b")
 def e2b_leader_crash() -> Table:
-    """A leader crash mid-gather: the successor resumes the persisted
-    round (new) or regathers from nothing (old)."""
-    new, old = run([
-        paper_config(f"e2-churn-{recovery}", recovery=recovery, f=3,
+    """A leader crash mid-gather: the successor resumes the round the
+    dead leader persisted at the sequencer."""
+    (result,) = run([
+        paper_config("e2-churn-nonblocking", recovery="nonblocking", f=3,
                      crashes=_churn_crashes())
-        for _, recovery in CONTROL_PLANES
     ])
-    assert _handoffs(new) == 1
-    assert sum(e.rounds_resumed for e in new.episodes) == 1
-    assert _handoffs(old) == 0
-    assert _restarts(old) > _restarts(new)
+    assert _handoffs(result) == 1
     return (
-        ["algorithm", "recovery (s)", "gather restarts", "handoffs",
-         "rounds resumed", "recovery msgs"],
-        [
-            [label, f"{max(result.recovery_durations()):.2f}", _restarts(result),
-             _handoffs(result), sum(e.rounds_resumed for e in result.episodes),
-             result.recovery_messages()]
-            for (label, _), result in zip(CONTROL_PLANES, (new, old))
-        ],
-    )
-
-
-def _partitioned(recovery: str, **overrides: Any) -> SystemConfig:
-    # one live member is isolated for 10 s just after the leader
-    # collected its reply
-    return paper_config(
-        f"e2-partition-{recovery}", recovery=recovery, f=3,
-        crashes=_churn_crashes(),
-        injections=[
-            partition_at([[7], [0, 1, 2, 3, 4, 5, 6, 8]], 4.09, duration=10.0)
-        ],
-        **overrides,
+        ["recovery (s)", "gather restarts", "handoffs", "recovery msgs"],
+        [[f"{max(result.recovery_durations()):.2f}", _restarts(result),
+          _handoffs(result), result.recovery_messages()]],
     )
 
 
 @table("E2c")
 def e2c_partition_during_recovery() -> Table:
     """Cascading failures plus a partition during recovery (heals at
-    t = 14.1, observed to t = 30).  On the paper's bare channels the old
-    algorithm's regather re-requests the isolated member's depinfo
-    across the partition, the request is swallowed, and nothing retries:
-    the gather is still empty-handed long after the heal.  The new
-    algorithm's successor resumes the persisted round, which already
-    holds that reply.  Neither run is held to the oracle: the old one is
-    observed mid-starvation."""
-    # the old algorithm never terminates on its own: cap the window
-    new, old = run_results(
-        [_partitioned(recovery, run_until=30.0) for _, recovery in CONTROL_PLANES]
-    )
-
-    def latest(result):
-        final = {}
-        for episode in result.episodes:
-            final[episode.node] = episode
-        return list(final.values())
-
-    rows = []
-    for (label, _), result in zip(CONTROL_PLANES, (new, old)):
-        served_at = [
-            round(e.replay_start_time, 2)
-            for e in latest(result) if e.replay_start_time is not None
-        ]
-        rows.append([
-            label,
-            f"{len(served_at)}/{len(latest(result))}",
-            ", ".join(str(t) for t in served_at) or "never",
-            _restarts(result),
-            _handoffs(result),
-            result.recovery_messages(),
-        ])
-    # new: every recovering process got its depinfo from the resumed
-    # round, six seconds before the partition even healed
-    assert all(e.replay_start_time is not None for e in latest(new))
-    assert max(e.replay_start_time for e in latest(new)) < 10.0
-    assert _handoffs(new) == 1
-    # old: still starved sixteen seconds after the heal ...
-    assert all(e.replay_start_time is None for e in latest(old))
-    assert not any(e.complete for e in old.episodes)
-    # ... and unboundedly so: with no horizon its poll/regather loop
-    # runs the kernel dry
-    try:
-        run_config(_partitioned("nonblocking-restart", max_events=200_000))
-    except RuntimeError as exc:
-        assert "max_events" in str(exc), exc
-    else:
-        raise AssertionError("the restart manager's regather terminated")
+    t = 14.1, observed to t = 30).  On the paper's bare channels a
+    request swallowed by the partition is never retried; the successor
+    resumes the persisted round, which already holds the isolated
+    member's reply, so nothing needs to cross the partition."""
+    # one live member is isolated for 10 s just after the leader
+    # collected its reply
+    (result,) = run([paper_config(
+        "e2-partition-nonblocking", recovery="nonblocking", f=3,
+        crashes=_churn_crashes(),
+        injections=[
+            partition_at([[7], [0, 1, 2, 3, 4, 5, 6, 8]], 4.09, duration=10.0)
+        ],
+        run_until=30.0,
+    )])
+    final = {}
+    for episode in result.episodes:
+        final[episode.node] = episode
+    served_at = [
+        round(e.replay_start_time, 2)
+        for e in final.values() if e.replay_start_time is not None
+    ]
+    # every recovering process got its depinfo from the resumed round,
+    # six seconds before the partition even healed
+    assert len(served_at) == len(final)
+    assert max(served_at) < 10.0
+    assert _handoffs(result) == 1
     return (
-        ["algorithm", "depinfo served", "served at (s)", "gather restarts",
-         "handoffs", "recovery msgs"],
-        rows,
+        ["depinfo served", "served at (s)", "gather restarts", "handoffs",
+         "recovery msgs"],
+        [[f"{len(served_at)}/{len(final)}", ", ".join(str(t) for t in served_at),
+          _restarts(result), _handoffs(result), result.recovery_messages()]],
     )
 
 
@@ -642,44 +592,34 @@ def e7_protocol_families() -> Table:
 # ----------------------------------------------------------------------
 # E8 -- ablations of the new algorithm's design
 # ----------------------------------------------------------------------
-def _ablation(crashes, name, detection_delay=3.0, recovery="nonblocking"):
+def _ablation(crashes, name, detection_delay=3.0):
     return paper_config(
-        f"e8-{name}", recovery=recovery, crashes=crashes,
+        f"e8-{name}", recovery="nonblocking", crashes=crashes,
         detection_delay=detection_delay,
     )
 
 
-def _before_reply_crashes():
-    return [
-        crash_at(P, 0.05),
-        crash_on(Q, "net", "deliver", match_node=Q,
-                 match_details={"mtype": "depinfo_request"}, immediate=True),
-    ]
-
-
 @table("E8a")
 def e8a_gather_restart() -> Table:
-    """The legacy manager executes the paper's goto 4 on a pre-reply
-    crash; the resumable one invalidates the one reply owed.  A
-    post-reply crash needs neither, and nobody blocks."""
-    single, after_reply, before_reply, before_restart = run([
+    """A pre-reply crash invalidates the one reply owed and, on the
+    rejoin, asks again wherever it asked before it; a post-reply crash
+    needs neither.  No gather restarts, and nobody blocks."""
+    single, after_reply, before_reply = run([
         _ablation([crash_at(P, 0.05)], "single"),
         _ablation([crash_at(P, 0.05),
                    crash_on(Q, "recovery", "depinfo_request_received", match_node=Q)],
                   "after-reply"),
-        _ablation(_before_reply_crashes(), "before-reply"),
-        # the paper's literal goto 4, pinned by the legacy restart manager
-        _ablation(_before_reply_crashes(), "before-reply-restart",
-                  recovery="nonblocking-restart"),
+        _ablation([crash_at(P, 0.05),
+                   crash_on(Q, "net", "deliver", match_node=Q,
+                            match_details={"mtype": "depinfo_request"},
+                            immediate=True)],
+                  "before-reply"),
     ])
-    assert _restarts(before_restart) >= 1
     assert _restarts(before_reply) == 0
     assert _invalidations(before_reply) >= 1
     assert _restarts(after_reply) == 0
-    assert before_restart.recovery_messages() > before_reply.recovery_messages()
     assert before_reply.recovery_messages() > single.recovery_messages()
     assert before_reply.total_blocked_time == 0.0
-    assert before_restart.total_blocked_time == 0.0
     return (
         ["scenario", "ctl msgs", "gather restarts", "replies invalidated",
          "longest recovery (s)", "blocked (s)"],
@@ -690,8 +630,7 @@ def e8a_gather_restart() -> Table:
             for label, result in (
                 ("single failure", single),
                 ("2nd crash after replying", after_reply),
-                ("2nd crash before replying (resume)", before_reply),
-                ("2nd crash before replying (goto 4)", before_restart),
+                ("2nd crash before replying", before_reply),
             )
         ],
     )

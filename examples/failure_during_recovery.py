@@ -6,10 +6,10 @@ Reproduces the evaluation's second experiment side by side:
 * under the **blocking** baseline, every live process stalls from the
   first recovery request until the *second* failure has been detected,
   restored and recovered -- seconds of lost progress per live process;
-* under the **new non-blocking algorithm**, the leader just restarts its
-  gather ("goto 4") when the depinfo reply never arrives, waits for the
-  failed process to announce its new incarnation, and no live process
-  stalls at all.
+* under the **new non-blocking algorithm**, the leader voids the depinfo
+  reply that never arrives, waits for the failed process to announce its
+  new incarnation, asks again wherever it asked before the failure
+  (the paper's "goto 4"), and no live process stalls at all.
 
 Run:  python examples/failure_during_recovery.py
 """

@@ -143,11 +143,8 @@ def format_span_tree(spans: List[Span], node: Optional[int] = None) -> str:
 def format_critical_path(path: CriticalPath) -> str:
     """Narrate one recovery episode's critical path, component-first."""
     churn = ""
-    if path.handoffs or path.resumed_rounds:
-        churn = (
-            f", {path.handoffs} handoff(s), "
-            f"{path.resumed_rounds} resumed round(s)"
-        )
+    if path.handoffs:
+        churn = f", {path.handoffs} handoff(s)"
     lines = [
         f"node {path.node}: recovery {path.start:.6f} -> {path.end:.6f} "
         f"({path.total:.3f} s total, {path.gather_rounds} gather round(s)"

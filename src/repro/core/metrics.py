@@ -28,9 +28,7 @@ class RecoveryEpisode:
     complete_time: Optional[float] = None  # process live again
     gather_restarts: int = 0  # times the leader restarted the gather
     leader_handoffs: int = 0  # rounds adopted from a dead leader
-    rounds_resumed: int = 0  # gather rounds resumed rather than restarted
     reply_invalidations: int = 0  # single replies voided by a failure
-    stale_epoch_drops: int = 0  # dead-epoch control messages rejected
     was_leader: bool = False
     replayed_deliveries: int = 0
 

@@ -353,11 +353,10 @@ class System:
                     block_hist.observe(interval.duration)
             counter("recovery.episodes").inc(len(episodes))
             counter("recovery.gather_restarts").inc(sum(e.gather_restarts for e in episodes))
-            # churn counters: handoffs/resumes are episode-attributed;
+            # churn counters: handoffs are episode-attributed;
             # stale-epoch drops also happen at live nodes and the
             # sequencer, so they are summed from the managers directly
             counter("recovery.leader_handoffs").inc(sum(e.leader_handoffs for e in episodes))
-            counter("recovery.rounds_resumed").inc(sum(e.rounds_resumed for e in episodes))
             stale_drops = sum(node.recovery.stale_epoch_drops for node in self.nodes)
             if self.sequencer is not None:
                 stale_drops += self.sequencer.stale_epoch_drops

@@ -100,7 +100,7 @@ class AdaptiveLogging(FamilyBasedLogging):
     """
 
     name = "adaptive"
-    supported_recovery = ("nonblocking", "blocking", "nonblocking-restart")
+    supported_recovery = ("nonblocking", "blocking")
 
     def __init__(
         self,

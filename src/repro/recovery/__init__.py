@@ -6,12 +6,10 @@
   refuse messages, never write stable storage synchronously; leader
   failover by ordinal number.  Hardened for churn: every episode is
   epoch-numbered, gather progress is persisted at the sequencer, and a
-  leader failure hands the round off to the successor (see
+  leader failure hands the round off to the successor, and a live
+  process failing mid-round is absorbed into the same round, with every
+  request sent before its failure was detected sent again (see
   ``docs/RECOVERY.md``).
-* :class:`~repro.recovery.nonblocking.RestartingNonblockingRecovery`
-  (``nonblocking-restart``) -- the paper's literal variant: any failure
-  during a round restarts the gather from scratch (``goto 4``).  Kept
-  as the baseline for churn-degradation comparisons.
 * :class:`~repro.recovery.blocking.BlockingRecovery` -- the baseline
   "optimized to reduce the communication overhead": the recovering
   process queries live processes directly (no leader or sequencer
@@ -33,17 +31,13 @@ from repro.recovery.base import RecoveryManager
 from repro.recovery.blocking import BlockingRecovery
 from repro.recovery.coordinated_mgr import CoordinatedRecovery
 from repro.recovery.local import LocalRecovery
-from repro.recovery.nonblocking import (
-    NonblockingRecovery,
-    RestartingNonblockingRecovery,
-)
+from repro.recovery.nonblocking import NonblockingRecovery
 from repro.recovery.optimistic_mgr import OptimisticRecovery
 from repro.recovery.sequencer import Sequencer
 
 RECOVERY_MANAGERS = {
     "blocking": BlockingRecovery,
     "nonblocking": NonblockingRecovery,
-    "nonblocking-restart": RestartingNonblockingRecovery,
     "local": LocalRecovery,
     "optimistic": OptimisticRecovery,
     "coordinated": CoordinatedRecovery,
@@ -53,7 +47,6 @@ __all__ = [
     "RecoveryManager",
     "BlockingRecovery",
     "NonblockingRecovery",
-    "RestartingNonblockingRecovery",
     "LocalRecovery",
     "OptimisticRecovery",
     "CoordinatedRecovery",

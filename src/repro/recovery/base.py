@@ -135,9 +135,6 @@ class RecoveryManager(ABC):
                 self._peer_epochs[msg.src] = epoch
         if stale:
             self.stale_epoch_drops += 1
-            episode = self.node.metrics.episode_of(self.node.node_id)
-            if episode is not None:
-                episode.stale_epoch_drops += 1
             self.trace(
                 "stale_epoch_drop",
                 src=msg.src,

@@ -37,25 +37,28 @@ viewstamped-replication recovery):
   as it arrives).  A leader failure triggers a **handoff**: the
   successor fetches the persisted state and *resumes the round from the
   last completed phase* instead of restarting from scratch.
-* A live process failing before its reply **invalidates only the reply
-  it owed**: the leader discards that one entry, waits for the failed
-  process to rejoin R (absorbing its fresh incarnation from the join
-  announcement), and keeps every other reply -- the paper's literal
-  ``goto 4`` is only taken when the incarnation phase itself is
-  incomplete.
-
-:class:`RestartingNonblockingRecovery` (``nonblocking-restart``) keeps
-the original restart-from-scratch behaviour for old-vs-new degradation
-comparisons.
+* A live process P failing in the depinfo phase voids the reply it
+  owed, and makes **stale every request sent before its failure was
+  detected**, answered or not: its reply may have been built before the
+  deliveries P made last, however late it arrives.  P rejoins R and is
+  absorbed into the same round from its join announcement, and exactly
+  the stale requests are sent again -- the part of the paper's
+  ``goto 4`` that recovery needs, without redoing the incarnation
+  phase.  Each request carries an id its reply echoes, so a reply to a
+  superseded request is dropped.  A handoff treats every adopted reply
+  as stale for a process that is still to rejoin, and an absorb's
+  re-requests are persisted, so no handoff brings a stale reply back.
+  A member of R re-crashing stales nothing: a recovering process
+  delivers nothing.
 
 The price is extra control messages (ordinal round-trip, incarnation
-round, depinfo round per restart, distribution, progress posts) --
-which is precisely the trade the paper argues has become cheap.
+round, depinfo round and its re-requests, distribution, progress posts)
+-- which is precisely the trade the paper argues has become cheap.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.net.network import Message
 from repro.recovery.base import RecoveryManager
@@ -67,35 +70,43 @@ from repro.sim.timers import PeriodicTimer
 STATUS_POLL_INTERVAL = 0.25
 
 
+def member(ord_: int, incarnation: Optional[int], served: bool = False) -> Dict[str, Any]:
+    """A ``known_recovering`` entry: one member of R, by its ordinal."""
+    return {"ord": ord_, "incarnation": incarnation, "served": served}
+
+
 class NonblockingRecovery(RecoveryManager):
     """Leader-based, non-blocking recovery for the FBL family."""
 
     name = "nonblocking"
 
-    #: resume rounds across leader failures (view-change handoff) and
-    #: absorb member churn without voiding the round; the
-    #: ``nonblocking-restart`` subclass turns this off to recover the
-    #: paper's literal restart-everything behaviour
-    resumable = True
-
     def __init__(self) -> None:
         super().__init__()
+        self._gather_round = 0
+        #: the last depinfo request id issued; ids are never reused
+        self._ask_id = 0
+        self._poll_timer: Optional[PeriodicTimer] = None
+        self._round_span: Optional[int] = None
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop every episode's state: a new manager, or its node crashed."""
         self.ord: Optional[int] = None
         self.role = "idle"  # idle | acquiring | waiting | leader
         self.phase = None  # leader: fetch | inc | depinfo | distribute
-        #: node -> {"ord": int, "incarnation": Optional[int]}
+        #: node -> its :func:`member` entry
         self.known_recovering: Dict[int, Dict[str, Any]] = {}
-        self._gather_round = 0
-        self.gather_restarts = 0
-        self.leader_handoffs = 0
-        self.rounds_resumed = 0
-        self.reply_invalidations = 0
         self._inc_replies: Dict[int, int] = {}
         self._depinfo_expected: Set[int] = set()
         self._depinfo_replies: Dict[int, List[Any]] = {}
+        #: peer -> id of the last depinfo request sent to it; only the
+        #: reply echoing that id is accepted
+        self._asked: Dict[int, int] = {}
+        #: failed live peer -> the last request id issued before its
+        #: failure was detected: requests up to it are asked again when
+        #: it is absorbed
+        self._stale: Dict[int, int] = {}
         self._incvector: Dict[int, int] = {}
-        self._poll_timer: Optional[PeriodicTimer] = None
-        self._round_span: Optional[int] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -108,14 +119,7 @@ class NonblockingRecovery(RecoveryManager):
                 self._round_span, self.node.sim.now, aborted=True
             )
             self._round_span = None
-        self.ord = None
-        self.role = "idle"
-        self.phase = None
-        self.known_recovering.clear()
-        self._inc_replies.clear()
-        self._depinfo_expected.clear()
-        self._depinfo_replies.clear()
-        self._incvector.clear()
+        self._forget()
 
     def begin_recovery(self) -> None:
         """Step 3: acquire the system-wide ordinal."""
@@ -141,18 +145,9 @@ class NonblockingRecovery(RecoveryManager):
         for peer, entry in msg.payload["active"].items():
             if peer != self.node.node_id:
                 self.known_recovering.setdefault(
-                    peer,
-                    {
-                        "ord": entry["ord"],
-                        "incarnation": None,
-                        "served": entry["served"],
-                    },
+                    peer, member(entry["ord"], None, entry["served"])
                 )
-        self.known_recovering[self.node.node_id] = {
-            "ord": self.ord,
-            "incarnation": self.node.incarnation,
-            "served": False,
-        }
+        self.known_recovering[self.node.node_id] = member(self.ord, self.node.incarnation)
         self.role = "waiting"
         self.trace("ord_acquired", ord=self.ord, epoch=self.epoch)
         self.broadcast_control(
@@ -168,23 +163,19 @@ class NonblockingRecovery(RecoveryManager):
     def _on_join_recovery(self, msg: Message) -> None:
         if self.stale_epoch(msg):
             return
-        self.known_recovering[msg.src] = {
-            "ord": msg.payload["ord"],
-            "incarnation": msg.payload["incarnation"],
-            "served": False,
-        }
+        self.known_recovering[msg.src] = member(
+            msg.payload["ord"], msg.payload["incarnation"]
+        )
         if self.node.is_recovering:
             # a sender we may be waiting on is reachable again
             self.node.protocol.request_retransmissions_from(msg.src)
-        if self.role == "leader" and self.phase in ("inc", "depinfo"):
-            if self.resumable and self.phase == "depinfo":
-                # A process we were waiting on has come back: absorb it
-                # into R without voiding the round.
-                self._absorb_member(msg.src, msg.payload["incarnation"])
-            else:
-                # The paper's goto 4: absorb it into R and redo the
-                # gather.
-                self._restart_gather("join")
+        if self.role == "leader" and self.phase == "depinfo":
+            # A process we were waiting on has come back: absorb it
+            # into R without voiding the round.
+            self._absorb_member(msg.src, msg.payload["incarnation"])
+        elif self.role == "leader" and self.phase == "inc":
+            # The paper's goto 4: absorb it into R and redo the gather.
+            self._restart_gather("join")
         elif self.role == "waiting":
             self._evaluate_leadership()
 
@@ -227,9 +218,7 @@ class NonblockingRecovery(RecoveryManager):
         if self.stale_epoch(msg):
             return
         self.trace("depinfo_request_received", leader=msg.src)
-        for peer, inc in msg.payload["incvector"].items():
-            current = self.node.incvector.get(peer, 0)
-            self.node.incvector[peer] = max(current, inc)
+        self._raise_incvector(msg.payload["incvector"])
         wire = self.node.protocol.local_depinfo_wire()
         # sent straight from volatile state, before any stable write: this
         # ordering IS the paper's no-blocking claim, so announce it
@@ -237,11 +226,7 @@ class NonblockingRecovery(RecoveryManager):
         self.send_control(
             msg.src,
             "depinfo_reply",
-            {
-                "round": msg.payload["round"],
-                "epoch": msg.payload.get("epoch", 0),
-                "wire": wire,
-            },
+            {"ask": msg.payload["ask"], "epoch": msg.payload.get("epoch", 0), "wire": wire},
             body_bytes=32 * len(wire),
         )
 
@@ -250,16 +235,14 @@ class NonblockingRecovery(RecoveryManager):
             return
         if self.stale_epoch(msg, expected=self.epoch):
             return
-        if msg.payload["round"] != self._gather_round:
-            return
+        if msg.payload["ask"] != self._asked.get(msg.src):
+            return  # not the reply to our last request to it
         if msg.src in self._depinfo_expected:
             self._depinfo_replies[msg.src] = msg.payload["wire"]
             self._post_progress(depinfo={msg.src: msg.payload["wire"]})
             self.trace(
-                "depinfo_reply_accepted",
-                src=msg.src,
-                round=self._gather_round,
-                epoch=self.epoch,
+                "depinfo_reply_accepted", src=msg.src, ask=msg.payload["ask"],
+                round=self._gather_round, epoch=self.epoch,
             )
             self._check_depinfo_done()
 
@@ -275,9 +258,7 @@ class NonblockingRecovery(RecoveryManager):
                 return  # already replaying from an earlier distribution
             mine["served"] = True
         self._stop_poll()
-        for peer, inc in msg.payload["incvector"].items():
-            current = self.node.incvector.get(peer, 0)
-            self.node.incvector[peer] = max(current, inc)
+        self._raise_incvector(msg.payload["incvector"])
         self.node.mark_replay_start()
         self.trace("replay_handoff", leader=msg.src)
         self.node.protocol.begin_replay(msg.payload["wire"])
@@ -286,8 +267,7 @@ class NonblockingRecovery(RecoveryManager):
         if self.stale_epoch(msg):
             return
         self.known_recovering.pop(msg.src, None)
-        current = self.node.incvector.get(msg.src, 0)
-        self.node.incvector[msg.src] = max(current, msg.payload["incarnation"])
+        self._raise_incvector({msg.src: msg.payload["incarnation"]})
         if self.node.is_recovering:
             self.node.protocol.request_retransmissions_from(msg.src)
         elif self.node.is_live:
@@ -362,23 +342,19 @@ class NonblockingRecovery(RecoveryManager):
         # status == "down"
         if self.role == "leader":
             if self.phase == "depinfo" and node_id in self._depinfo_expected:
-                if self.resumable:
-                    # A live process failed before replying: only the
-                    # reply it owed is invalidated.  It will rejoin R
-                    # and is absorbed -- with its fresh incarnation --
-                    # from its join announcement; distribution waits for
-                    # that join (see _check_depinfo_done).
-                    self._invalidate_reply(node_id, "live_failure")
-                else:
-                    # The paper's goto 4.
-                    self._restart_gather("live_failure")
+                # A live process failed mid-round.  It will rejoin R and
+                # is absorbed -- with its fresh incarnation -- from its
+                # join announcement; distribution waits for that join
+                # (see _check_depinfo_done).
+                self._live_failure(node_id)
             elif self.phase == "depinfo" and node_id in self.known_recovering:
-                if self.resumable:
-                    # A member of R re-crashed mid-round; drop only its
-                    # contribution -- it rejoins with a fresh ordinal.
-                    self.known_recovering.pop(node_id, None)
-                    self._inc_replies.pop(node_id, None)
-                    self._invalidate_reply(node_id, "member_recrash")
+                # A member of R re-crashed mid-round; drop only its
+                # contribution -- it rejoins with a fresh ordinal.  It
+                # delivered nothing since its last crash, so no reply
+                # goes stale.
+                self.known_recovering.pop(node_id, None)
+                self._inc_replies.pop(node_id, None)
+                self._invalidate_reply(node_id, "member_recrash")
             elif self.phase == "inc" and node_id in self.known_recovering:
                 # A member of R re-crashed before answering; it will
                 # rejoin with a fresh ordinal.
@@ -424,17 +400,12 @@ class NonblockingRecovery(RecoveryManager):
             if episode is not None:
                 episode.was_leader = True
             self.trace("leader_elected", ord=self.ord, epoch=self.epoch)
-            if self.resumable:
-                # fetch any predecessor's persisted round before
-                # gathering: a view-change handoff resumes it
-                self.phase = "fetch"
-                self.send_control(
-                    self.node.config.sequencer_id,
-                    "gather_state_request",
-                    body_bytes=8,
-                )
-            else:
-                self._start_gather()
+            # fetch any predecessor's persisted round before gathering:
+            # a view-change handoff resumes it
+            self.phase = "fetch"
+            self.send_control(
+                self.node.config.sequencer_id, "gather_state_request", body_bytes=8
+            )
 
     def _start_gather(self) -> None:
         """Step 4: collect fresh incarnations from every member of R."""
@@ -476,7 +447,6 @@ class NonblockingRecovery(RecoveryManager):
         )
 
     def _restart_gather(self, reason: str) -> None:
-        self.gather_restarts += 1
         episode = self.node.metrics.episode_of(self.node.node_id)
         if episode is not None:
             episode.gather_restarts += 1
@@ -484,10 +454,9 @@ class NonblockingRecovery(RecoveryManager):
         self._start_gather()
 
     def _invalidate_reply(self, node_id: int, reason: str) -> None:
-        """Void only what the failed process owed this round."""
+        """Void what the failed process owed this round."""
         self._depinfo_expected.discard(node_id)
         self._depinfo_replies.pop(node_id, None)
-        self.reply_invalidations += 1
         episode = self.node.metrics.episode_of(self.node.node_id)
         if episode is not None:
             episode.reply_invalidations += 1
@@ -497,42 +466,68 @@ class NonblockingRecovery(RecoveryManager):
             reason=reason,
             round=self._gather_round,
         )
-        self._check_depinfo_done()
+
+    def _live_failure(self, peer: int) -> None:
+        """A live process failed: void its reply, and mark every request
+        sent so far stale -- answered or not, its reply may have been
+        built before the deliveries the failed process made last."""
+        self._invalidate_reply(peer, "live_failure")
+        self._stale[peer] = self._ask_id
 
     def _absorb_member(self, peer: int, incarnation: int) -> None:
         """A (re)joined process becomes a member of R mid-round.
 
         Its fresh incarnation (carried by the join announcement) replaces
         its incvector entry, so no extra incarnation round is needed and
-        the gather round is *not* restarted.
+        the gather round is *not* restarted.  The requests that are stale
+        for its deliveries are sent again, and their earlier replies
+        dropped.
         """
         self._incvector[peer] = max(self._incvector.get(peer, 0), incarnation)
-        current = self.node.incvector.get(peer, 0)
-        self.node.incvector[peer] = max(current, incarnation)
+        self._raise_incvector({peer: incarnation})
         self._inc_replies[peer] = incarnation
         if peer in self._depinfo_expected:
-            # it owed us a reply as a live process; that debt is void now
-            self._depinfo_expected.discard(peer)
-            self._depinfo_replies.pop(peer, None)
-            self.reply_invalidations += 1
-            episode = self.node.metrics.episode_of(self.node.node_id)
-            if episode is not None:
-                episode.reply_invalidations += 1
+            # its join is the first news of its failure
+            self._live_failure(peer)
+        mark = self._stale.pop(peer, None)
+        stale = [] if mark is None else sorted(
+            q for q in self._depinfo_expected if self._asked.get(q, 0) <= mark
+        )
+        for owner in stale:
+            self._depinfo_replies.pop(owner, None)
         self.trace(
             "member_absorbed",
             peer=peer,
             round=self._gather_round,
             epoch=self.epoch,
+            rerequested=stale,
         )
-        self._post_progress(incvector={peer: incarnation})
+        # the persisted round drops the stale replies too, so a handoff
+        # cannot adopt them back
+        self._post_progress(incvector={peer: incarnation}, stale=stale)
+        self._request_depinfo(stale)
         self._check_depinfo_done()
+
+    def _raise_incvector(self, incvector: Dict[int, int]) -> None:
+        """Reject messages from incarnations older than ``incvector``'s."""
+        for peer, inc in incvector.items():
+            self.node.incvector[peer] = max(self.node.incvector.get(peer, 0), inc)
+
+    def _live_peers(self) -> List[int]:
+        """The processes step 5 asks: neither in R nor suspected."""
+        return [
+            p
+            for p in self.peers
+            if p not in self.known_recovering
+            and not self.node.detector.is_suspected(p)
+        ]
 
     def _pending_failed(self) -> Set[int]:
         """Failed processes that have not yet announced their recovery.
 
-        The leader cannot finish the incarnation phase (nor, in
-        resumable mode, distribute) without them: it needs their *new*
-        incarnation numbers for incvector.
+        The leader cannot finish the incarnation phase (nor distribute)
+        without them: it needs their *new* incarnation numbers for
+        incvector.
         """
         suspected = self.node.detector.suspected_view()
         return {
@@ -552,14 +547,9 @@ class NonblockingRecovery(RecoveryManager):
         if any(p not in self._inc_replies for p in members):
             return
         # Build incvector over R (step 4 complete).
-        self._incvector = {
-            self.node.node_id: self.node.incarnation,
-        }
-        for member in members:
-            self._incvector[member] = self._inc_replies[member]
-        for peer, inc in self._incvector.items():
-            current = self.node.incvector.get(peer, 0)
-            self.node.incvector[peer] = max(current, inc)
+        self._incvector = {self.node.node_id: self.node.incarnation}
+        self._incvector.update((p, self._inc_replies[p]) for p in members)
+        self._raise_incvector(self._incvector)
         # persist the completed phase so a successor leader can resume
         # this round instead of redoing the incarnation collection
         self._post_progress(incvector=self._incvector)
@@ -568,26 +558,27 @@ class NonblockingRecovery(RecoveryManager):
     def _start_depinfo_phase(self) -> None:
         """Step 5: ask every live process for its depinfo."""
         self.phase = "depinfo"
-        live = [
-            p
-            for p in self.peers
-            if p not in self.known_recovering
-            and not self.node.detector.is_suspected(p)
-        ]
+        live = self._live_peers()
         self._depinfo_expected = set(live)
         self._depinfo_replies.clear()
+        self._stale.clear()
         self.trace(
             "depinfo_phase", round=self._gather_round, epoch=self.epoch,
             live=sorted(live),
         )
-        for peer in sorted(live):
+        self._request_depinfo(sorted(live))
+        self._check_depinfo_done()
+
+    def _request_depinfo(self, peers: List[int]) -> None:
+        for peer in peers:
+            self._ask_id += 1
+            self._asked[peer] = self._ask_id
             self.send_control(
                 peer,
                 "depinfo_request",
-                {"round": self._gather_round, "incvector": dict(self._incvector)},
+                {"ask": self._ask_id, "incvector": dict(self._incvector)},
                 body_bytes=16 + 8 * len(self._incvector),
             )
-        self._check_depinfo_done()
 
     def _adopt_gather(self, state: Dict[str, Any]) -> bool:
         """View-change handoff: resume the dead leader's last round.
@@ -597,7 +588,9 @@ class NonblockingRecovery(RecoveryManager):
         would need a fresh incarnation round anyway).  Replies persisted
         from peers that have since failed are invalidated; everything
         else -- the incvector and every reply already collected -- is
-        kept, and only the missing replies are re-requested.
+        kept, and only the missing replies are re-requested.  A failed
+        live process still to rejoin may have delivered after any
+        adopted reply was built, so every adopted reply is stale for it.
         """
         if state["epoch"] >= self.epoch:
             return False  # not a predecessor's state; never adopt
@@ -607,12 +600,9 @@ class NonblockingRecovery(RecoveryManager):
             return False
         if any(p not in incvector for p in members):
             return False
-        self.leader_handoffs += 1
-        self.rounds_resumed += 1
         episode = self.node.metrics.episode_of(self.node.node_id)
         if episode is not None:
             episode.leader_handoffs += 1
-            episode.rounds_resumed += 1
         self._gather_round = max(self._gather_round, state["round"])
         me = self.node.node_id
         incvector[me] = max(incvector.get(me, 0), self.node.incarnation)
@@ -623,30 +613,29 @@ class NonblockingRecovery(RecoveryManager):
             if known_inc:
                 incvector[peer] = max(incvector[peer], known_inc)
         self._incvector = incvector
-        for peer, inc in incvector.items():
-            current = self.node.incvector.get(peer, 0)
-            self.node.incvector[peer] = max(current, inc)
+        self._raise_incvector(incvector)
         self._inc_replies = {p: incvector[p] for p in members}
         self.phase = "depinfo"
-        live = [
-            p
-            for p in self.peers
-            if p not in self.known_recovering
-            and not self.node.detector.is_suspected(p)
-        ]
+        live = self._live_peers()
         self._depinfo_expected = set(live)
         self._depinfo_replies = {
             p: wire
             for p, wire in state["depinfo"].items()
             if p in self._depinfo_expected
         }
+        # the adopted replies were asked for by the dead leader, so none
+        # has an id of ours: they are stale for a failure still to rejoin
+        self._stale = {
+            p: self._ask_id
+            for p in self._pending_failed()
+            if p not in incvector  # a re-crashed member of R stales nothing
+        }
         invalidated = sorted(
             p for p in state["depinfo"] if p not in self._depinfo_expected
         )
-        self.reply_invalidations += len(invalidated)
         if episode is not None:
             episode.reply_invalidations += len(invalidated)
-        self._begin_round_span(members, resumed=True, handoff=True)
+        self._begin_round_span(members, handoff=True)
         self.trace(
             "leader_handoff",
             epoch=self.epoch,
@@ -660,20 +649,13 @@ class NonblockingRecovery(RecoveryManager):
         self._post_progress(
             incvector=self._incvector, depinfo=self._depinfo_replies
         )
-        missing = sorted(
-            p for p in live if p not in self._depinfo_replies
-        )
         self.trace(
             "depinfo_phase", round=self._gather_round, epoch=self.epoch,
             live=sorted(live), resumed=True,
         )
-        for peer in missing:
-            self.send_control(
-                peer,
-                "depinfo_request",
-                {"round": self._gather_round, "incvector": dict(self._incvector)},
-                body_bytes=16 + 8 * len(self._incvector),
-            )
+        self._request_depinfo(
+            sorted(p for p in live if p not in self._depinfo_replies)
+        )
         self._check_depinfo_done()
         return True
 
@@ -681,22 +663,19 @@ class NonblockingRecovery(RecoveryManager):
         self,
         incvector: Optional[Dict[int, int]] = None,
         depinfo: Optional[Dict[int, List[Any]]] = None,
+        stale: Sequence[int] = (),
     ) -> None:
-        """Persist gather progress at the sequencer (resumable mode)."""
-        if not self.resumable:
-            return
+        """Persist gather progress at the sequencer: new incvector
+        entries and replies, and the replies ``stale`` no longer holds."""
         incvector = dict(incvector or {})
         depinfo = dict(depinfo or {})
         wire_items = sum(len(wire) for wire in depinfo.values())
         self.send_control(
             self.node.config.sequencer_id,
             "gather_progress",
-            {
-                "round": self._gather_round,
-                "incvector": incvector,
-                "depinfo": depinfo,
-            },
-            body_bytes=16 + 8 * len(incvector) + 32 * wire_items,
+            {"round": self._gather_round, "incvector": incvector, "depinfo": depinfo,
+             "stale": list(stale)},
+            body_bytes=16 + 8 * len(incvector) + 32 * wire_items + 8 * len(stale),
         )
 
     def _check_depinfo_done(self) -> None:
@@ -704,7 +683,7 @@ class NonblockingRecovery(RecoveryManager):
             return
         if any(p not in self._depinfo_replies for p in self._depinfo_expected):
             return
-        if self.resumable and self._pending_failed():
+        if self._pending_failed():
             # a process failed mid-round: wait for its join so its fresh
             # incarnation makes it into incvector (absorbed, not
             # restarted)
@@ -751,14 +730,8 @@ class NonblockingRecovery(RecoveryManager):
                 entry["served"] = True
                 served[peer] = entry["ord"]
         self.broadcast_control(
-            self.peers, "leader_done", {"served": dict(served)},
-            body_bytes=8 + 8 * len(served),
-        )
-        self.send_control(
-            self.node.config.sequencer_id,
-            "leader_done",
-            {"served": dict(served)},
-            body_bytes=8 + 8 * len(served),
+            self.peers + [self.node.config.sequencer_id], "leader_done",
+            {"served": served}, body_bytes=8 + 8 * len(served),
         )
         if self._round_span is not None:
             self.node.trace.spans.end(
@@ -774,10 +747,9 @@ class NonblockingRecovery(RecoveryManager):
     def on_replay_complete(self) -> None:
         self._stop_poll()
         self.trace("complete", ord=self.ord, epoch=self.epoch)
-        payload = {"incarnation": self.node.incarnation}
-        self.broadcast_control(self.peers, "recovery_complete", payload, body_bytes=16)
-        self.send_control(
-            self.node.config.sequencer_id, "recovery_complete", payload, body_bytes=16
+        self.broadcast_control(
+            self.peers + [self.node.config.sequencer_id], "recovery_complete",
+            {"incarnation": self.node.incarnation}, body_bytes=16,
         )
         self.known_recovering.pop(self.node.node_id, None)
         self.ord = None
@@ -811,29 +783,3 @@ class NonblockingRecovery(RecoveryManager):
             )
         else:
             self._stop_poll()
-
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        stats = super().stats()
-        stats.update(
-            gather_restarts=self.gather_restarts,
-            leader_handoffs=self.leader_handoffs,
-            rounds_resumed=self.rounds_resumed,
-            reply_invalidations=self.reply_invalidations,
-        )
-        return stats
-
-
-class RestartingNonblockingRecovery(NonblockingRecovery):
-    """The paper's literal restart-from-scratch variant.
-
-    Identical control plane and epoch tagging, but no persisted gather
-    progress and no view-change handoff: a leader failure starts the
-    successor's gather from nothing, and *any* failure or join during a
-    round voids the whole round (``goto 4``).  Kept as the "old" curve
-    for the churn-degradation benchmarks (``--recovery
-    nonblocking-restart``).
-    """
-
-    name = "nonblocking-restart"
-    resumable = False

@@ -20,10 +20,10 @@ receivers reject messages from dead episodes (see
 
 The sequencer is also the stable home of **gather progress**: the
 recovery leader posts its per-round state (round number, the gathered
-incvector, each depinfo reply as it is collected) as ``gather_progress``
-messages, and a successor leader fetches it with
-``gather_state_request`` after a view change so it can *resume* the
-round instead of restarting it.  Posts from a superseded leader epoch
+incvector, each depinfo reply as it is collected, and the replies it
+has re-requested as stale) as ``gather_progress`` messages, and a
+successor leader fetches it with ``gather_state_request`` after a view
+change so it can *resume* the round instead of restarting it.  Posts from a superseded leader epoch
 are dropped (and traced) -- a dead leader cannot corrupt its
 successor's round.
 
@@ -197,6 +197,9 @@ class Sequencer:
             state["incvector"][peer] = max(state["incvector"].get(peer, 0), inc)
         for peer, wire in payload.get("depinfo", {}).items():
             state["depinfo"][peer] = wire
+        for peer in payload.get("stale", ()):
+            # re-requested after an absorb: a successor must ask again
+            state["depinfo"].pop(peer, None)
         self.trace.record(
             self.sim.now, "sequencer", self.node_id, "gather_progress",
             leader=msg.src, epoch=epoch, round=round_id,

@@ -68,8 +68,7 @@ sections):
 
 ``no-block``
     The paper's non-blocking guarantee (Section 3): under
-    ``recovery="nonblocking"`` (or the ``nonblocking-restart``
-    comparison variant) a live process never suspends application
+    ``recovery="nonblocking"`` a live process never suspends application
     progress, for any reason, at any point.  Any ``node.block`` event
     is a violation.
 
@@ -469,7 +468,7 @@ class Sanitizer:
 
     def _on_block(self, event: "TraceEvent") -> None:
         self._check("no-block")
-        if self.recovery in ("nonblocking", "nonblocking-restart"):
+        if self.recovery == "nonblocking":
             self._flag(
                 "no-block",
                 event.node,

@@ -317,7 +317,6 @@ class CriticalPath:
     segments: List[PathSegment]
     gather_rounds: int = 0
     handoffs: int = 0  # rounds adopted from a dead leader (view change)
-    resumed_rounds: int = 0  # rounds resumed rather than started fresh
 
     @property
     def total(self) -> float:
@@ -438,9 +437,6 @@ def recovery_critical_paths(
                 gather_rounds=len(round_spans),
                 handoffs=sum(
                     1 for s in round_spans if s.attrs.get("handoff")
-                ),
-                resumed_rounds=sum(
-                    1 for s in round_spans if s.attrs.get("resumed")
                 ),
             )
         )

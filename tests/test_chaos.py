@@ -19,9 +19,12 @@ through :class:`repro.runner.TrialRunner` (worker count from
 deterministic, a failing one is replayed in-process to capture its
 trace for the artifact dump.
 
-Crash counts respect each protocol's failure budget: FBL(f=2) gets up
-to two overlapping crashes, Manetho (f = n) too; the single-failure
-protocols get at most one crash per trial.
+The sweep covers every ``(protocol, recovery)`` pair a protocol lists
+in ``supported_recovery``.  Crash counts respect each protocol's failure
+budget: its ``f`` capped at 2 (FBL(f=2) and Manetho (f = n) get up to
+two overlapping crashes), and the single-failure protocols get at most
+one crash per trial.  A combo runs every seed and reports every failing
+one.
 """
 
 import os
@@ -32,7 +35,9 @@ import pytest
 
 from repro import SystemConfig, build_system
 from repro.core.config import FaultConfig
+from repro.core.system import _build_protocol
 from repro.procs.failure import crash_at, storage_outage_at
+from repro.protocols import PROTOCOLS
 
 RUNS_PER_COMBO = int(os.environ.get("CHAOS_RUNS_PER_COMBO", "30"))
 SEED_BASE = int(os.environ.get("CHAOS_SEED_BASE", "0"))
@@ -48,18 +53,6 @@ SANITIZE = os.environ.get("CHAOS_SANITIZE", "") not in ("", "0")
 #: of earlier ones) and a partition always cuts the system and heals in
 #: the middle of that window; the nightly workflow runs both profiles
 PROFILE = os.environ.get("CHAOS_PROFILE", "")
-
-#: (protocol, recovery, max concurrent crashes the protocol tolerates)
-COMBOS = [
-    ("fbl", "nonblocking", 2),
-    ("fbl", "blocking", 2),
-    ("sender_based", "nonblocking", 1),
-    ("manetho", "nonblocking", 2),
-    ("pessimistic", "local", 1),
-    ("optimistic", "optimistic", 1),
-    ("coordinated", "coordinated", 1),
-    ("adaptive", "nonblocking", 2),
-]
 
 
 def chaos_config(
@@ -172,11 +165,21 @@ def chaos_config(
     )
 
 
-def run_trial(protocol, recovery, max_crashes, seed):
-    config = chaos_config(protocol, recovery, max_crashes, seed)
-    system = build_system(config)
-    result = system.run()
-    return config, system, result
+def crash_budget(protocol: str, recovery: str) -> int:
+    """The most concurrent crashes a trial of the pair draws: the
+    protocol's ``f`` capped at 2, and 1 for the single-failure protocols
+    (no ``f``)."""
+    protocol_obj = _build_protocol(chaos_config(protocol, recovery, 0, 0))
+    return min(2, getattr(protocol_obj, "f", 1))
+
+
+#: (protocol, recovery, max concurrent crashes the protocol tolerates)
+#: for every pair the protocols support
+COMBOS = [
+    (protocol, recovery, crash_budget(protocol, recovery))
+    for protocol, cls in PROTOCOLS.items()
+    for recovery in cls.supported_recovery
+]
 
 
 def check_invariants(config, result):
@@ -245,22 +248,40 @@ def test_chaos_no_violations_and_eventual_recovery(protocol, recovery, max_crash
         chaos_config(protocol, recovery, max_crashes, SEED_BASE + trial)
         for trial in range(RUNS_PER_COMBO)
     ]
-    trials = TrialRunner().run(TrialSpec(config=c) for c in configs)
-    for config, trial in zip(configs, trials):
-        failures = check_invariants(config, trial.summary)
-        if failures:
-            # the trial is deterministic per (combo, seed): replay it
-            # in-process to recover the trace the worker didn't ship back
-            _, system, _ = run_trial(protocol, recovery, max_crashes, config.seed)
+    try:
+        trials = TrialRunner().run(TrialSpec(config=c) for c in configs)
+        summaries = [trial.summary for trial in trials]
+    except Exception:
+        # a trial raised and took the fleet with it: judge every trial
+        # by its in-process replay below, so each failure is reported
+        summaries = [None] * len(configs)
+    failures = []
+    for config, summary in zip(configs, summaries):
+        found = [] if summary is None else check_invariants(config, summary)
+        if summary is not None and not found:
+            continue
+        # the trial is deterministic per (combo, seed): replay it
+        # in-process to recover the trace the worker didn't ship back
+        system = build_system(config)
+        try:
+            replayed = check_invariants(config, system.run())
+        except Exception as exc:
+            replayed = [f"{config.name}: raised {type(exc).__name__}: {exc}"]
+        if summary is None:
+            found = replayed
+        elif replayed != found:
+            found.append(f"{config.name}: in-process replay disagrees: {replayed}")
+        if found:
             dump_failure_artifacts(config, system)
-            raise AssertionError("; ".join(failures))
+            failures.append("; ".join(found))
+    assert not failures, f"{len(failures)} of {len(configs)} trials failed:\n" + "\n".join(failures)
 
 
 def test_chaos_trial_is_deterministic():
     """The same (combo, seed) must replay event-for-event."""
 
     def fingerprint(seed):
-        _, system, result = run_trial("fbl", "nonblocking", 2, seed)
+        result = build_system(chaos_config("fbl", "nonblocking", 2, seed)).run()
         return (
             result.end_time,
             dict(result.network.messages),

@@ -6,9 +6,10 @@ storage faults) must be invisible when disabled: with ``faults=None`` and
 reproduce the seed's numbers *exactly*, down to the last float.  The
 goldens in ``tests/data/seed_golden_e1_e2.json`` were captured from the
 seed tree before any fault-injection code landed, and are re-captured
-only when a PR *intentionally* changes protocol behaviour (most
-recently: the epoch-numbered resumable recovery control plane, which
-adds gather-progress persistence messages -- docs/RECOVERY.md).
+only when a change *intentionally* moves protocol behaviour (most
+recently: the stale-reply rule, under which E2's leader asks again for
+the depinfo it requested before q's failure was detected --
+docs/RECOVERY.md §4).
 
 Exact ``==`` on floats is deliberate: the guarantee under test is
 bit-identical execution (same RNG draws, same event order), not numeric
