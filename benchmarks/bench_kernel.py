@@ -99,19 +99,19 @@ def bench_timer_churn(n_steps: int = 150_000, timer_delay: float = 30.0) -> Dict
     sim = Simulator()
     state = {"prev": None, "count": 0, "peak": 0}
 
-    def step() -> None:
+    def tick() -> None:
         state["count"] += 1
         prev = state["prev"]
         if prev is not None:
             prev.cancel()
         state["prev"] = sim.schedule(timer_delay, _noop, label="retransmit")
         if state["count"] < n_steps:
-            sim.schedule(0.0001, step, label="step")
+            sim.schedule(0.0001, tick, label="step")
         depth = sim.pending_events
         if depth > state["peak"]:
             state["peak"] = depth
 
-    sim.schedule(0.0, step, label="step")
+    sim.schedule(0.0, tick, label="step")
     t0 = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - t0

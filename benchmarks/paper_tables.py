@@ -38,10 +38,13 @@ from repro.core.config import StorageRealismConfig, SystemConfig  # noqa: E402
 from repro.core.metrics import RunResult  # noqa: E402
 from repro.core.system import System, build_system  # noqa: E402
 from repro.experiments import (  # noqa: E402
+    failure_during_recovery,
     figure1,
+    leader_failure,
     lossy_network,
     output_commit_scenario,
     paper_config,
+    single_failure,
 )
 from repro.procs.failure import partition_at  # noqa: E402
 from repro.runner import run_results  # noqa: E402
@@ -111,14 +114,7 @@ def _sync_stall(result: RunResult) -> float:
 # ----------------------------------------------------------------------
 # E1 -- a single failure (Section 5)
 # ----------------------------------------------------------------------
-VICTIM = 3
-
-
-def _single_failure(recovery: str, seed: int = 0) -> SystemConfig:
-    return paper_config(
-        f"e1-{recovery}", recovery=recovery, seed=seed,
-        crashes=[crash_at(node=VICTIM, time=0.05)],
-    )
+VICTIM = 3  # single_failure's victim
 
 
 @table("E1")
@@ -127,7 +123,7 @@ def e1_single_failure() -> Table:
     live process for tens of ms, the new algorithm stalls none and pays
     more control messages."""
     blocking, nonblocking = run(
-        [_single_failure("blocking"), _single_failure("nonblocking")]
+        [single_failure("blocking"), single_failure("nonblocking")]
     )
     d_blk = blocking.recovery_durations()[0]
     d_nb = nonblocking.recovery_durations()[0]
@@ -152,7 +148,7 @@ def e1_single_failure() -> Table:
 @table("E1-anatomy")
 def e1_anatomy() -> Table:
     """The distributed part of the new algorithm costs milliseconds."""
-    (result,) = run([_single_failure("nonblocking", seed=3)])
+    (result,) = run([single_failure("nonblocking", seed=3)])
     episode = result.episodes[0]
     algorithm_time = (
         episode.total_duration - episode.detection_duration - episode.restore_duration
@@ -171,26 +167,12 @@ def e1_anatomy() -> Table:
 # ----------------------------------------------------------------------
 # E2 -- a failure during recovery (Section 5), and recovery under churn
 # ----------------------------------------------------------------------
-P, Q = 3, 5  # the first and second processes to fail
-
-
-def _failure_during_recovery(recovery: str) -> SystemConfig:
-    trigger = "depinfo_request" if recovery == "nonblocking" else "recovery_request"
-    return paper_config(
-        f"e2-{recovery}", recovery=recovery,
-        crashes=[
-            crash_at(node=P, time=0.05),
-            # q dies the instant the first recovery's request reaches it,
-            # before it can reply -- the paper's exact scenario
-            crash_on(Q, "net", "deliver", match_node=Q,
-                     match_details={"mtype": trigger}, immediate=True),
-        ],
-    )
+P, Q = 3, 5  # failure_during_recovery's first and second victims
 
 
 def _e2_pair() -> List[RunResult]:
-    return run([_failure_during_recovery("blocking"),
-                _failure_during_recovery("nonblocking")])
+    return run([failure_during_recovery("blocking"),
+                failure_during_recovery("nonblocking")])
 
 
 @table("E2")
@@ -592,28 +574,20 @@ def e7_protocol_families() -> Table:
 # ----------------------------------------------------------------------
 # E8 -- ablations of the new algorithm's design
 # ----------------------------------------------------------------------
-def _ablation(crashes, name, detection_delay=3.0):
-    return paper_config(
-        f"e8-{name}", recovery="nonblocking", crashes=crashes,
-        detection_delay=detection_delay,
-    )
-
-
 @table("E8a")
 def e8a_gather_restart() -> Table:
     """A pre-reply crash invalidates the one reply owed and, on the
     rejoin, asks again wherever it asked before it; a post-reply crash
     needs neither.  No gather restarts, and nobody blocks."""
     single, after_reply, before_reply = run([
-        _ablation([crash_at(P, 0.05)], "single"),
-        _ablation([crash_at(P, 0.05),
-                   crash_on(Q, "recovery", "depinfo_request_received", match_node=Q)],
-                  "after-reply"),
-        _ablation([crash_at(P, 0.05),
-                   crash_on(Q, "net", "deliver", match_node=Q,
-                            match_details={"mtype": "depinfo_request"},
-                            immediate=True)],
-                  "before-reply"),
+        single_failure(),
+        paper_config(
+            "e8-after-reply",
+            crashes=[crash_at(P, 0.05),
+                     crash_on(Q, "recovery", "depinfo_request_received",
+                              match_node=Q)],
+        ),
+        failure_during_recovery(),
     ])
     assert _restarts(before_reply) == 0
     assert _invalidations(before_reply) >= 1
@@ -640,11 +614,7 @@ def e8a_gather_restart() -> Table:
 def e8b_leader_failover() -> Table:
     """The leader dies at election; the next ordinal takes over and
     every recovery completes without blocking."""
-    (result,) = run([_ablation(
-        [crash_at(P, 0.05), crash_at(Q, 0.06),
-         crash_on(P, "recovery", "leader_elected", match_node=P, immediate=True)],
-        "leader-crash",
-    )])
+    (result,) = run([leader_failure()])
     leaders = {e.node for e in result.episodes if e.was_leader}
     assert len(result.recovery_durations()) >= 2
     assert len(leaders) >= 2
@@ -664,8 +634,7 @@ def e8c_detection_delay() -> Table:
     """Recovery time tracks the detection delay one for one: the rest
     is restore plus milliseconds of algorithm."""
     results = run([
-        _ablation([crash_at(P, 0.05)], f"detect-{delay}", detection_delay=delay)
-        for delay in DETECTION_DELAYS
+        single_failure(detection_delay=delay) for delay in DETECTION_DELAYS
     ])
     durations = [result.recovery_durations()[0] for result in results]
     residuals = [d - delay for d, delay in zip(durations, DETECTION_DELAYS)]

@@ -19,38 +19,17 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import SystemConfig, build_system, crash_at, crash_on
+from repro import build_system
 from repro.analysis.report import format_table
-
-
-def scenario(recovery: str) -> SystemConfig:
-    # q (node 5) dies the instant the first recovery's request reaches
-    # it, before it can reply -- the paper's exact E2 setup.
-    trigger_mtype = (
-        "depinfo_request" if recovery == "nonblocking" else "recovery_request"
-    )
-    return SystemConfig(
-        name=f"e2-{recovery}",
-        n=8,
-        protocol="fbl",
-        protocol_params={"f": 2},
-        recovery=recovery,
-        workload="uniform",
-        workload_params={"hops": 40, "fanout": 2},
-        crashes=[
-            crash_at(node=3, time=0.05),
-            crash_on(5, "net", "deliver", match_node=5,
-                     match_details={"mtype": trigger_mtype}, immediate=True),
-        ],
-        detection_delay=3.0,
-        state_bytes=1_000_000,
-    )
+from repro.experiments import failure_during_recovery
 
 
 def main() -> None:
     rows = []
     for recovery in ("blocking", "nonblocking"):
-        system = build_system(scenario(recovery))
+        # q (node 5) dies the instant the first recovery's request
+        # reaches it, before it can reply -- the paper's exact E2 setup
+        system = build_system(failure_during_recovery(recovery))
         result = system.run()
         assert result.consistent
         durations = sorted(result.recovery_durations(), reverse=True)

@@ -361,9 +361,6 @@ class SystemConfig:
     run_until: Optional[float] = None
     #: safety valve on total events
     max_events: int = 5_000_000
-    #: ceiling for Simulator.drain when no explicit max_events is given;
-    #: None = the kernel default (repro.sim.kernel.DRAIN_MAX_EVENTS)
-    drain_max_events: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -426,8 +423,6 @@ class SystemConfig:
             raise ValueError("timeseries_max_samples must be >= 2")
         if self.trace_spill_window < 1:
             raise ValueError("trace_spill_window must be >= 1")
-        if self.drain_max_events is not None and self.drain_max_events < 1:
-            raise ValueError("drain_max_events must be >= 1")
         if self.storage_realism is not None:
             self.storage_realism.validate()
         if self.adaptive is not None:

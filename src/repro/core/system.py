@@ -48,10 +48,7 @@ class System:
     def __init__(self, config: SystemConfig) -> None:
         config.validate()
         self.config = config
-        self.sim = Simulator(
-            tiebreak_seed=config.tiebreak_seed,
-            drain_max_events=config.drain_max_events,
-        )
+        self.sim = Simulator(tiebreak_seed=config.tiebreak_seed)
         self.rngs = RngRegistry(config.seed)
         self.trace = TraceRecorder(
             keep_events=config.keep_trace_events,

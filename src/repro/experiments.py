@@ -1,16 +1,19 @@
 """Ready-made scenario builders for the paper's experiments.
 
 ``benchmarks/paper_tables.py`` builds EXPERIMENTS.md's tables from
-:func:`paper_config`; this module exposes the same scenarios as a
-library API, so a downstream user can write::
+these builders and :func:`paper_config`, so a downstream user runs the
+same scenarios::
 
-    from repro.experiments import single_failure, failure_during_recovery
+    from repro import build_system
+    from repro.experiments import single_failure
 
-    result = single_failure(recovery="nonblocking").run()
+    result = build_system(single_failure(recovery="nonblocking")).run()
 
-Each builder returns an un-started :class:`~repro.core.system.System`
-configured with the paper's evaluation parameters (eight processes,
+Every scenario has the paper's evaluation parameters (eight processes,
 FBL f = 2, 1 MB state, 3 s failure detection) unless overridden.
+:func:`single_failure`, :func:`failure_during_recovery` and
+:func:`leader_failure` return a :class:`~repro.core.config.SystemConfig`;
+the others return an un-started :class:`~repro.core.system.System`.
 """
 
 from __future__ import annotations
@@ -67,16 +70,6 @@ def paper_config(
     )
 
 
-def paper_system(
-    name: str,
-    recovery: str = "nonblocking",
-    crashes: Optional[List[CrashPlan]] = None,
-    **overrides: Any,
-) -> System:
-    """A system with the paper's parameters plus overrides."""
-    return build_system(paper_config(name, recovery=recovery, crashes=crashes, **overrides))
-
-
 # ----------------------------------------------------------------------
 # the evaluation's two experiments
 # ----------------------------------------------------------------------
@@ -85,9 +78,9 @@ def single_failure(
     victim: int = 3,
     at: float = 0.05,
     **overrides: Any,
-) -> System:
+) -> SystemConfig:
     """E1: one process crashes mid-workload."""
-    return paper_system(
+    return paper_config(
         f"single-failure-{recovery}",
         recovery=recovery,
         crashes=[crash_at(node=victim, time=at)],
@@ -101,15 +94,11 @@ def failure_during_recovery(
     second_victim: int = 5,
     at: float = 0.05,
     **overrides: Any,
-) -> System:
+) -> SystemConfig:
     """E2: a second process dies the instant the first recovery's
     request reaches it, before it can reply -- the paper's hard case."""
-    trigger = (
-        "depinfo_request"
-        if recovery.startswith("nonblocking")
-        else "recovery_request"
-    )
-    return paper_system(
+    trigger = "depinfo_request" if recovery == "nonblocking" else "recovery_request"
+    return paper_config(
         f"failure-during-recovery-{recovery}",
         recovery=recovery,
         crashes=[
@@ -143,7 +132,7 @@ def lossy_network(
     """
     from repro.core.config import FaultConfig
 
-    return paper_system(
+    return build_system(paper_config(
         f"lossy-{recovery}-loss{loss:g}",
         recovery=recovery,
         crashes=[crash_at(node=victim, time=at)] if victim is not None else [],
@@ -151,7 +140,7 @@ def lossy_network(
         transport="reliable",
         transport_params=dict(transport_params or {}),
         **overrides,
-    )
+    ))
 
 
 def leader_failure(
@@ -159,10 +148,10 @@ def leader_failure(
     second_victim: int = 5,
     at: float = 0.05,
     **overrides: Any,
-) -> System:
+) -> SystemConfig:
     """E8b: the recovery leader itself dies right after election; the
     next ordinal must take over."""
-    return paper_system(
+    return paper_config(
         "leader-failure",
         recovery="nonblocking",
         crashes=[
@@ -206,10 +195,10 @@ def figure1(
         crashes.append(crash_at(node=P, time=0.01))
     if crash_q:
         crashes.append(crash_at(node=Q, time=0.01))
-    system = paper_system(
+    system = build_system(paper_config(
         f"figure1-{recovery}", recovery=recovery, crashes=crashes,
         n=4, **overrides,
-    )
+    ))
     for node in system.nodes:
         node.app.workload = Figure1Workload()
     return system
@@ -223,11 +212,11 @@ def output_commit_scenario(
     **overrides: Any,
 ) -> System:
     """E9: the workload externalises an output every k deliveries."""
-    return paper_system(
+    return build_system(paper_config(
         f"output-{protocol}-{recovery}",
         recovery=recovery,
         crashes=crashes,
         protocol=protocol,
         workload_params={"hops": 40, "fanout": 2, "output_every": output_every},
         **overrides,
-    )
+    ))

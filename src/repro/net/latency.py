@@ -6,7 +6,8 @@ the paper's testbed: a 155 Mb/s ATM LAN with sub-millisecond propagation
 delay and per-message protocol overhead appropriate to mid-90s stacks.
 The argument of the paper only needs the *relative* magnitudes to hold
 (network round-trips are orders of magnitude cheaper than stable-storage
-access or failure detection), which all these models preserve.
+access or failure detection).  :class:`LatencyModel` is the seam a test
+substitutes a fixed or drawn delay through.
 """
 
 from __future__ import annotations
@@ -24,57 +25,6 @@ class LatencyModel(ABC):
 
     def __call__(self, size_bytes: int, rng: random.Random) -> float:
         return self.sample(size_bytes, rng)
-
-
-class ConstantLatency(LatencyModel):
-    """Fixed delay regardless of size.  Handy for unit tests."""
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay!r}")
-        self.delay = delay
-
-    def sample(self, size_bytes: int, rng: random.Random) -> float:
-        return self.delay
-
-    def __repr__(self) -> str:
-        return f"ConstantLatency({self.delay!r})"
-
-
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got {low!r}, {high!r}")
-        self.low = low
-        self.high = high
-
-    def sample(self, size_bytes: int, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low!r}, {self.high!r})"
-
-
-class ExponentialLatency(LatencyModel):
-    """``base`` plus an exponential tail with the given mean.
-
-    Approximates queueing jitter on a shared medium.
-    """
-
-    def __init__(self, base: float, mean_extra: float) -> None:
-        if base < 0 or mean_extra < 0:
-            raise ValueError("base and mean_extra must be non-negative")
-        self.base = base
-        self.mean_extra = mean_extra
-
-    def sample(self, size_bytes: int, rng: random.Random) -> float:
-        extra = rng.expovariate(1.0 / self.mean_extra) if self.mean_extra > 0 else 0.0
-        return self.base + extra
-
-    def __repr__(self) -> str:
-        return f"ExponentialLatency(base={self.base!r}, mean_extra={self.mean_extra!r})"
 
 
 class BandwidthLatency(LatencyModel):

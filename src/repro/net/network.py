@@ -154,9 +154,9 @@ class Network:
     sim:
         The simulation kernel messages are scheduled on.
     topology:
-        Which node pairs may communicate, and per-link latency overrides.
+        Which node pairs may communicate.
     latency:
-        Default latency model (defaults to the paper's ATM link).
+        Latency model (defaults to the paper's ATM link).
     rngs:
         Random streams; latency jitter draws from ``"net.latency"``,
         fault decisions from ``"net.faults"``.
@@ -335,12 +335,7 @@ class Network:
                     self._emit_lose(now, src, dst, mtype, cause, msg_id)
                 return message
 
-        # per-link overrides are read where the topology keeps them, so one
-        # installed at any time takes effect; none is installed in any
-        # config the repo ships, and a truth test is all that costs
-        overrides = self.topology.latency_overrides
-        model = (overrides and overrides.get((src, dst))) or self.latency
-        delay = model.sample(size, self._latency_rng)
+        delay = self.latency.sample(size, self._latency_rng)
 
         if decision.extra_delay > 0:
             # reordered: bypass the FIFO clamp so later sends may overtake
@@ -365,7 +360,7 @@ class Network:
                 )
             for _ in range(decision.duplicates):
                 self.stats.duplicates_injected += 1
-                dup_delay = model.sample(size, self._fault_rng)
+                dup_delay = self.latency.sample(size, self._fault_rng)
                 self.sim.schedule_fast_at(
                     now + dup_delay, self._deliver, message, label=dup_label,
                 )

@@ -13,7 +13,7 @@ two exact counters instead of scanning the heap:
 
 * cancellation is lazy (a cancelled event stays queued and is skipped on
   pop), but the kernel counts cancelled-while-queued events so
-  :attr:`Simulator.live_events` and :meth:`Simulator.drain` are O(1);
+  :attr:`Simulator.live_events` is O(1);
 * when cancelled corpses dominate the heap -- the retransmit-timer
   pattern, where an ack cancels a far-deadline timer long before it
   would fire -- the heap is *compacted*: corpses are filtered out and
@@ -52,12 +52,6 @@ COMPACT_RATIO = 0.5
 #: only needs to cover the live-event working set; anything beyond that
 #: would pin memory for no throughput gain.
 EVENT_POOL_MAX = 4096
-#: Default ceiling for :meth:`Simulator.drain` (per-simulator override:
-#: the ``drain_max_events`` constructor knob, plumbed from
-#: ``SystemConfig.drain_max_events``).  Sized for the 100M-event runs
-#: the ``huge_system`` benchmark targets; pass an explicit ``max_events``
-#: for a tighter runaway check.
-DRAIN_MAX_EVENTS = 100_000_000
 
 
 class SimulationError(RuntimeError):
@@ -99,7 +93,7 @@ class Simulator:
 
     Notes
     -----
-    * The clock only moves when :meth:`run` (or :meth:`step`) pops events.
+    * The clock only moves when :meth:`run` pops events.
     * Two events scheduled for the same instant fire in the order they
       were scheduled (FIFO), unless an explicit ``priority`` says
       otherwise.  This is what makes runs reproducible.
@@ -111,7 +105,6 @@ class Simulator:
         compact_min_heap: Optional[int] = COMPACT_MIN_HEAP,
         compact_ratio: float = COMPACT_RATIO,
         tiebreak_seed: Optional[int] = None,
-        drain_max_events: Optional[int] = None,
     ) -> None:
         self._now = float(start_time)
         self._heap: List[Event] = []
@@ -123,7 +116,6 @@ class Simulator:
         )
         self._events_processed = 0
         self._running = False
-        self._stopped = False
         #: cancelled events still sitting in the heap (exact, maintained
         #: by EventHandle.cancel via _note_cancelled and by the pop sites)
         self._heap_cancelled = 0
@@ -135,10 +127,6 @@ class Simulator:
         self._choice_oracle: Optional[Callable[[int], int]] = None
         #: optional repro.sim.profile.SimProfiler; None = direct dispatch
         self.profiler: Optional[Any] = None
-        #: ceiling for drain() when no explicit max_events is passed
-        self._drain_max_events = (
-            drain_max_events if drain_max_events is not None else DRAIN_MAX_EVENTS
-        )
         #: free-list of fired schedule_fast events awaiting reuse.  Only
         #: handle-free (poolable) events ever land here; cancelled corpses
         #: always have a handle, so a recycled object can never be one.
@@ -417,42 +405,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if the heap is
-        exhausted.  Cancelled events are discarded silently.
-        """
-        if self._choice_oracle is not None:
-            event = self._pop_choice()
-            if event is None:
-                return False
-            self._now = event.time
-            self._events_processed += 1
-            if self.profiler is None:
-                event.fire()
-            else:
-                self.profiler.fire(event)
-            if event.poolable:
-                self._release(event)
-            return True
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event.in_heap = False
-            if event.cancelled:
-                self._heap_cancelled -= 1
-                continue
-            self._now = event.time
-            self._events_processed += 1
-            if self.profiler is None:
-                event.fire()
-            else:
-                self.profiler.fire(event)
-            if event.poolable:
-                self._release(event)
-            return True
-        return False
-
     def run(
         self,
         until: Optional[float] = None,
@@ -474,12 +426,11 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        self._stopped = False
         fired = 0
         heap = self._heap
         profiler = self.profiler  # hoisted: one branch per event when off
         try:
-            while heap and not self._stopped:
+            while heap:
                 if max_events is not None and fired >= max_events:
                     break
                 event = heap[0]
@@ -507,29 +458,10 @@ class Simulator:
                     self._release(event)
                 heap = self._heap  # compaction may have swapped the list
             else:
-                if until is not None and not self._stopped and self._now < until:
+                if until is not None and self._now < until:
                     self._now = until
         finally:
             self._running = False
-        return self._now
-
-    def stop(self) -> None:
-        """Stop a :meth:`run` in progress after the current event."""
-        self._stopped = True
-
-    def drain(self, max_events: Optional[int] = None) -> float:
-        """Run until the heap is empty.  Raises if the ceiling trips.
-
-        ``max_events`` defaults to the simulator's ``drain_max_events``
-        constructor knob (itself defaulting to :data:`DRAIN_MAX_EVENTS`).
-        """
-        if max_events is None:
-            max_events = self._drain_max_events
-        self.run(max_events=max_events)
-        if self.live_events:
-            raise SimulationError(
-                f"drain exceeded {max_events} events with work remaining"
-            )
         return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import SystemConfig, build_system, run_config
 from repro.causality.determinant import Determinant
+from repro.net.latency import LatencyModel
+from repro.net.topology import Topology
 from repro.procs.failure import CrashPlan
 from repro.storage.volatile import DeterminantLog, SendLog
 
@@ -49,6 +52,35 @@ def small_config(
         max_events=overrides.pop("max_events", 2_000_000),
         **overrides,
     )
+
+
+class ConstantLatency(LatencyModel):
+    """A fixed one-way delay whatever the size: a fake behind the
+    network's latency seam, for tests that time messages exactly."""
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+
+    def sample(self, size_bytes: int, rng: random.Random) -> float:
+        return self.delay
+
+
+class UniformLatency(LatencyModel):
+    """A delay drawn uniformly from ``[low, high]``: a fake behind the
+    network's latency seam, for tests that need jitter."""
+
+    def __init__(self, low: float, high: float) -> None:
+        self.low = low
+        self.high = high
+
+    def sample(self, size_bytes: int, rng: random.Random) -> float:
+        return rng.uniform(self.low, self.high)
+
+
+def full_mesh(n: int) -> Topology:
+    """Nodes ``0..n-1``, each linked to every other: the topology
+    ``System`` builds."""
+    return Topology(range(n))
 
 
 def e2e_workloads():

@@ -19,6 +19,22 @@ Report::
 
     python tests/reach.py reach-*.json
 
+Product-only reach, collected and reported in one command::
+
+    PYTHONPATH=src python tests/reach.py --product
+
+runs, each under the collector in a temporary directory, what a user or
+CI runs: every documented ``python -m repro`` line (the set
+``tests/test_docs_commands.py`` parses), ``examples/*.py``,
+``benchmarks/paper_tables.py`` (EXPERIMENTS.md is restored after it),
+the six e2e workloads traced and untraced (``worker.py`` directly:
+``run.py`` starts it with ``subprocess``, which the tracer cannot
+follow), and the chaos sweep under both profiles at 20 seeds with the
+sanitizer on.  A run that exits non-zero is named above the report;
+the two documented ``repro trace chaos-...`` lines always are, because
+they read a chaos failure artifact that a passing sweep never writes.
+The whole collection took 5 min on a 2-core host.
+
 Worker processes started by ``fork`` (the default ``multiprocessing``
 start method on Linux, so every ``TrialRunner(jobs>1)`` pool) are
 covered: ``os.register_at_fork`` re-installs the hook in the child, and
@@ -33,17 +49,21 @@ rep's wall time): that harness times itself with hooks this tracer
 disturbs.  The failure is expected and does not point to a bug in the
 simulator.
 
-On a 2-core host, tier-1 (1,159 tests) took 2 min 29 s under the
-collector, against 59 s without it.
+On a 2-core host, tier-1 (1,124 tests) took 5 min 2 s under the
+collector, against 1 min 48 s without it.
 """
 
 from __future__ import annotations
 
 import ast
 import atexit
+import glob
 import json
 import os
+import shlex
+import subprocess
 import sys
+import tempfile
 import threading
 from multiprocessing import util
 from typing import Dict, List, Set, Tuple
@@ -150,8 +170,67 @@ def report(dumps: List[str]) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# product-only collection
+# ----------------------------------------------------------------------
+def _product_targets() -> List[Tuple[List[str], Dict[str, str]]]:
+    """``(--run target, extra environment)`` of every product entry point."""
+    from test_docs_commands import COMMANDS, PREFIX
+
+    e2e = os.path.join(ROOT, "benchmarks", "e2e")
+    sys.path.insert(0, e2e)
+    from workloads import WORKLOADS
+
+    targets = []
+    for _, command in COMMANDS:
+        argv = shlex.split(command, comments=True)[len(shlex.split(PREFIX)):]
+        targets.append((["-m", "repro"] + argv, {}))
+    for example in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+        targets.append(([example], {}))
+    targets.append(([os.path.join(ROOT, "benchmarks", "paper_tables.py")], {}))
+    worker = os.path.join(e2e, "worker.py")
+    for workload in sorted(WORKLOADS):
+        for mode in ("untraced", "traced"):
+            targets.append(([worker, "--workload", workload, "--seed", "1000",
+                             "--seconds", "0", "--mode", mode], {}))
+    chaos = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+             os.path.join(ROOT, "tests", "test_chaos.py"), "-k", "no_violations"]
+    for profile in ("", "churn"):
+        targets.append((chaos, {"CHAOS_PROFILE": profile, "CHAOS_SANITIZE": "1",
+                                "CHAOS_RUNS_PER_COMBO": "20"}))
+    return targets
+
+
+def product() -> int:
+    """Collect reach over :func:`_product_targets` and print the report."""
+    experiments = os.path.join(ROOT, "EXPERIMENTS.md")
+    with open(experiments, "rb") as handle:
+        kept = handle.read()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), ROOT, os.path.join(ROOT, "tests")])
+    failed = []
+    with tempfile.TemporaryDirectory(prefix="reach-") as workdir:
+        try:
+            for target, extra in _product_targets():
+                done = subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), "--run"] + target,
+                    cwd=workdir, env=dict(env, **extra),
+                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                )
+                if done.returncode != 0:
+                    failed.append(" ".join(target))
+        finally:
+            with open(experiments, "wb") as handle:
+                handle.write(kept)
+        for target in failed:
+            print(f"exited non-zero: {target}")
+        return report(sorted(glob.glob(os.path.join(workdir, "reach-*.json"))))
+
+
 def main(argv: List[str]) -> int:
-    """``--run TARGET...`` collects; otherwise report over the dumps."""
+    """``--run TARGET...`` collects, ``--product`` collects and reports
+    the product's reach; otherwise report over the dumps."""
     if argv[:1] == ["--run"]:
         import runpy
 
@@ -164,6 +243,8 @@ def main(argv: List[str]) -> int:
             sys.argv = target
             runpy.run_path(target[0], run_name="__main__")
         return 0
+    if argv == ["--product"]:
+        return product()
     if not argv:
         print(__doc__)
         return 2

@@ -116,9 +116,9 @@ def test_multi_restart_episode_from_real_run():
     the timeline must show the full double-recovery without error."""
     from repro.experiments import failure_during_recovery
 
-    system = failure_during_recovery(
+    system = build_system(failure_during_recovery(
         "nonblocking", detection_delay=0.5, state_bytes=100_000
-    )
+    ))
     result = system.run()
     assert result.consistent
     text = render_timeline(system.trace)

@@ -1,97 +1,8 @@
-"""Unit tests for Lamport clocks, vector clocks and determinants."""
+"""Unit tests for message determinants."""
 
 import pytest
 
 from repro.causality.determinant import Determinant
-from repro.causality.lamport import LamportClock
-from repro.causality.vector_clock import VectorClock
-
-
-class TestLamportClock:
-    def test_tick_increments(self):
-        clock = LamportClock()
-        assert clock.tick() == 1
-        assert clock.tick() == 2
-
-    def test_update_takes_max_plus_one(self):
-        clock = LamportClock(3)
-        assert clock.update(10) == 11
-        assert clock.update(2) == 12
-
-    def test_peek_does_not_advance(self):
-        clock = LamportClock(5)
-        assert clock.peek() == 5
-        assert clock.peek() == 5
-
-    def test_reset(self):
-        clock = LamportClock(5)
-        clock.reset()
-        assert clock.peek() == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LamportClock(-1)
-        with pytest.raises(ValueError):
-            LamportClock().update(-1)
-
-    def test_int_conversion(self):
-        assert int(LamportClock(7)) == 7
-
-
-class TestVectorClock:
-    def test_tick_and_get(self):
-        vc = VectorClock()
-        vc.tick(0).tick(0).tick(1)
-        assert vc.get(0) == 2
-        assert vc.get(1) == 1
-        assert vc.get(9) == 0
-
-    def test_merge_componentwise_max(self):
-        a = VectorClock({0: 3, 1: 1})
-        b = VectorClock({1: 5, 2: 2})
-        a.merge(b)
-        assert a.to_dict() == {0: 3, 1: 5, 2: 2}
-
-    def test_happens_before(self):
-        a = VectorClock({0: 1})
-        b = VectorClock({0: 2, 1: 1})
-        assert a < b
-        assert a <= b
-        assert not b <= a
-
-    def test_equality_and_self_order(self):
-        a = VectorClock({0: 1})
-        b = VectorClock({0: 1})
-        assert a == b
-        assert a <= b
-        assert not a < b
-
-    def test_concurrent(self):
-        a = VectorClock({0: 1})
-        b = VectorClock({1: 1})
-        assert a.concurrent(b)
-        assert b.concurrent(a)
-        assert not a.concurrent(a)
-
-    def test_zero_components_ignored(self):
-        assert VectorClock({0: 0}) == VectorClock()
-
-    def test_join(self):
-        joined = VectorClock.join([VectorClock({0: 1}), VectorClock({1: 2})])
-        assert joined.to_dict() == {0: 1, 1: 2}
-
-    def test_copy_is_independent(self):
-        a = VectorClock({0: 1})
-        b = a.copy()
-        b.tick(0)
-        assert a.get(0) == 1
-
-    def test_hashable(self):
-        assert hash(VectorClock({0: 1})) == hash(VectorClock({0: 1}))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            VectorClock({0: -1})
 
 
 class TestDeterminant:

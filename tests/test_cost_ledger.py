@@ -226,23 +226,23 @@ def test_conservation_counts_messages_and_gc_from_the_accounts():
 @pytest.mark.parametrize("key", sorted(BUILDERS))
 def test_goldens_identical_with_ledger_and_sampler_on(key):
     scenario = {
-        "e1-nonblocking": lambda: single_failure(
-            recovery="nonblocking", cost_ledger=True, timeseries_window=0.01),
-        "e1-blocking": lambda: single_failure(
-            recovery="blocking", cost_ledger=True, timeseries_window=0.01),
-        "e2-nonblocking": lambda: failure_during_recovery(
-            recovery="nonblocking", cost_ledger=True, timeseries_window=0.01),
-        "e2-blocking": lambda: failure_during_recovery(
-            recovery="blocking", cost_ledger=True, timeseries_window=0.01),
+        "e1-nonblocking": lambda: build_system(single_failure(
+            recovery="nonblocking", cost_ledger=True, timeseries_window=0.01)),
+        "e1-blocking": lambda: build_system(single_failure(
+            recovery="blocking", cost_ledger=True, timeseries_window=0.01)),
+        "e2-nonblocking": lambda: build_system(failure_during_recovery(
+            recovery="nonblocking", cost_ledger=True, timeseries_window=0.01)),
+        "e2-blocking": lambda: build_system(failure_during_recovery(
+            recovery="blocking", cost_ledger=True, timeseries_window=0.01)),
     }[key]
     assert snapshot(scenario()) == GOLDEN[key]
 
 
 def test_ledger_adds_no_simulated_events():
-    plain = single_failure(recovery="nonblocking").run()
-    costed = single_failure(
+    plain = build_system(single_failure(recovery="nonblocking")).run()
+    costed = build_system(single_failure(
         recovery="nonblocking", cost_ledger=True, timeseries_window=0.01
-    ).run()
+    )).run()
     assert costed.extra["events_processed"] == plain.extra["events_processed"]
     assert costed.end_time == plain.end_time
     assert costed.digests == plain.digests
@@ -260,9 +260,9 @@ def test_phase_attribution_failure_free_run_has_one_phase():
 
 
 def test_two_episodes_get_distinct_phases():
-    result = failure_during_recovery(
+    result = build_system(failure_during_recovery(
         recovery="nonblocking", cost_ledger=True
-    ).run()
+    )).run()
     cost = result.extra["cost"]
     assert cost["episodes"] == 2
     phases = set(cost["wire"]["by_phase"])

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro import build_system
 from repro.experiments import (
     PAPER_DEFAULTS,
     failure_during_recovery,
     figure1,
     leader_failure,
     output_commit_scenario,
-    paper_system,
+    paper_config,
     single_failure,
 )
 
@@ -28,20 +29,20 @@ def test_paper_defaults_match_the_evaluation():
 
 
 def test_single_failure_scenario():
-    result = single_failure(**fast()).run()
+    result = build_system(single_failure(**fast())).run()
     assert result.consistent
     assert len(result.recovery_durations()) == 1
     assert result.total_blocked_time == 0.0
 
 
 def test_single_failure_blocking_variant():
-    result = single_failure(recovery="blocking", **fast()).run()
+    result = build_system(single_failure(recovery="blocking", **fast())).run()
     assert result.consistent
     assert result.total_blocked_time > 0.0
 
 
 def test_failure_during_recovery_scenario():
-    result = failure_during_recovery(**fast()).run()
+    result = build_system(failure_during_recovery(**fast())).run()
     assert result.consistent
     assert len(result.recovery_durations()) == 2
     # the second failure no longer voids the gather (the paper's goto 4):
@@ -51,7 +52,7 @@ def test_failure_during_recovery_scenario():
 
 
 def test_leader_failure_scenario():
-    result = leader_failure(**fast()).run()
+    result = build_system(leader_failure(**fast())).run()
     assert result.consistent
     leaders = {e.node for e in result.episodes if e.was_leader}
     assert len(leaders) >= 2
@@ -87,8 +88,8 @@ def test_output_commit_scenario_other_protocols():
 
 
 def test_overrides_flow_through():
-    system = paper_system("custom", n=4, workload_params={"hops": 5, "fanout": 1},
-                          **fast())
+    system = build_system(paper_config(
+        "custom", n=4, workload_params={"hops": 5, "fanout": 1}, **fast()))
     assert system.config.n == 4
     result = system.run()
     assert result.consistent

@@ -1,5 +1,4 @@
-"""The kernel's intra-run scale machinery: event pool, schedule_fast,
-configurable drain ceiling.
+"""The kernel's intra-run scale machinery: event pool, schedule_fast.
 
 The safety argument under test: only handle-free (``schedule_fast``)
 events are ever pooled, and they are released only *after* firing -- so
@@ -9,12 +8,7 @@ cancelled corpse, and never confuse the exact ``live_events`` counter.
 
 import pytest
 
-from repro.sim.kernel import (
-    DRAIN_MAX_EVENTS,
-    EVENT_POOL_MAX,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.kernel import EVENT_POOL_MAX, SimulationError, Simulator
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +188,7 @@ def test_pool_with_choice_oracle():
     sim.set_choice_oracle(lambda width: width - 1)  # always pick last
     for i in range(6):
         sim.schedule_fast(0.1, fired.append, i)
-    while sim.step():
-        pass
+    sim.run()
     assert sorted(fired) == list(range(6))
     assert fired == list(reversed(range(6)))  # oracle picked last each time
     assert sim.pool_reuses + sim.pool_size >= 1
@@ -210,53 +203,6 @@ def test_pool_with_choice_oracle_and_cancelled_corpse():
     for i in range(4):
         sim.schedule_fast(0.1, fired.append, i)
     corpse.cancel()
-    while sim.step():
-        pass
+    sim.run()
     assert fired == list(range(4))
     assert sim.live_events == 0
-
-
-# ----------------------------------------------------------------------
-# configurable drain ceiling
-# ----------------------------------------------------------------------
-def _endless(sim):
-    def tick():
-        sim.schedule_fast(0.001, tick)
-    return tick
-
-
-def test_drain_default_ceiling_is_large():
-    assert DRAIN_MAX_EVENTS == 100_000_000
-    sim = Simulator()
-    assert sim._drain_max_events == DRAIN_MAX_EVENTS
-
-
-def test_drain_uses_constructor_ceiling():
-    sim = Simulator(drain_max_events=50)
-    sim.schedule_fast(0.0, _endless(sim))
-    with pytest.raises(SimulationError):
-        sim.drain()
-
-
-def test_drain_explicit_argument_overrides_constructor():
-    sim = Simulator(drain_max_events=1_000_000)
-    sim.schedule_fast(0.0, _endless(sim))
-    with pytest.raises(SimulationError):
-        sim.drain(max_events=25)
-
-
-def test_drain_completes_under_ceiling():
-    sim = Simulator(drain_max_events=1_000)
-    fired = []
-    for i in range(5):
-        sim.schedule_fast(0.01 * i, fired.append, i)
-    sim.drain()
-    assert fired == list(range(5))
-
-
-def test_system_config_plumbs_drain_max_events():
-    from helpers import small_config
-    from repro import build_system
-
-    system = build_system(small_config(n=4, hops=10, drain_max_events=123))
-    assert system.sim._drain_max_events == 123

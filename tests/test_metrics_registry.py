@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import build_system
 from repro.core.metrics_registry import (
     Counter,
     Gauge,
@@ -109,7 +110,7 @@ def test_snapshot_by_subsystem():
 # a real run feeds the registry
 # ----------------------------------------------------------------------
 def test_run_populates_registry_and_result():
-    system = single_failure(recovery="nonblocking")
+    system = build_system(single_failure(recovery="nonblocking"))
     result = system.run()
     metrics = result.extra["metrics"]
     assert metrics["net.messages_sent"]["value"] > 0
@@ -123,7 +124,7 @@ def test_run_populates_registry_and_result():
 
 
 def test_summarize_twice_does_not_double_count():
-    system = single_failure(recovery="nonblocking")
+    system = build_system(single_failure(recovery="nonblocking"))
     system.run()
     again = system.summarize()
     assert again.extra["metrics"]["recovery.episodes"]["value"] == 1
@@ -134,7 +135,6 @@ def test_instruments_resolve_once_per_device_not_once_per_operation(monkeypatch)
     instruments when they first report, so ``_register`` -- a string
     split, a subsystem check and an ``isinstance`` -- runs O(instruments)
     per run, whatever the run's length."""
-    from repro import build_system
     from repro.core.config import StorageRealismConfig
 
     from helpers import small_config

@@ -11,12 +11,12 @@ from repro.net.faults import (
     Partition,
     ScheduledDrop,
 )
-from repro.net.latency import ConstantLatency
 from repro.net.network import Message, MessageKind, Network
-from repro.net.topology import full_mesh
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
+
+from helpers import ConstantLatency, full_mesh
 
 
 def make_net(n=3, faults=None, trace=None, seed=0):

@@ -4,51 +4,12 @@ import random
 
 import pytest
 
-from repro.net.latency import (
-    AtmLinkModel,
-    BandwidthLatency,
-    ConstantLatency,
-    ExponentialLatency,
-    UniformLatency,
-)
+from repro.net.latency import AtmLinkModel, BandwidthLatency
 
 
 @pytest.fixture
 def rng():
     return random.Random(1)
-
-
-def test_constant_latency(rng):
-    model = ConstantLatency(0.01)
-    assert model.sample(0, rng) == 0.01
-    assert model.sample(10_000, rng) == 0.01
-
-
-def test_constant_latency_rejects_negative():
-    with pytest.raises(ValueError):
-        ConstantLatency(-1.0)
-
-
-def test_uniform_latency_in_range(rng):
-    model = UniformLatency(0.001, 0.002)
-    for _ in range(100):
-        assert 0.001 <= model.sample(100, rng) <= 0.002
-
-
-def test_uniform_latency_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        UniformLatency(0.5, 0.1)
-
-
-def test_exponential_latency_at_least_base(rng):
-    model = ExponentialLatency(base=0.01, mean_extra=0.005)
-    for _ in range(100):
-        assert model.sample(100, rng) >= 0.01
-
-
-def test_exponential_latency_zero_extra(rng):
-    model = ExponentialLatency(base=0.01, mean_extra=0.0)
-    assert model.sample(100, rng) == 0.01
 
 
 def test_bandwidth_latency_scales_with_size(rng):
@@ -86,5 +47,5 @@ def test_atm_model_bandwidth_is_155mbps():
 
 
 def test_model_is_callable(rng):
-    model = ConstantLatency(0.5)
-    assert model(123, rng) == 0.5
+    model = BandwidthLatency(bandwidth_bps=8e6, propagation=0.5)
+    assert model(123, rng) == model.sample(123, rng)

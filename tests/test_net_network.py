@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.latency import ConstantLatency
 from repro.net.network import (
     DETERMINANT_BYTES,
     HEADER_BYTES,
@@ -11,9 +10,10 @@ from repro.net.network import (
     Network,
     NetworkStats,
 )
-from repro.net.topology import full_mesh
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
+
+from helpers import ConstantLatency, full_mesh
 
 
 def make_net(n=3, latency=None, trace=None):
@@ -161,18 +161,6 @@ def test_trace_records_send_and_deliver():
     sim.run()
     assert trace.count("net", "send") == 1
     assert trace.count("net", "deliver") == 1
-
-
-def test_per_link_latency_override():
-    sim, net = make_net(latency=ConstantLatency(1.0))
-    net.topology.set_link_latency(0, 1, ConstantLatency(0.1))
-    times = []
-    net.register(1, lambda m: times.append(sim.now))
-    net.register(2, lambda m: times.append(sim.now))
-    net.send(msg(dst=1))
-    net.send(msg(dst=2))
-    sim.run()
-    assert times == [pytest.approx(0.1), pytest.approx(1.0)]
 
 
 def test_message_ids_unique_per_network():

@@ -2,48 +2,14 @@
 
 import pytest
 
-from repro.net.latency import ConstantLatency
-from repro.net.topology import Topology, full_mesh, ring, star
+from repro.net.topology import Topology
 
 
 def test_full_mesh_connects_all_pairs():
-    topo = full_mesh(4)
+    topo = Topology(range(4))
     for a in range(4):
         for b in range(4):
             assert topo.connected(a, b) == (a != b)
-
-
-def test_full_mesh_neighbor_count():
-    topo = full_mesh(5)
-    for node in range(5):
-        assert len(topo.neighbors(node)) == 4
-
-
-def test_ring_bidirectional():
-    topo = ring(4)
-    assert topo.connected(0, 1)
-    assert topo.connected(1, 0)
-    assert topo.connected(3, 0)
-    assert not topo.connected(0, 2)
-
-
-def test_ring_unidirectional():
-    topo = ring(4, bidirectional=False)
-    assert topo.connected(0, 1)
-    assert not topo.connected(1, 0)
-
-
-def test_star_hub_reaches_spokes():
-    topo = star(5, hub=2)
-    for spoke in (0, 1, 3, 4):
-        assert topo.connected(2, spoke)
-        assert topo.connected(spoke, 2)
-    assert not topo.connected(0, 1)
-
-
-def test_star_rejects_bad_hub():
-    with pytest.raises(ValueError):
-        star(3, hub=3)
 
 
 def test_custom_links_validated():
@@ -51,29 +17,6 @@ def test_custom_links_validated():
         Topology([0, 1], links=[(0, 2)])
     with pytest.raises(ValueError):
         Topology([0, 1], links=[(0, 0)])
-
-
-def test_link_latency_override():
-    topo = full_mesh(3)
-    model = ConstantLatency(0.5)
-    topo.set_link_latency(0, 1, model)
-    assert topo.link_latency(0, 1) is model
-    assert topo.link_latency(1, 0) is None
-
-
-def test_link_latency_override_requires_link():
-    topo = ring(4)
-    with pytest.raises(ValueError):
-        topo.set_link_latency(0, 2, ConstantLatency(0.1))
-
-
-def test_links_sorted_deterministic():
-    topo = full_mesh(3)
-    assert topo.links() == sorted(topo.links())
-
-
-def test_len_is_node_count():
-    assert len(full_mesh(7)) == 7
 
 
 def test_empty_topology_rejected():

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.net.faults import LinkFaultSpec, NetworkFaultModel, Partition, ScheduledDrop
-from repro.net.latency import ConstantLatency
 from repro.net.network import Message, MessageKind, Network
-from repro.net.topology import full_mesh
 from repro.net.transport import ReliableTransport, TransportParams
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
+
+from helpers import ConstantLatency, full_mesh
 
 
 def make_stack(n=3, faults=None, params=None, seed=0, trace=None):

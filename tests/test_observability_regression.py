@@ -20,21 +20,21 @@ from test_seed_regression import BUILDERS, GOLDEN, snapshot
 @pytest.mark.parametrize("key", sorted(BUILDERS))
 def test_goldens_identical_with_all_observability_on(key):
     scenario = {
-        "e1-nonblocking": lambda: single_failure(
-            recovery="nonblocking", spans=True, profile=True),
-        "e1-blocking": lambda: single_failure(
-            recovery="blocking", spans=True, profile=True),
-        "e2-nonblocking": lambda: failure_during_recovery(
-            recovery="nonblocking", spans=True, profile=True),
-        "e2-blocking": lambda: failure_during_recovery(
-            recovery="blocking", spans=True, profile=True),
+        "e1-nonblocking": lambda: build_system(single_failure(
+            recovery="nonblocking", spans=True, profile=True)),
+        "e1-blocking": lambda: build_system(single_failure(
+            recovery="blocking", spans=True, profile=True)),
+        "e2-nonblocking": lambda: build_system(failure_during_recovery(
+            recovery="nonblocking", spans=True, profile=True)),
+        "e2-blocking": lambda: build_system(failure_during_recovery(
+            recovery="blocking", spans=True, profile=True)),
     }[key]
     assert snapshot(scenario()) == GOLDEN[key]
 
 
 def test_spans_add_no_simulated_events():
-    plain = single_failure(recovery="nonblocking").run()
-    observed = single_failure(recovery="nonblocking", spans=True, profile=True).run()
+    plain = build_system(single_failure(recovery="nonblocking")).run()
+    observed = build_system(single_failure(recovery="nonblocking", spans=True, profile=True)).run()
     assert observed.extra["events_processed"] == plain.extra["events_processed"]
     assert observed.end_time == plain.end_time
     assert observed.digests == plain.digests
@@ -93,8 +93,8 @@ def test_cli_sweep_uses_counters_only_traces(capsys):
 
 
 def test_profiler_snapshot_rides_along_without_changing_results():
-    plain = single_failure(recovery="nonblocking").run()
-    profiled = single_failure(recovery="nonblocking", profile=True).run()
+    plain = build_system(single_failure(recovery="nonblocking")).run()
+    profiled = build_system(single_failure(recovery="nonblocking", profile=True)).run()
     assert "profile" not in plain.extra
     snap = profiled.extra["profile"]
     assert snap["events_fired"] == plain.extra["events_processed"]

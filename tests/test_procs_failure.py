@@ -425,9 +425,8 @@ class TestUnifiedPlanner:
     """Link / partition / storage plans through the FailureInjector."""
 
     def make_net(self):
-        from repro.net.latency import ConstantLatency
+        from helpers import ConstantLatency, full_mesh
         from repro.net.network import Network
-        from repro.net.topology import full_mesh
         from repro.sim.rng import RngRegistry
 
         sim = Simulator()

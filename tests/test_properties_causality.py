@@ -7,68 +7,11 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.causality.dependency import make_depinfo
 from repro.causality.determinant import Determinant
-from repro.causality.vector_clock import VectorClock
 from repro.sanitizer.causal import CausalGraph, slot
 
 
-# -- vector clocks -------------------------------------------------------
-clock_dicts = st.dictionaries(
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=0, max_value=50),
-    max_size=6,
-)
-
-
-@given(clock_dicts, clock_dicts)
-def test_merge_is_least_upper_bound(a_dict, b_dict):
-    a, b = VectorClock(a_dict), VectorClock(b_dict)
-    merged = a.copy().merge(b)
-    assert a <= merged
-    assert b <= merged
-    # no smaller clock dominates both
-    for pid in merged.clocks:
-        assert merged.get(pid) == max(a.get(pid), b.get(pid))
-
-
-@given(clock_dicts, clock_dicts)
-def test_merge_commutative(a_dict, b_dict):
-    a, b = VectorClock(a_dict), VectorClock(b_dict)
-    assert a.copy().merge(b) == b.copy().merge(a)
-
-
-@given(clock_dicts)
-def test_order_reflexive_on_copies(a_dict):
-    a = VectorClock(a_dict)
-    assert a <= a.copy()
-    assert not a < a.copy()
-
-
-@given(clock_dicts, clock_dicts, clock_dicts)
-def test_order_transitive(a_dict, b_dict, c_dict):
-    a, b, c = VectorClock(a_dict), VectorClock(b_dict), VectorClock(c_dict)
-    if a <= b and b <= c:
-        assert a <= c
-
-
-@given(clock_dicts, clock_dicts)
-def test_trichotomy_of_relations(a_dict, b_dict):
-    """Exactly one of: a<b, b<a, a==b, a||b."""
-    a, b = VectorClock(a_dict), VectorClock(b_dict)
-    relations = [a < b, b < a, a == b, a.concurrent(b)]
-    assert sum(relations) == 1
-
-
-@given(clock_dicts)
-def test_tick_strictly_advances(a_dict):
-    a = VectorClock(a_dict)
-    before = a.copy()
-    a.tick(3)
-    assert before < a
-
-
-# -- determinants and depinfo stores --------------------------------------
+# -- determinants ---------------------------------------------------------
 determinants = st.builds(
     lambda sender, ssn, recv_off, rsn: Determinant(
         sender=sender, ssn=ssn, receiver=(sender + 1 + recv_off) % 10, rsn=rsn
@@ -100,56 +43,6 @@ def test_determinant_behaves_like_its_tuple(dets):
         assert index[twin] == index[d]
         assert pickle.loads(pickle.dumps(d)) == d
         assert (d.sender, d.ssn, d.receiver, d.rsn) == d.to_tuple()
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(determinants, max_size=30),
-    st.sampled_from(["vector", "matrix", "graph"]),
-)
-def test_depinfo_stores_agree(dets, kind):
-    """All three representations must expose identical determinant sets
-    (the recovery algorithm is representation-agnostic)."""
-    store = make_depinfo(kind)
-    reference = make_depinfo("vector")
-    store.merge(dets)
-    reference.merge(dets)
-    assert store.to_wire() == reference.to_wire()
-    for receiver in {d.receiver for d in dets}:
-        assert set(store.for_receiver(receiver)) == set(reference.for_receiver(receiver))
-        assert store.max_rsn(receiver) == reference.max_rsn(receiver)
-
-
-@settings(max_examples=50)
-@given(st.lists(determinants, max_size=30), st.sampled_from(["vector", "matrix", "graph"]))
-def test_depinfo_merge_idempotent(dets, kind):
-    store = make_depinfo(kind)
-    store.merge(dets)
-    once = store.to_wire()
-    store.merge(dets)
-    assert store.to_wire() == once
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(determinants, max_size=20),
-    st.lists(determinants, max_size=20),
-    st.sampled_from(["vector", "matrix", "graph"]),
-)
-def test_depinfo_wire_union(a, b, kind):
-    """Merging wires is set union over delivery slots."""
-    left = make_depinfo(kind)
-    left.merge(a)
-    right = make_depinfo(kind)
-    right.merge(b)
-    combined = make_depinfo(kind)
-    combined.load_wire(left.to_wire())
-    combined.load_wire(right.to_wire())
-    slots = {d.delivery_id for d in combined.determinants()}
-    expected = {d.delivery_id for d in left.determinants()} | {
-        d.delivery_id for d in right.determinants()
-    }
-    assert slots == expected
 
 
 # -- the causal graph: rows against the dict-based reference ---------------

@@ -8,12 +8,12 @@ protocol above it, so they get direct adversarial testing.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.network import Message, MessageKind, Network
-from repro.net.topology import full_mesh
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.storage.stable import StableStorage
+
+from helpers import UniformLatency, full_mesh
 
 
 @settings(max_examples=40)
@@ -117,16 +117,9 @@ def test_latency_models_never_negative(seed, size):
     import random
 
     rng = random.Random(seed)
-    from repro.net.latency import (
-        AtmLinkModel,
-        BandwidthLatency,
-        ExponentialLatency,
-    )
+    from repro.net.latency import AtmLinkModel, BandwidthLatency
 
     for model in (
-        ConstantLatency(0.001),
-        UniformLatency(0.0, 0.01),
-        ExponentialLatency(0.001, 0.002),
         BandwidthLatency(1e6, 0.0005, 0.0001, 0.2),
         AtmLinkModel(),
     ):

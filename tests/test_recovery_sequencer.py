@@ -1,11 +1,11 @@
 """Unit tests for the sequencer (ordinal service)."""
 
-from repro.net.latency import ConstantLatency
 from repro.net.network import Message, MessageKind, Network
-from repro.net.topology import full_mesh
 from repro.recovery.sequencer import Sequencer
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
+
+from helpers import ConstantLatency, full_mesh
 
 
 def make(n=4):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import build_system
 from repro.experiments import failure_during_recovery, single_failure
 
 GOLDEN = json.loads(
@@ -46,10 +47,10 @@ def snapshot(system):
 
 
 BUILDERS = {
-    "e1-nonblocking": lambda: single_failure(recovery="nonblocking"),
-    "e1-blocking": lambda: single_failure(recovery="blocking"),
-    "e2-nonblocking": lambda: failure_during_recovery(recovery="nonblocking"),
-    "e2-blocking": lambda: failure_during_recovery(recovery="blocking"),
+    "e1-nonblocking": lambda: build_system(single_failure(recovery="nonblocking")),
+    "e1-blocking": lambda: build_system(single_failure(recovery="blocking")),
+    "e2-nonblocking": lambda: build_system(failure_during_recovery(recovery="nonblocking")),
+    "e2-blocking": lambda: build_system(failure_during_recovery(recovery="blocking")),
 }
 
 
@@ -60,7 +61,7 @@ def test_defaults_byte_identical_to_seed(key):
 
 def test_default_config_builds_no_fault_machinery():
     """The default path must not even install the fault/transport hooks."""
-    system = single_failure(recovery="nonblocking")
+    system = build_system(single_failure(recovery="nonblocking"))
     assert system.network.faults is None
     assert system.network.transport is None
     assert system.transport is None

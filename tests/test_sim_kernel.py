@@ -135,47 +135,6 @@ def test_max_events_limits_run():
     assert len(count) == 7
 
 
-def test_stop_halts_run():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
-    sim.schedule(2.0, fired.append, "b")
-    sim.run()
-    assert fired == ["a"]
-    sim.run()
-    assert fired == ["a", "b"]
-
-
-def test_step_fires_single_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    assert sim.step() is True
-    assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
-
-
-def test_drain_empties_heap():
-    sim = Simulator()
-    for i in range(100):
-        sim.schedule(i * 0.1, lambda: None)
-    sim.drain()
-    assert sim.pending_events == 0
-
-
-def test_drain_raises_on_runaway():
-    sim = Simulator()
-
-    def forever():
-        sim.schedule(1.0, forever)
-
-    sim.schedule(1.0, forever)
-    with pytest.raises(SimulationError):
-        sim.drain(max_events=50)
-
-
 def test_events_processed_counts_fired_only():
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
@@ -285,9 +244,10 @@ def test_drain_is_exact_with_cancelled_leftovers():
     sim.schedule(1.0, lambda: None)
     doomed = sim.schedule(2.0, lambda: None)
     doomed.cancel()
-    # drain must not confuse the cancelled leftover with remaining work
-    sim.drain(max_events=10)
+    # the cancelled leftover is not remaining work
+    sim.run(max_events=10)
     assert sim.events_processed == 1
+    assert sim.live_events == 0
 
 
 # ----------------------------------------------------------------------
@@ -396,5 +356,6 @@ def test_choice_oracle_step_consults_oracle():
     sim.schedule(1.0, fired.append, 0)
     sim.schedule(1.0, fired.append, 1)
     sim.set_choice_oracle(lambda width: 1)
-    assert sim.step()
+    sim.run(max_events=1)
     assert fired == [1]
+    assert sim.live_events == 1

@@ -1,5 +1,6 @@
 """Tests for the sim-kernel profiler."""
 
+from repro import build_system
 from repro.experiments import single_failure
 from repro.sim.kernel import Simulator
 from repro.sim.profile import SimProfiler, handler_key, peak_rss_kb
@@ -59,7 +60,7 @@ def test_heap_high_water_tracked():
 
 
 def test_snapshot_shape_and_hot_handlers():
-    system = single_failure(recovery="nonblocking", profile=True)
+    system = build_system(single_failure(recovery="nonblocking", profile=True))
     result = system.run()
     snap = result.extra["profile"]
     for key in ("events_fired", "total_handler_time", "wall_elapsed",

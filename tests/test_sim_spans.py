@@ -94,7 +94,7 @@ def test_tracker_is_attached_to_every_recorder():
 # end-to-end spans from real runs
 # ----------------------------------------------------------------------
 def test_single_failure_emits_the_full_phase_ladder():
-    system = single_failure(recovery="nonblocking", spans=True)
+    system = build_system(single_failure(recovery="nonblocking", spans=True))
     result = system.run()
     assert result.consistent
     spans = spans_from_trace(system.trace)
@@ -152,7 +152,7 @@ def test_crash_mid_recovery_links_superseding_episode():
 # critical path
 # ----------------------------------------------------------------------
 def test_critical_path_sums_to_episode_duration():
-    system = single_failure(recovery="nonblocking", spans=True)
+    system = build_system(single_failure(recovery="nonblocking", spans=True))
     result = system.run()
     paths = recovery_critical_paths(system.trace)
     assert len(paths) == 1
@@ -173,11 +173,11 @@ def test_critical_path_sums_to_episode_duration():
 
 
 def test_critical_path_node_filter_and_empty_cases():
-    system = single_failure(recovery="nonblocking", spans=True)
+    system = build_system(single_failure(recovery="nonblocking", spans=True))
     system.run()
     assert recovery_critical_paths(system.trace, node=0) == []
     # no spans recorded -> no paths, not an error
-    plain = single_failure(recovery="nonblocking")
+    plain = build_system(single_failure(recovery="nonblocking"))
     plain.run()
     assert recovery_critical_paths(plain.trace) == []
 

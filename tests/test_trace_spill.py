@@ -264,11 +264,11 @@ def test_goldens_byte_identical_with_spill_and_pool(key, tmp_path):
     from repro.experiments import failure_during_recovery, single_failure
 
     builder = single_failure if key.startswith("e1") else failure_during_recovery
-    system = builder(
+    system = build_system(builder(
         recovery=recovery,
         trace_spill_path=str(tmp_path / "g.jsonl"),
         trace_spill_window=64,
-    )
+    ))
     try:
         assert snapshot(system) == GOLDEN[key]
     finally:

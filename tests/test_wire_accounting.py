@@ -24,14 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.faults import LinkFaultSpec, NetworkFaultModel
-from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.network import Message, MessageKind, Network
-from repro.net.topology import Topology, full_mesh
+from repro.net.topology import Topology
 from repro.net.transport import ReliableTransport
 from repro.obs import CostLedger
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
+
+from helpers import ConstantLatency, UniformLatency, full_mesh
 
 FAULTS = {
     "none": None,
@@ -224,18 +225,6 @@ def test_unknown_link_raises_on_the_first_and_every_later_send():
     # a refused send is charged nowhere
     assert net.stats.total_messages() == 1
     assert trace.count("net", "send") == 1
-
-
-def test_link_latency_override_installed_after_first_use_is_honoured():
-    sim, net = make_net(latency=ConstantLatency(0.001))
-    times = []
-    net.register(1, lambda m: times.append(sim.now))
-    net.send(msg())
-    sim.run()
-    net.topology.set_link_latency(0, 1, ConstantLatency(0.5))
-    net.send(msg())
-    sim.run()
-    assert times == [pytest.approx(0.001), pytest.approx(0.501)]
 
 
 def test_default_latency_reassigned_after_construction_is_honoured():
