@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import itemgetter
-from typing import Tuple
 
 
 class Determinant(namedtuple("_DeterminantFields", "sender ssn receiver rsn")):
@@ -25,6 +24,15 @@ class Determinant(namedtuple("_DeterminantFields", "sender ssn receiver rsn")):
     (``sender``, ``ssn``, ``receiver``, ``rsn``, in that order) are the
     native tuple operations, so the per-delivery path and every
     ``sorted(...)`` over determinants stay in C.
+
+    It is also the only in-process form of a determinant: being
+    immutable, the object a delivery creates travels by reference in
+    piggybacks, depinfo replies and distributions, FBL pushes and acks,
+    and stable-log records, and the log that receives it keeps it as it
+    is.  Plain tuples (``tuple(det)``) appear only where data leaves the
+    simulation: checkpoint images (:func:`~repro.storage.checkpoint.encode_image`
+    refuses a ``Determinant``) and trace record values, which must repr
+    and serialise as plain data.
 
     Attributes
     ----------
@@ -57,14 +65,6 @@ class Determinant(namedtuple("_DeterminantFields", "sender ssn receiver rsn")):
     message_id = property(itemgetter(0, 1))
     #: ``(receiver, rsn)`` -- globally unique name of the delivery.
     delivery_id = property(itemgetter(2, 3))
-
-    def to_tuple(self) -> Tuple[int, int, int, int]:
-        """Compact wire form: a plain tuple."""
-        return tuple(self)
-
-    @classmethod
-    def from_tuple(cls, data: Tuple[int, int, int, int]) -> "Determinant":
-        return cls(*data)
 
     def __str__(self) -> str:
         return f"#({self.sender},{self.ssn})->({self.receiver},rsn={self.rsn})"

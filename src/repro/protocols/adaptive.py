@@ -245,7 +245,7 @@ class AdaptiveLogging(FamilyBasedLogging):
 
         node.storage.log_append(
             self._log_name(),
-            ("sync", det.to_tuple(), data, body_bytes),
+            ("sync", det, data, body_bytes),
             body_bytes + LOG_RECORD_OVERHEAD,
             on_done=logged,
             stall_node=node.node_id,
@@ -306,7 +306,7 @@ class AdaptiveLogging(FamilyBasedLogging):
                 self._try_complete_switch()
 
         node.storage.log_append(
-            self._log_name(), ("det", det.to_tuple()), self.det_record_bytes,
+            self._log_name(), ("det", det), self.det_record_bytes,
             on_done=done,
         )
 
@@ -456,28 +456,26 @@ class AdaptiveLogging(FamilyBasedLogging):
         it converges as soon as traffic pauses for one write."""
         node = self.node
         self._flush_in_flight = True
-        tuples = [d.to_tuple() for d in dets]
-        size = self.det_record_bytes * len(tuples)
+        size = self.det_record_bytes * len(dets)
         self.mode_stats[self.mode]["storage_bytes"] += size
         epoch = node.crash_count
         node.trace.record(
             node.sim.now, "protocol", node.node_id, "mode_flush",
-            determinants=len(tuples), to_mode=self._switch_target,
+            determinants=len(dets), to_mode=self._switch_target,
         )
 
         def flushed() -> None:
             self._flush_in_flight = False
             if node.crash_count != epoch or not node.is_live:
                 return
-            for item in tuples:
-                det = Determinant.from_tuple(item)
+            for det in dets:
                 if det in self.det_log:
                     self._track(det, self.det_log.note_logged_at(det, STABLE_HOST))
             self._check_pending_outputs()
             self._try_complete_switch()
 
         node.storage.log_append(
-            self._log_name(), ("dets", tuples), size, on_done=flushed
+            self._log_name(), ("dets", dets), size, on_done=flushed
         )
 
     def _commit_switch(self) -> None:
@@ -574,8 +572,8 @@ class AdaptiveLogging(FamilyBasedLogging):
     def _entry_rsns(entry: Tuple) -> Tuple[int, ...]:
         kind = entry[0]
         if kind in ("sync", "det"):
-            return (entry[1][3],)
-        return tuple(item[3] for item in entry[1])  # "dets" batch
+            return (entry[1].rsn,)
+        return tuple(det.rsn for det in entry[1])  # "dets" batch
 
     def _entry_size(self, entry: Tuple) -> int:
         kind = entry[0]
@@ -627,16 +625,14 @@ class AdaptiveLogging(FamilyBasedLogging):
             for entry in entries:
                 kind = entry[0]
                 if kind == "sync":
-                    det = Determinant.from_tuple(tuple(entry[1]))
+                    det = entry[1]
                     self.det_log.add(det, logged_at=(node.node_id, STABLE_HOST))
                     if det.rsn >= node.app.delivered_count:
                         self._buffer_message(det.sender, det.ssn, entry[2])
                 elif kind == "det":
-                    det = Determinant.from_tuple(tuple(entry[1]))
-                    self.det_log.add(det, logged_at=(node.node_id, STABLE_HOST))
+                    self.det_log.add(entry[1], logged_at=(node.node_id, STABLE_HOST))
                 else:  # "dets" flush batch
-                    for item in entry[1]:
-                        det = Determinant.from_tuple(tuple(item))
+                    for det in entry[1]:
                         self.det_log.add(det, logged_at=(node.node_id, STABLE_HOST))
             on_done()
 

@@ -382,27 +382,29 @@ class LogBasedProtocol(LoggingProtocol):
     # ------------------------------------------------------------------
     # replay engine
     # ------------------------------------------------------------------
-    def local_depinfo_wire(self) -> List[Any]:
-        """Everything this node knows: list of determinant tuples."""
-        return [det.to_tuple() for det in self.det_log.determinants()]
+    def local_depinfo_wire(self) -> List[Determinant]:
+        """Everything this node knows: its log's own determinant objects,
+        sorted (immutable, so a reply carries them by reference)."""
+        return self.det_log.determinants()
 
     def absorb_piggybacks(self, messages: List[Message]) -> None:
         for msg in messages:
             self._absorb_piggyback(msg)
 
-    def begin_replay(self, depinfo_wire: List[Any]) -> None:
+    def begin_replay(self, depinfo_wire: List[Determinant]) -> None:
         """Start replaying from the restored checkpoint.
 
         ``depinfo_wire`` is the merged receipt-order information the
-        recovery algorithm gathered (a list of determinant tuples).  The
-        engine requests retransmissions, delivers buffered/incoming data
-        in rsn order up to the highest known rsn, then reports completion
-        to the recovery manager.
+        recovery algorithm gathered: the live hosts' own determinant
+        objects, merged into this log as they are.  The engine requests
+        retransmissions, delivers buffered/incoming data in rsn order up
+        to the highest known rsn, then reports completion to the recovery
+        manager.
         """
         node = self.node
-        for item in depinfo_wire:
-            det = Determinant.from_tuple(tuple(item))
-            self.det_log.add(det, logged_at=(node.node_id,))
+        merge, own = self.det_log.merge, self._own_mask
+        for det in depinfo_wire:
+            merge(det, own)
         self._on_depinfo_loaded()
         self._replay_orders = self.det_log.for_receiver(node.node_id)
         self._replay_target = max(self._replay_orders, default=-1)

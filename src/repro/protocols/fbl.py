@@ -22,11 +22,11 @@ Concretely:
   storage as an additional process that never fails, exactly as the
   paper does.
 
-Replication accounting is optimistic over reliable FIFO channels: when a
-determinant is piggybacked to a host, that host is counted as storing it.
-The FBL guarantee (some live host knows every needed receipt order)
-therefore holds for up to ``f`` failures per run, which is the regime the
-paper and all experiments operate in.
+Replication accounting is optimistic: a host is counted as storing a
+determinant when the piggyback copy is sent.  A counted copy lost to a
+partition, whose sender then crashes, breaks the FBL guarantee (some live
+host knows every needed receipt order) at ``f`` failures, as churn seed
+34 of ``fbl/blocking`` shows; see ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class FamilyBasedLogging(LogBasedProtocol):
                 dst=det.sender,
                 kind=MessageKind.PROTOCOL,
                 mtype="det_ack",
-                payload={"det": det.to_tuple()},
+                payload={"det": det},
                 body_bytes=16,
                 incarnation=node.incarnation,
             )
@@ -158,7 +158,7 @@ class FamilyBasedLogging(LogBasedProtocol):
 
     def on_protocol_message(self, msg: Message) -> None:
         if msg.mtype == "det_ack":
-            det = Determinant.from_tuple(tuple(msg.payload["det"]))
+            det = msg.payload["det"]
             self._track(det, self.det_log.merge(det, host_mask((msg.src, self.node.node_id))))
             return
         if msg.mtype == "det_push":
@@ -214,7 +214,7 @@ class FamilyBasedLogging(LogBasedProtocol):
         for target, dets in sorted(per_target.items()):
             self.output_flushes += 1
             if node.trace.spans.enabled:
-                key = (target, tuple(d.to_tuple() for d in dets))
+                key = (target, tuple(dets))
                 span = node.trace.spans.begin(
                     "protocol.det_flush",
                     me,
@@ -230,22 +230,21 @@ class FamilyBasedLogging(LogBasedProtocol):
                     dst=target,
                     kind=MessageKind.PROTOCOL,
                     mtype="det_push",
-                    payload={"dets": [d.to_tuple() for d in dets]},
+                    payload={"dets": dets},
                     body_bytes=8 + 32 * len(dets),
                     incarnation=node.incarnation,
                 )
             )
 
     def _on_det_push(self, msg: Message) -> None:
-        stored = []
+        stored = msg.payload["dets"]
         stored_at = host_mask((msg.src, self.node.node_id))
-        for det_tuple in msg.payload["dets"]:
-            det = Determinant.from_tuple(tuple(det_tuple))
+        for det in stored:
             self._track(det, self.det_log.merge(det, stored_at))
-            stored.append(det.to_tuple())
+        # a trace value is plain data: it reprs and serialises as a tuple
         self.node.trace.record(
             self.node.sim.now, "protocol", self.node.node_id, "det_store",
-            src=msg.src, dets=stored,
+            src=msg.src, dets=[tuple(det) for det in stored],
         )
         self.node.network.send(
             Message(
@@ -260,16 +259,15 @@ class FamilyBasedLogging(LogBasedProtocol):
         )
 
     def _on_det_push_ack(self, msg: Message) -> None:
-        key = (msg.src, tuple(tuple(d) for d in msg.payload["dets"]))
-        span = self._flush_spans.pop(key, None)
+        dets = msg.payload["dets"]
+        span = self._flush_spans.pop((msg.src, tuple(dets)), None)
         if span is not None:
             self.node.trace.spans.end(span, self.node.sim.now)
         self.node.trace.record(
             self.node.sim.now, "protocol", self.node.node_id, "det_ack",
-            src=msg.src, dets=[tuple(d) for d in msg.payload["dets"]],
+            src=msg.src, dets=[tuple(det) for det in dets],
         )
-        for det_tuple in msg.payload["dets"]:
-            det = Determinant.from_tuple(tuple(det_tuple))
+        for det in dets:
             self._track(det, self.det_log.note_logged_at(det, msg.src))
 
     # ------------------------------------------------------------------

@@ -74,7 +74,7 @@ class ManethoLogging(FamilyBasedLogging):
                 self._check_pending_outputs()
 
         self.node.storage.log_append(
-            self._log_name(), det.to_tuple(), DETERMINANT_RECORD_BYTES, on_done=done
+            self._log_name(), det, DETERMINANT_RECORD_BYTES, on_done=done
         )
 
     def on_checkpoint(self, checkpoint: "Checkpoint") -> None:
@@ -85,8 +85,8 @@ class ManethoLogging(FamilyBasedLogging):
             return
         dropped = self.node.storage.log_truncate_head(
             self._log_name(),
-            lambda det_tuple: det_tuple[3] >= count,
-            size_of=lambda _det_tuple: DETERMINANT_RECORD_BYTES,
+            lambda det: det.rsn >= count,
+            size_of=lambda _det: DETERMINANT_RECORD_BYTES,
         )
         if dropped:
             self.node.trace.record(
@@ -108,8 +108,7 @@ class ManethoLogging(FamilyBasedLogging):
         """Read the stable determinant log back before recovery starts."""
 
         def loaded(entries: list) -> None:
-            for det_tuple in entries:
-                det = Determinant.from_tuple(tuple(det_tuple))
+            for det in entries:
                 self.det_log.add(det, logged_at=(self.node.node_id, STABLE_HOST))
             on_done()
 

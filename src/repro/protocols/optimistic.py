@@ -196,7 +196,7 @@ class OptimisticLogging(LogBasedProtocol):
             self.async_log_writes += 1
             node.storage.log_append(
                 self._log_name(),
-                ("entry", det.to_tuple(), data, dict(self.dep), body_bytes),
+                ("entry", det, data, dict(self.dep), body_bytes),
                 body_bytes + LOG_RECORD_OVERHEAD,
                 on_done=lambda: self._entry_logged(sender, ssn),
             )
@@ -273,7 +273,7 @@ class OptimisticLogging(LogBasedProtocol):
             return
         dropped = self.node.storage.log_truncate_head(
             self._log_name(),
-            lambda entry: entry[0] != "entry" or entry[1][3] >= count,
+            lambda entry: entry[0] != "entry" or entry[1].rsn >= count,
             size_of=lambda entry: entry[4] + LOG_RECORD_OVERHEAD,
         )
         if dropped:
@@ -386,8 +386,7 @@ class OptimisticLogging(LogBasedProtocol):
                         self.note_recovery_bound(int(peer), peer_inc, bound)
                         self.note_constraint(int(peer), peer_inc, bound)
                 else:
-                    _tag, det_tuple, data, dep, _body = entry
-                    det = Determinant.from_tuple(tuple(det_tuple))
+                    _tag, det, data, dep, _body = entry
                     staged[det.rsn] = (det, data, dep)
             self._staged_log = staged
             if self._replay_constraints and self._history_violates(

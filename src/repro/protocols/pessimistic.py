@@ -82,7 +82,7 @@ class PessimisticLogging(LogBasedProtocol):
         # The synchronous write: the delivery waits for stable storage.
         node.storage.log_append(
             self._log_name(),
-            (det.to_tuple(), data, body_bytes),
+            (det, data, body_bytes),
             body_bytes + LOG_RECORD_OVERHEAD,
             on_done=logged,
             stall_node=node.node_id,
@@ -142,7 +142,7 @@ class PessimisticLogging(LogBasedProtocol):
             return
         dropped = self.node.storage.log_truncate_head(
             self._log_name(),
-            lambda entry: entry[0][3] >= count,
+            lambda entry: entry[0].rsn >= count,
             size_of=lambda entry: entry[2] + LOG_RECORD_OVERHEAD,
         )
         if dropped:
@@ -162,13 +162,12 @@ class PessimisticLogging(LogBasedProtocol):
         """Read the whole message log back; it contains the full replay."""
 
         def loaded(entries: list) -> None:
-            for det_tuple, data, _body in entries:
-                det = Determinant.from_tuple(tuple(det_tuple))
+            for det, data, _body in entries:
                 if det.rsn >= self.node.app.delivered_count:
                     self.det_log.add(det, logged_at=(self.node.node_id,))
                     self._buffer_message(det.sender, det.ssn, data)
             if entries:
-                self._next_log_rsn = max(e[0][3] for e in entries) + 1
+                self._next_log_rsn = max(e[0].rsn for e in entries) + 1
             else:
                 self._next_log_rsn = self.node.app.delivered_count
             on_done()

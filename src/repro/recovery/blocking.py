@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set
 
+from repro.causality.determinant import Determinant
 from repro.net.network import Message
 from repro.recovery.base import RecoveryManager
 
@@ -47,7 +48,7 @@ class BlockingRecovery(RecoveryManager):
         # recovering side
         self._collecting = False
         self._expected: Set[int] = set()
-        self._replies: Dict[int, List[Any]] = {}
+        self._replies: Dict[int, List[Determinant]] = {}
         self._gather_retries = 0
         # live side
         self._active_recoveries: Set[int] = set()
@@ -86,13 +87,13 @@ class BlockingRecovery(RecoveryManager):
         if any(p not in self._replies for p in self._expected):
             return
         self._collecting = False
-        merged: Dict[tuple, tuple] = {}
+        # the hosts' own determinant objects, by reference; of equal
+        # ones the set keeps the first it meets
+        merged: Set[Determinant] = set()
         for wire in self._replies.values():
-            for item in wire:
-                merged[tuple(item)] = tuple(item)
-        for item in self.node.protocol.local_depinfo_wire():
-            merged[tuple(item)] = tuple(item)
-        merged_wire = sorted(merged.values())
+            merged.update(wire)
+        merged.update(self.node.protocol.local_depinfo_wire())
+        merged_wire = sorted(merged)
         missing = self._replay_gap(merged_wire)
         if missing and self._gather_retries < self.MAX_GATHER_RETRIES:
             # A receipt order this replay needs is not in any reply.  On

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set
 
+from repro.causality.determinant import Determinant
 from repro.net.network import Message
 from repro.recovery.base import RecoveryManager
 from repro.sim.timers import PeriodicTimer
@@ -98,7 +99,7 @@ class NonblockingRecovery(RecoveryManager):
         self.known_recovering: Dict[int, Dict[str, Any]] = {}
         self._inc_replies: Dict[int, int] = {}
         self._depinfo_expected: Set[int] = set()
-        self._depinfo_replies: Dict[int, List[Any]] = {}
+        self._depinfo_replies: Dict[int, List[Determinant]] = {}
         #: peer -> id of the last depinfo request sent to it; only the
         #: reply echoing that id is accepted
         self._asked: Dict[int, int] = {}
@@ -662,7 +663,7 @@ class NonblockingRecovery(RecoveryManager):
     def _post_progress(
         self,
         incvector: Optional[Dict[int, int]] = None,
-        depinfo: Optional[Dict[int, List[Any]]] = None,
+        depinfo: Optional[Dict[int, List[Determinant]]] = None,
         stale: Sequence[int] = (),
     ) -> None:
         """Persist gather progress at the sequencer: new incvector
@@ -693,13 +694,13 @@ class NonblockingRecovery(RecoveryManager):
     def _distribute(self) -> None:
         """Step 6: hand the merged snapshot to every member of R."""
         self.phase = "distribute"
-        merged: Dict[tuple, tuple] = {}
+        # the hosts' own determinant objects, by reference; of equal
+        # ones the set keeps the first it meets
+        merged: Set[Determinant] = set()
         for wire in self._depinfo_replies.values():
-            for item in wire:
-                merged[tuple(item)] = tuple(item)
-        for item in self.node.protocol.local_depinfo_wire():
-            merged[tuple(item)] = tuple(item)
-        merged_wire = sorted(merged.values())
+            merged.update(wire)
+        merged.update(self.node.protocol.local_depinfo_wire())
+        merged_wire = sorted(merged)
         members = [
             p
             for p, entry in self.known_recovering.items()

@@ -295,10 +295,10 @@ class DeterminantLog:
     ) -> List[Item]:
         """One pass for a message to ``dst``: the ``(key, determinant,
         mask)`` of every cached determinant ``dst`` does not store yet, in
-        key order, each then counted as stored there (reliable FIFO
-        channel: it will be, on receipt) and, if that made it stable,
-        uncached as in :meth:`absorb`.  ``key`` is the cache's own
-        delivery-id tuple, so every log downstream shares it."""
+        key order, each then counted as stored there and, if that made it
+        stable, uncached as in :meth:`absorb`.  ``key`` is the cache's own
+        delivery-id tuple, so every log downstream shares it.  ``dst`` is
+        counted at send, not on receipt: see the FBL module docstring."""
         items = []
         rows, f, dst_bit = self._rows, self.f, 1 << (dst + 1)
         for key in sorted(unstable):
@@ -387,18 +387,19 @@ class DeterminantLog:
 
     # -- checkpoint support ------------------------------------------------
     def to_state(self) -> List[Tuple[Tuple[int, int, int, int], int]]:
-        """Serializable snapshot: list of (det tuple, host mask), by
-        ``(receiver, rsn)``."""
+        """Serializable snapshot: list of (plain det tuple, host mask), by
+        ``(receiver, rsn)``; a checkpoint image holds plain data only."""
         return [
-            (det.to_tuple(), mask)
+            (tuple(det), mask)
             for _, _, det, mask in _slots(self._rows, sorted(self._rows))
         ]
 
     def load_state(self, state: List[Tuple[Tuple[int, int, int, int], int]]) -> None:
-        """Rebuild from a checkpointed snapshot."""
+        """Rebuild from a checkpointed snapshot (each determinant is
+        built, and validated, again)."""
         self.clear()
-        for det_tuple, mask in state:
-            self.merge(Determinant.from_tuple(det_tuple), mask)
+        for item, mask in state:
+            self.merge(Determinant(*item), mask)
 
     def __len__(self) -> int:
         return self._entries

@@ -12,8 +12,11 @@ class TestDeterminant:
         assert det.delivery_id == (2, 7)
 
     def test_round_trip_tuple(self):
+        # the plain-data form checkpoint images and trace values hold
         det = Determinant(sender=1, ssn=5, receiver=2, rsn=7)
-        assert Determinant.from_tuple(det.to_tuple()) == det
+        plain = tuple(det)
+        assert type(plain) is tuple and plain == (1, 5, 2, 7)
+        assert Determinant(*plain) == det
 
     def test_ordering_is_total(self):
         a = Determinant(sender=0, ssn=0, receiver=1, rsn=0)

@@ -25,24 +25,24 @@ determinants = st.builds(
 
 @given(st.lists(determinants, max_size=40))
 def test_determinant_round_trip_lists(dets):
-    assert [Determinant.from_tuple(d.to_tuple()) for d in dets] == dets
+    assert [Determinant(*tuple(d)) for d in dets] == dets
 
 
 @given(st.lists(determinants, max_size=40))
 def test_determinant_behaves_like_its_tuple(dets):
     """The tuple type keeps the frozen dataclass's semantics: field-order
     sorting, and equality/hash parity for set and dict use."""
-    tuples = [d.to_tuple() for d in dets]
+    tuples = [tuple(d) for d in dets]
     assert all(type(t) is tuple for t in tuples)
-    assert [d.to_tuple() for d in sorted(dets)] == sorted(tuples)
+    assert [tuple(d) for d in sorted(dets)] == sorted(tuples)
     assert len(set(dets)) == len(set(tuples))
     index = {d: i for i, d in enumerate(dets)}
     for d in dets:
-        twin = Determinant.from_tuple(d.to_tuple())
+        twin = Determinant(*tuple(d))
         assert twin == d and hash(twin) == hash(d)
         assert index[twin] == index[d]
         assert pickle.loads(pickle.dumps(d)) == d
-        assert (d.sender, d.ssn, d.receiver, d.rsn) == d.to_tuple()
+        assert (d.sender, d.ssn, d.receiver, d.rsn) == tuple(d)
 
 
 # -- the causal graph: rows against the dict-based reference ---------------

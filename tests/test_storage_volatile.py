@@ -369,14 +369,14 @@ class DictDeterminantLog:
 
     def to_state(self) -> List[Tuple[Tuple[int, int, int, int], int]]:
         return [
-            (det.to_tuple(), self._masks[key])
+            (tuple(det), self._masks[key])
             for key, det in sorted(self._dets.items())
         ]
 
     def load_state(self, state: List[Tuple[Tuple[int, int, int, int], int]]) -> None:
         self.clear()
-        for det_tuple, mask in state:
-            self.merge(Determinant.from_tuple(det_tuple), mask)
+        for item, mask in state:
+            self.merge(Determinant(*item), mask)
 
     def __len__(self) -> int:
         return len(self._dets)

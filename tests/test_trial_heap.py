@@ -23,10 +23,14 @@ The third check is a *heap budget*, exact per CPython build like the
 call budget in ``test_hot_path_budget.py``: what a finished, not yet
 closed trial still holds per delivery -- live bytes under
 ``tracemalloc`` and net GC-tracked allocations (the
-``gc.get_count()[0]`` delta, the collector off) -- on four benchmark
+``gc.get_count()[0]`` delta, the collector off) -- on five benchmark
 workloads at scale 0.25.  Both repeat run to run.
 
     PYTHONPATH=src python tests/test_trial_heap.py   # the table, as markdown
+
+The script also lists each workload's largest live allocation sites
+(tracemalloc ``lineno``), so a budget failure in CI names its line
+without a local re-run.
 """
 
 import gc
@@ -35,6 +39,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict
+from pathlib import PurePath
 
 import pytest
 
@@ -146,12 +151,19 @@ def test_closing_changes_no_result(spec):
 #: change that made a kept event its emitter's names and values tuple
 #: (no details dict) read 3,693 B / 27.10 there, and the parent of the
 #: change that keeps the trace as columns (one flat row per stream, no
-#: event object per kept record) read 3,053 B / 27.51.
+#: event object per kept record) read 3,053 B / 27.51.  The parent of
+#: the change that made a determinant one object from delivery to replay
+#: (depinfo replies, distributions, pushes, acks and stable-log records
+#: carry the log's own ``Determinant``, no tuple copy) read 1,064 B / 5.78
+#: on ``lossy_transport``, 2,183 B / 17.40 on ``recovery_churn``, 2,404 B /
+#: 15.02 on ``observed_run`` and 1,904 B / 14.16 on ``sweep_fleet``, the
+#: one workload that runs every stack's stable log and both gathers.
 HEAP_REACHED = {
     "steady_fbl": (796, 3.79),
-    "lossy_transport": (1061, 5.74),
-    "recovery_churn": (2160, 17.09),
-    "observed_run": (2402, 15.01),
+    "lossy_transport": (997, 4.89),
+    "recovery_churn": (1846, 12.91),
+    "observed_run": (2127, 11.29),
+    "sweep_fleet": (1757, 12.17),
 }
 HEAP_BUDGET = {
     workload: (live * 1.05, tracked * 1.05)
@@ -159,9 +171,13 @@ HEAP_BUDGET = {
 }
 
 
-def heap_per_delivery(workload: str, seed: int = 1000, scale: float = 0.25):
+def heap_per_delivery(workload: str, seed: int = 1000, scale: float = 0.25, sites=None):
     """``(live bytes, GC-tracked allocations, deliveries)`` per delivery
-    over one rep of ``workload``, each trial read when its run ends."""
+    over one rep of ``workload``, each trial read when its run ends.
+
+    With a ``sites`` Counter, also adds up each source line's live bytes
+    at that point (tracemalloc ``lineno`` statistics), keyed
+    ``file:line``."""
     specs = e2e_workloads()[workload].specs
     run_config(specs(seed, 0.05)[0].materialize())  # warm imports and caches
     live = tracked = deliveries = 0
@@ -176,6 +192,10 @@ def heap_per_delivery(workload: str, seed: int = 1000, scale: float = 0.25):
             result = system.run()
             live += tracemalloc.get_traced_memory()[0] - bytes0
             tracked += gc.get_count()[0] - count0
+            if sites is not None:
+                for stat in tracemalloc.take_snapshot().statistics("lineno"):
+                    frame = stat.traceback[0]
+                    sites[f"{_short(frame.filename)}:{frame.lineno}"] += stat.size
             system.close()
         finally:
             tracemalloc.stop()
@@ -192,22 +212,48 @@ def test_heap_per_delivery_stays_in_budget(workload):
         f"{workload}: a trial holds {live:.0f} B and {tracked:.2f} GC-tracked "
         f"allocations per delivery ({deliveries} deliveries), budget "
         f"{live_budget:.0f} B / {tracked_budget:.2f}. Something now keeps more per "
-        f"delivery; tracemalloc's lineno statistics name the line."
+        f"delivery; `python tests/test_trial_heap.py` lists the largest live "
+        f"allocation sites (tracemalloc lineno), and CI's job summary holds them."
     )
 
 
+def _short(filename: str) -> str:
+    """``filename`` from its last ``repro`` directory on, else its last two
+    parts."""
+    parts = PurePath(filename).parts
+    start = len(parts) - 1 - parts[::-1].index("repro") if "repro" in parts else -2
+    return "/".join(parts[start:])
+
+
+#: allocation sites listed per workload under the table
+TOP_SITES = 5
+
+
 def main() -> int:
-    """Print the workloads' figures against their budgets (markdown)."""
+    """Print the workloads' figures against their budgets, then each
+    workload's largest live allocation sites (markdown)."""
     print("| workload | live B per delivery | budget | GC-tracked allocations "
           "per delivery | budget |")
     print("|---|---|---|---|---|")
     over = 0
+    top = {}
     for workload in sorted(HEAP_BUDGET):
-        live, tracked, deliveries = heap_per_delivery(workload)
+        sites = Counter()
+        live, tracked, deliveries = heap_per_delivery(workload, sites=sites)
+        top[workload] = (sites.most_common(TOP_SITES), deliveries)
         live_budget, tracked_budget = HEAP_BUDGET[workload]
         over += live > live_budget or tracked > tracked_budget
         print(f"| `{workload}` | {live:.0f} ({deliveries} deliveries) | {live_budget:.0f} "
               f"| {tracked:.2f} | {tracked_budget:.2f} |")
+    print()
+    print(f"The {TOP_SITES} largest live allocation sites per workload "
+          "(tracemalloc `lineno`, summed over the rep's trials):")
+    print()
+    print("| workload | site | live KiB | B per delivery |")
+    print("|---|---|---|---|")
+    for workload, (sites, deliveries) in top.items():
+        for site, size in sites:
+            print(f"| `{workload}` | `{site}` | {size / 1024:.1f} | {size / deliveries:.0f} |")
     return 1 if over else 0
 
 
