@@ -53,6 +53,13 @@ from repro.protocols import PROTOCOLS
 from repro.runner import TrialRunner, TrialSpec, run_results
 
 
+#: ``--workload`` choices
+WORKLOADS = ("uniform", "token_ring", "client_server", "ping_pong", "all_to_all", "shifting")
+#: the workload parameter ``--hops`` sets where it is not ``hops``: the
+#: length of a client/server run is its requests per client
+HOPS_PARAM = {"shifting": "steady_hops", "client_server": "requests"}
+
+
 def _parse_crash(text: str):
     """``NODE@TIME`` -> CrashPlan (e.g. ``3@0.05``)."""
     try:
@@ -81,11 +88,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="recovery algorithm; defaults to the protocol's natural one",
     )
     parser.add_argument(
-        "--workload", default="uniform",
-        choices=["uniform", "token_ring", "client_server", "ping_pong",
-                 "all_to_all", "shifting"],
+        "--workload", default="uniform", choices=WORKLOADS,
     )
-    parser.add_argument("--hops", type=int, default=40)
+    parser.add_argument("--hops", type=int, default=40,
+                        help="chain length; requests per client for "
+                             "client_server, steady_hops for shifting")
     parser.add_argument("--output-every", type=int, default=0,
                         help="emit an output commit every k deliveries")
     parser.add_argument("--crash", type=_parse_crash, action="append", default=[],
@@ -222,10 +229,7 @@ def _config_from_args(args: argparse.Namespace, **overrides: Any) -> SystemConfi
             min_dwell=args.adaptive_min_dwell,
             hysteresis=args.adaptive_hysteresis,
         )
-    if args.workload == "shifting":
-        workload_params: Dict[str, Any] = {"steady_hops": args.hops}
-    else:
-        workload_params = {"hops": args.hops}
+    workload_params: Dict[str, Any] = {HOPS_PARAM.get(args.workload, "hops"): args.hops}
     if args.workload == "uniform":
         workload_params["fanout"] = 2
         if args.output_every:

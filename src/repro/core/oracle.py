@@ -32,10 +32,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.output import CommittedOutput
-from repro.sanitizer.causal import CausalGraph, claim, slot
+from repro.sanitizer.causal import CausalGraph
+
+#: bytes of one sha256 digest
+_DIGEST = 32
+#: what a digest slot no delivery has claimed holds
+_NO_DIGEST = bytes(_DIGEST)
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,10 @@ class ConsistencyOracle:
 
     def __init__(self) -> None:
         self.graph = CausalGraph()
-        #: receiver -> [digest after each live delivery, as its 32 raw
-        #: bytes], in step with graph.deliveries
-        self._digests: Dict[int, List[bytes]] = defaultdict(list)
+        #: receiver -> the digest after each live delivery, packed: its
+        #: 32 raw bytes at ``32 * rsn``, in step with graph.deliveries;
+        #: a gap is zero-filled and counts as no entry
+        self._digests: Dict[int, bytearray] = defaultdict(bytearray)
         self.violations: List[OracleViolation] = []
 
     # ------------------------------------------------------------------
@@ -90,12 +96,18 @@ class ConsistencyOracle:
         the process's sha256 hex digest after the delivery."""
         previous = self.graph.record_delivery(receiver, rsn, message_id)
         if previous is None:
-            claim(self._digests[receiver], rsn, bytes.fromhex(digest))
+            row, at = self._digests[receiver], _DIGEST * rsn
+            if at >= len(row):
+                if at > len(row):
+                    row += bytes(at - len(row))  # zero-fill a gap
+                row += bytes.fromhex(digest)
+            elif row[at:at + _DIGEST] == _NO_DIGEST:
+                row[at:at + _DIGEST] = bytes.fromhex(digest)
             return
         if previous != message_id:
             self._flag("replay-order", receiver, (
                 f"rsn {rsn} originally delivered {previous}, replayed as {message_id}"))
-        elif slot(self._digests, receiver, rsn) != bytes.fromhex(digest):
+        elif self._digest(receiver, rsn) != bytes.fromhex(digest):
             self._flag("replay-digest", receiver, f"rsn {rsn} digest diverged on replay")
 
     def on_rollback(self, node: int, final_count: int) -> None:
@@ -110,7 +122,7 @@ class ConsistencyOracle:
         reconstructed from the surviving record.
         """
         self.graph.roll_back(node, final_count)
-        del self._digests[node][final_count:]
+        del self._digests[node][_DIGEST * final_count:]
 
     def on_gc(self, node: int, covered: int) -> None:
         """A durable checkpoint covers ``covered`` deliveries of ``node``:
@@ -158,11 +170,20 @@ class ConsistencyOracle:
             expected = record.payload.get("_digest8")
             if expected is None:
                 continue
-            digest = slot(self._digests, node, rsn)
+            digest = self._digest(node, rsn)
             if digest is None or digest[:4].hex() != expected:
                 self._flag("output-from-rolled-back-state", node, (
                     f"output {record.output_id} was released but the "
                     f"delivery that produced it did not survive"))
+
+    def _digest(self, node: int, rsn: int) -> Optional[bytes]:
+        """The 32 digest bytes recorded for ``node``'s delivery ``rsn``,
+        or ``None`` where there is none (past the row, or a gap)."""
+        row = self._digests.get(node)
+        if row is None or rsn < 0:
+            return None
+        digest = bytes(row[_DIGEST * rsn:_DIGEST * (rsn + 1)])
+        return digest if len(digest) == _DIGEST and digest != _NO_DIGEST else None
 
     def _flag(self, kind: str, node: int, detail: str) -> None:
         self.violations.append(OracleViolation(kind, node, detail))

@@ -55,6 +55,7 @@ from repro.causality.determinant import Determinant
 from repro.net.network import Message
 from repro.protocols.fbl import STABLE_HOST, FamilyBasedLogging
 from repro.protocols.pessimistic import LOG_RECORD_OVERHEAD
+from repro.storage.checkpoint import decode_image, encode_image
 from repro.storage.volatile import host_mask
 
 #: the three logging modes a process can be in
@@ -237,7 +238,7 @@ class AdaptiveLogging(FamilyBasedLogging):
             self._pending_sync.discard((sender, ssn))
             self._sync_delivery = True
             try:
-                self._deliver(sender, ssn, data, None)
+                self._deliver(sender, ssn, data, None, det)
             finally:
                 self._sync_delivery = False
             if self._switching:
@@ -245,7 +246,7 @@ class AdaptiveLogging(FamilyBasedLogging):
 
         node.storage.log_append(
             self._log_name(),
-            ("sync", det, data, body_bytes),
+            ("sync", det, encode_image(data, "a logged payload"), body_bytes),
             body_bytes + LOG_RECORD_OVERHEAD,
             on_done=logged,
             stall_node=node.node_id,
@@ -628,7 +629,7 @@ class AdaptiveLogging(FamilyBasedLogging):
                     det = entry[1]
                     self.det_log.add(det, logged_at=(node.node_id, STABLE_HOST))
                     if det.rsn >= node.app.delivered_count:
-                        self._buffer_message(det.sender, det.ssn, entry[2])
+                        self._buffer_message(det.sender, det.ssn, decode_image(entry[2]))
                 elif kind == "det":
                     self.det_log.add(entry[1], logged_at=(node.node_id, STABLE_HOST))
                 else:  # "dets" flush batch

@@ -231,10 +231,15 @@ class LogBasedProtocol(LoggingProtocol):
         self._replay_buffer_order.append(key)
 
     def _deliver(
-        self, sender: int, ssn: int, data: Dict[str, Any], msg: Optional[Message]
+        self, sender: int, ssn: int, data: Dict[str, Any], msg: Optional[Message],
+        det: Optional[Determinant] = None,
     ) -> None:
+        """Deliver ``data`` as this node's next rsn.  ``det`` is the
+        delivery's determinant when a stable-log record already holds it
+        (one object for both); otherwise it is made here."""
         node = self.node
-        det = Determinant(sender, ssn, node.node_id, node.app.delivered_count)
+        if det is None:
+            det = Determinant(sender, ssn, node.node_id, node.app.delivered_count)
         # bookkeeping first: if the delivery emits an output, its own
         # determinant must already be tracked (and its stable write or
         # ack already in flight) for the commit gating to see it

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
 from repro.protocols.base import LogBasedProtocol
+from repro.storage.checkpoint import decode_image, encode_image
 
 #: Modelled on-disk size of a log record beyond the message body.
 LOG_RECORD_OVERHEAD = 48
@@ -196,7 +197,8 @@ class OptimisticLogging(LogBasedProtocol):
             self.async_log_writes += 1
             node.storage.log_append(
                 self._log_name(),
-                ("entry", det, data, dict(self.dep), body_bytes),
+                ("entry", det, encode_image(data, "a logged payload"), dict(self.dep),
+                 body_bytes),
                 body_bytes + LOG_RECORD_OVERHEAD,
                 on_done=lambda: self._entry_logged(sender, ssn),
             )
@@ -386,8 +388,8 @@ class OptimisticLogging(LogBasedProtocol):
                         self.note_recovery_bound(int(peer), peer_inc, bound)
                         self.note_constraint(int(peer), peer_inc, bound)
                 else:
-                    _tag, det, data, dep, _body = entry
-                    staged[det.rsn] = (det, data, dep)
+                    _tag, det, image, dep, _body = entry
+                    staged[det.rsn] = (det, decode_image(image), dep)
             self._staged_log = staged
             if self._replay_constraints and self._history_violates(
                 self._dep_history

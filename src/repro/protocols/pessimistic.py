@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
 from repro.protocols.base import LogBasedProtocol
+from repro.storage.checkpoint import decode_image, encode_image
 
 #: Modelled on-disk size of a log record beyond the message body.
 LOG_RECORD_OVERHEAD = 48
@@ -77,12 +78,13 @@ class PessimisticLogging(LogBasedProtocol):
             )
             self._pending_log.discard((sender, ssn))
             self._send_msg_ack(sender, ssn)
-            self._deliver(sender, ssn, data, None)
+            self._deliver(sender, ssn, data, None, det)
 
         # The synchronous write: the delivery waits for stable storage.
+        # The record keeps the payload's image, decoded on read-back.
         node.storage.log_append(
             self._log_name(),
-            (det, data, body_bytes),
+            (det, encode_image(data, "a logged payload"), body_bytes),
             body_bytes + LOG_RECORD_OVERHEAD,
             on_done=logged,
             stall_node=node.node_id,
@@ -162,10 +164,10 @@ class PessimisticLogging(LogBasedProtocol):
         """Read the whole message log back; it contains the full replay."""
 
         def loaded(entries: list) -> None:
-            for det, data, _body in entries:
+            for det, image, _body in entries:
                 if det.rsn >= self.node.app.delivered_count:
                     self.det_log.add(det, logged_at=(self.node.node_id,))
-                    self._buffer_message(det.sender, det.ssn, data)
+                    self._buffer_message(det.sender, det.ssn, decode_image(image))
             if entries:
                 self._next_log_rsn = max(e[0].rsn for e in entries) + 1
             else:

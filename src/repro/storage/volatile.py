@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.causality.determinant import Determinant
+from repro.storage.checkpoint import decode_image, encode_image
 
 #: ``[base, first column, second column]``, both columns indexed by
 #: ``seq - base``; an owner has a row while it holds an entry
@@ -76,24 +77,29 @@ def _drop_prefix(rows: Dict[int, Row], owner: int, seq: int) -> List[Any]:
     return dropped
 
 
-#: one logged message: the payload (by reference) and its body size
+#: one logged message as read back: a fresh decode of its payload, and
+#: its body size
 Logged = Tuple[Dict[str, Any], int]
 
 
 class SendLog:
     """Sender-side volatile log of outgoing message data.
 
-    Per destination, a row of payloads and a row of body sizes indexed by
-    ssn; holds the application payload so the sender can retransmit
-    during a receiver's recovery.  This is the "log each message in the
-    volatile store of its sender" half of the FBL idea.  The payload is
-    kept by reference, not copied: nothing mutates an application payload
-    once it is sent (a logged payload that changed would replay a
-    different digest).
+    Per destination, a row of payload images and a row of body sizes
+    indexed by ssn; holds the application payload so the sender can
+    retransmit during a receiver's recovery.  This is the "log each
+    message in the volatile store of its sender" half of the FBL idea.
+    Nothing releases an entry on the failure-free path but a
+    checkpoint, so the log is kept packed: each payload is stored as its
+    encoded image (:func:`~repro.storage.checkpoint.encode_image`, the
+    checkpoint store's codec), and every read (:meth:`messages_for`,
+    :meth:`to_state`) decodes a fresh, equal dict.  A payload is thereby
+    never mutated after it is sent: changing the sender's dict once it
+    is logged does not change what is replayed.
     """
 
     def __init__(self) -> None:
-        #: dst -> [base, payloads, sizes]
+        #: dst -> [base, payload images, sizes]
         self._rows: Dict[int, Row] = {}
         #: entries held (a row scan would cost every summary a pass)
         self._entries = 0
@@ -104,25 +110,29 @@ class SendLog:
         self.entries_pruned = 0
 
     def log(self, dst: int, ssn: int, payload: Dict[str, Any], size_bytes: int) -> None:
-        """Record an outgoing message for possible replay."""
+        """Record an outgoing message for possible replay; ``payload`` is
+        encoded at once (plain data only, see ``encode_image``)."""
         row = self._rows.get(dst)
         if row is None:
             row = self._rows[dst] = [ssn, [None] * _START, [None] * _START]
-        base, payloads, sizes = row
+        base, images, sizes = row
         index = ssn - base
         if not 0 <= index < len(sizes):
             index = _fit(row, ssn)
         elif sizes[index] is not None:
             return  # duplicate regeneration during replay
-        payloads[index] = payload
+        images[index] = encode_image(payload, "a sent payload")
         sizes[index] = size_bytes
         self._entries += 1
         self.bytes_logged += size_bytes
 
     def messages_for(self, dst: int) -> List[Tuple[int, Logged]]:
         """All logged ``(ssn, (payload, size))`` pairs destined for
-        ``dst``, by ssn."""
-        return [(ssn, (payload, size)) for _, ssn, payload, size in _slots(self._rows, (dst,))]
+        ``dst``, by ssn, each payload freshly decoded."""
+        return [
+            (ssn, (decode_image(image), size))
+            for _, ssn, image, size in _slots(self._rows, (dst,))
+        ]
 
     def prune_upto(self, dst: int, ssn: int) -> int:
         """Garbage-collect entries for ``dst`` with ssn <= the given bound.
@@ -146,9 +156,12 @@ class SendLog:
 
     # -- checkpoint support ------------------------------------------------
     def to_state(self) -> List[Tuple[int, int, Dict[str, Any], int]]:
-        """Serializable snapshot: list of (dst, ssn, payload, size), the
-        payloads live (the checkpoint store encodes it at once)."""
-        return _slots(self._rows, sorted(self._rows))
+        """Serializable snapshot: list of (dst, ssn, payload, size), each
+        payload freshly decoded (the checkpoint store encodes it again)."""
+        return [
+            (dst, ssn, decode_image(image), size)
+            for dst, ssn, image, size in _slots(self._rows, sorted(self._rows))
+        ]
 
     def load_state(self, state: List[Tuple[int, int, Dict[str, Any], int]]) -> None:
         """Rebuild from a checkpointed snapshot."""

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.cli import _config_from_args, _parse_crash, build_parser, main
+from repro.cli import WORKLOADS, _config_from_args, _parse_crash, build_parser, main
 
 
 class TestParsing:
@@ -46,6 +46,17 @@ class TestParsing:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_run_every_workload(self, workload, capsys):
+        """``--hops`` reaches each workload as the parameter it takes."""
+        code = main([
+            "run", "--n", "4", "--hops", "3", "--workload", workload,
+            "--detection-delay", "0.5", "--state-bytes", "100000",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "consistent: True" in out
+
     def test_run_failure_free(self, capsys):
         code = main([
             "run", "--n", "4", "--hops", "10",

@@ -76,6 +76,26 @@ def test_rollback_forgets_invisible_suffix():
     assert oracle.consistent
 
 
+def test_digests_are_one_packed_row_and_a_gap_is_no_entry():
+    """A receiver's digests are 32 raw bytes per rsn in one row: a
+    delivery past the end zero-fills the gap, which reads as no entry
+    until its own delivery claims it, and a rollback cuts the row."""
+    oracle = ConsistencyOracle()
+    oracle.on_deliver(1, 2, (0, 2), digest("c"))
+    assert len(oracle._digests[1]) == 3 * 32
+    assert oracle._digest(1, 0) is None and oracle._digest(1, 3) is None
+    assert oracle._digest(1, 2) == bytes.fromhex(digest("c"))
+    oracle.on_deliver(1, 0, (0, 0), digest("a"))
+    oracle.on_deliver(1, 2, (0, 2), digest("c"))  # a replay that matches
+    assert oracle._digest(1, 0) == bytes.fromhex(digest("a"))
+    assert oracle.consistent
+    oracle.on_rollback(1, 1)
+    assert len(oracle._digests[1]) == 32 and oracle._digest(1, 2) is None
+    oracle.on_deliver(1, 1, (3, 0), digest("b"))
+    oracle.on_deliver(1, 1, (3, 0), digest("DIFFERENT"))
+    assert [v.kind for v in oracle.violations] == ["replay-digest"]
+
+
 def test_rollback_archives_sends():
     oracle = ConsistencyOracle()
     oracle.on_send(0, 5, 1, 10)  # sent after 10 deliveries

@@ -4,7 +4,8 @@
 a live host's depinfo reply carries its log's own objects, the leader
 merges them by reference, and the recovering process replays from those
 very objects.  A stable-log record holds the object its delivery made,
-and a restart's read-back puts that object into the log as it is.
+a delivery that waited for its record logs that same object, and a
+restart's read-back puts it into the log as it is.
 """
 
 import pytest
@@ -113,3 +114,35 @@ def test_restore_puts_the_records_object_into_the_log(protocol):
                     assert own.get(det.rsn) is det
                     checked += 1
     assert checked, "no record past the checkpoint to replay from"
+
+
+SYNCHRONOUS = {
+    "pessimistic": small_config(protocol="pessimistic", recovery="local", hops=40),
+    "adaptive": adaptive_config(initial_mode="pessimistic"),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(SYNCHRONOUS))
+def test_synchronous_delivery_logs_the_records_object(protocol):
+    """A delivery that waited for its stable-log record (pessimistic, or
+    adaptive in pessimistic mode) puts the record's own determinant into
+    the volatile log, not a second, equal one."""
+    system = build_system(SYNCHRONOUS[protocol])
+    records = []
+    for node in system.nodes:
+        def log_append(log, entry, size_bytes, on_done=None, stall_node=None,
+                       node=node, append=node.storage.log_append):
+            records.append((node, entry))
+            return append(log, entry, size_bytes, on_done, stall_node)
+        node.storage.log_append = log_append
+    assert system.run().consistent
+    checked = 0
+    for node, entry in records:
+        if protocol == "adaptive" and entry[0] != "sync":
+            continue
+        det = entry[1] if protocol == "adaptive" else entry[0]
+        logged = node.protocol.det_log.for_receiver(node.node_id).get(det.rsn)
+        if logged is not None:
+            assert logged is det
+            checked += 1
+    assert checked, "no synchronous record left to compare"

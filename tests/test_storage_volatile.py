@@ -25,12 +25,27 @@ class TestSendLog:
         assert size == 128
         assert send_log_lookup(log, 2, 1) is None
 
-    def test_payload_kept_by_reference(self):
-        """Nothing mutates a sent payload, so the log holds no copy."""
+    def test_logged_payload_is_equal_and_each_read_a_fresh_decode(self):
+        """The log keeps the payload's image: every read, by
+        ``messages_for`` or ``to_state``, decodes a new dict equal to the
+        one sent."""
+        log, payload = SendLog(), {"chain": "0.1", "hops": 3, "path": [1, (2, 3)]}
+        log.log(2, 0, payload, 128)
+        reads = [send_log_lookup(log, 2, 0)[0], send_log_lookup(log, 2, 0)[0],
+                 log.to_state()[0][2]]
+        assert all(read == payload for read in reads)
+        assert len({id(read) for read in reads + [payload]}) == 4
+        assert reads[0]["path"] is not reads[1]["path"]
+
+    def test_mutating_a_sent_payload_does_not_change_the_replay(self):
+        """Neither the sender's dict nor a reader's copy is the logged
+        payload: changing either after ``log`` replays the original."""
         log, payload = SendLog(), {"x": 1}
         log.log(2, 0, payload, 128)
-        assert send_log_lookup(log, 2, 0)[0] is payload
-        assert log.messages_for(2) == [(0, (payload, 128))]
+        payload["x"] = 2
+        send_log_lookup(log, 2, 0)[0]["x"] = 3
+        assert log.messages_for(2) == [(0, ({"x": 1}, 128))]
+        assert log.to_state() == [(2, 0, {"x": 1}, 128)]
 
     def test_duplicate_log_ignored(self):
         log = SendLog()
@@ -400,8 +415,9 @@ def test_row_send_log_matches_the_dict_reference(ops):
     """Any sequence of logs -- in order, with gaps, duplicates, and below
     a pruned prefix -- prunes, crashes and checkpoint round trips leaves
     the ssn rows and the dict-based log with the same answers: every
-    ``prune_upto`` return, ``messages_for`` (payloads by identity),
-    ``to_state``, ``len`` and the byte and entry counters."""
+    ``prune_upto`` return, ``messages_for`` (payloads equal, the rows'
+    each a fresh decode), ``to_state``, ``len`` and the byte and entry
+    counters."""
     rows, reference = SendLog(), DictSendLog()
     next_ssn = [0] * _DSTS
     for op, dst, ssn, size in ops:
@@ -423,7 +439,7 @@ def test_row_send_log_matches_the_dict_reference(ops):
         for dst in range(_DSTS):
             new, old = rows.messages_for(dst), reference.messages_for(dst)
             assert new == old
-            assert all(a[1][0] is b[1][0] for a, b in zip(new, old))
+            assert not any(a[1][0] is b[1][0] for a, b in zip(new, old))
         assert rows.to_state() == reference.to_state()
         assert len(rows) == len(reference)
         assert (rows.bytes_logged, rows.bytes_pruned, rows.entries_pruned) == (
