@@ -15,23 +15,3 @@
   run: replayed deliveries match the original order and digests, and no
   delivery visible at a live process depends on a rolled-back delivery.
 """
-
-from repro.core.config import SystemConfig
-from repro.core.metrics import MetricsCollector, RecoveryEpisode, RunResult
-from repro.core.node import Node, NodeState
-from repro.core.oracle import ConsistencyOracle, OracleViolation
-from repro.core.system import System, build_system, run_config
-
-__all__ = [
-    "SystemConfig",
-    "MetricsCollector",
-    "RecoveryEpisode",
-    "RunResult",
-    "Node",
-    "NodeState",
-    "ConsistencyOracle",
-    "OracleViolation",
-    "System",
-    "build_system",
-    "run_config",
-]

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.procs.failure import DEFAULT_DETECTION_DELAY, CrashPlan, TriggeredPlan
+from repro.protocols import PROTOCOLS
+from repro.recovery import RECOVERY_MANAGERS
 from repro.storage.stable import DEFAULT_BANDWIDTH, DEFAULT_OP_LATENCY
 
 
@@ -370,21 +372,21 @@ class SystemConfig:
 
     def validate(self) -> None:
         """Raise ValueError on inconsistent settings."""
-        from repro.protocols import PROTOCOLS
-        from repro.recovery import RECOVERY_MANAGERS
-
         if self.n < 2:
             raise ValueError(f"need at least two processes, got n={self.n}")
-        if self.protocol not in PROTOCOLS:
+        # each lookup imports that name's module: validating a config
+        # loads exactly its stack
+        protocol = PROTOCOLS.get(self.protocol)
+        if protocol is None:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {sorted(PROTOCOLS)}"
             )
-        if self.recovery not in RECOVERY_MANAGERS:
+        if RECOVERY_MANAGERS.get(self.recovery) is None:
             raise ValueError(
                 f"unknown recovery {self.recovery!r}; "
                 f"choose from {sorted(RECOVERY_MANAGERS)}"
             )
-        supported = PROTOCOLS[self.protocol].supported_recovery
+        supported = protocol.supported_recovery
         if self.recovery not in supported:
             raise ValueError(
                 f"protocol {self.protocol!r} supports recovery {supported}, "

@@ -22,6 +22,7 @@ from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.procs.failure import FailureDetector, FailureInjector
 from repro.procs.process import ApplicationProcess
+from repro.protocols import PROTOCOLS
 from repro.recovery import RECOVERY_MANAGERS
 from repro.recovery.sequencer import Sequencer
 from repro.sim.kernel import Simulator
@@ -31,8 +32,6 @@ from repro.workloads import make_workload
 
 
 def _build_protocol(config: SystemConfig):
-    from repro.protocols import PROTOCOLS
-
     params = dict(config.protocol_params)
     if config.protocol == "manetho":
         params.setdefault("n_nodes", config.n)
@@ -71,8 +70,6 @@ class System:
             self.sanitizer.attach(self.trace)
         self.registry = MetricsRegistry()
         self.metrics = MetricsCollector()
-        from repro.protocols import PROTOCOLS
-
         if PROTOCOLS[config.protocol].oracle_compatible:
             self.oracle = ConsistencyOracle()
         else:

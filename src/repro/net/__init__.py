@@ -10,18 +10,3 @@ so the harness can report message counts and bytes per traffic class
 (application, piggyback, recovery control), which is exactly the
 quantity the paper argues has lost its primacy.
 """
-
-from repro.net.latency import AtmLinkModel, BandwidthLatency, LatencyModel
-from repro.net.network import Message, MessageKind, Network, NetworkStats
-from repro.net.topology import Topology
-
-__all__ = [
-    "AtmLinkModel",
-    "BandwidthLatency",
-    "LatencyModel",
-    "Message",
-    "MessageKind",
-    "Network",
-    "NetworkStats",
-    "Topology",
-]

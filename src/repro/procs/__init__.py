@@ -10,15 +10,3 @@
   latency ("several seconds of timeouts and retrials", per the paper)
   dominates the measured recovery times.
 """
-
-from repro.procs.failure import FailureDetector, FailureInjector, crash_at, crash_on
-from repro.procs.process import ApplicationProcess, Send
-
-__all__ = [
-    "FailureDetector",
-    "FailureInjector",
-    "crash_at",
-    "crash_on",
-    "ApplicationProcess",
-    "Send",
-]

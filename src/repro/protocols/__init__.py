@@ -30,35 +30,62 @@ comparator protocols its related-work section situates it against:
   protocol).
 """
 
-from repro.protocols.adaptive import AdaptiveLogging
-from repro.protocols.base import LoggingProtocol, LogBasedProtocol
-from repro.protocols.coordinated import CoordinatedCheckpointing
-from repro.protocols.fbl import STABLE_HOST, FamilyBasedLogging
-from repro.protocols.manetho import ManethoLogging
-from repro.protocols.optimistic import OptimisticLogging
-from repro.protocols.pessimistic import PessimisticLogging
-from repro.protocols.sender_based import SenderBasedLogging
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterator, Tuple
 
-PROTOCOLS = {
-    "fbl": FamilyBasedLogging,
-    "sender_based": SenderBasedLogging,
-    "manetho": ManethoLogging,
-    "pessimistic": PessimisticLogging,
-    "optimistic": OptimisticLogging,
-    "coordinated": CoordinatedCheckpointing,
-    "adaptive": AdaptiveLogging,
-}
 
-__all__ = [
-    "LoggingProtocol",
-    "LogBasedProtocol",
-    "AdaptiveLogging",
-    "FamilyBasedLogging",
-    "SenderBasedLogging",
-    "ManethoLogging",
-    "PessimisticLogging",
-    "OptimisticLogging",
-    "CoordinatedCheckpointing",
-    "PROTOCOLS",
-    "STABLE_HOST",
-]
+class Registry(Mapping):
+    """A read-only name -> class mapping that imports a class's module
+    the first time its name is looked up.
+
+    Iterating, ``len`` and ``in`` read the names and import nothing, so a
+    run loads only the stack it runs (``SystemConfig.validate`` is where
+    a config's two lookups happen).  ``load(name)`` returns the class."""
+
+    def __init__(self, names: Tuple[str, ...], load: Callable[[str], type]) -> None:
+        self._names = names
+        self._load = load
+        self._classes: Dict[str, type] = {}
+
+    def __getitem__(self, name: str) -> type:
+        cls = self._classes.get(name)
+        if cls is None:
+            if name not in self._names:
+                raise KeyError(name)
+            cls = self._classes[name] = self._load(name)
+        return cls
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def _load(name: str) -> type:
+    # one static import per name, so a scan of import statements sees
+    # every stack module
+    if name == "fbl":
+        from repro.protocols.fbl import FamilyBasedLogging as cls
+    elif name == "sender_based":
+        from repro.protocols.sender_based import SenderBasedLogging as cls
+    elif name == "manetho":
+        from repro.protocols.manetho import ManethoLogging as cls
+    elif name == "pessimistic":
+        from repro.protocols.pessimistic import PessimisticLogging as cls
+    elif name == "optimistic":
+        from repro.protocols.optimistic import OptimisticLogging as cls
+    elif name == "coordinated":
+        from repro.protocols.coordinated import CoordinatedCheckpointing as cls
+    else:
+        from repro.protocols.adaptive import AdaptiveLogging as cls
+    return cls
+
+
+PROTOCOLS = Registry(
+    ("fbl", "sender_based", "manetho", "pessimistic", "optimistic", "coordinated", "adaptive"),
+    _load,
+)

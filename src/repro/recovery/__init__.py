@@ -27,29 +27,24 @@
   ordinal service backing the paper's system-wide monotonic ``ord``.
 """
 
-from repro.recovery.base import RecoveryManager
-from repro.recovery.blocking import BlockingRecovery
-from repro.recovery.coordinated_mgr import CoordinatedRecovery
-from repro.recovery.local import LocalRecovery
-from repro.recovery.nonblocking import NonblockingRecovery
-from repro.recovery.optimistic_mgr import OptimisticRecovery
-from repro.recovery.sequencer import Sequencer
+from repro.protocols import Registry
 
-RECOVERY_MANAGERS = {
-    "blocking": BlockingRecovery,
-    "nonblocking": NonblockingRecovery,
-    "local": LocalRecovery,
-    "optimistic": OptimisticRecovery,
-    "coordinated": CoordinatedRecovery,
-}
 
-__all__ = [
-    "RecoveryManager",
-    "BlockingRecovery",
-    "NonblockingRecovery",
-    "LocalRecovery",
-    "OptimisticRecovery",
-    "CoordinatedRecovery",
-    "Sequencer",
-    "RECOVERY_MANAGERS",
-]
+def _load(name: str) -> type:
+    # one static import per name, as in ``repro.protocols``
+    if name == "blocking":
+        from repro.recovery.blocking import BlockingRecovery as cls
+    elif name == "nonblocking":
+        from repro.recovery.nonblocking import NonblockingRecovery as cls
+    elif name == "local":
+        from repro.recovery.local import LocalRecovery as cls
+    elif name == "optimistic":
+        from repro.recovery.optimistic_mgr import OptimisticRecovery as cls
+    else:
+        from repro.recovery.coordinated_mgr import CoordinatedRecovery as cls
+    return cls
+
+
+RECOVERY_MANAGERS = Registry(
+    ("blocking", "nonblocking", "local", "optimistic", "coordinated"), _load
+)

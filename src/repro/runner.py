@@ -174,6 +174,11 @@ class TrialRunner:
         indexed = list(enumerate(specs))
         if not indexed:
             return []
+        # every config is validated before the first trial: a bad one
+        # fails before any runs, and each stack the fleet runs is imported
+        # now, before a pool forks and while the heap is still small
+        for _, spec in indexed:
+            spec.config.validate()
         if self.jobs == 1 or len(indexed) == 1:
             return [run_trial(spec, index) for index, spec in indexed]
         # imported here: the pool drags in multiprocessing, logging, socket

@@ -12,20 +12,3 @@ measures -- blocked time of live processes, recovery duration, message
 latencies, stable-storage stalls -- are reproduced under the virtual clock,
 which additionally makes every experiment exactly repeatable from a seed.
 """
-
-from repro.sim.events import Event, EventHandle
-from repro.sim.kernel import Simulator, SimulationError
-from repro.sim.rng import RngRegistry
-from repro.sim.timers import Timer
-from repro.sim.trace import TraceEvent, TraceRecorder
-
-__all__ = [
-    "Event",
-    "EventHandle",
-    "Simulator",
-    "SimulationError",
-    "RngRegistry",
-    "Timer",
-    "TraceEvent",
-    "TraceRecorder",
-]

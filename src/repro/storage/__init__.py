@@ -13,16 +13,3 @@ Three layers, mirroring the paper's cost model:
   stable storage; restoring a "one Mbyte process" takes seconds with the
   default DEC-5000-era parameters, as in the paper's evaluation.
 """
-
-from repro.storage.checkpoint import Checkpoint, CheckpointStore
-from repro.storage.stable import StableStorage, StableStorageStats
-from repro.storage.volatile import DeterminantLog, SendLog
-
-__all__ = [
-    "Checkpoint",
-    "CheckpointStore",
-    "StableStorage",
-    "StableStorageStats",
-    "DeterminantLog",
-    "SendLog",
-]

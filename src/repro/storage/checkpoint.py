@@ -40,6 +40,16 @@ def encode_image(state: Any, what: str) -> bytes:
     and sets of those -- so readers never re-normalise; anything else (a
     live object, a ``Determinant``) it refuses, here at the store
     boundary, and ``what`` names the snapshot in that error.
+
+    An image is not canonical bytes: equal states can encode
+    differently, for two reasons.  Marshal flags an object for
+    back-reference when its reference count is above one, so a value
+    also held elsewhere gets different flag bytes; and format version 4
+    writes an interned string differently from an equal one that is
+    not.  Compare decoded values, never images.  ``marshal.dumps(state,
+    2)`` removes both effects but makes every image larger (a
+    ``{"chain", "hops"}`` payload grows from 25 to 34 B).  ROADMAP item
+    16(c) is the work of making images canonical.
     """
     try:
         return marshal.dumps(state)
@@ -64,7 +74,9 @@ class Checkpoint:
         the next rsn to be assigned.
     image:
         The encoded ``(app_state, extra)`` pair: application state and
-        the protocol-specific replayable state riding along.
+        the protocol-specific replayable state riding along.  Not
+        canonical bytes (see :func:`encode_image`): two checkpoints of
+        equal states may hold different images.
     send_seqnos:
         Per-destination next send sequence number.
     delivered_ids:

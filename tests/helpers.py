@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -90,6 +94,19 @@ def e2e_workloads():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads.WORKLOADS
+
+
+def fresh_interpreter(script: str, **env: str) -> Any:
+    """Run ``script`` in a new interpreter with ``src`` on its path and
+    ``env`` added to its environment; return its last printed line,
+    evaluated as a Python literal."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 def run_small(**kwargs):
