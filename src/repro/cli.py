@@ -1,14 +1,10 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six commands cover the common uses:
+Five commands cover the common uses:
 
 * ``run``     -- one simulation with chosen protocol/recovery/failures,
                  printed as a run summary (``--sanitize`` runs the
                  online invariant monitor alongside);
-* ``check``   -- re-run one scenario as N tie-break replicas, or under
-                 every legal same-instant schedule (``--exhaustive``), and
-                 diff the outcomes: a semantic divergence means the
-                 scenario hides a schedule race (see docs/SANITIZER.md);
 * ``compare`` -- the paper's head-to-head (blocking vs non-blocking, or
                  all seven stacks) on an identical scenario;
 * ``grid``    -- cartesian product over one or more numeric knobs (n, f,
@@ -29,7 +25,6 @@ Examples::
     python -m repro run --protocol fbl --f 2 --recovery nonblocking \\
         --crash 3@0.05 --spans --trace-out run.jsonl
     python -m repro run --protocol manetho --crash 2@0.05 --sanitize
-    python -m repro check --protocol fbl --crash 2@0.03 --replicas 3 --seeds 0,7
     python -m repro compare --crash 3@0.05 --crash 5@0.06
     python -m repro grid --knob n=4,8,16,32 --crash 1@0.05 --jobs 4
     python -m repro grid --knob n=4,8,16 --knob loss=0.0,0.05 --seeds 3
@@ -401,75 +396,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    """Schedule-race check: diff tie-break replicas of each seed, or
-    (``--exhaustive``) every legal same-instant schedule."""
-    import json
-    import os
-
-    from repro.sanitizer.differ import check_trial, exhaustive_check_trial
-
-    seeds = (
-        [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    )
-    if args.exhaustive:
-        prefix, title = "check-exh", "exhaustive schedule check"
-        columns = ["seed", "schedules", "decisions", "max width", "complete"]
-    else:
-        prefix, title = "check", "tie-break schedule check"
-        columns = ["seed", "replicas", "consistent", "sanitizer", "timing drift"]
-    rows = []
-    reports = []
-    for seed in seeds:
-        config = _config_from_args(args)
-        config.seed = seed
-        config.name = f"{prefix}-{config.protocol}-s{seed}"
-        config.sanitize = not args.no_sanitize
-        if args.exhaustive:
-            report = exhaustive_check_trial(
-                config,
-                max_schedules=args.max_schedules,
-                max_depth=args.max_depth,
-            )
-            row = [
-                report.schedules,
-                report.decision_points,
-                report.max_width,
-                "yes" if report.complete else "no",
-            ]
-        else:
-            report = check_trial(config, replicas=args.replicas, jobs=args.jobs)
-            semantic = report.replicas[0].semantic
-            row = [
-                args.replicas,
-                "yes" if semantic["consistent"] else "NO",
-                {None: "-", True: "yes", False: "NO"}[semantic["sanitizer_clean"]],
-                len(report.strict_drift),
-            ]
-        reports.append(report)
-        rows.append([
-            seed,
-            *row,
-            "none" if report.ok else f"{len(report.divergences)} DIVERGENT",
-        ])
-    print(format_table(
-        columns + ["divergence"],
-        rows,
-        title=f"{title} ({args.protocol} + {_recovery(args)})",
-    ))
-    for report in reports:
-        for line in report.divergences:
-            print(f"  seed {report.seed}: {line}")
-    if args.report_dir:
-        os.makedirs(args.report_dir, exist_ok=True)
-        for report in reports:
-            path = os.path.join(args.report_dir, f"{prefix}-seed{report.seed}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(report.as_dict(), handle, indent=2, default=str)
-        print(f"  reports: wrote {len(reports)} file(s) to {args.report_dir}")
-    return 0 if all(report.ok for report in reports) else 1
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     stacks = STACKS if args.all_protocols else STACKS[:2]
     configs = [
@@ -776,45 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory window size for --trace-spill (default 10000)",
     )
     run_parser.set_defaults(fn=cmd_run)
-
-    check_parser = sub.add_parser(
-        "check", help="diff tie-break schedule replicas of one scenario"
-    )
-    _add_common(check_parser)
-    check_parser.add_argument(
-        "--replicas", type=int, default=3,
-        help="replicas per seed: one canonical + N-1 perturbed (default 3)",
-    )
-    check_parser.add_argument(
-        "--seeds", default=None, metavar="S1,S2",
-        help="comma-separated seeds to check (default: just --seed)",
-    )
-    check_parser.add_argument(
-        "--no-sanitize", action="store_true",
-        help="skip the invariant monitor inside each replica",
-    )
-    check_parser.add_argument(
-        "--report-dir", metavar="DIR", default=None,
-        help="write one JSON report per seed here (CI artifacts)",
-    )
-    check_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: $REPRO_JOBS, else usable cpus-1)",
-    )
-    check_parser.add_argument(
-        "--exhaustive", action="store_true",
-        help="enumerate every legal same-instant interleaving (small-scope "
-             "systematic search) instead of sampling tie-break replicas",
-    )
-    check_parser.add_argument(
-        "--max-schedules", type=int, default=64,
-        help="schedule budget for --exhaustive (default 64)",
-    )
-    check_parser.add_argument(
-        "--max-depth", type=int, default=None,
-        help="only branch on the first K decision points (--exhaustive)",
-    )
-    check_parser.set_defaults(fn=cmd_check)
 
     compare_parser = sub.add_parser("compare", help="compare recovery algorithms")
     _add_common(compare_parser)

@@ -344,8 +344,8 @@ class SystemConfig:
     #: stream; implies spans so violations carry causal span chains
     sanitize: bool = False
     #: perturb same-instant event ordering in the kernel with this seed
-    #: (None = the seed's exact FIFO order); used by `repro check` to
-    #: flag hidden schedule races across replicas
+    #: (None = the seed's exact FIFO order); the chaos harness's perturbed
+    #: replica uses it to flag hidden schedule races
     tiebreak_seed: Optional[int] = None
     #: attribute every wire/storage byte to a (process, peer, purpose,
     #: phase) account (repro.obs); conservation-checked, zero-cost off

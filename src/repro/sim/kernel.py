@@ -87,16 +87,17 @@ class Simulator:
         instead of FIFO.  Any such ordering is *legal* for a discrete-
         event simulation -- the model never promises FIFO across
         components -- so a run whose results change under a tie-break
-        shuffle has a hidden schedule race.  ``repro check`` exploits
-        this: it re-runs a trial under several tie-break seeds and diffs
-        the outcomes (see :mod:`repro.sanitizer.differ`).
+        shuffle has a hidden schedule race.  The chaos harness exploits
+        this: every trial also runs as one perturbed replica, judged by
+        the same invariants as the canonical (FIFO) run.
 
     Notes
     -----
     * The clock only moves when :meth:`run` pops events.
     * Two events scheduled for the same instant fire in the order they
       were scheduled (FIFO), unless an explicit ``priority`` says
-      otherwise.  This is what makes runs reproducible.
+      otherwise or ``tiebreak_seed`` is set.  Either way a run is
+      reproducible.
     """
 
     def __init__(
@@ -110,7 +111,7 @@ class Simulator:
         self._heap: List[Event] = []
         self._seq = 0
         #: None keeps the seed's exact FIFO tie order; a seeded RNG makes
-        #: same-instant ordering a controlled perturbation (repro check)
+        #: same-instant ordering a controlled perturbation (chaos replicas)
         self._tiebreak_rng = (
             random.Random(tiebreak_seed) if tiebreak_seed is not None else None
         )
@@ -122,9 +123,6 @@ class Simulator:
         self._compact_min_heap = compact_min_heap
         self._compact_ratio = compact_ratio
         self._compactions = 0
-        #: when set, same-(time, priority) ties become explicit choice
-        #: points resolved by the oracle (repro check --exhaustive)
-        self._choice_oracle: Optional[Callable[[int], int]] = None
         #: optional repro.sim.profile.SimProfiler; None = direct dispatch
         self.profiler: Optional[Any] = None
         #: free-list of fired schedule_fast events awaiting reuse.  Only
@@ -345,64 +343,6 @@ class Simulator:
         self._compactions += 1
 
     # ------------------------------------------------------------------
-    # schedule choice points (exhaustive small-scope checking)
-    # ------------------------------------------------------------------
-    def set_choice_oracle(self, fn: Optional[Callable[[int], int]]) -> None:
-        """Resolve same-instant ties through ``fn`` instead of FIFO.
-
-        Whenever two or more live events share the next ``(time,
-        priority)`` slot, ``fn(width)`` is called with the number of tied
-        events and must return the index (in FIFO order) of the one to
-        fire.  Singleton slots never consult the oracle.  This turns the
-        schedule into an explicit decision sequence, which is what lets
-        :func:`repro.sanitizer.differ.exhaustive_check_trial` enumerate
-        every legal same-instant interleaving of a small configuration
-        rather than sampling a few random ones.  ``None`` restores the
-        FIFO fast path.
-        """
-        self._choice_oracle = fn
-
-    def _pop_choice(self) -> Optional[Event]:
-        """Pop the next event, letting the oracle pick among exact ties.
-
-        Collects every live event tied with the heap top on ``(time,
-        priority)``, asks the oracle for an index, and pushes the losers
-        back.  O(k log n) per tie group of k -- acceptable for the small
-        configurations exhaustive checking targets.
-        """
-        heap = self._heap
-        ties: List[Event] = []
-        while heap:
-            event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap)
-                event.in_heap = False
-                self._heap_cancelled -= 1
-                continue
-            if ties and (
-                event.time != ties[0].time
-                or event.priority != ties[0].priority
-            ):
-                break
-            heapq.heappop(heap)
-            event.in_heap = False
-            ties.append(event)
-        if not ties:
-            return None
-        index = 0
-        if len(ties) > 1:
-            index = self._choice_oracle(len(ties))
-            if not 0 <= index < len(ties):
-                raise SimulationError(
-                    f"choice oracle returned {index!r} for width {len(ties)}"
-                )
-        chosen = ties.pop(index)
-        for event in ties:
-            event.in_heap = True
-            heapq.heappush(heap, event)
-        return chosen
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(
@@ -442,11 +382,8 @@ class Simulator:
                 if until is not None and event.time > until:
                     self._now = until
                     break
-                if self._choice_oracle is None:
-                    heapq.heappop(heap)
-                    event.in_heap = False
-                else:
-                    event = self._pop_choice()
+                heapq.heappop(heap)
+                event.in_heap = False
                 self._now = event.time
                 self._events_processed += 1
                 fired += 1

@@ -13,7 +13,7 @@ Collect::
     PYTHONPATH=src python -m pytest -q -p tests.reach benchmarks/
     # a script or a CLI command line
     PYTHONPATH=src python tests/reach.py --run examples/quickstart.py
-    PYTHONPATH=src python tests/reach.py --run -m repro check --protocol fbl --crash 2@0.03
+    PYTHONPATH=src python tests/reach.py --run -m repro run --protocol fbl --crash 2@0.03
 
 Report::
 

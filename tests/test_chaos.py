@@ -10,10 +10,19 @@ reliable transport, and asserts the paper's invariants:
 * the :class:`ConsistencyOracle` records **zero** violations,
 * every crashed process recovers and every process ends live,
 * the run terminates in bounded virtual time, and
-* the whole trial is deterministic per ``(combo, seed)``.
+* the whole trial is deterministic per ``(combo, seed, replica)``.
 
-``CHAOS_RUNS_PER_COMBO`` (env var, default 30) scales the sweep; the CI
-chaos job runs the same suite under a fixed seed base.  Trials execute
+Every seed runs twice: replica 0 in the kernel's canonical FIFO order
+for same-instant events, and replica 1 under a seeded tie-break shuffle
+(``SystemConfig.tiebreak_seed``).  Any same-instant order is a legal
+schedule, so a trial that passes only in FIFO order hides a schedule
+race.  Both replicas are judged by the same invariants; a perturbed
+replica's name carries its tie-break seed, so a failing label says how
+to replay it.
+
+``CHAOS_RUNS_PER_COMBO`` (env var, default 30) scales the sweep: it
+counts seeds, so a combo runs twice that many trials.  The CI chaos job
+runs the same suite under a fixed seed base.  Trials execute
 through :class:`repro.runner.TrialRunner` (worker count from
 ``REPRO_JOBS``, serial by default), and since every trial is
 deterministic, a failing one is replayed in-process to capture its
@@ -30,6 +39,7 @@ one.
 import os
 import random
 import zlib
+from typing import Optional
 
 import pytest
 
@@ -55,19 +65,29 @@ SANITIZE = os.environ.get("CHAOS_SANITIZE", "") not in ("", "0")
 PROFILE = os.environ.get("CHAOS_PROFILE", "")
 
 
+def derive_tiebreak_seed(seed: int, replica: int) -> Optional[int]:
+    """Deterministic per-replica tie-break seed; replica 0 is canonical."""
+    if replica == 0:
+        return None
+    return (seed * 1_000_003 + replica * 7_919 + 0x5EED) & 0x7FFF_FFFF
+
+
 def chaos_config(
     protocol: str,
     recovery: str,
     max_crashes: int,
     seed: int,
     profile: str = None,
+    replica: int = 0,
 ) -> SystemConfig:
     """Draw one random scenario; fully determined by the arguments.
 
     ``profile`` defaults to ``$CHAOS_PROFILE``; the empty default keeps
     the original fault distribution byte-for-byte (the churn overrides
     draw *after* every standard draw, so default-profile seeds are
-    unchanged).
+    unchanged).  ``replica`` picks the same-instant tie order: 0 is the
+    canonical FIFO run, and any other value the same scenario under
+    :func:`derive_tiebreak_seed`, named ``...-<seed>-tb<tiebreak_seed>``.
     """
     if profile is None:
         profile = PROFILE
@@ -137,6 +157,10 @@ def chaos_config(
     elif protocol == "adaptive":
         # an eager controller so short chaos runs still cross modes
         params = {"f": 2, "eval_every": 6, "min_dwell": 8, "hysteresis": 1.0}
+    tiebreak_seed = derive_tiebreak_seed(seed, replica)
+    name = f"chaos-{profile + '-' if profile else ''}{protocol}-{recovery}-{seed}"
+    if tiebreak_seed is not None:
+        name += f"-tb{tiebreak_seed}"
     return SystemConfig(
         n=n,
         seed=seed,
@@ -144,7 +168,7 @@ def chaos_config(
         # far more useful with recovery phases attributed
         spans=True,
         sanitize=SANITIZE,
-        name=f"chaos-{profile + '-' if profile else ''}{protocol}-{recovery}-{seed}",
+        name=name,
         protocol=protocol,
         protocol_params=params,
         recovery=recovery,
@@ -162,6 +186,7 @@ def chaos_config(
         state_bytes=100_000,
         checkpoint_every=checkpoint_every,
         max_events=3_000_000,
+        tiebreak_seed=tiebreak_seed,
     )
 
 
@@ -245,8 +270,9 @@ def test_chaos_no_violations_and_eventual_recovery(protocol, recovery, max_crash
     from repro.runner import TrialRunner, TrialSpec
 
     configs = [
-        chaos_config(protocol, recovery, max_crashes, SEED_BASE + trial)
+        chaos_config(protocol, recovery, max_crashes, SEED_BASE + trial, replica=replica)
         for trial in range(RUNS_PER_COMBO)
+        for replica in (0, 1)
     ]
     try:
         trials = TrialRunner().run(TrialSpec(config=c) for c in configs)
@@ -260,7 +286,7 @@ def test_chaos_no_violations_and_eventual_recovery(protocol, recovery, max_crash
         found = [] if summary is None else check_invariants(config, summary)
         if summary is not None and not found:
             continue
-        # the trial is deterministic per (combo, seed): replay it
+        # the trial is deterministic per (combo, seed, replica): replay it
         # in-process to recover the trace the worker didn't ship back
         system = build_system(config)
         try:
@@ -277,11 +303,26 @@ def test_chaos_no_violations_and_eventual_recovery(protocol, recovery, max_crash
     assert not failures, f"{len(failures)} of {len(configs)} trials failed:\n" + "\n".join(failures)
 
 
-def test_chaos_trial_is_deterministic():
-    """The same (combo, seed) must replay event-for-event."""
+def test_derive_tiebreak_seed_is_canonical_for_replica_zero():
+    assert derive_tiebreak_seed(0, 0) is None
+    assert derive_tiebreak_seed(1234, 0) is None
+    one = derive_tiebreak_seed(7, 1)
+    two = derive_tiebreak_seed(7, 2)
+    assert one is not None and two is not None and one != two
+    assert derive_tiebreak_seed(7, 1) == one  # deterministic
 
-    def fingerprint(seed):
-        result = build_system(chaos_config("fbl", "nonblocking", 2, seed)).run()
+
+def run_fbl_nonblocking(seed, replica=0):
+    return build_system(
+        chaos_config("fbl", "nonblocking", 2, seed, replica=replica)
+    ).run()
+
+
+def test_chaos_trial_is_deterministic():
+    """The same (combo, seed, replica) must replay event-for-event."""
+
+    def fingerprint(seed, replica):
+        result = run_fbl_nonblocking(seed, replica)
         return (
             result.end_time,
             dict(result.network.messages),
@@ -295,14 +336,17 @@ def test_chaos_trial_is_deterministic():
             result.extra.get("transport_stats"),
         )
 
-    assert fingerprint(SEED_BASE + 3) == fingerprint(SEED_BASE + 3)
+    for replica in (0, 1):
+        assert fingerprint(SEED_BASE + 3, replica) == fingerprint(SEED_BASE + 3, replica)
 
 
 def test_chaos_generator_exercises_every_fault_class():
     """Across the sweep the generator must actually produce each fault
-    kind (guards against a silently-degenerate harness)."""
+    kind, and the perturbed replica must actually reorder something
+    (guards against a silently-degenerate harness)."""
     saw = {"loss": False, "dup": False, "partition": False,
-           "storage": False, "crash": False, "outage": False}
+           "storage": False, "crash": False, "outage": False,
+           "perturbation": False}
     for trial in range(max(RUNS_PER_COMBO, 20)):
         config = chaos_config("fbl", "nonblocking", 2, SEED_BASE + trial)
         saw["loss"] |= config.faults.loss_prob > 0.01
@@ -311,5 +355,14 @@ def test_chaos_generator_exercises_every_fault_class():
         saw["storage"] |= config.faults.storage_fail_prob > 0.01
         saw["crash"] |= bool(config.crashes)
         saw["outage"] |= bool(config.injections)
+        if not saw["perturbation"]:
+            canonical, perturbed = (
+                run_fbl_nonblocking(SEED_BASE + trial, replica) for replica in (0, 1)
+            )
+            saw["perturbation"] = (
+                canonical.end_time != perturbed.end_time
+                or canonical.extra["events_processed"]
+                != perturbed.extra["events_processed"]
+            )
     missing = [k for k, v in saw.items() if not v]
     assert not missing, f"chaos generator never produced: {missing}"

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import os
 
 import pytest
 
@@ -175,46 +174,6 @@ class TestRunObservers:
         assert "cost-conserved: yes" in out
         assert "sanitizer: " in out and "events checked" in out
         assert "SANITIZER VIOLATIONS" not in out
-
-
-class TestCheckCommand:
-    def test_check_replicas_with_report_dir(self, capsys, tmp_path):
-        code = main(["check", *SMALL, "--crash", "2@0.03", "--replicas", "2",
-                     "--seeds", "0,1", "--jobs", "1",
-                     "--report-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("tie-break schedule check (fbl + nonblocking)\n")
-        rows = _table_rows(out)
-        assert [row[0] for row in rows] == ["0", "1"]
-        for row in rows:
-            assert row[1:4] == ["2", "yes", "yes"]
-            assert row[5] == "none"
-        assert "reports: wrote 2 file(s)" in out
-        assert sorted(os.listdir(tmp_path)) == [
-            "check-seed0.json", "check-seed1.json",
-        ]
-        report = json.loads((tmp_path / "check-seed1.json").read_text())
-        assert report["name"] == "check-fbl-s1"
-        assert report["seed"] == 1 and report["ok"] is True
-        assert len(report["replicas"]) == 2
-
-    def test_check_exhaustive_with_report_dir(self, capsys, tmp_path):
-        code = main(["check", "--exhaustive", "--n", "3", "--hops", "10",
-                     "--crash", "2@0.03", "--max-schedules", "4",
-                     "--report-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("exhaustive schedule check (fbl + nonblocking)\n")
-        rows = _table_rows(out)
-        assert len(rows) == 1
-        assert rows[0][:2] == ["0", "4"]
-        assert rows[0][4:] == ["no", "none"]
-        assert os.listdir(tmp_path) == ["check-exh-seed0.json"]
-        report = json.loads((tmp_path / "check-exh-seed0.json").read_text())
-        assert report["name"] == "check-exh-fbl-s0"
-        assert report["mode"] == "exhaustive"
-        assert report["schedules"] == 4 and report["ok"] is True
 
 
 class TestReportCommand:

@@ -178,31 +178,3 @@ def test_pool_bounded_by_event_pool_max():
         sim.schedule_fast(0.001, lambda: None)
     sim.run()
     assert sim.pool_size <= EVENT_POOL_MAX
-
-
-def test_pool_with_choice_oracle():
-    """The oracle pop path must release pooled events too, and a
-    recycled event must never re-enter a tie group as a ghost."""
-    sim = Simulator()
-    fired = []
-    sim.set_choice_oracle(lambda width: width - 1)  # always pick last
-    for i in range(6):
-        sim.schedule_fast(0.1, fired.append, i)
-    sim.run()
-    assert sorted(fired) == list(range(6))
-    assert fired == list(reversed(range(6)))  # oracle picked last each time
-    assert sim.pool_reuses + sim.pool_size >= 1
-    assert sim.live_events == 0
-
-
-def test_pool_with_choice_oracle_and_cancelled_corpse():
-    sim = Simulator()
-    fired = []
-    sim.set_choice_oracle(lambda width: 0)
-    corpse = sim.schedule(0.1, fired.append, "corpse")
-    for i in range(4):
-        sim.schedule_fast(0.1, fired.append, i)
-    corpse.cancel()
-    sim.run()
-    assert fired == list(range(4))
-    assert sim.live_events == 0

@@ -1,7 +1,7 @@
-"""Sanitizer tests: mutants are caught, clean runs stay clean and
-byte-identical, and the schedule-perturbation differ agrees with itself.
+"""Sanitizer tests: mutants are caught, and clean runs stay clean and
+byte-identical.
 
-Three layers:
+Two layers:
 
 * **Goldens** -- every protocol/recovery pairing from the integration
   matrix, with a crash, runs clean under ``sanitize=True`` and produces
@@ -11,8 +11,6 @@ Three layers:
   dropped determinant flush, a delivery before its receipt-log write, an
   orphan delivery, an ack before the store, a block under non-blocking
   recovery) must each be caught at the violating event.
-* **Differ** -- ``check_trial`` reports zero divergence on a correct
-  protocol and surfaces per-replica health problems.
 """
 
 import pytest
@@ -22,7 +20,6 @@ from repro.core.config import SystemConfig
 from repro.sanitizer.monitor import Sanitizer
 from repro.sim.trace import TraceRecorder
 
-from helpers import small_config
 from test_chaos import COMBOS, chaos_config
 from test_integration_matrix import PAIRINGS, make
 
@@ -359,136 +356,3 @@ def test_deferred_orphan_judgement_waits_for_a_handled_record():
     reference = replayed_report(config, trace.events)
     assert sanitizer.report()["violations"] == reference["violations"]
     assert sanitizer.events_seen == len(trace.events) - 1
-
-
-# ----------------------------------------------------------------------
-# the schedule-perturbation differ
-# ----------------------------------------------------------------------
-def test_derive_tiebreak_seed_is_canonical_for_replica_zero():
-    from repro.sanitizer.differ import derive_tiebreak_seed
-
-    assert derive_tiebreak_seed(0, 0) is None
-    assert derive_tiebreak_seed(1234, 0) is None
-    one = derive_tiebreak_seed(7, 1)
-    two = derive_tiebreak_seed(7, 2)
-    assert one is not None and two is not None and one != two
-    assert derive_tiebreak_seed(7, 1) == one  # deterministic
-
-
-def test_check_trial_requires_two_replicas():
-    from repro.sanitizer.differ import check_trial
-
-    with pytest.raises(ValueError):
-        check_trial(small_config(), replicas=1)
-
-
-def test_check_trial_clean_protocol_has_no_divergence():
-    from repro.sanitizer.differ import check_trial
-
-    config = make(
-        "fbl", "nonblocking", crashes=[crash_at(2, 0.03)], sanitize=True
-    )
-    report = check_trial(config, replicas=2, jobs=1)
-    assert report.ok, report.divergences
-    assert len(report.replicas) == 2
-    assert report.replicas[0].tiebreak_seed is None
-    assert report.replicas[1].tiebreak_seed is not None
-    for outcome in report.replicas:
-        assert outcome.semantic["consistent"]
-        assert outcome.semantic["sanitizer_clean"]
-        assert outcome.semantic["progressed"]
-    payload = report.as_dict()
-    assert payload["ok"] and payload["seed"] == config.seed
-
-
-def test_check_trial_flags_unhealthy_replica():
-    """Health problems inside any replica are divergences even when the
-    replicas agree with each other."""
-    from repro.sanitizer import differ
-
-    problems = differ._health_problems(
-        {
-            "consistent": False,
-            "sanitizer_clean": False,
-            "non_live_nodes": [3],
-            "episodes_complete": False,
-            "progressed": False,
-        }
-    )
-    assert len(problems) == 5
-    clean = differ._health_problems(
-        {
-            "consistent": True,
-            "sanitizer_clean": None,  # sanitizer off -> not a failure
-            "non_live_nodes": [],
-            "episodes_complete": True,
-            "progressed": True,
-        }
-    )
-    assert clean == []
-
-
-# ----------------------------------------------------------------------
-# exhaustive small-scope checking
-# ----------------------------------------------------------------------
-def exhaustive_config(**kw):
-    from repro.sanitizer.differ import exhaustive_check_trial  # noqa: F401
-
-    kw.setdefault("n", 3)
-    kw.setdefault("workload_params", {"hops": 8, "fanout": 1})
-    return make("fbl", "nonblocking", crashes=[crash_at(2, 0.03)], **kw)
-
-
-def test_exhaustive_check_clean_trial_has_no_divergence():
-    from repro.sanitizer.differ import exhaustive_check_trial
-
-    report = exhaustive_check_trial(exhaustive_config(), max_schedules=8)
-    assert report.ok, report.divergences
-    assert report.schedules >= 2  # the canonical run plus real alternatives
-    assert report.decision_points > 0
-    assert report.max_width >= 2
-    payload = report.as_dict()
-    assert payload["mode"] == "exhaustive"
-    assert payload["ok"] and payload["schedules"] == report.schedules
-
-
-def test_exhaustive_check_budget_marks_incomplete():
-    from repro.sanitizer.differ import exhaustive_check_trial
-
-    report = exhaustive_check_trial(exhaustive_config(), max_schedules=2)
-    assert report.schedules == 2
-    assert not report.complete  # the tree is far bigger than two runs
-    assert report.ok  # truncation alone is not a divergence
-
-
-def test_exhaustive_check_rejects_empty_budget():
-    from repro.sanitizer.differ import exhaustive_check_trial
-
-    with pytest.raises(ValueError):
-        exhaustive_check_trial(exhaustive_config(), max_schedules=0)
-
-
-def test_exhaustive_check_flags_schedule_divergence(monkeypatch):
-    """A schedule whose semantic outcome differs from the canonical run
-    must be reported (here: the fingerprint is perturbed under the
-    covers, standing in for a real schedule-dependent bug)."""
-    from repro.sanitizer import differ
-
-    real = differ.semantic_fingerprint
-    seen = {"count": 0}
-
-    def skewed(summary):
-        fingerprint = dict(real(summary))
-        seen["count"] += 1
-        if seen["count"] > 1:  # every non-canonical schedule "progresses
-            fingerprint["progressed"] = False  # differently"
-            fingerprint["consistent"] = False
-        return fingerprint
-
-    monkeypatch.setattr(differ, "semantic_fingerprint", skewed)
-    report = differ.exhaustive_check_trial(
-        exhaustive_config(), max_schedules=3
-    )
-    assert not report.ok
-    assert any("consistent" in d or "progressed" in d
-               for d in report.divergences)

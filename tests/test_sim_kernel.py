@@ -251,111 +251,25 @@ def test_drain_is_exact_with_cancelled_leftovers():
 
 
 # ----------------------------------------------------------------------
-# choice oracle (exhaustive small-scope checking hooks)
+# tie-break perturbation (the chaos harness's perturbed replica)
 # ----------------------------------------------------------------------
-def test_choice_oracle_orders_ties():
-    fired = []
-    sim = Simulator()
-    for i in range(3):
-        sim.schedule(1.0, fired.append, i)
-    # always pick the last remaining candidate: reverses insertion order
-    sim.set_choice_oracle(lambda width: width - 1)
-    sim.run()
-    assert fired == [2, 1, 0]
-
-
-def test_choice_oracle_zero_matches_fifo():
-    def workload(sim):
+def test_schedule_tiebreak_seed_shuffles_only_equal_time_and_priority():
+    def run_once(seed):
+        sim = Simulator(tiebreak_seed=seed)
         fired = []
-        for i in range(5):
-            sim.schedule(0.5, fired.append, i)
-            sim.schedule(0.5 + 0.001 * i, fired.append, 100 + i)
+        sim.schedule(1.0, fired.append, "low", priority=1)
+        for i in range(8):
+            sim.schedule(1.0, fired.append, i)
+        sim.schedule(0.5, fired.append, "earlier", priority=5)
         sim.run()
-        return fired, sim.events_processed
+        return fired
 
-    plain = Simulator()
-    oracle = Simulator()
-    oracle.set_choice_oracle(lambda width: 0)
-    assert workload(plain) == workload(oracle)
-
-
-def test_choice_oracle_not_consulted_without_ties():
-    calls = []
-    sim = Simulator()
-
-    def oracle(width):
-        calls.append(width)
-        return 0
-
-    sim.set_choice_oracle(oracle)
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    sim.run()
-    assert calls == []  # singleton tie groups never reach the oracle
-
-
-def test_choice_oracle_sees_full_tie_width():
-    widths = []
-    sim = Simulator()
-
-    def oracle(width):
-        widths.append(width)
-        return 0
-
-    sim.set_choice_oracle(oracle)
-    for _ in range(4):
-        sim.schedule(1.0, lambda: None)
-    sim.run()
-    # first decision sees all 4 candidates, then 3, then 2
-    assert widths == [4, 3, 2]
-
-
-def test_choice_oracle_skips_cancelled_events():
-    fired = []
-    sim = Simulator()
-    sim.schedule(1.0, fired.append, 0)
-    doomed = sim.schedule(1.0, fired.append, 1)
-    sim.schedule(1.0, fired.append, 2)
-    doomed.cancel()
-    widths = []
-
-    def oracle(width):
-        widths.append(width)
-        return width - 1
-
-    sim.set_choice_oracle(oracle)
-    sim.run()
-    assert fired == [2, 0]
-    assert widths == [2]  # the cancelled corpse never counts as a choice
-
-
-def test_choice_oracle_bad_index_raises():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(1.0, lambda: None)
-    sim.set_choice_oracle(lambda width: width)  # off by one
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_choice_oracle_respects_priority_groups():
-    fired = []
-    sim = Simulator()
-    sim.schedule(1.0, fired.append, "low", priority=1)
-    sim.schedule(1.0, fired.append, "high-a", priority=0)
-    sim.schedule(1.0, fired.append, "high-b", priority=0)
-    sim.set_choice_oracle(lambda width: width - 1)
-    sim.run()
-    # only the two priority-0 events are interchangeable
-    assert fired == ["high-b", "high-a", "low"]
-
-
-def test_choice_oracle_step_consults_oracle():
-    fired = []
-    sim = Simulator()
-    sim.schedule(1.0, fired.append, 0)
-    sim.schedule(1.0, fired.append, 1)
-    sim.set_choice_oracle(lambda width: 1)
-    sim.run(max_events=1)
-    assert fired == [1]
-    assert sim.live_events == 1
+    fifo = ["earlier", *range(8), "low"]
+    assert run_once(None) == fifo
+    shuffled = [run_once(seed) for seed in range(5)]
+    assert any(order != fifo for order in shuffled)
+    assert [run_once(seed) for seed in range(5)] == shuffled
+    for order in shuffled:
+        # an earlier time and a lower priority still fire first
+        assert order[0] == "earlier" and order[-1] == "low"
+        assert sorted(order[1:-1]) == list(range(8))
