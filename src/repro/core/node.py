@@ -405,9 +405,11 @@ class Node:
         # id: the dedup set and the causal record share the tuple
         message_id = self.app.delivery_history[-1]
         self.delivered_ids.add(message_id)
-        self.oracle.on_deliver(self.node_id, rsn, message_id, self.app.digest)
+        digest = self.app.digest
         self.metrics.count_delivery(self.node_id, during_replay=self.is_recovering)
         self._emit_deliver(self.sim.now, self.node_id, sender, ssn, rsn)
+        # recorded after the emit: an observer judges it against the graph before it
+        self.oracle.on_deliver(self.node_id, rsn, message_id, digest)
         network_sends = []
         output_index = 0
         for send in sends:

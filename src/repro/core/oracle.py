@@ -12,12 +12,14 @@ correctness properties the paper proves in Section 4:
   delivery that survived at any process must itself have survived -- no
   live process may be left an orphan of a rolled-back delivery.
 
-The causal record itself (sends, deliveries, rollback archives, the
-happens-before closure) lives in the shared
-:class:`~repro.sanitizer.causal.CausalGraph`, which the online
-:class:`~repro.sanitizer.monitor.Sanitizer` uses for the same checks
-mid-run; the oracle layers the replay-determinism bookkeeping (state
-digests) on top and audits safety once at the end.
+The causal record itself lives in :attr:`ConsistencyOracle.graph`, the
+run's one :class:`~repro.sanitizer.causal.CausalGraph`, which the online
+:class:`~repro.sanitizer.monitor.Sanitizer` reads mid-run and never
+writes.  Callers record a send or a delivery right after its
+``app.send`` / ``app.deliver`` trace record, so the monitor judges that
+record against the graph as it was when it was made.  The oracle layers
+replay-determinism bookkeeping (state digests) on top and audits safety
+once at the end.
 
 Rollback archives are bounded: :meth:`ConsistencyOracle.on_gc` prunes
 entries below a node's durable-checkpoint horizon, mirroring the
@@ -196,12 +198,6 @@ class ConsistencyOracle:
     def deliveries_recorded(self) -> int:
         """Total distinct delivery events observed."""
         return sum(len(row) - row.count(None) for row in self.graph.deliveries.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ConsistencyOracle(deliveries={self.deliveries_recorded()}, "
-            f"violations={len(self.violations)})"
-        )
 
 
 class NullOracle(ConsistencyOracle):

@@ -62,18 +62,19 @@ class System:
             from repro.sim.profile import SimProfiler
 
             self.profiler = SimProfiler().attach(self.sim)
-        self.sanitizer = None
-        if config.sanitize:
-            from repro.sanitizer.monitor import Sanitizer
-
-            self.sanitizer = Sanitizer(config)
-            self.sanitizer.attach(self.trace)
-        self.registry = MetricsRegistry()
-        self.metrics = MetricsCollector()
         if PROTOCOLS[config.protocol].oracle_compatible:
             self.oracle = ConsistencyOracle()
         else:
             self.oracle = NullOracle()
+        self.sanitizer = None
+        if config.sanitize:
+            from repro.sanitizer.monitor import Sanitizer
+
+            # the run's one causal record: the oracle writes, the monitor reads
+            self.sanitizer = Sanitizer(config, self.oracle.graph)
+            self.sanitizer.attach(self.trace)
+        self.registry = MetricsRegistry()
+        self.metrics = MetricsCollector()
 
         # topology covers the application nodes plus the sequencer
         self.topology = Topology(range(config.n + 1))

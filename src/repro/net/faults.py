@@ -6,7 +6,7 @@ substrate: per-link probabilistic or scheduled message **loss**,
 **duplication**, **reordering** (extra delay that bypasses the FIFO
 clamp), and **partitions** with heal times.  Every probabilistic decision
 draws from the dedicated ``net.faults`` stream of the run's
-:class:`~repro.sim.rng.RngRegistry`, so a chaotic run is exactly
+:class:`~repro.sim.rng.RngRegistry` (bound by the network), so a chaotic run is exactly
 repeatable from ``(seed, config)`` and adding faults never perturbs the
 latency stream the failure-free experiments consume.
 
@@ -20,9 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-#: stream name every fault decision draws from
-FAULT_STREAM = "net.faults"
 
 
 def _check_prob(name: str, value: float) -> None:

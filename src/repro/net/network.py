@@ -18,14 +18,16 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.net.faults import FAULT_STREAM, NO_FAULT, NetworkFaultModel
 from repro.net.latency import AtmLinkModel, LatencyModel
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only where a run has faults
+    from repro.net.faults import NetworkFaultModel
 
 #: Default bytes charged for the fixed message header (addresses, type,
 #: incarnation).  Per-run values live on :attr:`Network.header_bytes`
@@ -232,7 +234,7 @@ class Network:
         self._links: Dict[int, _Link] = {}
         # the two streams this class draws from, bound once
         self._latency_rng = self.rngs.stream("net.latency")
-        self._fault_rng = self.rngs.stream(FAULT_STREAM)
+        self._fault_rng = self.rngs.stream("net.faults")
         #: per-mtype deliver labels, interned once instead of an f-string
         #: build per message on the hot path
         self._deliver_labels: Dict[str, str] = {}
@@ -245,6 +247,8 @@ class Network:
     def ensure_faults(self) -> NetworkFaultModel:
         """The installed fault model, creating a no-op one on demand."""
         if self.faults is None:
+            from repro.net.faults import NetworkFaultModel
+
             self.faults = NetworkFaultModel()
         return self.faults
 
@@ -325,21 +329,23 @@ class Network:
             emit = self._emit_retransmit if retransmit else self._emit_send
             emit(now, src, dst, mtype, kind_name, size, msg_id)
 
-        decision = NO_FAULT
-        if self.faults is not None:
-            decision = self.faults.decide(src, dst, mtype, now, self._fault_rng)
+        extra_delay = duplicates = 0
+        faults = self.faults
+        if faults is not None:
+            decision = faults.decide(src, dst, mtype, now, self._fault_rng)
             cause = decision.drop_cause
             if cause is not None:
                 self.stats.record_drop(kind, cause)
                 if self.trace is not None:
                     self._emit_lose(now, src, dst, mtype, cause, msg_id)
                 return message
+            extra_delay, duplicates = decision.extra_delay, decision.duplicates
 
         delay = self.latency.sample(size, self._latency_rng)
 
-        if decision.extra_delay > 0:
+        if extra_delay > 0:
             # reordered: bypass the FIFO clamp so later sends may overtake
-            deliver_at = now + delay + decision.extra_delay
+            deliver_at = now + delay + extra_delay
         else:
             deliver_at = link.clock = max(now + delay, link.clock)
         # deliveries are fire-and-forget (never cancelled), so they take
@@ -350,7 +356,7 @@ class Network:
             label = self._deliver_labels.setdefault(mtype, f"deliver:{mtype}")
         self.sim.schedule_fast_at(deliver_at, self._deliver, message, label=label)
 
-        if decision.duplicates:
+        if duplicates:
             # the copy's latency draws from the faults stream, so injected
             # duplicates never perturb the primary latency sequence
             dup_label = self._dup_labels.get(mtype)
@@ -358,7 +364,7 @@ class Network:
                 dup_label = self._dup_labels.setdefault(
                     mtype, f"deliver-dup:{mtype}"
                 )
-            for _ in range(decision.duplicates):
+            for _ in range(duplicates):
                 self.stats.duplicates_injected += 1
                 dup_delay = self.latency.sample(size, self._fault_rng)
                 self.sim.schedule_fast_at(

@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
-from repro.sim.timers import Timer
 from repro.storage.volatile import DeterminantLog, SendLog, host_mask
 
 
@@ -192,8 +191,8 @@ class LogBasedProtocol(LoggingProtocol):
         me, delivered = node.node_id, node.app.delivered_count
         ssn = node.next_ssn(dst)
         self.send_log.log(dst, ssn, payload, body_bytes)
-        node.oracle.on_send(me, ssn, dst, delivered)
         self._emit_send(node.sim.now, me, dst, ssn, delivered)
+        node.oracle.on_send(me, ssn, dst, delivered)  # after the record: see Node.deliver_app
         piggyback = self._piggyback_for(dst)
         self.piggyback_determinants_sent += len(piggyback)
         node.network.send(Message(
@@ -288,6 +287,8 @@ class LogBasedProtocol(LoggingProtocol):
     def _arm_output_retry(self) -> None:
         if self._output_retry_timer is not None and self._output_retry_timer.pending:
             return
+        from repro.sim.timers import Timer  # a failure-free FBL run never builds one
+
         self._output_retry_timer = Timer(
             self.node.sim,
             self.OUTPUT_RETRY_INTERVAL,

@@ -92,11 +92,11 @@ class OptimisticLogging(LogBasedProtocol):
     # ------------------------------------------------------------------
     def send_app(self, dst: int, payload: Dict[str, Any], body_bytes: int) -> None:
         node = self.node
+        me, delivered = node.node_id, node.app.delivered_count
         ssn = node.next_ssn(dst)
         self.send_log.log(dst, ssn, payload, body_bytes)
-        node.oracle.on_send(node.node_id, ssn, dst, node.app.delivered_count)
-        self._emit_send(
-            node.sim.now, node.node_id, dst, ssn, node.app.delivered_count)
+        self._emit_send(node.sim.now, me, dst, ssn, delivered)
+        node.oracle.on_send(me, ssn, dst, delivered)  # after the record: see Node.deliver_app
         dep = dict(self.dep)
         dep[node.node_id] = (node.incarnation, node.app.delivered_count)
         node.network.send(

@@ -58,12 +58,14 @@ round, depinfo round and its re-requests, distribution, progress posts)
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
 
 from repro.causality.determinant import Determinant
 from repro.net.network import Message
 from repro.recovery.base import RecoveryManager
-from repro.sim.timers import PeriodicTimer
+
+if TYPE_CHECKING:  # pragma: no cover - loaded where a poll starts
+    from repro.sim.timers import PeriodicTimer
 
 #: How often a waiting (non-leader) recovering process refreshes the
 #: sequencer's active-recovery view.  Pure fallback against lost
@@ -764,6 +766,8 @@ class NonblockingRecovery(RecoveryManager):
     # ------------------------------------------------------------------
     def _start_poll(self) -> None:
         if self._poll_timer is None:
+            from repro.sim.timers import PeriodicTimer
+
             self._poll_timer = PeriodicTimer(
                 self.node.sim,
                 STATUS_POLL_INTERVAL,

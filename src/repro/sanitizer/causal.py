@@ -1,13 +1,13 @@
-"""Shared causal bookkeeping for the oracle and the online sanitizer.
+"""The causal record of a run, shared by the oracle and the sanitizer.
 
 The happens-before structure both checkers need is the same: delivery
 events ``(node, rsn)`` connected by program-order edges
 ``(x, k-1) -> (x, k)`` and, per message, an edge from the sender's
 latest delivery before the send to the delivery of that message.
-:class:`CausalGraph` owns that record; the
-:class:`~repro.core.oracle.ConsistencyOracle` layers replay-determinism
-checks on top of it at end of run, while
-:class:`~repro.sanitizer.monitor.Sanitizer` consults it online, at the
+A run keeps one :class:`CausalGraph`, the
+:class:`~repro.core.oracle.ConsistencyOracle`'s, which writes it and
+layers replay-determinism checks on top of it at end of run; the
+:class:`~repro.sanitizer.monitor.Sanitizer` only reads it online, at the
 event where an invariant can first be violated.
 
 Rolled-back sends and deliveries are *archived* rather than dropped, so
@@ -71,6 +71,8 @@ class CausalGraph:
         #: archives of permanently rolled-back events (bounded by prune())
         self.rolled_back_delivery: Dict[DeliveryKey, Tuple[int, int]] = {}
         self.rolled_back_sends: Dict[SendKey, int] = {}
+        #: the delivery keys the latest roll_back() archived
+        self.last_rolled_back: List[DeliveryKey] = []
 
     # ------------------------------------------------------------------
     # recording
@@ -100,7 +102,8 @@ class CausalGraph:
 
     def roll_back(self, node: int, final_count: int) -> List[DeliveryKey]:
         """Archive ``node``'s deliveries at rsn >= ``final_count`` and the
-        sends they caused; returns the archived delivery keys."""
+        sends they caused; returns the archived delivery keys, which stay
+        readable as :attr:`last_rolled_back` until the next rollback."""
         row = self.deliveries.get(node, [])
         stale_deliveries = [
             (node, rsn) for rsn in range(final_count, len(row)) if row[rsn] is not None
@@ -115,6 +118,7 @@ class CausalGraph:
                 if context is not None and context > final_count:
                     self.rolled_back_sends[(sender, ssn, dst)] = context
                     contexts[ssn] = None
+        self.last_rolled_back = stale_deliveries
         return stale_deliveries
 
     # ------------------------------------------------------------------

@@ -3,12 +3,13 @@
 The :class:`~repro.core.oracle.ConsistencyOracle` audits a run's *end
 state*; by then the schedule that produced a violation is gone.  The
 :class:`Sanitizer` subscribes to the live trace stream
-(:meth:`Sanitizer.attach`: one keyed subscription per ``category.action``
-it has a handler for) and checks each
-invariant *at the event where it can first be violated*, attaching the
-causal span chain that was open at that moment.  Like the kernel
-profiler, it costs nothing when off: ``System`` only builds and
-attaches it under ``config.sanitize``.
+(:meth:`Sanitizer.attach`: each handler directly under its
+``category.action`` key) and checks each invariant *at the event where
+it can first be violated*, attaching the causal span chain that was open
+at that moment.  It reads the run's one causal record, the oracle's
+:class:`~repro.sanitizer.causal.CausalGraph`, and writes nothing to it.
+Like the kernel profiler, it costs nothing when off: ``System`` only
+builds and attaches it under ``config.sanitize``.
 
 Invariants checked (see ``docs/SANITIZER.md`` for the mapping to paper
 sections):
@@ -17,18 +18,17 @@ sections):
     No process delivers a message whose send was rolled back, and no
     live process ends up causally dependent on a rolled-back delivery
     (paper Theorem 1 / Section 2).  Checked at ``app.deliver`` against
-    the shared :class:`~repro.sanitizer.causal.CausalGraph`, and at
-    ``node.recovered`` by intersecting every live peer's frontier
-    antecedents with the just-archived deliveries.  The frontier check
-    is deferred until virtual time advances past the recovery instant:
-    queued retransmissions and regenerated sends land at the exact
-    completion timestamp, re-occupying slots the ``delivered`` count
-    did not yet include, and only a slot still empty once the clock
-    moves is a lost delivery someone can be orphaned by.  Optimistic
-    logging
-    *creates* orphans by design and kills them asynchronously, so there
-    the finding is held pending and only reported if the orphaned
-    process never rolls back (checked in :meth:`Sanitizer.finalize`).
+    the causal graph, and at ``node.recovered`` by intersecting every
+    live peer's frontier antecedents with the deliveries its rollback
+    archived.  The frontier check is deferred until virtual time
+    advances past the recovery instant: queued retransmissions and
+    regenerated sends land at the exact completion timestamp,
+    re-occupying slots the ``delivered`` count did not yet include, and
+    only a slot still empty once the clock moves is a lost delivery
+    someone can be orphaned by.  Optimistic logging *creates* orphans by
+    design and kills them asynchronously, so there the finding is held
+    pending and only reported if the orphaned process never rolls back
+    (checked in :meth:`Sanitizer.finalize`).
     Coordinated checkpointing replaces replay with divergent
     re-execution, so per-delivery causal checks do not apply; it is
     covered by the cut-consistency invariant instead.
@@ -144,19 +144,21 @@ class SanitizerViolation:
 class Sanitizer:
     """Event-driven invariant checker for one run.
 
-    Attach with :meth:`attach`; call :meth:`finalize` after the run
-    (flushes pending optimistic-orphan findings) and :meth:`report` for
-    a picklable summary.  The monitor only *observes*: it never
-    schedules events, draws randomness, or touches protocol state, so
-    enabling it cannot perturb a run.
+    Reads ``graph``, the oracle's; attach with :meth:`attach`; call
+    :meth:`finalize` after the run (flushes pending optimistic-orphan
+    findings) and :meth:`report` for a picklable summary.  The monitor
+    only *observes*: it never schedules events, draws randomness, writes
+    the graph, or touches protocol state, so it cannot perturb a run.
     """
 
-    def __init__(self, config: "SystemConfig") -> None:
+    def __init__(self, config: "SystemConfig", graph: CausalGraph) -> None:
         self.protocol = config.protocol
         self.recovery = config.recovery
         self.n = config.n
-        self.graph = CausalGraph()
+        self.graph = graph
         self.chains = SpanChainTracker()
+        #: the recorder attach() subscribed to (``None`` when fed by hand)
+        self._trace: Optional["TraceRecorder"] = None
         self.violations: List[SanitizerViolation] = []
         self.events_seen = 0
         self.checks: Dict[str, int] = {}
@@ -202,16 +204,10 @@ class Sanitizer:
         self._incarnation: Dict[int, int] = {}
 
         # -- adaptive mode epochs --------------------------------------
-        #: mode every process starts in (adaptive only)
-        self._mode_default = "fbl"
-        if config.protocol == "adaptive":
-            adaptive = getattr(config, "adaptive", None)
-            if adaptive is not None:
-                self._mode_default = adaptive.initial_mode
-            else:
-                self._mode_default = config.protocol_params.get(
-                    "initial_mode", "fbl"
-                )
+        #: mode every process starts in (read by the adaptive checks only)
+        self._mode_default = (
+            config.adaptive.initial_mode if config.adaptive is not None
+            else config.protocol_params.get("initial_mode", "fbl"))
         #: per-node mode currently governing deliveries
         self._mode: Dict[int, str] = {}
         #: per-node mode epoch (bumped by each committed switch)
@@ -225,66 +221,90 @@ class Sanitizer:
         #: rollback epoch -> the single round it must target
         self._rollback_round: Dict[int, int] = {}
 
-        self._handlers: Dict[
-            Tuple[str, str], Callable[["TraceEvent"], None]
-        ] = {
-            ("span", "begin"): self.chains.on_event,
-            ("span", "end"): self.chains.on_event,
-            ("app", "send"): self._on_send,
-            ("app", "deliver"): self._on_deliver,
-            ("node", "start"): self._on_start,
-            ("node", "crash"): self._on_crash,
-            ("node", "recovered"): self._on_recovered,
-            ("node", "restored"): self._on_restored,
-            ("node", "checkpoint_durable"): self._on_checkpoint_durable,
-            ("node", "block"): self._on_block,
-            ("recovery", "epoch_begin"): self._on_epoch_begin,
-            ("recovery", "stale_epoch_drop"): self._on_stale_epoch_drop,
-            ("recovery", "leader_handoff"): self._on_leader_handoff,
-            ("recovery", "ord_acquired"): self._on_epoch_action,
-            ("recovery", "gather_start"): self._on_epoch_action,
-            ("recovery", "depinfo_phase"): self._on_epoch_action,
-            ("recovery", "distribute"): self._on_distribute,
-            ("recovery", "complete"): self._on_epoch_action,
-            ("protocol", "det_stable"): self._on_det_stable,
-            ("protocol", "det_durable"): self._on_det_durable,
-            ("protocol", "det_store"): self._on_det_store,
-            ("protocol", "det_ack"): self._on_det_ack,
-            ("protocol", "log_commit"): self._on_log_commit,
-            ("protocol", "mode_switch"): self._on_mode_switch,
-            ("protocol", "mode_restored"): self._on_mode_restored,
-            ("replay", "done"): self._on_replay_done,
-            ("output", "commit"): self._on_output_commit,
-            ("snapshot", "snap"): self._on_snap,
-            ("snapshot", "commit"): self._on_snapshot_commit,
-            ("snapshot", "committed"): self._on_snapshot_committed,
-            ("snapshot", "rolled_back"): self._on_rolled_back,
+        handlers = {
+            "span.begin": self.chains.on_event,
+            "span.end": self.chains.on_event,
+            "node.start": self._on_start,
+            "node.crash": self._on_crash,
+            "node.recovered": self._on_recovered,
+            "node.restored": self._on_restored,
+            "node.checkpoint_durable": self._on_checkpoint_durable,
+            "node.block": self._on_block,
+            "recovery.epoch_begin": self._on_epoch_begin,
+            "recovery.stale_epoch_drop": self._on_stale_epoch_drop,
+            "recovery.leader_handoff": self._on_leader_handoff,
+            "recovery.ord_acquired": self._on_epoch_action,
+            "recovery.gather_start": self._on_epoch_action,
+            "recovery.depinfo_phase": self._on_epoch_action,
+            "recovery.distribute": self._on_distribute,
+            "recovery.complete": self._on_epoch_action,
+            "protocol.det_durable": self._on_det_durable,
+            "protocol.det_store": self._on_det_store,
+            "protocol.det_ack": self._on_det_ack,
+            "protocol.log_commit": self._on_log_commit,
+            "protocol.mode_switch": self._on_mode_switch,
+            "protocol.mode_restored": self._on_mode_restored,
+            "replay.done": self._on_replay_done,
+            "output.commit": self._on_output_commit,
+            "snapshot.snap": self._on_snap,
+            "snapshot.commit": self._on_snapshot_commit,
+            "snapshot.committed": self._on_snapshot_committed,
+            "snapshot.rolled_back": self._on_rolled_back,
         }
+        #: ``category.action`` -> what a record of that key is handed to:
+        #: a handler behind the :meth:`_seen` prologue (the two hot ones
+        #: inline it); ``app.send`` has only the prologue
+        self._handlers: Dict[str, Callable[["TraceEvent"], None]] = {
+            key: self._heard(handler) for key, handler in handlers.items()
+        }
+        self._handlers.update({
+            "app.send": self._seen,
+            "app.deliver": self._on_deliver,
+            "protocol.det_stable": self._on_det_stable,
+        })
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def attach(self, trace: "TraceRecorder") -> None:
-        """Subscribe :meth:`on_event` under exactly the ``category.action``
-        keys that have a handler; no other record reaches the monitor.
+        """Subscribe each handler directly under its ``category.action``
+        key; no other record reaches the monitor, and ``app.send`` only
+        while a deferred recovery-orphan judgement waits.
 
-        Equivalent to feeding it every event: a record without a handler
-        could only have run the deferred recovery-orphan judgement, and
-        everything that judgement reads (the causal graph, liveness,
-        delivered counts, span chains) is written by handlers alone, so
-        judging at the next *handled* record finds the same state.
+        Equivalent to feeding it every event (:meth:`on_event`): an
+        unheard record could only have run that judgement, and what it
+        reads is written by handlers, or by the oracle after a heard
+        ``app.send`` / ``app.deliver``, before ``node.recovered`` (a
+        rollback only moves entries to the archives, which lookups also
+        read) or after ``node.checkpoint_durable`` -- so judging at the
+        next *heard* record finds the same state.
         """
-        for category, action in self._handlers:
-            trace.subscribe(self.on_event, f"{category}.{action}")
+        self._trace = trace
+        for key, handler in self._handlers.items():
+            if key != "app.send":
+                trace.subscribe(handler, key)
 
     def on_event(self, event: "TraceEvent") -> None:
-        """Feed one trace event through the invariant handlers."""
+        """Feed one trace event as if subscribed to every key: the
+        full-stream path, for replaying a kept trace.  A record without a
+        handler only goes through the :meth:`_seen` prologue."""
+        self._handlers.get(f"{event.category}.{event.action}", self._seen)(event)
+
+    def _seen(self, event: "TraceEvent") -> None:
+        """Count the event, and run the deferred recovery-orphan
+        judgements whose instant the clock has now passed."""
         self.events_seen += 1
-        if self._stale_pending and event.time > self._stale_pending[0][0]:
+        pending = self._stale_pending
+        if pending and event.time > pending[0][0]:
             self._flush_stale_pending(event.time)
-        handler = self._handlers.get((event.category, event.action))
-        if handler is not None:
+
+    def _heard(self, handler: Callable[["TraceEvent"], None]) -> Callable[["TraceEvent"], None]:
+        """``handler`` behind the :meth:`_seen` prologue."""
+        def heard(event: "TraceEvent") -> None:
+            self._seen(event)
             handler(event)
+
+        return heard
 
     def _check(self, invariant: str) -> None:
         self.checks[invariant] = self.checks.get(invariant, 0) + 1
@@ -308,19 +328,13 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # causal bookkeeping + orphan freedom
     # ------------------------------------------------------------------
-    def _on_send(self, event: "TraceEvent") -> None:
-        d = event.details
-        if event.node is None:
-            return
-        self.graph.record_send(event.node, d["ssn"], d["dst"], d["deliveries"])
-
     def _on_deliver(self, event: "TraceEvent") -> None:
+        self.events_seen += 1  # _seen(), inline: the hottest record
+        pending = self._stale_pending
+        if pending and event.time > pending[0][0]:
+            self._flush_stale_pending(event.time)
         receiver = event.node
-        if receiver is None:
-            return
-        d = event.details
-        sender, ssn, rsn = d["sender"], d["ssn"], d["rsn"]
-        self.graph.record_delivery(receiver, rsn, (sender, ssn))
+        sender, ssn, rsn = event.values  # the emitter's (sender, ssn, rsn)
         self._delivered[receiver] = rsn + 1
         if self.protocol not in GRAPH_FREE_PROTOCOLS:
             self._check("orphan-free")
@@ -380,14 +394,11 @@ class Sanitizer:
     # node lifecycle
     # ------------------------------------------------------------------
     def _on_start(self, event: "TraceEvent") -> None:
-        if event.node is not None:
-            self._live[event.node] = True
-            self._cover.setdefault(event.node, 0)
+        self._live[event.node] = True
+        self._cover.setdefault(event.node, 0)
 
     def _on_crash(self, event: "TraceEvent") -> None:
         node = event.node
-        if node is None:
-            return
         self._live[node] = False
         if self.protocol == "optimistic":
             self._opt_logged[node] = 0
@@ -396,8 +407,6 @@ class Sanitizer:
 
     def _on_recovered(self, event: "TraceEvent") -> None:
         node = event.node
-        if node is None:
-            return
         self._live[node] = True
         self._recovered_at[node] = event.time
         final = event.details["delivered"]
@@ -406,8 +415,11 @@ class Sanitizer:
             self._clear_pending(node, final)
         if self.protocol in GRAPH_FREE_PROTOCOLS:
             return
-        stale = self.graph.roll_back(node, final)
+        # the oracle rolled the graph back just before this record
+        stale = self.graph.last_rolled_back
         if stale:
+            if not self._stale_pending and self._trace is not None:
+                self._trace.subscribe(self._handlers["app.send"], "app.send")
             self._stale_pending.append((event.time, node, set(stale)))
 
     def _flush_stale_pending(self, now: float) -> None:
@@ -419,11 +431,14 @@ class Sanitizer:
         empty when the clock moves is a lost delivery someone can be
         orphaned by.
         """
-        while self._stale_pending and self._stale_pending[0][0] < now:
-            time, node, stale_keys = self._stale_pending.pop(0)
+        pending = self._stale_pending
+        while pending and pending[0][0] < now:
+            time, node, stale_keys = pending.pop(0)
             lost = {k for k in stale_keys if slot(self.graph.deliveries, *k) is None}
             if lost:
                 self._check_recovery_orphans(time, node, lost)
+        if not pending and self._trace is not None:
+            self._trace.unsubscribe(self._handlers["app.send"], "app.send")
 
     def _check_recovery_orphans(
         self, time: float, node: int, stale_set: Set[Tuple[int, int]]
@@ -460,11 +475,12 @@ class Sanitizer:
 
     def _on_checkpoint_durable(self, event: "TraceEvent") -> None:
         node = event.node
-        if node is None:
-            return
-        covered = event.details["delivered"]
-        self._horizon[node] = max(self._horizon.get(node, 0), covered)
-        self.graph.prune(node, covered)
+        horizon = max(self._horizon.get(node, 0), event.details["delivered"])
+        self._horizon[node] = horizon
+        # readers look only at rsns from the horizon up, which never falls
+        stable = self._stable_rsns.get(node)
+        if stable:
+            self._stable_rsns[node] = {rsn for rsn in stable if rsn >= horizon}
 
     def _on_block(self, event: "TraceEvent") -> None:
         self._check("no-block")
@@ -482,8 +498,6 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def _on_restored(self, event: "TraceEvent") -> None:
         node = event.node
-        if node is None:
-            return
         incarnation = event.details.get("incarnation")
         if incarnation is not None:
             current = self._incarnation.get(node, 0)
@@ -491,8 +505,6 @@ class Sanitizer:
 
     def _on_epoch_begin(self, event: "TraceEvent") -> None:
         node = event.node
-        if node is None:
-            return
         self._check("recovery-epoch")
         epoch = event.details["epoch"]
         last = self._rec_epoch.get(node)
@@ -516,7 +528,7 @@ class Sanitizer:
 
     def _check_epoch(self, event: "TraceEvent", epoch: Optional[int]) -> None:
         node = event.node
-        if node is None or epoch is None:
+        if epoch is None:
             return
         self._check("recovery-epoch")
         current = self._rec_epoch.get(node)
@@ -547,11 +559,10 @@ class Sanitizer:
         self._check_epoch(event, d.get("epoch"))
         node = event.node
         incvector = d.get("incvector")
-        if node is None or not incvector:
+        if not incvector:
             return
         self._check("recovery-epoch")
         for peer, inc in incvector.items():
-            peer = int(peer)
             latest = self._incarnation.get(peer, 0)
             if inc < latest:
                 self._flag(
@@ -567,10 +578,12 @@ class Sanitizer:
     # determinant stability (FBL family)
     # ------------------------------------------------------------------
     def _on_det_stable(self, event: "TraceEvent") -> None:
+        self.events_seen += 1  # _seen(), inline: one record per determinant
+        pending = self._stale_pending
+        if pending and event.time > pending[0][0]:
+            self._flush_stale_pending(event.time)
         node = event.node
-        if node is None:
-            return
-        rsn = event.details["rsn"]
+        rsn = event.values[0]  # the emitter's (rsn, sender, ssn)
         self._stable_rsns.setdefault(node, set()).add(rsn)
         if self.protocol == "manetho":
             self._check("write-order")
@@ -584,15 +597,10 @@ class Sanitizer:
                 )
 
     def _on_det_durable(self, event: "TraceEvent") -> None:
-        if event.node is not None:
-            self._durable_rsns.setdefault(event.node, set()).add(
-                event.details["rsn"]
-            )
+        self._durable_rsns.setdefault(event.node, set()).add(event.details["rsn"])
 
     def _on_det_store(self, event: "TraceEvent") -> None:
         storer = event.node
-        if storer is None:
-            return
         for det in event.details["dets"]:
             self._det_stored.add((storer, tuple(det)))
 
@@ -616,8 +624,6 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def _on_log_commit(self, event: "TraceEvent") -> None:
         node = event.node
-        if node is None:
-            return
         d = event.details
         if self.protocol in ("pessimistic", "adaptive"):
             self._pess_logged.add((node, d["sender"], d["ssn"]))
@@ -626,7 +632,7 @@ class Sanitizer:
             self._opt_logged[node] = max(current, d["index"])
 
     def _on_replay_done(self, event: "TraceEvent") -> None:
-        if self.protocol == "optimistic" and event.node is not None:
+        if self.protocol == "optimistic":
             self._opt_logged[event.node] = event.details["delivered"]
 
     # ------------------------------------------------------------------
@@ -643,8 +649,6 @@ class Sanitizer:
         stable determinant, so no obligation straddles the epoch line.
         """
         node = event.node
-        if node is None:
-            return
         d = event.details
         epoch = d["epoch"]
         self._check("mode-epoch")
@@ -697,8 +701,6 @@ class Sanitizer:
         re-anchored here rather than flagged.
         """
         node = event.node
-        if node is None:
-            return
         self._check("mode-epoch")
         d = event.details
         self._mode[node] = d["mode"]
@@ -712,8 +714,6 @@ class Sanitizer:
         if d.get("duplicate"):
             return  # a replayed re-request; the first release was checked
         node = event.node
-        if node is None:
-            return
         rsn = d["output_id"][1]
         time = event.time
         self._check("commit-order")
@@ -767,19 +767,9 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # coordinated snapshot rounds
     # ------------------------------------------------------------------
-    @staticmethod
-    def _count(counts: Dict[Any, int], peer: int) -> int:
-        """Channel counter lookup tolerant of int/str keys."""
-        value = counts.get(peer)
-        if value is None:
-            value = counts.get(str(peer), 0)
-        return value
-
     def _on_snap(self, event: "TraceEvent") -> None:
         node = event.node
         d = event.details
-        if node is None or "delivered" not in d:
-            return  # pre-sanitizer trace without enriched snap events
         self._snaps.setdefault(d["round"], {})[node] = (
             d["delivered"],
             dict(d["sent"]),
@@ -806,8 +796,8 @@ class Sanitizer:
             for b in range(self.n):
                 if a == b:
                     continue
-                sent = self._count(sent_a, b)
-                recv = self._count(snaps[b][2], a)
+                sent = sent_a.get(b, 0)
+                recv = snaps[b][2].get(a, 0)
                 if sent != recv:
                     self._flag(
                         "cut-consistent",
@@ -821,14 +811,11 @@ class Sanitizer:
             del self._snaps[done]
 
     def _on_snapshot_committed(self, event: "TraceEvent") -> None:
-        if event.node is not None:
-            self._cover[event.node] = event.details["covered"]
+        self._cover[event.node] = event.details["covered"]
 
     def _on_rolled_back(self, event: "TraceEvent") -> None:
         node = event.node
         d = event.details
-        if node is None:
-            return
         if "covered" in d:
             self._cover[node] = d["covered"]
         epoch = d.get("epoch")
@@ -851,7 +838,8 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def finalize(self) -> None:
         """Promote pending findings that the run never resolved."""
-        self._flush_stale_pending(float("inf"))
+        if self._stale_pending:
+            self._flush_stale_pending(float("inf"))
         for (node, rsn), finding in sorted(self._pending_orphans.items()):
             finding.detail += (
                 f" (still orphaned at rsn {rsn} when the run ended)"
@@ -876,9 +864,3 @@ class Sanitizer:
             "checks": dict(self.checks),
             "violations": [v.as_dict() for v in self.violations],
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Sanitizer(protocol={self.protocol!r}, "
-            f"violations={len(self.violations)}, events={self.events_seen})"
-        )

@@ -115,6 +115,27 @@ def run_small(**kwargs):
 
 
 # -- test-only views of the volatile logs ----------------------------------
+def watch_sanitizer_handlers(monkeypatch, seen) -> None:
+    """Have ``seen(sanitizer, event)`` run before each handler of every
+    :class:`~repro.sanitizer.monitor.Sanitizer` built afterwards: what a
+    monitor is handed, whether subscribed per key or fed ``on_event``."""
+    from repro.sanitizer.monitor import Sanitizer
+
+    build = Sanitizer.__init__
+
+    def watched_init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        for key, handler in self._handlers.items():
+
+            def watched(event, _handler=handler):
+                seen(self, event)
+                _handler(event)
+
+            self._handlers[key] = watched
+
+    monkeypatch.setattr(Sanitizer, "__init__", watched_init)
+
+
 def send_log_lookup(log: SendLog, dst: int, ssn: int) -> Optional[Tuple[Dict[str, Any], int]]:
     """The ``(payload, size)`` a :class:`SendLog` holds for ``(dst, ssn)``, or None."""
     return dict(log.messages_for(dst)).get(ssn)

@@ -26,7 +26,8 @@ runs the same suite under a fixed seed base.  Trials execute
 through :class:`repro.runner.TrialRunner` (worker count from
 ``REPRO_JOBS``, serial by default), and since every trial is
 deterministic, a failing one is replayed in-process to capture its
-trace for the artifact dump.
+trace for the artifact dump; a trial that raises comes back from the
+fleet without a summary and is replayed alone.
 
 The sweep covers every ``(protocol, recovery)`` pair a protocol lists
 in ``supported_recovery``.  Crash counts respect each protocol's failure
@@ -48,6 +49,7 @@ from repro.core.config import FaultConfig
 from repro.core.system import _build_protocol
 from repro.procs.failure import crash_at, storage_outage_at
 from repro.protocols import PROTOCOLS
+from repro.runner import TrialResult, run_trial
 
 RUNS_PER_COMBO = int(os.environ.get("CHAOS_RUNS_PER_COMBO", "30"))
 SEED_BASE = int(os.environ.get("CHAOS_SEED_BASE", "0"))
@@ -264,22 +266,36 @@ def dump_failure_artifacts(config, system) -> None:
         handle.write("\n")
 
 
+def run_trial_or_none(spec, index=0):
+    """``run_trial``, except that a trial that raises comes back with
+    summary ``None`` instead of taking its whole fleet down."""
+    try:
+        return run_trial(spec, index)
+    except Exception:
+        return TrialResult(index, spec.label, None, {}, {})
+
+
 @pytest.mark.parametrize("protocol,recovery,max_crashes", COMBOS,
                          ids=[f"{p}-{r}" for p, r, _ in COMBOS])
-def test_chaos_no_violations_and_eventual_recovery(protocol, recovery, max_crashes):
-    from repro.runner import TrialRunner, TrialSpec
+def test_chaos_no_violations_and_eventual_recovery(
+    monkeypatch, protocol, recovery, max_crashes
+):
+    from repro import runner
 
     configs = [
         chaos_config(protocol, recovery, max_crashes, SEED_BASE + trial, replica=replica)
         for trial in range(RUNS_PER_COMBO)
         for replica in (0, 1)
     ]
+    # a raising trial is replayed below, alone: the fleet's workers fork
+    # from this process and run the patched function too
+    monkeypatch.setattr(runner, "run_trial", run_trial_or_none)
     try:
-        trials = TrialRunner().run(TrialSpec(config=c) for c in configs)
+        trials = runner.TrialRunner().run(runner.TrialSpec(config=c) for c in configs)
         summaries = [trial.summary for trial in trials]
     except Exception:
-        # a trial raised and took the fleet with it: judge every trial
-        # by its in-process replay below, so each failure is reported
+        # a worker that did not fork from here raised and took the fleet
+        # with it: judge every trial by its in-process replay below
         summaries = [None] * len(configs)
     failures = []
     for config, summary in zip(configs, summaries):

@@ -20,9 +20,8 @@ import pytest
 
 from repro import build_system
 from repro.runner import TrialRunner
-from repro.sanitizer.monitor import Sanitizer
 
-from helpers import e2e_workloads
+from helpers import e2e_workloads, watch_sanitizer_handlers
 
 WORKLOADS = e2e_workloads()
 
@@ -38,11 +37,14 @@ WORKLOADS = e2e_workloads()
 #: trace as columns: the change before it moved the ``details`` reads
 #: into the observers' handlers without re-basing this row.  Columns
 #: trade a kept record's event build and publish call for one ``keep``
-#: call; a subscribed record pays that call on top.
+#: call; a subscribed record pays that call on top.  ``observed_run``
+#: read 91.9 at the parent of the change that has the sanitizer read the
+#: oracle's causal graph (subscribed per handler, ``app.send`` heard only
+#: while a judgement waits), and 83.0 with it.
 REACHED = {
     "steady_fbl": 58.9,
     "lossy_transport": 46.9,
-    "observed_run": 95.9,
+    "observed_run": 83.0,
     "recovery_churn": 61.6,
     "storage_logging": 58.7,
 }
@@ -97,26 +99,26 @@ def main() -> int:
 
 
 def test_sanitizer_is_entered_once_per_handled_record(monkeypatch):
-    """Same records, fewer observer calls: ``Sanitizer.on_event`` runs
+    """Same records, fewer observer calls: a ``Sanitizer`` handler runs
     exactly once for each record whose ``category.action`` has an
     invariant handler and never for any other (``net.send``,
-    ``net.deliver``, ... are nearly half of ``observed_run``)."""
+    ``net.deliver``, ... are nearly half of ``observed_run``) -- except
+    ``app.send``, heard only while a recovery-orphan judgement waits."""
     entered = Counter()
-    on_event = Sanitizer.on_event
-
-    def counting(self, event):
-        entered[f"{event.category}.{event.action}"] += 1
-        on_event(self, event)
-
-    monkeypatch.setattr(Sanitizer, "on_event", counting)
+    watch_sanitizer_handlers(
+        monkeypatch,
+        lambda sanitizer, event: entered.update((f"{event.category}.{event.action}",)),
+    )
     (spec,) = WORKLOADS["observed_run"].specs(1000, 0.1)
     system = build_system(spec.materialize())
     result = system.run()
-    handled = {f"{c}.{a}" for c, a in system.sanitizer._handlers}
+    handled = set(system.sanitizer._handlers) - {"app.send"}
     records = system.trace.counters
+    sends = entered.pop("app.send", 0)
     assert entered == {k: n for k, n in records.items() if k in handled}
-    assert sum(entered.values()) < 0.6 * sum(records.values())
-    assert result.extra["sanitizer"]["events_seen"] == sum(entered.values())
+    assert sends < 0.1 * records["app.send"]
+    assert sum(entered.values()) + sends < 0.6 * sum(records.values())
+    assert result.extra["sanitizer"]["events_seen"] == sum(entered.values()) + sends
 
 
 if __name__ == "__main__":

@@ -13,13 +13,18 @@ Two layers:
   recovery) must each be caught at the violating event.
 """
 
+from functools import partial
+
 import pytest
 
 from repro import build_system, crash_at
 from repro.core.config import SystemConfig
+from repro.protocols import PROTOCOLS
+from repro.sanitizer.causal import CausalGraph
 from repro.sanitizer.monitor import Sanitizer
 from repro.sim.trace import TraceRecorder
 
+from helpers import watch_sanitizer_handlers
 from test_chaos import COMBOS, chaos_config
 from test_integration_matrix import PAIRINGS, make
 
@@ -80,6 +85,50 @@ def test_sanitizer_counts_checks_by_invariant():
     assert result.extra["sanitizer"]["clean"]
 
 
+@pytest.mark.parametrize(
+    "protocol,recovery",
+    [(p, r) for p, r in PAIRINGS if PROTOCOLS[p].oracle_compatible],
+)
+def test_sanitized_run_keeps_one_causal_record(monkeypatch, protocol, recovery):
+    """The monitor reads the oracle's graph and records nothing itself:
+    each send and each delivery is recorded once."""
+    recorded = {"record_send": 0, "record_delivery": 0}
+    for name in recorded:
+        original = getattr(CausalGraph, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            recorded[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(CausalGraph, name, counting)
+    system = build_system(
+        make(protocol, recovery, crashes=[crash_at(node=2, time=0.03)], sanitize=True)
+    )
+    result = system.run()
+    assert result.extra["sanitizer"]["clean"]
+    assert system.sanitizer.graph is system.oracle.graph
+    counters = system.trace.counters
+    assert recorded == {
+        "record_send": counters["app.send"],
+        "record_delivery": counters["app.deliver"],
+    }
+
+
+@pytest.mark.parametrize("replica", [0, 1])
+def test_recovery_orphan_judgement_runs_before_the_graph_records_the_next_delivery(replica):
+    """Churn ``fbl/blocking`` seed 8: node 3's recovery at t=2.15828
+    rolls back its delivery at rsn 0, and the deferred recovery-orphan
+    judgement runs at the first record after that instant -- node 3
+    delivering rsn 0 again.  Judged against a graph that already held
+    that delivery (the oracle writing before the emit), the slot looks
+    refilled and the check is skipped: 253 ``orphan-free`` checks, one
+    short of the run judged as it happened."""
+    config = chaos_config("fbl", "blocking", 2, 8, profile="churn", replica=replica)
+    config.sanitize = True
+    report = build_system(config).run().extra["sanitizer"]
+    assert report["checks"]["orphan-free"] == 254
+
+
 # ----------------------------------------------------------------------
 # seeded mutants: real runs with deliberately broken protocol behaviour
 # ----------------------------------------------------------------------
@@ -134,11 +183,42 @@ def test_pessimistic_deliver_before_log_caught(monkeypatch):
 # ----------------------------------------------------------------------
 # handcrafted event streams through the real recorder + monitor
 # ----------------------------------------------------------------------
+def with_oracle_writes(graph, category, node, action, details, publish):
+    """Run ``publish()`` with the causal-graph writes the oracle makes
+    around that record in a run: the rollback just before
+    ``node.recovered``; the send, the delivery or the prune just after
+    ``app.send``, ``app.deliver`` or ``node.checkpoint_durable``."""
+    key = f"{category}.{action}"
+    if key == "node.recovered":
+        graph.roll_back(node, details["delivered"])
+    publish()
+    if key == "app.send":
+        graph.record_send(node, details["ssn"], details["dst"], details["deliveries"])
+    elif key == "app.deliver":
+        graph.record_delivery(node, details["rsn"], (details["sender"], details["ssn"]))
+    elif key == "node.checkpoint_durable":
+        graph.prune(node, details["delivered"])
+
+
+class OracleFedTrace(TraceRecorder):
+    """A recorder whose records also write the causal graph, in the
+    order the oracle writes it in a run."""
+
+    def __init__(self, graph):
+        super().__init__()
+        self.graph = graph
+
+    def record(self, time, category, node, action, **details):
+        publish = partial(super().record, time, category, node, action, **details)
+        with_oracle_writes(self.graph, category, node, action, details, publish)
+
+
 def harness(protocol="fbl", recovery="nonblocking", n=3):
-    """A recorder with an attached sanitizer, as ``System`` wires it."""
+    """A recorder with an attached sanitizer over one causal graph, as
+    ``System`` wires them."""
     config = SystemConfig(n=n, protocol=protocol, recovery=recovery)
-    sanitizer = Sanitizer(config)
-    trace = TraceRecorder()
+    trace = OracleFedTrace(CausalGraph())
+    sanitizer = Sanitizer(config, trace.graph)
     sanitizer.attach(trace)
     for node in range(n):
         trace.record(0.0, "node", node, "start")
@@ -252,11 +332,19 @@ def test_block_under_blocking_recovery_is_expected():
 # the online (keyed) monitor against the full-stream reference path
 # ----------------------------------------------------------------------
 def replayed_report(config, events):
-    """The reference path: a fresh monitor fed *every* kept event, in
-    order, through ``on_event``."""
-    reference = Sanitizer(config)
+    """The reference path: a fresh monitor over a fresh causal graph, fed
+    *every* kept event, in order, through ``on_event``, with the graph
+    written around each record as the oracle writes it (no oracle, no
+    writes: the stacks that run the null oracle)."""
+    graph = CausalGraph()
+    reference = Sanitizer(config, graph)
+    judged = PROTOCOLS[config.protocol].oracle_compatible
     for event in events:
-        reference.on_event(event)
+        if judged:
+            with_oracle_writes(graph, event.category, event.node, event.action,
+                               event.details, partial(reference.on_event, event))
+        else:
+            reference.on_event(event)
     reference.finalize()
     return reference.report()
 
@@ -264,13 +352,14 @@ def replayed_report(config, events):
 @pytest.fixture
 def handed(monkeypatch):
     """Make every monitor keep, as ``.handed``, the events it is handed."""
-    on_event = Sanitizer.on_event
+    watch_sanitizer_handlers(
+        monkeypatch,
+        lambda sanitizer, event: sanitizer.__dict__.setdefault("handed", []).append(event),
+    )
 
-    def recording(self, event):
-        self.__dict__.setdefault("handed", []).append(event)
-        on_event(self, event)
 
-    monkeypatch.setattr(Sanitizer, "on_event", recording)
+def key(event):
+    return f"{event.category}.{event.action}"
 
 
 def assert_online_equals_replay(system, online):
@@ -280,12 +369,25 @@ def assert_online_equals_replay(system, online):
     for field in ("violations", "checks", "clean"):
         assert online[field] == reference[field], field
     # the one thing that differs by design: the online monitor is handed
-    # the records it has a handler for, only those, in the kept order
-    handled = [
-        e for e in events if (e.category, e.action) in system.sanitizer._handlers
+    # the records it has a handler for, only those, in the kept order --
+    # and app.send only while a deferred recovery-orphan judgement waits,
+    # i.e. at a recovery instant, before any later record was handed
+    handed = system.sanitizer.handed
+    handled = [e for e in events if key(e) in system.sanitizer._handlers]
+    assert [e for e in handed if key(e) != "app.send"] == [
+        e for e in handled if key(e) != "app.send"
     ]
-    assert system.sanitizer.handed == handled
-    assert online["events_seen"] == len(handled) < len(events)
+    kept = iter(handled)
+    assert all(any(e == k for k in kept) for e in handed)  # in kept order
+    recovered_at = None
+    for event in handed:
+        if key(event) == "app.send":
+            assert recovered_at is not None and event.time >= recovered_at
+        if key(event) == "node.recovered":
+            recovered_at = event.time
+        elif recovered_at is not None and event.time > recovered_at:
+            recovered_at = None  # the judgement ran: app.send is dropped
+    assert online["events_seen"] == len(handed) <= len(handled) < len(events)
     assert reference["events_seen"] == len(events)
 
 
@@ -355,4 +457,6 @@ def test_deferred_orphan_judgement_waits_for_a_handled_record():
     config = SystemConfig(n=3, protocol="fbl", recovery="nonblocking")
     reference = replayed_report(config, trace.events)
     assert sanitizer.report()["violations"] == reference["violations"]
-    assert sanitizer.events_seen == len(trace.events) - 1
+    # not seen: the net.send, and the two app.sends made while no
+    # recovery-orphan judgement waited
+    assert sanitizer.events_seen == len(trace.events) - 3
