@@ -12,6 +12,7 @@
   stable-storage stalls).
 * :mod:`repro.core.oracle` -- an omniscient observer (zero simulated
   cost) that checks the paper's safety and liveness properties on every
-  run: replayed deliveries match the original order and digests, and no
-  delivery visible at a live process depends on a rolled-back delivery.
+  run: replayed deliveries match the original order and digests, and
+  the one orphan rule, judged online -- no live process depends on a
+  rolled-back delivery.
 """

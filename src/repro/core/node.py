@@ -187,6 +187,7 @@ class Node:
         """Fail-stop: every volatile structure is lost instantly."""
         if self.state == NodeState.CRASHED:
             return
+        self.oracle.on_crash(self.node_id)
         if self.blocked:
             self.metrics.block_end(self.node_id, self.sim.now)
             self.trace.spans.end(self._block_span, self.sim.now, aborted=True)
@@ -319,6 +320,8 @@ class Node:
 
     def complete_recovery(self) -> None:
         """Recovery manager finished; the process is live again."""
+        # first: a recovery the oracle judges now must not count this process live
+        self.oracle.on_rollback(self.node_id, self.app.delivered_count)
         self.state = NodeState.LIVE
         episode = self.metrics.episode_of(self.node_id)
         if episode is not None:
@@ -333,7 +336,6 @@ class Node:
                 replayed=self.metrics.replayed.get(self.node_id, 0),
             )
             self._episode_span = None
-        self.oracle.on_rollback(self.node_id, self.app.delivered_count)
         self.trace.record(
             self.sim.now,
             "node",

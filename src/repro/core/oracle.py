@@ -8,18 +8,33 @@ correctness properties the paper proves in Section 4:
   process re-delivers rsn ``k``, it must deliver the *same message* and
   reach the *same state digest* as the original execution did at rsn
   ``k``.
-* **Safety** (Section 4.3): at the end of the run, every antecedent of a
-  delivery that survived at any process must itself have survived -- no
-  live process may be left an orphan of a rolled-back delivery.
+* **Safety** (Section 4.3): no live process is left an orphan of a
+  rolled-back delivery.  This is the run's one orphan rule, judged
+  online in every run:
+
+  (a) no process delivers a message whose send was rolled back and
+      never re-executed (judged at the delivery);
+  (b) once the clock passes a recovery instant, no live process's
+      frontier reaches a delivery slot the recovery lost.  Queued
+      retransmissions and regenerated sends land at the completion
+      timestamp itself, so a slot a delivery refills at that same
+      instant is not lost.  :meth:`ConsistencyOracle.check_safety` is
+      the same clause at the end of the run, where every slot past a
+      process's final history is lost.
+
+  Optimistic logging creates orphans by design and kills them by
+  rollback, so there a finding is pending until the orphaned process
+  rolls back, and the run-end call promotes what is left.
 
 The causal record itself lives in :attr:`ConsistencyOracle.graph`, the
 run's one :class:`~repro.sanitizer.causal.CausalGraph`, which the online
-:class:`~repro.sanitizer.monitor.Sanitizer` reads mid-run and never
-writes.  Callers record a send or a delivery right after its
-``app.send`` / ``app.deliver`` trace record, so the monitor judges that
-record against the graph as it was when it was made.  The oracle layers
-replay-determinism bookkeeping (state digests) on top and audits safety
-once at the end.
+:class:`~repro.sanitizer.monitor.Sanitizer` reads and never writes.
+Callers record a send or a delivery right after its ``app.send`` /
+``app.deliver`` trace record.  The rule reads the clock and which
+processes are live from the run (:attr:`ConsistencyOracle.sim`,
+:attr:`ConsistencyOracle.nodes`), and judges a recovery at the first
+call after its instant, before that call writes the graph; a crash is
+such a call, so a peer is judged while it is still live.
 
 Rollback archives are bounded: :meth:`ConsistencyOracle.on_gc` prunes
 entries below a node's durable-checkpoint horizon, mirroring the
@@ -33,11 +48,12 @@ inspected; the test suite asserts ``oracle.violations == []``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.output import CommittedOutput
-from repro.sanitizer.causal import CausalGraph
+from repro.sanitizer.causal import CausalGraph, DeliveryKey, slot
 
 #: bytes of one sha256 digest
 _DIGEST = 32
@@ -47,14 +63,23 @@ _NO_DIGEST = bytes(_DIGEST)
 
 @dataclass(frozen=True)
 class OracleViolation:
-    """One detected breach of a correctness property."""
+    """One detected breach of a correctness property.
+
+    An orphan finding also carries the virtual time it was judged at and
+    the span chain open on its node then (innermost first; empty when
+    the run records no spans)."""
 
     kind: str
     node: int
     detail: str
+    time: Optional[float] = None
+    span_chain: Tuple[Dict[str, Any], ...] = ()
 
     def __str__(self) -> str:
-        return f"[{self.kind}] node {self.node}: {self.detail}"
+        when = "" if self.time is None else f" t={self.time:.6f}"
+        chain = " <- ".join(f"{link['kind']}#{link['span']}" for link in self.span_chain)
+        where = f" [{chain}]" if chain else ""
+        return f"[{self.kind}]{when} node {self.node}: {self.detail}{where}"
 
 
 class ConsistencyOracle:
@@ -65,15 +90,32 @@ class ConsistencyOracle:
     ``(x, k-1) -> (x, k)`` and, for each message, an edge from the
     sender's latest delivery before the send to the delivery of that
     message.
+
+    ``sim`` is read for ``now``; ``transient_orphans`` holds orphan
+    findings pending until a rollback (optimistic logging).  ``System``
+    sets :attr:`nodes` once they are built, and :attr:`chains` when the
+    run records spans.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sim: Any = None, transient_orphans: bool = False) -> None:
         self.graph = CausalGraph()
         #: receiver -> the digest after each live delivery, packed: its
         #: 32 raw bytes at ``32 * rsn``, in step with graph.deliveries;
         #: a gap is zero-filled and counts as no entry
         self._digests: Dict[int, bytearray] = defaultdict(bytearray)
         self.violations: List[OracleViolation] = []
+        # fed by hand, time stands still: only the run-end call judges
+        self.sim = sim if sim is not None else SimpleNamespace(now=0.0)
+        #: the run's processes by id (each read for ``is_live``)
+        self.nodes: Sequence[Any] = ()
+        #: the span chains open per node (a SpanChainTracker), or None
+        self.chains: Any = None
+        self._transient = transient_orphans
+        #: recoveries the clock has not yet passed, oldest first:
+        #: (instant, recovered node, the delivery slots it rolled back)
+        self._due: List[Tuple[float, int, List[DeliveryKey]]] = []
+        #: (node, rsn, finding): held until node rolls back below rsn
+        self._pending: List[Tuple[int, int, OracleViolation]] = []
 
     # ------------------------------------------------------------------
     # recording
@@ -84,6 +126,8 @@ class ConsistencyOracle:
         Replay determinism requires a regenerated send to occur at the
         same point in the sender's delivery sequence.
         """
+        if self._due and self.sim.now > self._due[0][0]:
+            self._judge_recoveries()
         previous = self.graph.record_send(sender, ssn, dst, deliveries_so_far)
         if previous is not None and previous != deliveries_so_far:
             self._flag("send-divergence", sender, (
@@ -95,8 +139,20 @@ class ConsistencyOracle:
     ) -> None:
         """Record the delivery (or replay) of ``message_id = (sender,
         ssn)``; the tuple is stored as given, not copied.  ``digest`` is
-        the process's sha256 hex digest after the delivery."""
-        previous = self.graph.record_delivery(receiver, rsn, message_id)
+        the process's sha256 hex digest after the delivery.  Judged
+        first: orphan clause (a), and any recovery the clock has passed."""
+        if self._due and self.sim.now > self._due[0][0]:
+            self._judge_recoveries()
+        graph = self.graph
+        archived = graph.rolled_back_sends
+        if archived:  # and the membership test first: no call per delivery
+            sender, ssn = message_id
+            key = (sender, ssn, receiver)
+            if key in archived and graph.send_is_rolled_back(*key):
+                self._orphan(receiver, rsn, self.sim.now, (
+                    f"delivered message ({sender}, ssn {ssn}) at rsn {rsn} "
+                    f"but its send was rolled back and never re-executed"))
+        previous = graph.record_delivery(receiver, rsn, message_id)
         if previous is None:
             row, at = self._digests[receiver], _DIGEST * rsn
             if at >= len(row):
@@ -112,43 +168,99 @@ class ConsistencyOracle:
         elif self._digest(receiver, rsn) != bytes.fromhex(digest):
             self._flag("replay-digest", receiver, f"rsn {rsn} digest diverged on replay")
 
+    def on_crash(self, node: int) -> None:
+        """``node`` is about to fail: judge the recoveries the clock has
+        passed while it is still live."""
+        self._judge_recoveries()
+
     def on_rollback(self, node: int, final_count: int) -> None:
         """A recovery finished with ``node`` at ``final_count`` deliveries.
 
         Deliveries at rsn >= ``final_count`` (and the sends they caused)
-        were *invisible* -- no surviving delivery depends on them -- and
-        are permanently rolled back.  They are forgotten so that the
-        node's fresh post-recovery execution is not misreported as replay
-        divergence.  The safety check will still flag any surviving
-        delivery that depended on them, because its antecedent events are
-        reconstructed from the surviving record.
+        are permanently rolled back.  They are archived, not judged as
+        replay divergence, so the node's fresh post-recovery execution
+        is not misreported; the slots they held are judged by orphan
+        clause (b) once the clock passes this instant.  A pending
+        (optimistic) finding on ``node`` at rsn >= ``final_count`` is
+        undone by the rollback.
         """
-        self.graph.roll_back(node, final_count)
+        self._judge_recoveries()
+        stale = self.graph.roll_back(node, final_count)
         del self._digests[node][_DIGEST * final_count:]
+        if self._pending:
+            self._pending = [p for p in self._pending if p[0] != node or p[1] < final_count]
+        if stale:
+            self._due.append((self.sim.now, node, stale))
 
     def on_gc(self, node: int, covered: int) -> None:
         """A durable checkpoint covers ``covered`` deliveries of ``node``:
         archived rolled-back entries below that horizon can never feed a
         future violation (see :meth:`CausalGraph.prune`) and are dropped,
         keeping the archives bounded on long runs."""
+        self._judge_recoveries()
         self.graph.prune(node, covered)
+
+    # ------------------------------------------------------------------
+    # the orphan rule
+    # ------------------------------------------------------------------
+    def _judge_recoveries(self) -> None:
+        """Clause (b) for every recovery whose instant the clock passed:
+        a slot still empty is lost, and no other live process may reach it."""
+        rows = self.graph.deliveries
+        while self._due and self._due[0][0] < self.sim.now:
+            time, recovered, stale = self._due.pop(0)
+            lost = [key for key in stale if slot(rows, *key) is None]
+            if lost:
+                frontiers = {
+                    peer: len(rows[peer]) - 1
+                    for peer, process in enumerate(self.nodes)
+                    if peer != recovered and process.is_live and rows.get(peer)
+                }
+                self._orphaned(frontiers, lost, time, f"rolled back by node {recovered}'s recovery")
+
+    def _orphaned(
+        self, frontiers: Dict[int, int], lost: List[DeliveryKey], time: float, why: str
+    ) -> None:
+        """Flag each frontier that reaches a ``lost`` slot; one walk from
+        all of them first, and one per frontier only if that reaches one."""
+        reach = self.graph.reach
+        top = reach(frontiers.items())
+        if all(rsn > top.get(owner, -1) for owner, rsn in lost):
+            return
+        for peer, rsn in sorted(frontiers.items()):
+            below = reach(((peer, rsn),))
+            tainted = sorted(key for key in lost if key[1] <= below.get(key[0], -1))
+            if tainted:
+                self._orphan(peer, rsn, time, f"live process depends on deliveries {tainted} {why}")
+
+    def _orphan(self, node: int, rsn: int, time: float, detail: str) -> None:
+        """An orphan finding on ``node`` at ``rsn``, with its span chain;
+        pending under optimistic logging, else a violation."""
+        chain = tuple(self.chains.chain(node)) if self.chains is not None else ()
+        finding = OracleViolation("orphan", node, detail, time, chain)
+        if self._transient:
+            self._pending.append((node, rsn, finding))
+        else:
+            self.violations.append(finding)
 
     # ------------------------------------------------------------------
     # end-of-run checks
     # ------------------------------------------------------------------
     def check_safety(self, final_histories: Dict[int, List[Tuple[int, int]]]) -> None:
-        """Verify no surviving delivery depends on a rolled-back delivery.
+        """The orphan rule at the end of the run, where every slot past a
+        process's final history is lost: one walk from every final
+        frontier (which also checks each history against the record),
+        per-frontier walks only if it reaches a lost slot, and the
+        pending findings promoted.
 
         ``final_histories`` maps node -> its delivery history (list of
-        ``(sender, ssn)``) at the end of the run, read, not kept.  A
-        delivery event ``(x, k)`` *survived* iff ``k < len(final_histories[x])``.
+        ``(sender, ssn)``) at the end of the run, read, not kept.
         """
-        reached = self.graph.reach(
-            (node, len(history) - 1)
-            for node, history in final_histories.items()
-            if history
-        )
-        for node, top in sorted(reached.items()):
+        frontiers = {
+            node: len(history) - 1 for node, history in final_histories.items() if history
+        }
+        lost: List[DeliveryKey] = []
+        for node, top in sorted(self.graph.reach(frontiers.items()).items()):
             history = final_histories.get(node, [])
             survived = min(top + 1, len(history))
             live = self.graph.deliveries.get(node, [])[:survived]
@@ -158,10 +270,13 @@ class ConsistencyOracle:
                         self._flag("history-divergence", node, (
                             f"final history at rsn {rsn} is {history[rsn]}, "
                             f"oracle recorded {recorded}"))
-            for rsn in range(survived, top + 1):
-                self._flag("orphan", node, (
-                    f"delivery (node={node}, rsn={rsn}) was rolled back but a "
-                    f"surviving delivery depends on it"))
+            lost.extend((node, rsn) for rsn in range(survived, top + 1))
+        if lost:
+            self._orphaned(frontiers, lost, self.sim.now, "that did not survive the run")
+        for _node, _rsn, finding in self._pending:
+            self.violations.append(replace(
+                finding, detail=f"{finding.detail} (still orphaned when the run ended)"))
+        self._pending.clear()
 
     def check_outputs(self, outputs: Iterable[CommittedOutput]) -> None:
         """No committed output may stem from a permanently rolled-back
@@ -205,8 +320,9 @@ class NullOracle(ConsistencyOracle):
 
     Used for protocols whose post-rollback re-execution legitimately
     diverges from the original run (coordinated checkpointing re-executes
-    live rather than replaying), where the replay-determinism checks do
-    not apply.
+    live rather than replaying), where neither replay determinism nor
+    the per-delivery orphan rule applies; the sanitizer's
+    ``cut-consistent`` invariant judges those runs instead.
     """
 
     def on_send(self, sender: int, ssn: int, dst: int, deliveries_so_far: int) -> None:
@@ -215,6 +331,9 @@ class NullOracle(ConsistencyOracle):
     def on_deliver(
         self, receiver: int, rsn: int, message_id: Tuple[int, int], digest: str
     ) -> None:
+        pass
+
+    def on_crash(self, node: int) -> None:
         pass
 
     def on_rollback(self, node: int, final_count: int) -> None:

@@ -27,6 +27,7 @@ from repro.recovery import RECOVERY_MANAGERS
 from repro.recovery.sequencer import Sequencer
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.spans import SpanChainTracker
 from repro.sim.trace import TraceRecorder
 from repro.workloads import make_workload
 
@@ -63,16 +64,25 @@ class System:
 
             self.profiler = SimProfiler().attach(self.sim)
         if PROTOCOLS[config.protocol].oracle_compatible:
-            self.oracle = ConsistencyOracle()
+            self.oracle = ConsistencyOracle(
+                self.sim, transient_orphans=config.protocol == "optimistic")
         else:
             self.oracle = NullOracle()
         self.sanitizer = None
+        chains = None
         if config.sanitize:
             from repro.sanitizer.monitor import Sanitizer
 
             # the run's one causal record: the oracle writes, the monitor reads
             self.sanitizer = Sanitizer(config, self.oracle.graph)
             self.sanitizer.attach(self.trace)
+            chains = self.sanitizer.chains
+        elif self.trace.spans.enabled:
+            chains = SpanChainTracker()
+            for action in ("begin", "end"):
+                self.trace.subscribe(chains.on_event, f"span.{action}")
+        # one span tracker serves every observer's findings and stacks
+        self.oracle.chains = chains
         self.registry = MetricsRegistry()
         self.metrics = MetricsCollector()
 
@@ -146,6 +156,7 @@ class System:
             )
             node.storage.registry = self.registry
             self.nodes.append(node)
+        self.oracle.nodes = self.nodes
 
         # communication-cost ledger: host-side attribution of every wire
         # and storage byte to (process, peer, purpose, phase) accounts.
@@ -157,15 +168,7 @@ class System:
             from repro.obs import CostLedger, CostSampler
 
             self.cost = CostLedger()
-            if self.sanitizer is not None:
-                # one span tracker serves both observers
-                self.cost.spans = self.sanitizer.chains
-            elif self.trace.spans.enabled:
-                from repro.sim.spans import SpanChainTracker
-
-                self.cost.spans = SpanChainTracker()
-                for action in ("begin", "end"):
-                    self.trace.subscribe(self.cost.spans.on_event, f"span.{action}")
+            self.cost.spans = chains
             if config.timeseries_window is not None:
                 self.cost_sampler = CostSampler(
                     self.cost,

@@ -1,17 +1,16 @@
-"""The causal record of a run, shared by the oracle and the sanitizer.
+"""The causal record of a run.
 
-The happens-before structure both checkers need is the same: delivery
-events ``(node, rsn)`` connected by program-order edges
+Delivery events ``(node, rsn)`` connected by program-order edges
 ``(x, k-1) -> (x, k)`` and, per message, an edge from the sender's
 latest delivery before the send to the delivery of that message.
 A run keeps one :class:`CausalGraph`, the
 :class:`~repro.core.oracle.ConsistencyOracle`'s, which writes it and
-layers replay-determinism checks on top of it at end of run; the
-:class:`~repro.sanitizer.monitor.Sanitizer` only reads it online, at the
-event where an invariant can first be violated.
+judges the run's one orphan rule and replay determinism against it; the
+:class:`~repro.sanitizer.monitor.Sanitizer` only reads it (the
+pessimistic ``commit-order`` check looks up deliveries).
 
 Rolled-back sends and deliveries are *archived* rather than dropped, so
-orphan checks can still traverse the causal edges they induced.  The
+the orphan rule can still traverse the causal edges they induced.  The
 archives are bounded by :meth:`CausalGraph.prune`, driven by the same GC
 horizon the protocols use (a durable checkpoint covering ``covered``
 deliveries): archived entries below the horizon are either shadowed by a
@@ -71,8 +70,6 @@ class CausalGraph:
         #: archives of permanently rolled-back events (bounded by prune())
         self.rolled_back_delivery: Dict[DeliveryKey, Tuple[int, int]] = {}
         self.rolled_back_sends: Dict[SendKey, int] = {}
-        #: the delivery keys the latest roll_back() archived
-        self.last_rolled_back: List[DeliveryKey] = []
 
     # ------------------------------------------------------------------
     # recording
@@ -102,8 +99,7 @@ class CausalGraph:
 
     def roll_back(self, node: int, final_count: int) -> List[DeliveryKey]:
         """Archive ``node``'s deliveries at rsn >= ``final_count`` and the
-        sends they caused; returns the archived delivery keys, which stay
-        readable as :attr:`last_rolled_back` until the next rollback."""
+        sends they caused; returns the archived delivery keys."""
         row = self.deliveries.get(node, [])
         stale_deliveries = [
             (node, rsn) for rsn in range(final_count, len(row)) if row[rsn] is not None
@@ -118,7 +114,6 @@ class CausalGraph:
                 if context is not None and context > final_count:
                     self.rolled_back_sends[(sender, ssn, dst)] = context
                     contexts[ssn] = None
-        self.last_rolled_back = stale_deliveries
         return stale_deliveries
 
     # ------------------------------------------------------------------
@@ -126,7 +121,7 @@ class CausalGraph:
     # ------------------------------------------------------------------
     def delivery_at(self, receiver: int, rsn: int) -> Optional[Tuple[int, int]]:
         """The (sender, ssn) delivered at this slot, live or archived."""
-        row = self.deliveries.get(receiver, ())  # slot(), inline: reach() runs it per event
+        row = self.deliveries.get(receiver, ())  # slot(), inline
         found = row[rsn] if 0 <= rsn < len(row) else None
         if found is None:
             found = self.rolled_back_delivery.get((receiver, rsn))
@@ -158,15 +153,24 @@ class CausalGraph:
                 top[node] = rsn
         walked: Dict[int, int] = {}  # node -> rsns whose edges were walked
         pending = list(top)
+        # delivery_at() and context_of(), inline: the oracle walks every
+        # reached delivery once per recovery that lost a slot
+        contexts, archived = self.contexts, self.rolled_back_sends
         while pending:
             node = pending.pop()
             upto = top[node]
+            row = self.deliveries.get(node, ())
             for rsn in range(walked.get(node, 0), upto + 1):
-                delivered = self.delivery_at(node, rsn)
+                delivered = row[rsn] if rsn < len(row) else None
                 if delivered is None:
-                    continue
+                    delivered = self.rolled_back_delivery.get((node, rsn))
+                    if delivered is None:
+                        continue
                 sender, ssn = delivered
-                context = self.context_of(sender, ssn, node)
+                sent = contexts.get((sender, node), ())
+                context = sent[ssn] if 0 <= ssn < len(sent) else None
+                if context is None:
+                    context = archived.get((sender, ssn, node))
                 if context is not None and context - 1 > top.get(sender, -1):
                     top[sender] = context - 1
                     pending.append(sender)

@@ -1,37 +1,19 @@
 """Online invariant monitor over the trace stream.
 
-The :class:`~repro.core.oracle.ConsistencyOracle` audits a run's *end
-state*; by then the schedule that produced a violation is gone.  The
-:class:`Sanitizer` subscribes to the live trace stream
+The :class:`Sanitizer` subscribes to the live trace stream
 (:meth:`Sanitizer.attach`: each handler directly under its
-``category.action`` key) and checks each invariant *at the event where
-it can first be violated*, attaching the causal span chain that was open
-at that moment.  It reads the run's one causal record, the oracle's
+``category.action`` key) and checks the protocol-specific invariants
+*at the event where each can first be violated*, attaching the causal
+span chain that was open at that moment.  Orphan freedom is not among
+them: it is the :class:`~repro.core.oracle.ConsistencyOracle`'s one
+orphan rule, judged online in every run.  The monitor reads the run's
+one causal record, the oracle's
 :class:`~repro.sanitizer.causal.CausalGraph`, and writes nothing to it.
 Like the kernel profiler, it costs nothing when off: ``System`` only
 builds and attaches it under ``config.sanitize``.
 
 Invariants checked (see ``docs/SANITIZER.md`` for the mapping to paper
 sections):
-
-``orphan-free``
-    No process delivers a message whose send was rolled back, and no
-    live process ends up causally dependent on a rolled-back delivery
-    (paper Theorem 1 / Section 2).  Checked at ``app.deliver`` against
-    the causal graph, and at ``node.recovered`` by intersecting every
-    live peer's frontier antecedents with the deliveries its rollback
-    archived.  The frontier check is deferred until virtual time
-    advances past the recovery instant: queued retransmissions and
-    regenerated sends land at the exact completion timestamp,
-    re-occupying slots the ``delivered`` count did not yet include, and
-    only a slot still empty once the clock moves is a lost delivery
-    someone can be orphaned by.  Optimistic logging *creates* orphans by
-    design and kills them asynchronously, so there the finding is held
-    pending and only reported if the orphaned process never rolls back
-    (checked in :meth:`Sanitizer.finalize`).
-    Coordinated checkpointing replaces replay with divergent
-    re-execution, so per-delivery causal checks do not apply; it is
-    covered by the cut-consistency invariant instead.
 
 ``commit-order``
     An output at receipt order ``rsn`` commits only once every delivery
@@ -91,16 +73,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.sanitizer.causal import CausalGraph, slot
+from repro.sanitizer.causal import CausalGraph
 from repro.sim.spans import SpanChainTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.config import SystemConfig
     from repro.sim.trace import TraceEvent, TraceRecorder
 
-#: protocols whose recovery re-executes divergently; the per-delivery
-#: causal-graph checks do not apply to them
-GRAPH_FREE_PROTOCOLS = frozenset({"coordinated"})
 #: protocols gating outputs on determinant stability (f+1 replication)
 FBL_FAMILY = frozenset({"fbl", "sender_based", "manetho"})
 #: protocols whose outputs gate on det_stable events; the adaptive stack
@@ -145,10 +124,10 @@ class Sanitizer:
     """Event-driven invariant checker for one run.
 
     Reads ``graph``, the oracle's; attach with :meth:`attach`; call
-    :meth:`finalize` after the run (flushes pending optimistic-orphan
-    findings) and :meth:`report` for a picklable summary.  The monitor
-    only *observes*: it never schedules events, draws randomness, writes
-    the graph, or touches protocol state, so it cannot perturb a run.
+    :meth:`finalize` after the run and :meth:`report` for a picklable
+    summary.  The monitor only *observes*: it never schedules events,
+    draws randomness, writes the graph, or touches protocol state, so it
+    cannot perturb a run.
     """
 
     def __init__(self, config: "SystemConfig", graph: CausalGraph) -> None:
@@ -157,7 +136,8 @@ class Sanitizer:
         self.n = config.n
         self.graph = graph
         self.chains = SpanChainTracker()
-        #: the recorder attach() subscribed to (``None`` when fed by hand)
+        #: the recorder attach() subscribed to, until finalize() (``None``
+        #: when fed by hand)
         self._trace: Optional["TraceRecorder"] = None
         self.violations: List[SanitizerViolation] = []
         self.events_seen = 0
@@ -169,11 +149,6 @@ class Sanitizer:
         self._recovered_at: Dict[int, float] = {}
         #: deliveries covered by the latest durable checkpoint
         self._horizon: Dict[int, int] = {}
-        #: deferred recovery-instant orphan checks, oldest first:
-        #: (time, recovered node, rolled-back delivery slots); judged
-        #: once the clock advances past the recovery instant, ignoring
-        #: slots a live delivery re-occupied in the meantime
-        self._stale_pending: List[Tuple[float, int, Set[Tuple[int, int]]]] = []
 
         # -- FBL family ------------------------------------------------
         #: owner -> rsns whose determinants reached stability
@@ -192,10 +167,6 @@ class Sanitizer:
         # -- optimistic ------------------------------------------------
         #: mirror of the protocol's logged-prefix counter
         self._opt_logged: Dict[int, int] = {}
-        #: (receiver, rsn) -> pending orphan-delivery finding
-        self._pending_orphans: Dict[Tuple[int, int], SanitizerViolation] = {}
-        #: (peer, frontier rsn) -> pending orphaned-process finding
-        self._pending_frontiers: Dict[Tuple[int, int], SanitizerViolation] = {}
 
         # -- recovery epochs -------------------------------------------
         #: per-node current recovery epoch (last epoch_begin)
@@ -221,9 +192,11 @@ class Sanitizer:
         #: rollback epoch -> the single round it must target
         self._rollback_round: Dict[int, int] = {}
 
-        handlers = {
+        #: ``category.action`` -> the handler a record of that key is handed to
+        self._handlers: Dict[str, Callable[["TraceEvent"], None]] = {
             "span.begin": self.chains.on_event,
             "span.end": self.chains.on_event,
+            "app.deliver": self._on_deliver,
             "node.start": self._on_start,
             "node.crash": self._on_crash,
             "node.recovered": self._on_recovered,
@@ -238,6 +211,7 @@ class Sanitizer:
             "recovery.depinfo_phase": self._on_epoch_action,
             "recovery.distribute": self._on_distribute,
             "recovery.complete": self._on_epoch_action,
+            "protocol.det_stable": self._on_det_stable,
             "protocol.det_durable": self._on_det_durable,
             "protocol.det_store": self._on_det_store,
             "protocol.det_ack": self._on_det_ack,
@@ -251,104 +225,48 @@ class Sanitizer:
             "snapshot.committed": self._on_snapshot_committed,
             "snapshot.rolled_back": self._on_rolled_back,
         }
-        #: ``category.action`` -> what a record of that key is handed to:
-        #: a handler behind the :meth:`_seen` prologue (the two hot ones
-        #: inline it); ``app.send`` has only the prologue
-        self._handlers: Dict[str, Callable[["TraceEvent"], None]] = {
-            key: self._heard(handler) for key, handler in handlers.items()
-        }
-        self._handlers.update({
-            "app.send": self._seen,
-            "app.deliver": self._on_deliver,
-            "protocol.det_stable": self._on_det_stable,
-        })
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def attach(self, trace: "TraceRecorder") -> None:
         """Subscribe each handler directly under its ``category.action``
-        key; no other record reaches the monitor, and ``app.send`` only
-        while a deferred recovery-orphan judgement waits.
-
-        Equivalent to feeding it every event (:meth:`on_event`): an
-        unheard record could only have run that judgement, and what it
-        reads is written by handlers, or by the oracle after a heard
-        ``app.send`` / ``app.deliver``, before ``node.recovered`` (a
-        rollback only moves entries to the archives, which lookups also
-        read) or after ``node.checkpoint_durable`` -- so judging at the
-        next *heard* record finds the same state.
-        """
+        key; no other record reaches the monitor.  Equivalent to feeding
+        it every event (:meth:`on_event`): a record without a handler
+        changes nothing the monitor reads."""
         self._trace = trace
         for key, handler in self._handlers.items():
-            if key != "app.send":
-                trace.subscribe(handler, key)
+            trace.subscribe(handler, key)
 
     def on_event(self, event: "TraceEvent") -> None:
         """Feed one trace event as if subscribed to every key: the
-        full-stream path, for replaying a kept trace.  A record without a
-        handler only goes through the :meth:`_seen` prologue."""
-        self._handlers.get(f"{event.category}.{event.action}", self._seen)(event)
-
-    def _seen(self, event: "TraceEvent") -> None:
-        """Count the event, and run the deferred recovery-orphan
-        judgements whose instant the clock has now passed."""
-        self.events_seen += 1
-        pending = self._stale_pending
-        if pending and event.time > pending[0][0]:
-            self._flush_stale_pending(event.time)
-
-    def _heard(self, handler: Callable[["TraceEvent"], None]) -> Callable[["TraceEvent"], None]:
-        """``handler`` behind the :meth:`_seen` prologue."""
-        def heard(event: "TraceEvent") -> None:
-            self._seen(event)
+        full-stream path, for replaying a kept trace."""
+        handler = self._handlers.get(f"{event.category}.{event.action}")
+        if handler is not None:
+            self.events_seen += 1
             handler(event)
-
-        return heard
 
     def _check(self, invariant: str) -> None:
         self.checks[invariant] = self.checks.get(invariant, 0) + 1
 
-    def _make(
+    def _flag(
         self, invariant: str, node: Optional[int], time: float, detail: str
-    ) -> SanitizerViolation:
-        return SanitizerViolation(
+    ) -> None:
+        self.violations.append(SanitizerViolation(
             invariant=invariant,
             node=node,
             time=time,
             detail=detail,
             span_chain=self.chains.chain(node),
-        )
-
-    def _flag(
-        self, invariant: str, node: Optional[int], time: float, detail: str
-    ) -> None:
-        self.violations.append(self._make(invariant, node, time, detail))
+        ))
 
     # ------------------------------------------------------------------
-    # causal bookkeeping + orphan freedom
+    # deliveries
     # ------------------------------------------------------------------
     def _on_deliver(self, event: "TraceEvent") -> None:
-        self.events_seen += 1  # _seen(), inline: the hottest record
-        pending = self._stale_pending
-        if pending and event.time > pending[0][0]:
-            self._flush_stale_pending(event.time)
         receiver = event.node
         sender, ssn, rsn = event.values  # the emitter's (sender, ssn, rsn)
         self._delivered[receiver] = rsn + 1
-        if self.protocol not in GRAPH_FREE_PROTOCOLS:
-            self._check("orphan-free")
-            if self.graph.send_is_rolled_back(sender, ssn, receiver):
-                detail = (
-                    f"delivered message ({sender}, ssn {ssn}) at rsn {rsn} "
-                    f"but its send was rolled back and never re-executed"
-                )
-                finding = self._make("orphan-free", receiver, event.time, detail)
-                if self.protocol == "optimistic":
-                    # orphans are transient by design; must die by rollback
-                    self._pending_orphans[(receiver, rsn)] = finding
-                else:
-                    self.violations.append(finding)
         if self.protocol == "pessimistic":
             self._check("write-order")
             key = (receiver, sender, ssn)
@@ -402,76 +320,14 @@ class Sanitizer:
         self._live[node] = False
         if self.protocol == "optimistic":
             self._opt_logged[node] = 0
-        if self.protocol in GRAPH_FREE_PROTOCOLS:
+        if self.protocol == "coordinated":
             self._cover[node] = 0
 
     def _on_recovered(self, event: "TraceEvent") -> None:
         node = event.node
         self._live[node] = True
         self._recovered_at[node] = event.time
-        final = event.details["delivered"]
-        self._delivered[node] = final
-        if self.protocol == "optimistic":
-            self._clear_pending(node, final)
-        if self.protocol in GRAPH_FREE_PROTOCOLS:
-            return
-        # the oracle rolled the graph back just before this record
-        stale = self.graph.last_rolled_back
-        if stale:
-            if not self._stale_pending and self._trace is not None:
-                self._trace.subscribe(self._handlers["app.send"], "app.send")
-            self._stale_pending.append((event.time, node, set(stale)))
-
-    def _flush_stale_pending(self, now: float) -> None:
-        """Judge deferred recovery rollbacks once the clock passed them.
-
-        A slot re-occupied by a live delivery in the meantime -- the
-        queued retransmissions and regenerated sends that land at the
-        recovery instant itself -- has been restored; only a slot still
-        empty when the clock moves is a lost delivery someone can be
-        orphaned by.
-        """
-        pending = self._stale_pending
-        while pending and pending[0][0] < now:
-            time, node, stale_keys = pending.pop(0)
-            lost = {k for k in stale_keys if slot(self.graph.deliveries, *k) is None}
-            if lost:
-                self._check_recovery_orphans(time, node, lost)
-        if not pending and self._trace is not None:
-            self._trace.unsubscribe(self._handlers["app.send"], "app.send")
-
-    def _check_recovery_orphans(
-        self, time: float, node: int, stale_set: Set[Tuple[int, int]]
-    ) -> None:
-        self._check("orphan-free")
-        for peer, count in sorted(self._delivered.items()):
-            if peer == node or count <= 0 or not self._live.get(peer, False):
-                continue
-            frontier = (peer, count - 1)
-            reach = self.graph.reach((frontier,))
-            tainted = {(n, rsn) for n, rsn in stale_set if rsn <= reach.get(n, -1)}
-            if not tainted:
-                continue
-            detail = (
-                f"live process depends on deliveries "
-                f"{sorted(tainted)} rolled back by node {node}'s recovery"
-            )
-            finding = self._make("orphan-free", peer, time, detail)
-            if self.protocol == "optimistic":
-                # legitimate until the peer fails to roll itself back
-                self._pending_frontiers[frontier] = finding
-            else:
-                self.violations.append(finding)
-
-    def _clear_pending(self, node: int, final: int) -> None:
-        """A rollback to ``final`` deliveries undoes this node's orphaned
-        state at any rsn >= ``final``."""
-        for key in [k for k in self._pending_orphans if k[0] == node and k[1] >= final]:
-            del self._pending_orphans[key]
-        for key in [
-            k for k in self._pending_frontiers if k[0] == node and k[1] >= final
-        ]:
-            del self._pending_frontiers[key]
+        self._delivered[node] = event.details["delivered"]
 
     def _on_checkpoint_durable(self, event: "TraceEvent") -> None:
         node = event.node
@@ -578,10 +434,6 @@ class Sanitizer:
     # determinant stability (FBL family)
     # ------------------------------------------------------------------
     def _on_det_stable(self, event: "TraceEvent") -> None:
-        self.events_seen += 1  # _seen(), inline: one record per determinant
-        pending = self._stale_pending
-        if pending and event.time > pending[0][0]:
-            self._flush_stale_pending(event.time)
         node = event.node
         rsn = event.values[0]  # the emitter's (rsn, sender, ssn)
         self._stable_rsns.setdefault(node, set()).add(rsn)
@@ -837,19 +689,14 @@ class Sanitizer:
     # end of run
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Promote pending findings that the run never resolved."""
-        if self._stale_pending:
-            self._flush_stale_pending(float("inf"))
-        for (node, rsn), finding in sorted(self._pending_orphans.items()):
-            finding.detail += (
-                f" (still orphaned at rsn {rsn} when the run ended)"
-            )
-            self.violations.append(finding)
-        self._pending_orphans.clear()
-        for (node, rsn), finding in sorted(self._pending_frontiers.items()):
-            finding.detail += " (the process never rolled itself back)"
-            self.violations.append(finding)
-        self._pending_frontiers.clear()
+        """End of run: stop listening, and count the records heard (the
+        recorder's counters for the handled keys).  Every invariant was
+        judged at its event, so nothing is pending."""
+        trace, self._trace = self._trace, None
+        if trace is not None:
+            for key, handler in self._handlers.items():
+                trace.unsubscribe(handler, key)
+            self.events_seen = sum(trace.counters.get(key, 0) for key in self._handlers)
 
     @property
     def clean(self) -> bool:

@@ -1,8 +1,16 @@
-"""Unit tests for the consistency oracle."""
+"""Unit tests for the consistency oracle, and its orphan rule in runs."""
 
 from hashlib import sha256
+from types import SimpleNamespace
 
+import pytest
+
+from repro import build_system
 from repro.core.oracle import ConsistencyOracle, NullOracle, OracleViolation
+from repro.sim.spans import SpanChainTracker
+from repro.sim.trace import TraceRecorder
+
+from test_chaos import chaos_config
 
 
 def digest(state: str) -> str:
@@ -145,3 +153,195 @@ def test_null_oracle_observes_nothing():
     oracle.check_safety({1: [(9, 9)]})
     assert oracle.consistent
     assert oracle.deliveries_recorded() == 0
+
+
+# ----------------------------------------------------------------------
+# the orphan rule, fed by hand in the order a run makes the calls
+# ----------------------------------------------------------------------
+class Run:
+    """What the oracle reads from a run: the clock, which processes are
+    live, and the span chains open on each (fed as span records)."""
+
+    def __init__(self, n=3):
+        self.now = 0.0
+        self.oracle = ConsistencyOracle(self)
+        self.oracle.nodes = [SimpleNamespace(is_live=True) for _ in range(n)]
+        self.oracle.chains = SpanChainTracker()
+        self.trace = TraceRecorder()
+        self.trace.subscribe(self.oracle.chains.on_event)
+
+    def at(self, time):
+        self.now = time
+        return self.oracle
+
+    def span(self, time, node, span, kind):
+        self.trace.record(time, "span", node, "begin", span=span, kind=kind)
+
+    def crash(self, time, node):
+        self.at(time).on_crash(node)
+        self.oracle.nodes[node].is_live = False
+
+    def recover(self, time, node, delivered):
+        self.at(time).on_rollback(node, delivered)
+        self.oracle.nodes[node].is_live = True
+
+
+def node_0_depends_on_node_1s_lost_delivery(run):
+    """Node 1 delivers (2, 0) and sends (1, 1) to node 0 from that state;
+    node 0 delivers it inside a recovery-episode span; node 1 fails and
+    recovers with no deliveries."""
+    run.at(0.10).on_send(2, 0, 1, 0)
+    run.at(0.12).on_deliver(1, 0, (2, 0), digest("n1"))
+    run.at(0.14).on_send(1, 1, 0, 1)
+    run.span(0.30, 0, 9, "recovery.episode")
+    run.at(0.31).on_deliver(0, 0, (1, 1), digest("n0"))
+    run.crash(0.40, 1)
+    run.recover(0.50, 1, 0)
+
+
+def test_orphan_delivery_caught_with_span_chain():
+    """Delivering a message whose send was rolled back and never
+    re-executed is an orphan, flagged at the delivery with the span
+    chain that was open on the receiver."""
+    run = Run()
+    # node 1 delivers once, then sends ssn 5 to node 0 from that state
+    run.at(0.10).on_deliver(1, 0, (2, 0), digest("n1"))
+    run.at(0.11).on_send(1, 5, 0, 1)
+    # node 1 crashes and recovers having lost that delivery (and send)
+    run.crash(0.20, 1)
+    run.recover(0.50, 1, 0)
+    # node 0, mid-checkpoint, delivers the rolled-back message anyway
+    run.span(0.60, 0, 7, "node.checkpoint")
+    run.at(0.61).on_deliver(0, 0, (1, 5), digest("n0"))
+    violation = run.oracle.violations[0]
+    assert violation.kind == "orphan"
+    assert violation.node == 0
+    assert violation.time == 0.61
+    assert "rolled back" in violation.detail
+    assert [link["kind"] for link in violation.span_chain] == ["node.checkpoint"]
+    assert "node.checkpoint#7" in str(violation)
+
+
+def test_recovery_orphaned_frontier_caught_after_clock_advance():
+    """A live process left dependent on a delivery the recovery lost is
+    flagged once the clock moves past the recovery instant."""
+    run = Run()
+    node_0_depends_on_node_1s_lost_delivery(run)
+    assert run.oracle.consistent  # deferred: same-instant refills must be allowed
+    run.at(0.60).on_send(2, 1, 1, 0)
+    (violation,) = run.oracle.violations
+    assert violation.kind == "orphan"
+    assert violation.node == 0
+    assert violation.time == 0.50
+    assert "(1, 0)" in violation.detail
+    assert [link["kind"] for link in violation.span_chain] == ["recovery.episode"]
+
+
+def test_recovery_rollback_healed_at_same_instant_is_clean():
+    """Slots re-occupied at the recovery timestamp itself (queued
+    retransmissions) are restored state, not orphans."""
+    run = Run()
+    node_0_depends_on_node_1s_lost_delivery(run)
+    # the queued retransmission lands at the recovery instant
+    run.at(0.50).on_deliver(1, 0, (2, 0), digest("n1"))
+    run.at(0.60).on_send(2, 1, 1, 0)
+    run.oracle.check_safety({0: [(1, 1)], 1: [(2, 0)], 2: []})
+    assert run.oracle.consistent, [str(v) for v in run.oracle.violations]
+
+
+def lost_slot_refilled_by_another_message(run):
+    node_0_depends_on_node_1s_lost_delivery(run)
+    run.at(0.60).on_send(2, 1, 1, 0)
+    run.at(0.70).on_deliver(1, 0, (2, 1), digest("n1 again"))
+    run.oracle.check_safety({0: [(1, 1)], 1: [(2, 1)], 2: []})
+
+
+def test_lost_slot_refilled_by_a_different_message_is_an_orphan():
+    """Node 0 depends on node 1's rsn 0 as it was, (2, 0); after the
+    recovery instant that slot is refilled by (2, 1).  Clause (b) flags
+    it when the clock passes the instant; the run-end walk alone, which
+    sees only that node 1's history is long enough, does not."""
+    run = Run()
+    lost_slot_refilled_by_another_message(run)
+    assert [(v.kind, v.node, v.time) for v in run.oracle.violations] == [("orphan", 0, 0.50)]
+    run = Run()
+    run.oracle.sim = SimpleNamespace(now=0.0)  # no instant ever passes
+    lost_slot_refilled_by_another_message(run)
+    assert run.oracle.consistent
+
+
+def test_recovery_judged_at_the_first_call_after_its_instant():
+    """No call into the oracle comes between the recovery instant and a
+    peer's crash: the crash is judged first, while the peer is live."""
+    run = Run()
+    node_0_depends_on_node_1s_lost_delivery(run)
+    run.crash(0.55, 0)
+    assert [(v.node, v.time) for v in run.oracle.violations] == [(0, 0.50)]
+    # a crash at the recovery instant itself judges nothing
+    run = Run()
+    node_0_depends_on_node_1s_lost_delivery(run)
+    run.crash(0.50, 0)
+    run.at(0.60).on_send(2, 1, 1, 0)
+    assert run.oracle.consistent
+
+
+def test_transient_orphan_is_pending_until_the_process_rolls_back():
+    """Under optimistic logging a finding waits for the orphan's own
+    rollback: one below its rsn clears it, and the run-end call
+    promotes what is left (here with the run-end judgement's own)."""
+    for rolled_back in (True, False):
+        run = Run()
+        run.oracle._transient = True
+        node_0_depends_on_node_1s_lost_delivery(run)
+        run.at(0.60).on_send(2, 1, 1, 0)
+        assert run.oracle.consistent
+        if rolled_back:
+            run.crash(0.70, 0)
+            run.recover(0.80, 0, 0)
+        run.oracle.check_safety({0: [] if rolled_back else [(1, 1)], 1: [], 2: []})
+        found = [(v.kind, v.node, v.time) for v in run.oracle.violations]
+        assert found == ([] if rolled_back else [("orphan", 0, 0.50), ("orphan", 0, 0.60)])
+        assert all(v.detail.endswith("when the run ended)") for v in run.oracle.violations)
+
+
+# ----------------------------------------------------------------------
+# the rule in real runs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("replica", [0, 1])
+def test_recovery_orphan_judgement_runs_before_the_graph_records_the_next_delivery(
+    monkeypatch, replica
+):
+    """Churn ``fbl/blocking`` seed 8: node 3's recovery at t=2.15828
+    rolls back its delivery at rsn 0, and the recovery is judged at the
+    next call into the oracle -- node 3 delivering rsn 0 again -- before
+    that delivery is recorded: the slot is still lost, and the live
+    frontiers are walked.  Judged after the record, the slot would look
+    refilled and nothing would be walked."""
+    judged = []
+    walk = ConsistencyOracle._orphaned
+
+    def watched(self, frontiers, lost, time, why):
+        judged.append((round(time, 5), lost))
+        return walk(self, frontiers, lost, time, why)
+
+    monkeypatch.setattr(ConsistencyOracle, "_orphaned", watched)
+    config = chaos_config("fbl", "blocking", 2, 8, profile="churn", replica=replica)
+    assert build_system(config).run().consistent
+    assert judged == [(2.15828, [(3, 0)])]
+
+
+@pytest.mark.parametrize("protocol,recovery,budget,seed", [
+    ("fbl", "blocking", 2, 116), ("optimistic", "optimistic", 1, 89),
+])
+def test_perturbed_churn_orphans_are_judged_with_the_sanitizer_off(
+    protocol, recovery, budget, seed
+):
+    """The two perturbed churn labels only the sanitizer used to see:
+    with the sanitizer off, the oracle's orphan rule calls both runs
+    inconsistent.  Both are real orphans, protocol bugs listed in
+    docs/FAULTS.md §6; a fix turns its case here into a consistent run."""
+    config = chaos_config(protocol, recovery, budget, seed, profile="churn", replica=1)
+    assert not config.sanitize
+    violations = build_system(config).run().oracle_violations
+    assert violations and {v.kind for v in violations} == {"orphan"}
+    assert {v.node for v in violations} == {3}

@@ -11,14 +11,13 @@ gather.  These tests pin the churn-hardening on top of it:
   sent again when it is absorbed (a reply to a superseded request is
   dropped) -- through a handoff too, and never for a re-crashed member
   of R; the churn trials that distributed stale replies recover
-  consistently;
+  consistently, and with the marking removed the oracle alone finds
+  the orphans;
 * cascading failures (k >= 3 overlapping crashes) and partitions healing
   mid-gather still converge for every recovery manager;
 * the ``recovery-epoch`` sanitizer invariant catches an epoch-reuse
   mutant, both end-to-end and on a hand-fed trace.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -199,13 +198,30 @@ class TestStaleReplies:
     ])
     def test_churn_trial_distributes_no_stale_reply(self, protocol, seed):
         """Churn trials in which an absorbed member's stale depinfo
-        orphaned the survivors (docs/FAULTS.md §6)."""
-        config = replace(
-            chaos_config(protocol, "nonblocking", 2, seed, profile="churn"),
-            sanitize=True,
-        )
+        orphaned the survivors (docs/FAULTS.md §6); the oracle's orphan
+        rule judges them with the sanitizer off."""
+        config = chaos_config(protocol, "nonblocking", 2, seed, profile="churn")
         _, result = run_system(config)
         assert check_invariants(config, result) == []
+
+    @pytest.mark.parametrize("protocol,seed", [
+        ("fbl", 10), ("fbl", 30), ("fbl", 56), ("adaptive", 32),
+    ])
+    def test_stale_reply_mutant_orphans_the_survivors(self, monkeypatch, protocol, seed):
+        """Seeded mutant: a live failure voids its reply but marks no
+        request stale.  With the sanitizer off, the oracle alone calls
+        the trial inconsistent, with an orphan finding."""
+        from repro.recovery.nonblocking import NonblockingRecovery
+
+        def mutant(self, peer):
+            self._invalidate_reply(peer, "live_failure")
+
+        monkeypatch.setattr(NonblockingRecovery, "_live_failure", mutant)
+        config = chaos_config(protocol, "nonblocking", 2, seed, profile="churn")
+        assert not config.sanitize
+        _, result = run_system(config)
+        assert not result.consistent
+        assert "orphan" in {v.kind for v in result.oracle_violations}
 
 
 CASCADE_MANAGERS = [
