@@ -213,8 +213,8 @@ class Network:
         self.size_histogram = None
         # pre-bound trace emitters: one per (category, action) on the
         # per-message hot path; each declares its detail names here and
-        # the call sites pass the values positionally, so a counters-only
-        # sweep builds no details at all
+        # the call sites pass the values positionally, and only when the
+        # emitter is live -- a counters-only sweep adds 1 to its count
         if trace is not None:
             wire_fields = ("dst", "mtype", "kind", "size", "msg_id")
             self._emit_send = trace.emitter("net", "send", wire_fields)
@@ -327,7 +327,10 @@ class Network:
             )
         if self.trace is not None:
             emit = self._emit_retransmit if retransmit else self._emit_send
-            emit(now, src, dst, mtype, kind_name, size, msg_id)
+            if emit.live:
+                emit(now, src, dst, mtype, kind_name, size, msg_id)
+            else:
+                emit.count += 1
 
         extra_delay = duplicates = 0
         faults = self.faults
@@ -337,7 +340,11 @@ class Network:
             if cause is not None:
                 self.stats.record_drop(kind, cause)
                 if self.trace is not None:
-                    self._emit_lose(now, src, dst, mtype, cause, msg_id)
+                    emit = self._emit_lose
+                    if emit.live:
+                        emit(now, src, dst, mtype, cause, msg_id)
+                    else:
+                        emit.count += 1
                 return message
             extra_delay, duplicates = decision.extra_delay, decision.duplicates
 
@@ -422,10 +429,12 @@ class Network:
             self.drop_no_handler(message)
             return
         if self.trace is not None:
-            self._emit_deliver(
-                self.sim.now, dst,
-                message.src, message.mtype, message.kind._value_, message.msg_id,
-            )
+            emit = self._emit_deliver
+            if emit.live:
+                emit(self.sim.now, dst,
+                     message.src, message.mtype, message.kind._value_, message.msg_id)
+            else:
+                emit.count += 1
         handler(message)
 
     def drop_no_handler(self, message: Message) -> None:
@@ -433,10 +442,11 @@ class Network:
         attached (crashed or never registered)."""
         self.stats.record_drop(message.kind, "no_handler")
         if self.trace is not None:
-            self._emit_drop(
-                self.sim.now, message.dst,
-                message.src, message.mtype, message.msg_id,
-            )
+            emit = self._emit_drop
+            if emit.live:
+                emit(self.sim.now, message.dst, message.src, message.mtype, message.msg_id)
+            else:
+                emit.count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -263,10 +263,11 @@ class AdaptiveLogging(FamilyBasedLogging):
             # _track never saw it unstable, so announce stability here
             # (the sanitizer's commit-order bookkeeping rides on it)
             mask |= host_mask((STABLE_HOST,))
-            self._emit_det_stable(
-                self.node.sim.now, self.node.node_id,
-                det.rsn, det.sender, det.ssn,
-            )
+            emit = self._emit_det_stable
+            if emit.live:
+                emit(self.node.sim.now, self.node.node_id, det.rsn, det.sender, det.ssn)
+            else:
+                emit.count += 1
         elif not self._replaying and self.mode == "optimistic":
             self._write_det_async(det)
         # replayed deliveries and recovery leftovers re-track only: their

@@ -191,7 +191,11 @@ class LogBasedProtocol(LoggingProtocol):
         me, delivered = node.node_id, node.app.delivered_count
         ssn = node.next_ssn(dst)
         self.send_log.log(dst, ssn, payload, body_bytes)
-        self._emit_send(node.sim.now, me, dst, ssn, delivered)
+        emit = self._emit_send
+        if emit.live:
+            emit(node.sim.now, me, dst, ssn, delivered)
+        else:
+            emit.count += 1
         node.oracle.on_send(me, ssn, dst, delivered)  # after the record: see Node.deliver_app
         piggyback = self._piggyback_for(dst)
         self.piggyback_determinants_sent += len(piggyback)

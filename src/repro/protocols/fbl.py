@@ -103,9 +103,12 @@ class FamilyBasedLogging(LogBasedProtocol):
         if was_cached:
             # it just crossed the f+1 (or stable-host) threshold:
             # outputs at this rsn are safe
-            node = self.node
-            self._emit_det_stable(
-                node.sim.now, node.node_id, det.rsn, det.sender, det.ssn)
+            emit = self._emit_det_stable
+            if emit.live:
+                node = self.node
+                emit(node.sim.now, node.node_id, det.rsn, det.sender, det.ssn)
+            else:
+                emit.count += 1
         if self._pending_outputs:
             self._check_pending_outputs()
 
@@ -120,8 +123,11 @@ class FamilyBasedLogging(LogBasedProtocol):
                 # a checkpoint, or loaded from gathered depinfo) and so
                 # never transit the unstable cache; re-announce it so the
                 # stability record covers the whole log
-                self._emit_det_stable(
-                    self.node.sim.now, me, det.rsn, det.sender, det.ssn)
+                emit = self._emit_det_stable
+                if emit.live:
+                    emit(self.node.sim.now, me, det.rsn, det.sender, det.ssn)
+                else:
+                    emit.count += 1
 
     def _piggyback_for(self, dst: int) -> List[Item]:
         """``(delivery_id, determinant, host mask)`` items: the wire form is

@@ -95,7 +95,11 @@ class OptimisticLogging(LogBasedProtocol):
         me, delivered = node.node_id, node.app.delivered_count
         ssn = node.next_ssn(dst)
         self.send_log.log(dst, ssn, payload, body_bytes)
-        self._emit_send(node.sim.now, me, dst, ssn, delivered)
+        emit = self._emit_send
+        if emit.live:
+            emit(node.sim.now, me, dst, ssn, delivered)
+        else:
+            emit.count += 1
         node.oracle.on_send(me, ssn, dst, delivered)  # after the record: see Node.deliver_app
         dep = dict(self.dep)
         dep[node.node_id] = (node.incarnation, node.app.delivered_count)

@@ -696,7 +696,8 @@ class Sanitizer:
         if trace is not None:
             for key, handler in self._handlers.items():
                 trace.unsubscribe(handler, key)
-            self.events_seen = sum(trace.counters.get(key, 0) for key in self._handlers)
+            counters = trace.counters
+            self.events_seen = sum(counters.get(key, 0) for key in self._handlers)
 
     @property
     def clean(self) -> bool:

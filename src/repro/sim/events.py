@@ -1,10 +1,10 @@
 """Event objects used by the simulation kernel.
 
-An :class:`Event` couples a firing time with a callback.  Events are
-totally ordered by ``(time, priority, seq)``: ties on the virtual clock are
-broken first by an explicit priority (lower fires first) and then by
-insertion order, which keeps runs deterministic regardless of heap
-internals.
+An :class:`Event` couples a firing time with a callback.  The kernel's
+heap orders events by ``(time, priority, seq)`` entries built beside them:
+ties on the virtual clock are broken first by an explicit priority (lower
+fires first) and then by insertion order, which keeps runs deterministic
+regardless of heap internals.
 """
 
 from __future__ import annotations
@@ -35,23 +35,18 @@ class Event:
     """
 
     __slots__ = (
-        "time", "priority", "seq", "fn", "args", "kwargs",
-        "cancelled", "label", "in_heap", "poolable",
+        "time", "fn", "args", "kwargs", "cancelled", "label", "in_heap", "poolable",
     )
 
     def __init__(
         self,
         time: float,
-        seq: int,
         fn: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         kwargs: Optional[dict] = None,
-        priority: int = 0,
         label: str = "",
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.kwargs = kwargs if kwargs else None
@@ -71,20 +66,10 @@ class Event:
             else:
                 self.fn(*self.args, **self.kwargs)
 
-    def __lt__(self, other: "Event") -> bool:
-        # the kernel heap's total order: (time, priority, seq), compared
-        # field by field -- the hottest code in the kernel (one call per
-        # heap sift step), so no tuple is built per comparison
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = self.label or getattr(self.fn, "__name__", repr(self.fn))
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {name}, {state})"
+        return f"Event(t={self.time:.6f}, {name}, {state})"
 
 
 class EventHandle:

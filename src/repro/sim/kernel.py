@@ -20,6 +20,9 @@ two exact counters instead of scanning the heap:
   the survivors re-heapified.  Compaction only removes events that can
   never fire, so event order (and therefore every run) is unchanged.
 
+The heap holds ``(time, priority, seq, event)`` tuples, compared in C:
+``seq`` is unique, so no comparison ever reaches the :class:`Event`.
+
 Intra-run scale (10k+ processes, 100M+ events in one run) adds a third
 discipline: the inner loop must not allocate per event.
 
@@ -108,7 +111,8 @@ class Simulator:
         tiebreak_seed: Optional[int] = None,
     ) -> None:
         self._now = float(start_time)
-        self._heap: List[Event] = []
+        #: ``(time, priority, seq, event)`` entries
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         #: None keeps the seed's exact FIFO tie order; a seeded RNG makes
         #: same-instant ordering a controlled perturbation (chaos replicas)
@@ -226,10 +230,10 @@ class Simulator:
         seq = self._seq
         if self._tiebreak_rng is not None:
             seq = (self._tiebreak_rng.getrandbits(20) << 40) | seq
-        event = Event(time, seq, fn, args, kwargs, priority=priority, label=label)
+        event = Event(time, fn, args, kwargs, label)
         event.in_heap = True
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         if self.profiler is not None:
             self.profiler.note_heap_depth(len(self._heap) - self._heap_cancelled)
         return EventHandle(event, self)
@@ -287,18 +291,16 @@ class Simulator:
             event = pool.pop()
             self._pool_reuses += 1
             event.time = time
-            event.priority = priority
-            event.seq = seq
             event.fn = fn
             event.args = args
             event.label = label
             # kwargs/cancelled/poolable were reset by _release
         else:
-            event = Event(time, seq, fn, args, None, priority=priority, label=label)
+            event = Event(time, fn, args, None, label)
             event.poolable = True
         event.in_heap = True
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         if self.profiler is not None:
             self.profiler.note_heap_depth(len(self._heap) - self._heap_cancelled)
 
@@ -333,10 +335,10 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled corpses and re-heapify the survivors.
 
-        Events are totally ordered by ``(time, priority, seq)``, so the
+        Entries are totally ordered by ``(time, priority, seq)``, so the
         rebuilt heap pops in exactly the order the old one would have --
         compaction is invisible to the simulation."""
-        survivors = [e for e in self._heap if not e.cancelled]
+        survivors = [entry for entry in self._heap if not entry[3].cancelled]
         self._heap = survivors
         heapq.heapify(survivors)
         self._heap_cancelled = 0
@@ -373,18 +375,18 @@ class Simulator:
             while heap:
                 if max_events is not None and fired >= max_events:
                     break
-                event = heap[0]
+                time, _, _, event = heap[0]
                 if event.cancelled:
                     heapq.heappop(heap)
                     event.in_heap = False
                     self._heap_cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     self._now = until
                     break
                 heapq.heappop(heap)
                 event.in_heap = False
-                self._now = event.time
+                self._now = time
                 self._events_processed += 1
                 fired += 1
                 if profiler is None:

@@ -107,25 +107,40 @@ class TraceEvent:
 
 
 class BoundEmitter:
-    """A pre-bound trace emitter for one ``(category, action)`` pair.
+    """A pre-bound trace emitter for one stream, ``(category, action,
+    fields)``.
 
     Hot paths (the network's per-message ``send``/``deliver`` traces, the
     protocols' ``app.send``/``app.deliver``) record thousands of events
     with the same category, action and detail *names*.  The emitter
     declares those names once, when it is bound, and call sites pass the
-    values positionally: ``emit(time, node, *values)``.  The counters-only
-    path (nothing kept, nobody subscribed) allocates nothing -- no key
-    string, no kwargs dict.  A kept record goes to the trace's backend
-    under the emitter's stream, ``(category, action, fields)``: the
-    columnar store appends ``time``, ``node`` and the values to the
-    stream's row, and no :class:`TraceEvent` is built.  One is built
-    only for a subscriber; it keeps the emitter's ``fields`` tuple and
-    the call's ``values`` tuple as they are, so its ``details`` are the
-    same keys in the same order ``trace.record(..., **details)`` would
-    have produced.  Obtained from :meth:`TraceRecorder.emitter`.
+    values positionally: ``emit(time, node, *values)``.
+
+    The emitter holds its stream's count in :attr:`count`, and
+    :attr:`live` says whether anybody keeps or hears its records (the
+    trace keeps events, or someone subscribed to the whole recorder or
+    to this ``category.action``).  The recorder sets ``live`` whenever a
+    subscription changes.  Every call site has one form::
+
+        if emit.live:
+            emit(time, node, *values)
+        else:
+            emit.count += 1
+
+    so a record nobody keeps or hears costs one attribute test and one
+    add, and no call.  A kept record goes to the trace's backend under
+    the emitter's stream: the columnar store appends ``time``, ``node``
+    and the values to the stream's row, and no :class:`TraceEvent` is
+    built.  One is built only for a subscriber; it keeps the emitter's
+    ``fields`` tuple and the call's ``values`` tuple as they are, so its
+    ``details`` are the same keys in the same order
+    ``trace.record(..., **details)`` would have produced.  Obtained from
+    :meth:`TraceRecorder.emitter`, which hands every caller binding one
+    stream the same emitter.
     """
 
-    __slots__ = ("_trace", "category", "action", "fields", "_key", "_stream")
+    __slots__ = ("_trace", "category", "action", "fields", "_key", "_stream",
+                 "count", "live")
 
     def __init__(
         self,
@@ -140,6 +155,10 @@ class BoundEmitter:
         self.fields = tuple(fields)
         self._key = category + "." + action
         self._stream: Stream = (category, action, self.fields)
+        #: records of this stream so far (``TraceRecorder.counters`` sums them)
+        self.count = 0
+        #: whether the trace keeps or somebody hears this stream's records
+        self.live = trace._listened(self._key)
 
     def __call__(
         self, time: float, node: Optional[int], *values: Any
@@ -147,23 +166,23 @@ class BoundEmitter:
         """Equivalent to ``trace.record(time, category, node, action,
         **dict(zip(fields, values)))``: returns the event a subscriber
         was handed, or ``None`` when nobody subscribed to this record."""
+        self.count += 1
+        if not self.live:
+            return None
+        fields = self.fields
+        if len(values) != len(fields):
+            raise ValueError(
+                f"{self._key} declares {fields}, got {len(values)} values")
         trace = self._trace
-        counters = trace.counters
+        if trace.keep_events:
+            trace.events.keep(self._stream, time, node, values)
         key = self._key
-        counters[key] = counters.get(key, 0) + 1
-        if trace.keep_events or trace._subscribers or key in trace._keyed:
-            fields = self.fields
-            if len(values) != len(fields):
-                raise ValueError(
-                    f"{key} declares {fields}, got {len(values)} values")
-            if trace.keep_events:
-                trace.events.keep(self._stream, time, node, values)
-            if trace._subscribers or key in trace._keyed:
-                return trace._publish(
-                    TraceEvent(time, self.category, node, self.action,
-                               None, fields, values),
-                    key,
-                )
+        if trace._subscribers or key in trace._keyed:
+            return trace._publish(
+                TraceEvent(time, self.category, node, self.action,
+                           None, fields, values),
+                key,
+            )
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -396,8 +415,13 @@ class TraceRecorder:
     sequence of :class:`TraceEvent` s in record order.  An event is
     built while the run goes on only for a subscriber: one attached to
     the whole recorder sees every event, one attached under a
-    ``category.action`` key only that key's (subscribers may come and
-    go mid-run, so the check is made per call).
+    ``category.action`` key only that key's.  Subscribers may come and
+    go mid-run: :meth:`record` checks per call, and :meth:`subscribe`
+    and :meth:`unsubscribe` reset the ``live`` flag of every emitter
+    they concern.  ``keep_events`` is fixed at construction.
+
+    :attr:`counters` is read, not kept: :meth:`record`'s counts merged
+    with the emitters' own.
 
     Parameters
     ----------
@@ -428,7 +452,10 @@ class TraceRecorder:
             self.events = TraceSpillLog(spill_path, spill_window)
         else:
             self.events = TraceColumns()
-        self.counters: Dict[str, int] = {}
+        #: :meth:`record`'s counts; the emitters keep their own
+        self._counts: Dict[str, int] = {}
+        #: one emitter per stream, shared by every site that binds it
+        self._emitters: Dict[Stream, BoundEmitter] = {}
         self._subscribers: List[Callable[[TraceEvent], None]] = []
         #: ``category.action`` -> subscribers that want only that key
         self._keyed: Dict[str, List[Callable[[TraceEvent], None]]] = {}
@@ -468,7 +495,7 @@ class TraceRecorder:
         whichever path runs.
         """
         key = f"{category}.{action}"
-        self.counters[key] = self.counters.get(key, 0) + 1
+        self._counts[key] = self._counts.get(key, 0) + 1
         if self.keep_events or self._subscribers or key in self._keyed:
             fields = tuple(details)
             values = tuple(details.values())
@@ -496,10 +523,39 @@ class TraceRecorder:
     def emitter(
         self, category: str, action: str, fields: Tuple[str, ...] = ()
     ) -> BoundEmitter:
-        """A pre-bound fast-path recorder for one ``category.action``
+        """The pre-bound fast-path recorder for one ``category.action``
         whose details are named ``fields``; call it as
-        ``emit(time, node, *values)``."""
-        return BoundEmitter(self, category, action, fields)
+        ``emit(time, node, *values)`` when its ``live`` flag is set, and
+        add 1 to its ``count`` when not.  Every caller asking for the
+        same stream gets the same emitter."""
+        stream = (category, action, tuple(fields))
+        emitter = self._emitters.get(stream)
+        if emitter is None:
+            emitter = self._emitters[stream] = BoundEmitter(self, category, action, fields)
+        return emitter
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """``category.action`` -> records so far: a new dict on each
+        read, :meth:`record`'s counts merged with the emitters'.  A key
+        with no record yet is absent."""
+        merged = dict(self._counts)
+        for emitter in self._emitters.values():
+            if emitter.count:
+                key = emitter._key
+                merged[key] = merged.get(key, 0) + emitter.count
+        return merged
+
+    def _listened(self, key: str) -> bool:
+        """Whether a record under ``key`` is kept or heard."""
+        return self.keep_events or bool(self._subscribers) or key in self._keyed
+
+    def _relive(self, key: Optional[str]) -> None:
+        """Reset the ``live`` flag of the emitters under ``key`` (every
+        emitter when ``key`` is ``None``) after a subscription changed."""
+        for emitter in self._emitters.values():
+            if key is None or emitter._key == key:
+                emitter.live = self._listened(emitter._key)
 
     def subscribe(
         self, callback: Callable[[TraceEvent], None], key: Optional[str] = None
@@ -519,6 +575,7 @@ class TraceRecorder:
             self._subscribers = self._subscribers + [callback]
         else:
             self._keyed[key] = self._keyed.get(key, []) + [callback]
+        self._relive(key)
 
     def unsubscribe(
         self, callback: Callable[[TraceEvent], None], key: Optional[str] = None
@@ -535,6 +592,7 @@ class TraceRecorder:
             self._keyed[key] = remaining
         else:
             del self._keyed[key]
+        self._relive(key)
 
     # ------------------------------------------------------------------
     def count(self, category: str, action: Optional[str] = None) -> int:
@@ -589,7 +647,9 @@ class TraceRecorder:
     def clear(self) -> None:
         """Drop all events and counters."""
         self.events.clear()
-        self.counters.clear()
+        self._counts.clear()
+        for emitter in self._emitters.values():
+            emitter.count = 0
 
     def __len__(self) -> int:
         return len(self.events)

@@ -40,13 +40,18 @@ WORKLOADS = e2e_workloads()
 #: call; a subscribed record pays that call on top.  ``observed_run``
 #: read 91.9 at the parent of the change that has the sanitizer read the
 #: oracle's causal graph (subscribed per handler, ``app.send`` heard only
-#: while a judgement waits), and 83.0 with it.
+#: while a judgement waits), and 83.0 with it.  The parent of the change
+#: that counts a record nobody keeps or hears at the call site (no
+#: emitter call) and orders the kernel heap by tuples read 57.8 / 45.8 /
+#: 80.9 / 57.7 / 58.7 / 57.4; that change added the ``sweep_fleet`` row,
+#: so all six benchmark workloads have a gate.
 REACHED = {
-    "steady_fbl": 58.9,
-    "lossy_transport": 46.9,
-    "observed_run": 83.0,
-    "recovery_churn": 61.6,
-    "storage_logging": 58.7,
+    "steady_fbl": 43.8,
+    "lossy_transport": 31.3,
+    "observed_run": 75.8,
+    "recovery_churn": 47.4,
+    "storage_logging": 46.2,
+    "sweep_fleet": 44.4,
 }
 BUDGET = {workload: reached * 1.05 for workload, reached in REACHED.items()}
 
@@ -86,7 +91,7 @@ def test_python_calls_per_wire_message_stay_in_budget(workload):
 
 
 def main() -> int:
-    """Print the five figures against their budgets (a markdown table)."""
+    """Print the six figures against their budgets (a markdown table)."""
     print("| workload | Python calls per wire message | budget |")
     print("|---|---|---|")
     over = 0

@@ -8,12 +8,18 @@ but must keep feeding counters, which is what sweeps and benchmarks
 read.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import build_system, run_config
+from repro.core.config import FaultConfig
 from repro.experiments import failure_during_recovery, single_failure
+from repro.procs.failure import crash_at, crash_on
+from repro.runner import TrialSpec
+from repro.sim.trace import BoundEmitter
 
-from helpers import small_config
+from helpers import e2e_workloads, small_config
 from test_seed_regression import BUILDERS, GOLDEN, snapshot
 
 
@@ -59,6 +65,63 @@ def test_counters_only_matches_full_trace_counters():
     lean = build_system(small_config(n=4, hops=15, keep_trace_events=False)).run()
     assert lean.extra["trace_counters"] == full.extra["trace_counters"]
     assert lean.extra["events_processed"] == full.extra["events_processed"]
+
+
+def _one_per_fleet_stack():
+    specs = e2e_workloads()["sweep_fleet"].specs(1000, 0.1)
+    return {spec.label.split("-n4-")[0]: spec.config for spec in specs if "-n4-" in spec.label}
+
+
+EXACT_COUNTER_CONFIGS = {
+    **_one_per_fleet_stack(),
+    "faulty-reliable-transport": small_config(
+        n=4, hops=15, crashes=[crash_at(2, 0.002)], transport="reliable",
+        faults=FaultConfig(loss_prob=0.2, dup_prob=0.1, reorder_prob=0.1),
+        keep_trace_events=False,
+    ),
+    "crash-on-net-deliver": small_config(
+        n=6, hops=15, keep_trace_events=False, crashes=[
+            crash_at(3, 0.002),
+            crash_on(5, "net", "deliver", match_node=5,
+                     match_details={"mtype": "depinfo_request"}, immediate=True),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COUNTER_CONFIGS))
+def test_counters_only_counts_exactly_what_a_kept_or_sanitized_run_counts(name):
+    """An emitter nobody keeps or hears is never called; its records are
+    still counted, one by one, at the call site."""
+    config = EXACT_COUNTER_CONFIGS[name]
+
+    def counters(**overrides):
+        run = TrialSpec(config=dataclasses.replace(config, **overrides)).materialize()
+        return run_config(run).extra["trace_counters"]
+
+    lean = counters()
+    assert lean.get("app.deliver", 0) > 0
+    assert counters(keep_trace_events=True) == lean
+    sanitized = counters(sanitize=True)
+    # the sanitizer turns spans on, and spans are records of their own
+    assert {k: v for k, v in sanitized.items() if not k.startswith("span.")} == lean
+
+
+def test_failure_free_fbl_with_observers_off_never_calls_an_emitter(monkeypatch):
+    calls = []
+    call = BoundEmitter.__call__
+
+    def counted(self, *args):
+        calls.append(self)
+        return call(self, *args)
+
+    monkeypatch.setattr(BoundEmitter, "__call__", counted)
+    (spec,) = e2e_workloads()["steady_fbl"].specs(1000, 0.1)
+    result = run_config(spec.materialize())
+    counters = result.extra["trace_counters"]
+    assert calls == []
+    assert counters["net.send"] == counters["net.deliver"] == counters["app.send"] > 0
+    assert counters["app.deliver"] > 0 and counters["protocol.det_stable"] > 0
 
 
 def test_cli_sweep_uses_counters_only_traces(capsys):

@@ -386,3 +386,81 @@ def test_arity_mismatch_raises_and_leaves_the_store_unchanged():
     assert [event.details for event in trace.events] == [
         {"dst": 1, "mtype": "app"}, {"dst": 2, "mtype": "ack"},
     ]
+
+
+# ----------------------------------------------------------------------
+# counting: an emitter keeps its own count, and calls only when live
+# ----------------------------------------------------------------------
+def test_emitter_live_follows_who_keeps_or_hears():
+    trace = TraceRecorder(keep_events=False)
+    send = trace.emitter("net", "send", ("dst",))
+    deliver = trace.emitter("net", "deliver", ("src",))
+    assert trace.emitter("net", "send", ("dst",)) is send
+    assert not send.live and not deliver.live
+    listener = lambda event: None  # noqa: E731
+    trace.subscribe(listener, key="net.send")
+    assert send.live and not deliver.live
+    trace.subscribe(listener)
+    assert send.live and deliver.live
+    trace.unsubscribe(listener, key="net.send")
+    assert send.live and deliver.live
+    trace.unsubscribe(listener)
+    assert not send.live and not deliver.live
+    kept = TraceRecorder()
+    assert kept.emitter("net", "send", ("dst",)).live
+
+
+def test_counters_merge_record_and_emitter_counts():
+    trace = TraceRecorder(keep_events=False)
+    send = trace.emitter("net", "send", ("dst",))
+    other = trace.emitter("net", "send", ("dst", "size"))
+    trace.emitter("net", "deliver", ("src",))
+    send.count += 2
+    other(1.0, 0, 3, 100)
+    trace.record(2.0, "net", 0, "send", dst=4)
+    trace.record(2.0, "node", 0, "crash")
+    # a stream never recorded is absent, and each read is a new dict
+    assert trace.counters == {"net.send": 4, "node.crash": 1}
+    assert trace.count("net") == 4
+    trace.counters["net.send"] = 0
+    assert trace.counters["net.send"] == 4
+    trace.clear()
+    assert trace.counters == {} and send.count == 0
+
+
+def test_subscriber_added_mid_run_hears_every_record_while_subscribed():
+    config = small_config(n=4, hops=15, keep_trace_events=False)
+    plain = build_system(config).run().extra["trace_counters"]
+    system = build_system(small_config(n=4, hops=15, keep_trace_events=False))
+    trace = system.trace
+    heard, keyed, window = [], [], {}
+
+    def on(event):
+        heard.append(f"{event.category}.{event.action}")
+
+    def on_deliver(event):
+        keyed.append(event)
+
+    def start():
+        window["from"] = trace.counters
+        trace.subscribe(on)
+        trace.subscribe(on_deliver, key="app.deliver")
+
+    def stop():
+        trace.unsubscribe(on)
+        trace.unsubscribe(on_deliver, key="app.deliver")
+        window["to"] = trace.counters
+
+    system.sim.schedule_at(0.001, start)
+    system.sim.schedule_at(0.003, stop)
+    counters = system.run().extra["trace_counters"]
+    assert counters == plain
+    during = {
+        key: count - window["from"].get(key, 0)
+        for key, count in window["to"].items()
+        if count != window["from"].get(key, 0)
+    }
+    assert during["net.send"] > 0 and during["app.deliver"] > 0
+    assert {key: heard.count(key) for key in set(heard)} == during
+    assert len(keyed) == during["app.deliver"]
+    assert all(event.category == "app" and event.action == "deliver" for event in keyed)
