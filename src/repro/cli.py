@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import SystemConfig, build_system, crash_at
@@ -299,14 +300,12 @@ def _crashed_nodes(config: SystemConfig) -> List[int]:
 
 # ----------------------------------------------------------------------
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    config.spans = args.spans or bool(args.trace_out)
-    config.profile = args.profile
-    config.sanitize = args.sanitize
-    config.cost_ledger = args.cost
-    config.timeseries_window = args.timeseries_window
-    config.trace_spill_path = args.trace_spill
-    config.trace_spill_window = args.trace_spill_window
+    config = replace(
+        _config_from_args(args), spans=args.spans or bool(args.trace_out),
+        profile=args.profile, sanitize=args.sanitize, cost_ledger=args.cost,
+        timeseries_window=args.timeseries_window, trace_spill_path=args.trace_spill,
+        trace_spill_window=args.trace_spill_window,
+    )
     system = build_system(config)
     result = system.run()
     print(config.describe())
@@ -439,13 +438,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     flame_lines: List[str] = []
     json_payload: Dict[str, Any] = {}
     for label, protocol, recovery in stacks:
-        config = _config_from_args(
-            args, name=label, protocol=protocol, recovery=recovery
+        config = replace(
+            _config_from_args(args, name=label, protocol=protocol, recovery=recovery),
+            cost_ledger=True, timeseries_window=args.window, spans=bool(args.flame_out),
         )
-        config.cost_ledger = True
-        config.timeseries_window = args.window
-        if args.flame_out:
-            config.spans = True
         # repetitions exercise the runner's dump/merge path: per-trial
         # ledgers fold in spec order, identical at any --jobs
         results = TrialRunner(jobs=args.jobs).run(_repetitions(args, config, label))
@@ -529,8 +525,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         label = ",".join(
             f"{name}={value}" for (name, _), value in zip(knobs, combo)
         )
-        config = _config_from_args(args, name=label, **overrides)
-        config.keep_trace_events = False
+        config = replace(_config_from_args(args, name=label, **overrides), keep_trace_events=False)
         labels.append(label)
         specs.extend(_repetitions(args, config, label))
 

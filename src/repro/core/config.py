@@ -5,12 +5,15 @@ same seed = identical run, event for event.  Defaults follow the paper's
 testbed (Section 5): eight workstations, 155 Mb/s ATM network, ~1 MB
 process images, mid-90s stable storage, and "several seconds" of failure
 detection.
+
+Every config here, like the fault plans it holds, is a frozen value that
+a run never writes: vary one with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.procs.failure import DEFAULT_DETECTION_DELAY, CrashPlan, TriggeredPlan
 from repro.protocols import PROTOCOLS
@@ -18,7 +21,7 @@ from repro.recovery import RECOVERY_MANAGERS
 from repro.storage.stable import DEFAULT_BANDWIDTH, DEFAULT_OP_LATENCY
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultConfig:
     """Static fault environment of a run (see :mod:`repro.net.faults` and
     :mod:`repro.storage.stable`).
@@ -114,7 +117,7 @@ class FaultConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StorageRealismConfig:
     """Storage-stack optimisations layered over the flat cost model.
 
@@ -196,7 +199,7 @@ class StorageRealismConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveConfig:
     """Knobs of the adaptive hybrid-logging stack (``protocol="adaptive"``).
 
@@ -253,7 +256,7 @@ class AdaptiveConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Everything needed to build and run one simulated system."""
 
@@ -322,8 +325,6 @@ class SystemConfig:
     # -- policies ----------------------------------------------------------
     #: take a checkpoint every k deliveries (0 = only the initial one)
     checkpoint_every: int = 0
-    #: protocol message types deferred while a node is blocked
-    blocked_protocol_types: FrozenSet[str] = frozenset({"retransmit_data"})
 
     # -- observability ------------------------------------------------------
     #: record causal spans (repro.sim.spans) into the trace

@@ -20,6 +20,9 @@ from repro.procs.process import OUTPUT_DST, ApplicationProcess, Send
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
 from repro.storage.stable import StableStorage
 
+#: protocol message types deferred while a node is blocked
+BLOCKED_PROTOCOL_TYPES = frozenset({"retransmit_data"})
+
 
 class NodeState(enum.Enum):
     """Lifecycle states of a simulated host."""
@@ -373,7 +376,7 @@ class Node:
             )
             return
         if msg.kind == MessageKind.PROTOCOL:
-            if self.blocked and msg.mtype in self.config.blocked_protocol_types:
+            if self.blocked and msg.mtype in BLOCKED_PROTOCOL_TYPES:
                 self._blocked_queue.append(msg)
                 return
             self.protocol.on_protocol_message(msg)

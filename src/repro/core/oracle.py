@@ -65,9 +65,9 @@ _NO_DIGEST = bytes(_DIGEST)
 class OracleViolation:
     """One detected breach of a correctness property.
 
-    An orphan finding also carries the virtual time it was judged at and
-    the span chain open on its node then (innermost first; empty when
-    the run records no spans)."""
+    A finding also carries the virtual time it was judged at and the
+    span chain open on its node then (innermost first; empty when the
+    run records no spans)."""
 
     kind: str
     node: int
@@ -236,8 +236,7 @@ class ConsistencyOracle:
     def _orphan(self, node: int, rsn: int, time: float, detail: str) -> None:
         """An orphan finding on ``node`` at ``rsn``, with its span chain;
         pending under optimistic logging, else a violation."""
-        chain = tuple(self.chains.chain(node)) if self.chains is not None else ()
-        finding = OracleViolation("orphan", node, detail, time, chain)
+        finding = OracleViolation("orphan", node, detail, time, self._chain(node))
         if self._transient:
             self._pending.append((node, rsn, finding))
         else:
@@ -302,8 +301,12 @@ class ConsistencyOracle:
         digest = bytes(row[_DIGEST * rsn:_DIGEST * (rsn + 1)])
         return digest if len(digest) == _DIGEST and digest != _NO_DIGEST else None
 
+    def _chain(self, node: int) -> Tuple[Dict[str, Any], ...]:
+        """The span chain open on ``node`` now (empty without spans)."""
+        return tuple(self.chains.chain(node)) if self.chains is not None else ()
+
     def _flag(self, kind: str, node: int, detail: str) -> None:
-        self.violations.append(OracleViolation(kind, node, detail))
+        self.violations.append(OracleViolation(kind, node, detail, self.sim.now, self._chain(node)))
 
     @property
     def consistent(self) -> bool:

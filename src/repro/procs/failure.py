@@ -29,7 +29,7 @@ failed").  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.kernel import Simulator
@@ -130,7 +130,7 @@ class FailureDetector:
 # ----------------------------------------------------------------------
 # fault plans
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class TriggeredPlan:
     """Shared trigger machinery for every fault plan.
 
@@ -140,6 +140,9 @@ class TriggeredPlan:
     ``immediate=True`` fires synchronously inside the trace callback,
     i.e. *before* the handler of the traced event runs -- it is
     incompatible with a positive ``delay`` (construction raises).
+
+    A plan is a value: its trigger state belongs to each run's
+    :class:`FailureInjector`, so one plan serves any number of runs.
     """
 
     at_time: Optional[float] = None
@@ -150,8 +153,6 @@ class TriggeredPlan:
     delay: float = 0.0
     occurrence: int = 1
     immediate: bool = False
-    _seen: int = field(default=0, repr=False)
-    _armed: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
         if self.immediate and self.delay > 0:
@@ -170,7 +171,7 @@ class TriggeredPlan:
         return self.at_time is not None
 
     def matches(self, event: TraceEvent) -> bool:
-        if not self._armed or self.is_timed():
+        if self.is_timed():
             return False
         if not event.matches(self.category, self.match_node, self.action):
             return False
@@ -182,7 +183,7 @@ class TriggeredPlan:
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrashPlan(TriggeredPlan):
     """One planned crash-stop failure of ``node``."""
 
@@ -194,7 +195,7 @@ class CrashPlan(TriggeredPlan):
             raise ValueError("CrashPlan needs a target node")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkFaultPlan(TriggeredPlan):
     """Switch probabilistic link faults on (and optionally back off).
 
@@ -219,7 +220,7 @@ class LinkFaultPlan(TriggeredPlan):
             raise ValueError(f"duration must be positive, got {self.duration!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionPlan(TriggeredPlan):
     """Cut the network into ``groups`` when fired; heal after ``duration``
     (``None`` = never heals)."""
@@ -235,7 +236,7 @@ class PartitionPlan(TriggeredPlan):
             raise ValueError(f"duration must be positive, got {self.duration!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StorageFaultPlan(TriggeredPlan):
     """Degrade stable storage on ``node`` (or every node if ``None``).
 
@@ -361,8 +362,10 @@ class FailureInjector:
         self.network = network
         self.storages = storages or {}
         self.plans: List[TriggeredPlan] = list(plans or [])
+        #: this run's trigger state, by position in ``plans``: matching
+        #: events seen so far, ``None`` for a timed or a fired plan
+        self._matched = [None if plan.is_timed() else 0 for plan in self.plans]
         self.crashes_fired: List[tuple] = []
-        self.faults_fired: List[tuple] = []
         #: trace keys subscribed to; ``None`` in it = the whole recorder
         self._subscribed: Set[Optional[str]] = set()
 
@@ -374,6 +377,7 @@ class FailureInjector:
     def add(self, plan: TriggeredPlan) -> None:
         """Add one more plan after arming."""
         self.plans.append(plan)
+        self._matched.append(None if plan.is_timed() else 0)
         self._arm(plan)
 
     @staticmethod
@@ -409,12 +413,13 @@ class FailureInjector:
 
     # ------------------------------------------------------------------
     def _on_trace_event(self, event: TraceEvent) -> None:
+        matched = self._matched
         spent = False
-        for plan in self.plans:
-            if plan.matches(event):
-                plan._seen += 1
-                if plan._seen >= plan.occurrence:
-                    plan._armed = False
+        for index, plan in enumerate(self.plans):
+            if matched[index] is not None and plan.matches(event):
+                matched[index] += 1
+                if matched[index] >= plan.occurrence:
+                    matched[index] = None
                     spent = True
                     if plan.immediate:
                         # preempt the traced event's handler (delay > 0 is
@@ -431,8 +436,8 @@ class FailureInjector:
             # whole recorder, once subscribed, serves any armed plan)
             armed = {
                 self._trace_key(plan)
-                for plan in self.plans
-                if plan._armed and not plan.is_timed()
+                for plan, seen in zip(self.plans, matched)
+                if seen is not None
             }
             if not (armed and None in self._subscribed):
                 self._unsubscribe(self._subscribed - armed)
@@ -479,7 +484,6 @@ class FailureInjector:
                 revert = lambda: model.clear_link(plan.src, plan.dst)  # noqa: E731
             else:
                 revert = lambda: model.set_link(plan.src, plan.dst, previous)  # noqa: E731
-        self.faults_fired.append((self.sim.now, "link", plan.src, plan.dst))
         self.trace.record(
             self.sim.now, "inject", plan.src, "link_faults",
             dst=plan.dst, loss=plan.loss_prob, dup=plan.dup_prob,
@@ -503,7 +507,6 @@ class FailureInjector:
         partition = model.add_partition(
             Partition(plan.groups, start=self.sim.now, end=end)
         )
-        self.faults_fired.append((self.sim.now, "partition", end))
         self.trace.record(
             self.sim.now, "inject", None, "partition",
             groups=[sorted(g) for g in partition.groups], heal_at=end,
@@ -540,7 +543,6 @@ class FailureInjector:
                         end, self._revert_storage, storage, previous,
                         label="inject.revert",
                     )
-        self.faults_fired.append((self.sim.now, "storage", plan.node))
         self.trace.record(
             self.sim.now, "inject", plan.node, "storage_faults",
             fail_prob=plan.fail_prob, heal_at=end,
@@ -553,7 +555,4 @@ class FailureInjector:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FailureInjector(plans={len(self.plans)}, "
-            f"fired={len(self.crashes_fired) + len(self.faults_fired)})"
-        )
+        return f"FailureInjector(plans={len(self.plans)}, crashes={len(self.crashes_fired)})"

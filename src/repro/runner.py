@@ -9,10 +9,9 @@ without letting parallelism anywhere near virtual time:
 
 * a :class:`TrialSpec` is pure data (a :class:`SystemConfig` plus an
   optional seed override), picklable and order-stamped;
-* every trial runs in its own freshly materialized :class:`System` --
-  :meth:`TrialSpec.materialize` is the one place failure-plan trigger
-  state is re-armed -- so a spec's result depends only on the spec,
-  never on which worker ran it or when;
+* every trial runs in its own fresh :class:`System` from a frozen config
+  whose plans keep no trigger state, so a spec's result depends only on
+  the spec, never on which worker ran it, when, or how often;
 * results come back as picklable :class:`TrialResult` records and are
   returned ordered by spec index, regardless of completion order;
 * cross-trial aggregation (:func:`merge_metrics`,
@@ -32,11 +31,10 @@ per-task pickling overhead is paid per chunk, not per trial.
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
@@ -74,10 +72,9 @@ def default_jobs() -> int:
 class TrialSpec:
     """One independent trial: a config, optionally reseeded and labelled.
 
-    Frozen so a spec list can be reused (e.g. run at ``jobs=1`` and again
-    at ``jobs=4`` for a parity check) without one run contaminating the
-    next; the mutable trigger state inside failure plans is handled by
-    deep-copying the config before every run.
+    A spec list can be reused (e.g. run at ``jobs=1`` and again at
+    ``jobs=4`` for a parity check) and gives the same results each time:
+    no run writes its config or the plans in it.
     """
 
     config: SystemConfig
@@ -85,14 +82,10 @@ class TrialSpec:
     label: str = ""
 
     def materialize(self) -> SystemConfig:
-        """A private, re-armed copy of the config, ready to run."""
-        config = copy.deepcopy(self.config)
-        if self.seed is not None:
-            config.seed = self.seed
-        for plan in list(config.crashes) + list(config.injections):
-            plan._seen = 0
-            plan._armed = True
-        return config
+        """The config to run: the spec's own, reseeded if it says so."""
+        if self.seed is None:
+            return self.config
+        return replace(self.config, seed=self.seed)
 
 
 @dataclass

@@ -40,6 +40,7 @@ one.
 import os
 import random
 import zlib
+from dataclasses import replace
 from typing import Optional
 
 import pytest
@@ -142,9 +143,9 @@ def chaos_config(
         members = list(range(n + 1))
         draw.shuffle(members)
         cut = draw.randrange(1, n)
-        faults.partitions = [
+        faults = replace(faults, partitions=[
             ([members[:cut], members[cut:]], window + draw.uniform(0.3, 1.0))
-        ]
+        ])
 
     # the last draw, so every earlier one -- each seed's fault schedule --
     # is what it was before checkpoints joined the matrix; three in four

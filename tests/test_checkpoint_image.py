@@ -222,8 +222,7 @@ def test_the_store_makes_the_only_copy():
     """No layer a checkpoint passes through copies it again the slow
     way: ``copy.deepcopy`` is 20x the encoder on snapshot-shaped data
     (docs/PERFORMANCE.md §6) and was 27-30 % of a ``storage_logging``
-    rep.  (``runner.py`` deep-copies configs, once per trial; it is not
-    on this path.)"""
+    rep."""
     import pathlib
 
     import repro

@@ -222,6 +222,40 @@ def test_orphan_delivery_caught_with_span_chain():
     assert "node.checkpoint#7" in str(violation)
 
 
+def test_replay_findings_carry_time_and_span_chain():
+    """A divergent replay is flagged with the virtual time of the call
+    that found it and the span chain open on its node then, as an
+    orphan finding is; without a chain tracker the chain is empty."""
+    run = Run()
+    run.at(0.10).on_send(0, 3, 1, 0)
+    run.at(0.12).on_deliver(1, 0, (0, 3), digest("n1"))
+    run.at(0.13).on_deliver(1, 1, (2, 0), digest("n1 again"))
+    # node 1 replays, diverging on both deliveries; node 0 regenerates
+    # its send at a different point in its delivery sequence
+    run.span(0.40, 1, 4, "recovery.replay")
+    run.at(0.41).on_deliver(1, 0, (0, 3), digest("diverged"))
+    run.at(0.42).on_deliver(1, 1, (2, 9), digest("n1 again"))
+    run.span(0.50, 0, 5, "recovery.episode")
+    run.at(0.51).on_send(0, 3, 1, 2)
+    found = [
+        (v.kind, v.node, v.time, [link["kind"] for link in v.span_chain])
+        for v in run.oracle.violations
+    ]
+    assert found == [
+        ("replay-digest", 1, 0.41, ["recovery.replay"]),
+        ("replay-order", 1, 0.42, ["recovery.replay"]),
+        ("send-divergence", 0, 0.51, ["recovery.episode"]),
+    ]
+    assert "t=0.410000" in str(run.oracle.violations[0])
+    assert "recovery.replay#4" in str(run.oracle.violations[0])
+
+    oracle = ConsistencyOracle(SimpleNamespace(now=0.7))
+    oracle.on_deliver(1, 0, (0, 0), digest("d1"))
+    oracle.on_deliver(1, 0, (0, 0), digest("d2"))
+    (violation,) = oracle.violations
+    assert (violation.kind, violation.time, violation.span_chain) == ("replay-digest", 0.7, ())
+
+
 def test_recovery_orphaned_frontier_caught_after_clock_advance():
     """A live process left dependent on a delivery the recovery lost is
     flagged once the clock moves past the recovery instant."""

@@ -12,6 +12,7 @@ any scheduling- or pickling-induced nondeterminism shows up as a loud
 table diff, not a flaky benchmark.
 """
 
+import dataclasses
 import io
 import sys
 
@@ -19,6 +20,7 @@ import pytest
 from helpers import fresh_interpreter, small_config
 
 from repro.cli import main as cli_main
+from repro.core.config import FaultConfig
 from repro.core.system import run_config
 from repro.procs.failure import LinkFaultPlan, crash_at
 from repro.runner import (
@@ -54,12 +56,10 @@ def _specs():
     lossy = small_config(
         protocol="fbl", recovery="nonblocking", seed=7,
         crashes=[crash_at(node=3, time=0.05)],
+        faults=FaultConfig(loss_prob=0.1),
         transport="reliable",
         transport_params={"max_retries": 30},
     )
-    from repro.core.config import FaultConfig
-
-    lossy.faults = FaultConfig(loss_prob=0.1)
     specs.append(TrialSpec(config=lossy, label="lossy"))
     return specs
 
@@ -100,7 +100,7 @@ def test_merged_aggregates_are_identical_and_ordered():
 
 
 def test_rerunning_frozen_specs_does_not_contaminate():
-    """Failure-plan trigger state must be re-armed per trial: running the
+    """A run keeps its failure plans' trigger state to itself: running the
     same spec list twice (the parity pattern) gives the same results."""
     specs = _specs()
     first = TrialRunner(jobs=1).run(specs)
@@ -231,9 +231,10 @@ def test_rearms_injection_plans_spent_by_an_earlier_run():
         category="net", action="deliver", dup_prob=1.0, duration=0.01
     )
     config = small_config(hops=8, injections=[plan], transport="reliable")
-    first = run_config(config)  # fires the trigger and disarms it in place
+    before = dataclasses.replace(plan)
+    first = run_config(config)  # fires the trigger; the plan stays as built
     assert first.network.duplicates_injected > 0
-    assert not plan._armed
+    assert plan == before
     (rerun,) = TrialRunner(jobs=1).run([TrialSpec(config=config)])
     assert rerun.summary.network.duplicates_injected == first.network.duplicates_injected
     assert rerun.summary.end_time == first.end_time

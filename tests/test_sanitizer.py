@@ -16,6 +16,8 @@ Orphan freedom is the oracle's rule, not the monitor's:
 ``tests/test_core_oracle.py`` tests it.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import build_system, crash_at
@@ -279,8 +281,10 @@ def test_online_sanitizer_equals_full_stream_replay(
 ):
     checked = set()
     for profile, seed in (("", 0), ("", 1), ("churn", 0), ("churn", 1)):
-        config = chaos_config(protocol, recovery, max_crashes, seed, profile=profile)
-        config.sanitize = True
+        config = replace(
+            chaos_config(protocol, recovery, max_crashes, seed, profile=profile),
+            sanitize=True,
+        )
         system = build_system(config)
         result = system.run()
         checked.update(result.extra["sanitizer"]["checks"])
