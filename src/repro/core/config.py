@@ -160,12 +160,6 @@ class StorageRealismConfig:
     log_compaction: bool = False
 
     # ------------------------------------------------------------------
-    def any_enabled(self) -> bool:
-        """Whether any optimisation deviates from the seed's flat model."""
-        return bool(
-            self.incremental_checkpoints or self.group_commit or self.log_compaction
-        )
-
     def validate(self) -> None:
         """Raise ValueError on inconsistent settings."""
         if self.full_checkpoint_every < 1:

@@ -15,11 +15,32 @@ baseline and the paper's new non-blocking algorithm end by calling
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
 from repro.storage.volatile import DeterminantLog, SendLog, host_mask
+
+#: a depinfo reply: determinants and their host masks, index for index
+Depinfo = Tuple[List[Determinant], List[int]]
+
+
+def delivered_prefixes(delivered_ids: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """Per sender: the highest k such that ssns 0..k are all delivered.
+
+    Only a contiguous prefix is known to be done with -- a gap may be a
+    message still in flight.
+    """
+    by_sender: Dict[int, Set[int]] = {}
+    for sender, ssn in delivered_ids:
+        by_sender.setdefault(sender, set()).add(ssn)
+    prefixes: Dict[int, int] = {}
+    for sender, ssns in by_sender.items():
+        k = -1
+        while k + 1 in ssns:
+            k += 1
+        prefixes[sender] = k
+    return prefixes
 
 
 class LoggingProtocol(ABC):
@@ -64,9 +85,10 @@ class LoggingProtocol(ABC):
     def on_app_message_during_recovery(self, msg: Message) -> None:
         """An application message arrived while the node is recovering."""
 
-    def on_peer_recovered(self, peer: int) -> None:
-        """A peer completed recovery (hook for retransmitting in-flight
-        messages it may have lost)."""
+    def on_peer_recovered(self, peer: int, through: int = -1) -> None:
+        """A peer completed recovery, having delivered every message this
+        node sent it up to ssn ``through`` (hook for retransmitting
+        in-flight messages it may have lost)."""
 
     # -- crash / checkpoint lifecycle --------------------------------------
     @abstractmethod
@@ -106,9 +128,9 @@ class LoggingProtocol(ABC):
         self.node.commit_output(output_id, payload, self.node.sim.now)
 
     # -- recovery support ---------------------------------------------------
-    def local_depinfo_wire(self) -> List[Any]:
+    def local_depinfo_wire(self) -> Depinfo:
         """This node's receipt-order knowledge, serialized for a reply."""
-        return []
+        return [], []
 
     def absorb_piggybacks(self, messages: List[Message]) -> None:
         """Merge piggybacked metadata from messages not yet *delivered*.
@@ -122,7 +144,7 @@ class LoggingProtocol(ABC):
         the normal delivery path re-absorbs when the queue drains.
         """
 
-    def begin_replay(self, depinfo_wire: List[Any]) -> None:
+    def begin_replay(self, depinfo_wire: Depinfo) -> None:
         """Recovering node got its depinfo; replay to the pre-crash state."""
         raise NotImplementedError(f"{self.name} does not support replay")
 
@@ -327,9 +349,9 @@ class LogBasedProtocol(LoggingProtocol):
         elif msg.mtype == "retransmit_data":
             self._on_retransmit_data(msg)
 
-    def _serve_retransmissions(self, requester: int) -> None:
+    def _serve_retransmissions(self, requester: int, after: int = -1) -> None:
         node = self.node
-        for ssn, (data, size) in self.send_log.messages_for(requester):
+        for ssn, (data, size) in self.send_log.messages_for(requester, after):
             node.network.send(
                 Message(
                     src=node.node_id,
@@ -358,16 +380,20 @@ class LogBasedProtocol(LoggingProtocol):
             return
         self._deliver(msg.src, msg.payload["ssn"], msg.payload["data"], msg)
 
-    def on_peer_recovered(self, peer: int) -> None:
-        """Retransmit our logged messages to a freshly recovered peer.
+    def on_peer_recovered(self, peer: int, through: int = -1) -> None:
+        """Retransmit our logged messages past ssn ``through`` to a freshly
+        recovered peer.
 
-        Anything it already replayed or delivered is discarded as a
-        duplicate; anything that was in flight (and therefore dropped)
-        when it crashed is delivered fresh, so application chains through
-        the failed process resume.  Pending outputs whose flush targets
-        crashed get another chance too.
+        The peer named ``through`` in its completion: it has delivered
+        every ssn up to it from us, so a resend of those would only be
+        dropped on arrival as a duplicate.  Past it, anything it already
+        replayed or delivered is dropped the same way; anything that was
+        in flight (and therefore lost) when it crashed is delivered
+        fresh, so application chains through the failed process resume.
+        Pending outputs whose flush targets crashed get another chance
+        too.
         """
-        self._serve_retransmissions(peer)
+        self._serve_retransmissions(peer, through)
         if self._pending_outputs:
             for output_id, _payload, _requested in self._pending_outputs:
                 self._flush_for_output(output_id[1])
@@ -392,29 +418,35 @@ class LogBasedProtocol(LoggingProtocol):
     # ------------------------------------------------------------------
     # replay engine
     # ------------------------------------------------------------------
-    def local_depinfo_wire(self) -> List[Determinant]:
+    def local_depinfo_wire(self) -> Depinfo:
         """Everything this node knows: its log's own determinant objects,
-        sorted (immutable, so a reply carries them by reference)."""
-        return self.det_log.determinants()
+        sorted (immutable, so a reply carries them by reference), and the
+        host mask of each at the same index (see
+        :meth:`DeterminantLog.depinfo`)."""
+        return self.det_log.depinfo()
 
     def absorb_piggybacks(self, messages: List[Message]) -> None:
         for msg in messages:
             self._absorb_piggyback(msg)
 
-    def begin_replay(self, depinfo_wire: List[Determinant]) -> None:
+    def begin_replay(self, depinfo_wire: Depinfo) -> None:
         """Start replaying from the restored checkpoint.
 
         ``depinfo_wire`` is the merged receipt-order information the
         recovery algorithm gathered: the live hosts' own determinant
-        objects, merged into this log as they are.  The engine requests
-        retransmissions, delivers buffered/incoming data in rsn order up
-        to the highest known rsn, then reports completion to the recovery
-        manager.
+        objects and, index for index, the OR of the host masks their
+        replies carried (empty for the managers that gather nothing).
+        Each is merged into this log as it is, with this host added to
+        its mask, so a determinant already stored at enough hosts is
+        stable here at once and is not piggybacked again.  The engine
+        requests retransmissions, delivers buffered/incoming data in rsn
+        order up to the highest known rsn, then reports completion to
+        the recovery manager.
         """
         node = self.node
         merge, own = self.det_log.merge, self._own_mask
-        for det in depinfo_wire:
-            merge(det, own)
+        for det, mask in zip(*depinfo_wire):
+            merge(det, mask | own)
         self._on_depinfo_loaded()
         self._replay_orders = self.det_log.for_receiver(node.node_id)
         self._replay_target = max(self._replay_orders, default=-1)

@@ -27,15 +27,22 @@ determinant when the piggyback copy is sent.  A counted copy lost to a
 partition, whose sender then crashes, breaks the FBL guarantee (some live
 host knows every needed receipt order) at ``f`` failures, as churn seed
 34 of ``fbl/blocking`` shows; see ROADMAP item 2.
+
+A recovered process keeps the host masks its gather carried: each live
+host's depinfo reply names, beside every determinant, the hosts that
+host knows to store it, and the recovering log merges their OR with its
+own bit.  A determinant the gather shows replicated enough is stable at
+once and is not piggybacked again; the owner of such a determinant
+learns it only from piggybacks, as on the failure-free path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
-from repro.protocols.base import LogBasedProtocol
+from repro.protocols.base import LogBasedProtocol, delivered_prefixes
 from repro.storage.volatile import Item, host_mask
 
 #: Virtual host id representing the never-failing stable-storage process
@@ -311,7 +318,7 @@ class FamilyBasedLogging(LogBasedProtocol):
         # delivered while the checkpoint write was in flight are NOT
         # covered by it, and a crash before the next checkpoint would
         # need their data from the senders again
-        prefixes = self._contiguous_delivered_prefixes(checkpoint.delivered_ids)
+        prefixes = delivered_prefixes(checkpoint.delivered_ids)
         node.trace.record(
             node.sim.now, "gc", node.node_id, "notice",
             covered=count, local_dets_dropped=dropped,
@@ -336,28 +343,6 @@ class FamilyBasedLogging(LogBasedProtocol):
                     incarnation=node.incarnation,
                 )
             )
-
-    @staticmethod
-    def _contiguous_delivered_prefixes(
-        delivered_ids: Iterable[Tuple[int, int]]
-    ) -> Dict[int, int]:
-        """Per sender: highest k such that ssns 0..k are all delivered.
-
-        Only a contiguous prefix is safe to prune at the sender -- a gap
-        may be a message still in flight.  Garbage collection passes a
-        durable checkpoint's set, not the live one: only those
-        deliveries can never replay again.
-        """
-        by_sender: Dict[int, set] = {}
-        for sender, ssn in delivered_ids:
-            by_sender.setdefault(sender, set()).add(ssn)
-        prefixes: Dict[int, int] = {}
-        for sender, ssns in by_sender.items():
-            k = -1
-            while k + 1 in ssns:
-                k += 1
-            prefixes[sender] = k
-        return prefixes
 
     def _on_gc_notice(self, msg: Message) -> None:
         pruned = self.send_log.prune_upto(msg.src, msg.payload["ssn_prefix"])

@@ -18,7 +18,21 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.causality.determinant import Determinant
 from repro.net.network import Message, MessageKind
+from repro.protocols.base import Depinfo, delivered_prefixes
+
+
+def merge_depinfo(replies: Iterable[Depinfo]) -> Depinfo:
+    """The leader's merge of depinfo replies: each determinant once (the
+    first equal object met, by reference), with the OR of every host
+    mask the replies gave it, sorted."""
+    merged: Dict[Determinant, int] = {}
+    for dets, masks in replies:
+        for det, mask in zip(dets, masks):
+            merged[det] = merged.get(det, 0) | mask
+    dets = sorted(merged)
+    return dets, [merged[det] for det in dets]
 
 
 class RecoveryManager(ABC):
@@ -101,6 +115,22 @@ class RecoveryManager(ABC):
         for dst in sorted(set(dsts)):
             if dst != self.node.node_id:
                 self.send_control(dst, mtype, dict(payload or {}), body_bytes)
+
+    def announce_complete(self, dsts: Iterable[int]) -> None:
+        """Broadcast ``recovery_complete`` to ``dsts``.  Each copy names
+        ``through``: the last ssn of the contiguous prefix this node has
+        delivered from its destination (-1 if none), so a live peer
+        resends only what lies past it (8 B more than a bare
+        announcement)."""
+        node = self.node
+        prefixes = delivered_prefixes(node.delivered_ids)
+        for dst in sorted(set(dsts)):
+            if dst != node.node_id:
+                self.send_control(
+                    dst, "recovery_complete",
+                    {"incarnation": node.incarnation, "through": prefixes.get(dst, -1)},
+                    body_bytes=24,
+                )
 
     def trace(self, action: str, **details: Any) -> None:
         """Record a recovery-category trace event for this node."""

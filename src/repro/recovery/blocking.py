@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set
 
-from repro.causality.determinant import Determinant
 from repro.net.network import Message
-from repro.recovery.base import RecoveryManager
+from repro.protocols.base import Depinfo
+from repro.recovery.base import RecoveryManager, merge_depinfo
 
 
 class BlockingRecovery(RecoveryManager):
@@ -48,7 +48,7 @@ class BlockingRecovery(RecoveryManager):
         # recovering side
         self._collecting = False
         self._expected: Set[int] = set()
-        self._replies: Dict[int, List[Determinant]] = {}
+        self._replies: Dict[int, Depinfo] = {}
         self._gather_retries = 0
         # live side
         self._active_recoveries: Set[int] = set()
@@ -87,14 +87,9 @@ class BlockingRecovery(RecoveryManager):
         if any(p not in self._replies for p in self._expected):
             return
         self._collecting = False
-        # the hosts' own determinant objects, by reference; of equal
-        # ones the set keeps the first it meets
-        merged: Set[Determinant] = set()
-        for wire in self._replies.values():
-            merged.update(wire)
-        merged.update(self.node.protocol.local_depinfo_wire())
-        merged_wire = sorted(merged)
-        missing = self._replay_gap(merged_wire)
+        merged_wire = merge_depinfo(
+            [*self._replies.values(), self.node.protocol.local_depinfo_wire()])
+        missing = self._replay_gap(merged_wire[0])
         if missing and self._gather_retries < self.MAX_GATHER_RETRIES:
             # A receipt order this replay needs is not in any reply.  On
             # a faulty network that usually means a counted determinant
@@ -117,13 +112,14 @@ class BlockingRecovery(RecoveryManager):
             )
             return
         self.node.mark_replay_start()
-        self.trace("replay_handoff", determinants=len(merged_wire))
+        self.trace("replay_handoff", determinants=len(merged_wire[0]))
         self.node.protocol.begin_replay(merged_wire)
 
-    def _replay_gap(self, merged_wire: List[tuple]) -> List[int]:
-        """Receipt orders the replay will need but the gather lacks."""
+    def _replay_gap(self, dets: List[tuple]) -> List[int]:
+        """Receipt orders the replay will need but the gathered
+        determinants lack."""
         me = self.node.node_id
-        rsns = {item[3] for item in merged_wire if item[2] == me}
+        rsns = {item[3] for item in dets if item[2] == me}
         target = max(rsns, default=-1)
         start = self.node.app.delivered_count
         return [r for r in range(start, target + 1) if r not in rsns]
@@ -137,12 +133,7 @@ class BlockingRecovery(RecoveryManager):
 
     def on_replay_complete(self) -> None:
         self.trace("complete", epoch=self.epoch)
-        self.broadcast_control(
-            self.peers,
-            "recovery_complete",
-            {"incarnation": self.node.incarnation},
-            body_bytes=16,
-        )
+        self.announce_complete(self.peers)
         self.epoch = 0
         self.node.complete_recovery()
 
@@ -184,19 +175,19 @@ class BlockingRecovery(RecoveryManager):
         def send_reply() -> None:
             # the synchronous write has completed; only now may the
             # reply leave this host (the blocking algorithm's contract)
-            self.trace("reply_durable", requester=requester, determinants=len(wire))
+            self.trace("reply_durable", requester=requester, determinants=len(wire[0]))
             self.send_control(
                 requester,
                 "recovery_reply",
                 {"wire": wire, "epoch": request_epoch},
-                body_bytes=32 * len(wire),
+                body_bytes=32 * len(wire[0]),
             )
 
         # Synchronous stable write of the reply before it may be sent.
         self.node.storage.write(
             f"recovery_reply:{requester}:{self.node.sim.now}",
             wire,
-            size_bytes=max(64, 32 * len(wire)),
+            size_bytes=max(64, 32 * len(wire[0])),
             on_done=send_reply,
             stall_node=self.node.node_id,
         )
@@ -216,7 +207,8 @@ class BlockingRecovery(RecoveryManager):
         if self.node.is_recovering:
             self.node.protocol.request_retransmissions_from(msg.src)
         elif self.node.is_live:
-            self.node.protocol.on_peer_recovered(msg.src)
+            self.node.protocol.on_peer_recovered(
+                msg.src, msg.payload.get("through", -1))
         self._maybe_unblock()
 
     # ------------------------------------------------------------------

@@ -60,9 +60,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
 
-from repro.causality.determinant import Determinant
 from repro.net.network import Message
-from repro.recovery.base import RecoveryManager
+from repro.protocols.base import Depinfo
+from repro.recovery.base import RecoveryManager, merge_depinfo
 
 if TYPE_CHECKING:  # pragma: no cover - loaded where a poll starts
     from repro.sim.timers import PeriodicTimer
@@ -101,7 +101,7 @@ class NonblockingRecovery(RecoveryManager):
         self.known_recovering: Dict[int, Dict[str, Any]] = {}
         self._inc_replies: Dict[int, int] = {}
         self._depinfo_expected: Set[int] = set()
-        self._depinfo_replies: Dict[int, List[Determinant]] = {}
+        self._depinfo_replies: Dict[int, Depinfo] = {}
         #: peer -> id of the last depinfo request sent to it; only the
         #: reply echoing that id is accepted
         self._asked: Dict[int, int] = {}
@@ -225,12 +225,12 @@ class NonblockingRecovery(RecoveryManager):
         wire = self.node.protocol.local_depinfo_wire()
         # sent straight from volatile state, before any stable write: this
         # ordering IS the paper's no-blocking claim, so announce it
-        self.trace("depinfo_reply_sent", leader=msg.src, determinants=len(wire))
+        self.trace("depinfo_reply_sent", leader=msg.src, determinants=len(wire[0]))
         self.send_control(
             msg.src,
             "depinfo_reply",
             {"ask": msg.payload["ask"], "epoch": msg.payload.get("epoch", 0), "wire": wire},
-            body_bytes=32 * len(wire),
+            body_bytes=32 * len(wire[0]),
         )
 
     def _on_depinfo_reply(self, msg: Message) -> None:
@@ -274,7 +274,8 @@ class NonblockingRecovery(RecoveryManager):
         if self.node.is_recovering:
             self.node.protocol.request_retransmissions_from(msg.src)
         elif self.node.is_live:
-            self.node.protocol.on_peer_recovered(msg.src)
+            self.node.protocol.on_peer_recovered(
+                msg.src, msg.payload.get("through", -1))
         if self.role == "waiting":
             self._evaluate_leadership()
         elif self.role == "leader":
@@ -665,14 +666,14 @@ class NonblockingRecovery(RecoveryManager):
     def _post_progress(
         self,
         incvector: Optional[Dict[int, int]] = None,
-        depinfo: Optional[Dict[int, List[Determinant]]] = None,
+        depinfo: Optional[Dict[int, Depinfo]] = None,
         stale: Sequence[int] = (),
     ) -> None:
         """Persist gather progress at the sequencer: new incvector
         entries and replies, and the replies ``stale`` no longer holds."""
         incvector = dict(incvector or {})
         depinfo = dict(depinfo or {})
-        wire_items = sum(len(wire) for wire in depinfo.values())
+        wire_items = sum(len(dets) for dets, _ in depinfo.values())
         self.send_control(
             self.node.config.sequencer_id,
             "gather_progress",
@@ -696,13 +697,9 @@ class NonblockingRecovery(RecoveryManager):
     def _distribute(self) -> None:
         """Step 6: hand the merged snapshot to every member of R."""
         self.phase = "distribute"
-        # the hosts' own determinant objects, by reference; of equal
-        # ones the set keeps the first it meets
-        merged: Set[Determinant] = set()
-        for wire in self._depinfo_replies.values():
-            merged.update(wire)
-        merged.update(self.node.protocol.local_depinfo_wire())
-        merged_wire = sorted(merged)
+        merged_wire = merge_depinfo(
+            [*self._depinfo_replies.values(), self.node.protocol.local_depinfo_wire()])
+        determinants = len(merged_wire[0])
         members = [
             p
             for p, entry in self.known_recovering.items()
@@ -711,7 +708,7 @@ class NonblockingRecovery(RecoveryManager):
         self.trace(
             "distribute",
             members=sorted(members),
-            determinants=len(merged_wire),
+            determinants=determinants,
             epoch=self.epoch,
             incvector=dict(self._incvector),
         )
@@ -720,7 +717,7 @@ class NonblockingRecovery(RecoveryManager):
                 member,
                 "depinfo_distribute",
                 {"wire": merged_wire, "incvector": dict(self._incvector)},
-                body_bytes=32 * len(merged_wire),
+                body_bytes=32 * determinants,
             )
         # The recovery *algorithm* is now complete (step 6 done); replay
         # is local work.  Release the leadership critical section so the
@@ -738,7 +735,7 @@ class NonblockingRecovery(RecoveryManager):
         )
         if self._round_span is not None:
             self.node.trace.spans.end(
-                self._round_span, self.node.sim.now, determinants=len(merged_wire)
+                self._round_span, self.node.sim.now, determinants=determinants
             )
             self._round_span = None
         self.node.mark_replay_start()
@@ -750,10 +747,7 @@ class NonblockingRecovery(RecoveryManager):
     def on_replay_complete(self) -> None:
         self._stop_poll()
         self.trace("complete", ord=self.ord, epoch=self.epoch)
-        self.broadcast_control(
-            self.peers + [self.node.config.sequencer_id], "recovery_complete",
-            {"incarnation": self.node.incarnation}, body_bytes=16,
-        )
+        self.announce_complete(self.peers + [self.node.config.sequencer_id])
         self.known_recovering.pop(self.node.node_id, None)
         self.ord = None
         self.role = "idle"

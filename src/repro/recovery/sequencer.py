@@ -207,8 +207,14 @@ class Sequencer:
         )
 
     def _on_gather_state_request(self, msg: Message) -> None:
+        """Hand the persisted round to a successor leader, charged for
+        what it carries as :meth:`NonblockingRecovery._post_progress`
+        charges a post: 8 B per incvector entry, 32 B per determinant."""
         state = self.gather
-        replies = len(state["depinfo"]) if state is not None else 0
+        carried = 0
+        if state is not None:
+            carried = 8 * len(state["incvector"]) + 32 * sum(
+                len(dets) for dets, _ in state["depinfo"].values())
         self._reply(
             msg.src,
             "gather_state_reply",
@@ -218,7 +224,7 @@ class Sequencer:
                 if state is not None
                 else None,
             },
-            body_bytes=16 + 32 * replies,
+            body_bytes=16 + carried,
         )
 
     # ------------------------------------------------------------------

@@ -126,12 +126,14 @@ class SendLog:
         self._entries += 1
         self.bytes_logged += size_bytes
 
-    def messages_for(self, dst: int) -> List[Tuple[int, Logged]]:
-        """All logged ``(ssn, (payload, size))`` pairs destined for
-        ``dst``, by ssn, each payload freshly decoded."""
+    def messages_for(self, dst: int, after: int = -1) -> List[Tuple[int, Logged]]:
+        """The logged ``(ssn, (payload, size))`` pairs destined for
+        ``dst`` with ssn above ``after``, by ssn, each payload freshly
+        decoded."""
         return [
             (ssn, (decode_image(image), size))
             for _, ssn, image, size in _slots(self._rows, (dst,))
+            if ssn > after
         ]
 
     def prune_upto(self, dst: int, ssn: int) -> int:
@@ -296,6 +298,19 @@ class DeterminantLog:
         return sorted([
             det for _, dets, _ in self._rows.values() for det in dets if det is not None
         ])
+
+    def depinfo(self) -> Tuple[List[Determinant], List[int]]:
+        """Every stored determinant, as :meth:`determinants` orders them,
+        and its host mask at the same index: two parallel lists, so a
+        depinfo reply carries the log's own objects and builds no object
+        per entry."""
+        held = {
+            det: mask
+            for _, dets, masks in self._rows.values()
+            for det, mask in zip(dets, masks) if det is not None
+        }
+        dets = sorted(held)
+        return dets, [held[det] for det in dets]
 
     def stable(self, mask: int) -> bool:
         """Is a determinant with host set ``mask`` replicated enough: at

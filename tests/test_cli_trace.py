@@ -128,9 +128,9 @@ class TestTraceCommand:
 #: trace builds its events, so these pin that the readers still print
 #: the same bytes (``--chrome-out``: the printed line, then the file).
 TRACE_OUTPUT_SHA256 = {
-    "": "a9b7e0fb6d14b3feeb02cf6a8c42036d132fe76fa7f739067122a033ab3eed55",
-    "--tail 20": "ca314e69cf3a8fc107515f8f7180b202f5951584c4f13ce1fbf547a30f9d5851",
-    "--timeline": "b837fcdad2eac01c62e56d374d54c17dddfecfb5b2e7d3e5b602ccb44a954030",
+    "": "95cea60f26de72742d47a480fe067c4f5d5342e7ad90a88bd739418c4d214b92",
+    "--tail 20": "d54b63c98f3838714a8a08c9e32502b0d1a7ddb76f34b3794b8a3511a2c57d3b",
+    "--timeline": "5a0e8f502083f01cf008a51cb5819a881e0805c006828eb9a6639f099e828f54",
     "--spans": "7579d77b20c939d0c214acaec5b0303463832b5b098b7139cba9dcf39819cb50",
     "--critical-path": "3d7c4feedd03834b5d6d35eda72be5f7877a08f6c8126c7577f9d742f60b2ef4",
     "--chrome-out": "d6b7c8d18878fb04c2d97d7b4b434e60663fca3212b44ff26ff1a4aa42244bbb",

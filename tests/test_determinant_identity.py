@@ -1,9 +1,9 @@
 """A determinant is one object from delivery to replay.
 
 ``Determinant`` is immutable, so no hop of the recovery path copies it:
-a live host's depinfo reply carries its log's own objects, the leader
-merges them by reference, and the recovering process replays from those
-very objects.  A stable-log record holds the object its delivery made,
+a live host's depinfo reply carries its log's own objects (beside a
+list of their host masks), the leader merges them by reference, and
+the recovering process replays from those very objects.  A stable-log record holds the object its delivery made,
 a delivery that waited for its record logs that same object, and a
 restart's read-back puts it into the log as it is.
 """
@@ -30,9 +30,10 @@ def test_replay_runs_on_the_live_hosts_objects(recovery):
         wire = protocol.local_depinfo_wire
 
         def local_depinfo_wire():
-            dets = wire()
+            dets, masks = reply = wire()
+            assert len(masks) == len(dets)
             answered.update((id(det), det) for det in dets)
-            return dets
+            return reply
         protocol.local_depinfo_wire = local_depinfo_wire
 
     for node in system.nodes:

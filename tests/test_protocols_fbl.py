@@ -117,11 +117,14 @@ def test_restore_rebuilds_logs_from_checkpoint():
 def test_local_depinfo_wire_round_trips():
     system, result = run_system(small_config(n=4, hops=10))
     node = system.nodes[0]
-    wire = node.protocol.local_depinfo_wire()
-    held = node.protocol.det_log.determinants()
-    # a reply carries the log's own objects, not copies
-    assert wire and len(wire) == len(held)
-    assert all(sent is kept for sent, kept in zip(wire, held))
+    dets, masks = node.protocol.local_depinfo_wire()
+    log = node.protocol.det_log
+    held = log.determinants()
+    # a reply carries the log's own objects, not copies, and beside each
+    # the hosts the log knows to store it
+    assert dets and len(dets) == len(held) == len(masks)
+    assert all(sent is kept for sent, kept in zip(dets, held))
+    assert masks == [log.mask(det) for det in held]
 
 
 def test_dedupe_rejects_duplicate_ssn():

@@ -172,9 +172,12 @@ class TestGatherRaces:
             piggyback=[((3, 5), Determinant(1, 0, 3, 5), host_mask((1, 3)))],
         )
         node.receive(carrier)
-        assert (1, 0, 3, 5) not in node.protocol.local_depinfo_wire()
+        assert (1, 0, 3, 5) not in node.protocol.local_depinfo_wire()[0]
         node.protocol.absorb_piggybacks(node.blocked_app_messages())
-        assert (1, 0, 3, 5) in node.protocol.local_depinfo_wire()
+        dets, masks = node.protocol.local_depinfo_wire()
+        assert (1, 0, 3, 5) in dets
+        # the reply names the hosts the carrier counted, and this one
+        assert masks[dets.index((1, 0, 3, 5))] == host_mask((0, 1, 3))
 
     def test_replay_gap_detection(self):
         system = build_system(small_config(recovery="blocking"))

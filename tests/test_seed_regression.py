@@ -6,10 +6,20 @@ storage faults) must be invisible when disabled: with ``faults=None`` and
 reproduce the seed's numbers *exactly*, down to the last float.  The
 goldens in ``tests/data/seed_golden_e1_e2.json`` were captured from the
 seed tree before any fault-injection code landed, and are re-captured
-only when a change *intentionally* moves protocol behaviour (most
-recently: the stale-reply rule, under which E2's leader asks again for
-the depinfo it requested before q's failure was detected --
-docs/RECOVERY.md §4).
+only when a change *intentionally* moves protocol behaviour.  Such
+moves, most recent first:
+
+* a depinfo reply carries each determinant's host mask and a recovered
+  process merges them, so it stops piggybacking determinants the gather
+  showed stable; a completion names the delivered prefix per peer, and
+  peers resend only past it.  Digests and deliveries are unchanged;
+  application, protocol and recovery bytes, protocol messages, events,
+  end times and E1/E2 blocked times move (e2-nonblocking: application
+  bytes 302,144 -> 218,976, protocol 58,912 -> 27,040 in 315 -> 149
+  messages, recovery 260,696 -> 260,824, events 1,230 -> 1,064);
+* the stale-reply rule, under which E2's leader asks again for the
+  depinfo it requested before q's failure was detected
+  (docs/RECOVERY.md §4).
 
 Exact ``==`` on floats is deliberate: the guarantee under test is
 bit-identical execution (same RNG draws, same event order), not numeric
