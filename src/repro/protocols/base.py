@@ -128,8 +128,9 @@ class LoggingProtocol(ABC):
         self.node.commit_output(output_id, payload, self.node.sim.now)
 
     # -- recovery support ---------------------------------------------------
-    def local_depinfo_wire(self) -> Depinfo:
-        """This node's receipt-order knowledge, serialized for a reply."""
+    def local_depinfo_wire(self, want: int) -> Depinfo:
+        """This node's receipt-order knowledge that a recovery of the
+        hosts in ``want`` (a host mask) can use, serialized for a reply."""
         return [], []
 
     def absorb_piggybacks(self, messages: List[Message]) -> None:
@@ -418,12 +419,13 @@ class LogBasedProtocol(LoggingProtocol):
     # ------------------------------------------------------------------
     # replay engine
     # ------------------------------------------------------------------
-    def local_depinfo_wire(self) -> Depinfo:
-        """Everything this node knows: its log's own determinant objects,
-        sorted (immutable, so a reply carries them by reference), and the
-        host mask of each at the same index (see
+    def local_depinfo_wire(self, want: int) -> Depinfo:
+        """What this node knows that the hosts in ``want`` can use: its
+        log's own determinant objects of their deliveries or counted as
+        held by them, sorted (immutable, so a reply carries them by
+        reference), and the host mask of each at the same index (see
         :meth:`DeterminantLog.depinfo`)."""
-        return self.det_log.depinfo()
+        return self.det_log.depinfo(want)
 
     def absorb_piggybacks(self, messages: List[Message]) -> None:
         for msg in messages:

@@ -19,7 +19,9 @@ describes for this class of protocol:
 * every live process must **synchronously record its reply on stable
   storage before sending it** (the behaviour the paper attributes to
   Manetho-style recovery), adding a stable-storage stall to both the
-  live process and the recovering process's critical path.
+  live process and the recovering process's critical path.  The reply
+  holds only the determinants the requester can use: those of its own
+  deliveries, and those the replier counts it as holding.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Any, Dict, List, Set
 from repro.net.network import Message
 from repro.protocols.base import Depinfo
 from repro.recovery.base import RecoveryManager, merge_depinfo
+from repro.storage.volatile import host_mask
 
 
 class BlockingRecovery(RecoveryManager):
@@ -87,8 +90,8 @@ class BlockingRecovery(RecoveryManager):
         if any(p not in self._replies for p in self._expected):
             return
         self._collecting = False
-        merged_wire = merge_depinfo(
-            [*self._replies.values(), self.node.protocol.local_depinfo_wire()])
+        mine = self.node.protocol.local_depinfo_wire(host_mask((self.node.node_id,)))
+        merged_wire = merge_depinfo([*self._replies.values(), mine])
         missing = self._replay_gap(merged_wire[0])
         if missing and self._gather_retries < self.MAX_GATHER_RETRIES:
             # A receipt order this replay needs is not in any reply.  On
@@ -167,8 +170,10 @@ class BlockingRecovery(RecoveryManager):
         # kept byte-identical).
         if self.node.network.transport is not None:
             self.node.protocol.absorb_piggybacks(self.node.blocked_app_messages())
-        wire = self.node.protocol.local_depinfo_wire()
         requester = msg.src
+        # only what the requester can use: its own deliveries, and what
+        # this host counts it as holding
+        wire = self.node.protocol.local_depinfo_wire(host_mask((requester,)))
         request_epoch = (msg.payload or {}).get("epoch", 0)
         self.sync_reply_writes += 1
 

@@ -37,19 +37,22 @@ viewstamped-replication recovery):
   as it arrives).  A leader failure triggers a **handoff**: the
   successor fetches the persisted state and *resumes the round from the
   last completed phase* instead of restarting from scratch.
-* A live process P failing in the depinfo phase voids the reply it
-  owed, and makes **stale every request sent before its failure was
-  detected**, answered or not: its reply may have been built before the
-  deliveries P made last, however late it arrives.  P rejoins R and is
-  absorbed into the same round from its join announcement, and exactly
-  the stale requests are sent again -- the part of the paper's
-  ``goto 4`` that recovery needs, without redoing the incarnation
-  phase.  Each request carries an id its reply echoes, so a reply to a
-  superseded request is dropped.  A handoff treats every adopted reply
-  as stale for a process that is still to rejoin, and an absorb's
-  re-requests are persisted, so no handoff brings a stale reply back.
-  A member of R re-crashing stales nothing: a recovering process
-  delivers nothing.
+* Each depinfo request carries ``want``, the host mask of the
+  processes being recovered (the incvector's members and every failed
+  process still to rejoin, less the live processes the round asks), and
+  the reply holds only the determinants ``want`` can use: those of
+  their deliveries, and those the replier counts one of them as
+  holding.  A live process P failing in the depinfo phase voids the
+  reply it owed; it rejoins R and is absorbed into the same round from
+  its join announcement, and exactly the requests whose ``want`` lacked
+  P are sent again -- the part of the paper's ``goto 4`` that recovery
+  needs, without redoing the incarnation phase.  Each request carries
+  an id its reply echoes, so a reply to a superseded request is
+  dropped.  A handoff counts every adopted reply as asked for the dead
+  leader's incvector, and an absorb's re-requests are persisted, so no
+  handoff brings back a reply that lacks a member.  A member of R
+  re-crashing re-asks nothing: it is in every ``want``, and a
+  recovering process delivers nothing.
 
 The price is extra control messages (ordinal round-trip, incarnation
 round, depinfo round and its re-requests, distribution, progress posts)
@@ -63,6 +66,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set
 from repro.net.network import Message
 from repro.protocols.base import Depinfo
 from repro.recovery.base import RecoveryManager, merge_depinfo
+from repro.storage.volatile import host_mask
 
 if TYPE_CHECKING:  # pragma: no cover - loaded where a poll starts
     from repro.sim.timers import PeriodicTimer
@@ -105,10 +109,10 @@ class NonblockingRecovery(RecoveryManager):
         #: peer -> id of the last depinfo request sent to it; only the
         #: reply echoing that id is accepted
         self._asked: Dict[int, int] = {}
-        #: failed live peer -> the last request id issued before its
-        #: failure was detected: requests up to it are asked again when
-        #: it is absorbed
-        self._stale: Dict[int, int] = {}
+        #: peer -> the ``want`` its last depinfo request carried (or, for
+        #: an adopted reply, the dead leader's incvector members not
+        #: asked as live)
+        self._wanted: Dict[int, int] = {}
         self._incvector: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -222,7 +226,7 @@ class NonblockingRecovery(RecoveryManager):
             return
         self.trace("depinfo_request_received", leader=msg.src)
         self._raise_incvector(msg.payload["incvector"])
-        wire = self.node.protocol.local_depinfo_wire()
+        wire = self.node.protocol.local_depinfo_wire(msg.payload["want"])
         # sent straight from volatile state, before any stable write: this
         # ordering IS the paper's no-blocking claim, so announce it
         self.trace("depinfo_reply_sent", leader=msg.src, determinants=len(wire[0]))
@@ -350,12 +354,12 @@ class NonblockingRecovery(RecoveryManager):
                 # is absorbed -- with its fresh incarnation -- from its
                 # join announcement; distribution waits for that join
                 # (see _check_depinfo_done).
-                self._live_failure(node_id)
+                self._invalidate_reply(node_id, "live_failure")
             elif self.phase == "depinfo" and node_id in self.known_recovering:
                 # A member of R re-crashed mid-round; drop only its
                 # contribution -- it rejoins with a fresh ordinal.  It
-                # delivered nothing since its last crash, so no reply
-                # goes stale.
+                # delivered nothing since its last crash, and it is in
+                # every ``want``, so no reply is asked again.
                 self.known_recovering.pop(node_id, None)
                 self._inc_replies.pop(node_id, None)
                 self._invalidate_reply(node_id, "member_recrash")
@@ -471,51 +475,57 @@ class NonblockingRecovery(RecoveryManager):
             round=self._gather_round,
         )
 
-    def _live_failure(self, peer: int) -> None:
-        """A live process failed: void its reply, and mark every request
-        sent so far stale -- answered or not, its reply may have been
-        built before the deliveries the failed process made last."""
-        self._invalidate_reply(peer, "live_failure")
-        self._stale[peer] = self._ask_id
+    def _lacking(self, peer: int) -> List[int]:
+        """The expected replies whose ``want`` lacked ``peer``: answered
+        or not, they hold none of its determinants, and may have been
+        built before the deliveries it made last."""
+        bit = host_mask((peer,))
+        return sorted(
+            q for q in self._depinfo_expected if not self._wanted.get(q, 0) & bit
+        )
 
     def _absorb_member(self, peer: int, incarnation: int) -> None:
         """A (re)joined process becomes a member of R mid-round.
 
         Its fresh incarnation (carried by the join announcement) replaces
         its incvector entry, so no extra incarnation round is needed and
-        the gather round is *not* restarted.  The requests that are stale
-        for its deliveries are sent again, and their earlier replies
-        dropped.
+        the gather round is *not* restarted.  The requests whose ``want``
+        lacked it are sent again, and their earlier replies dropped.
         """
         self._incvector[peer] = max(self._incvector.get(peer, 0), incarnation)
         self._raise_incvector({peer: incarnation})
         self._inc_replies[peer] = incarnation
         if peer in self._depinfo_expected:
             # its join is the first news of its failure
-            self._live_failure(peer)
-        mark = self._stale.pop(peer, None)
-        stale = [] if mark is None else sorted(
-            q for q in self._depinfo_expected if self._asked.get(q, 0) <= mark
-        )
-        for owner in stale:
+            self._invalidate_reply(peer, "live_failure")
+        again = self._lacking(peer)
+        for owner in again:
             self._depinfo_replies.pop(owner, None)
         self.trace(
             "member_absorbed",
             peer=peer,
             round=self._gather_round,
             epoch=self.epoch,
-            rerequested=stale,
+            rerequested=again,
         )
-        # the persisted round drops the stale replies too, so a handoff
+        # the persisted round drops those replies too, so a handoff
         # cannot adopt them back
-        self._post_progress(incvector={peer: incarnation}, stale=stale)
-        self._request_depinfo(stale)
+        self._post_progress(incvector={peer: incarnation}, stale=again)
+        self._request_depinfo(again)
         self._check_depinfo_done()
 
     def _raise_incvector(self, incvector: Dict[int, int]) -> None:
         """Reject messages from incarnations older than ``incvector``'s."""
         for peer, inc in incvector.items():
             self.node.incvector[peer] = max(self.node.incvector.get(peer, 0), inc)
+
+    def _want(self) -> int:
+        """The host mask of the processes this round recovers: the
+        incvector's members and every failed process still to rejoin,
+        less the live processes it asks (a member another leader served
+        may be live again, and deliver)."""
+        recovering = self._incvector.keys() | self._pending_failed()
+        return host_mask(recovering - self._depinfo_expected)
 
     def _live_peers(self) -> List[int]:
         """The processes step 5 asks: neither in R nor suspected."""
@@ -565,7 +575,6 @@ class NonblockingRecovery(RecoveryManager):
         live = self._live_peers()
         self._depinfo_expected = set(live)
         self._depinfo_replies.clear()
-        self._stale.clear()
         self.trace(
             "depinfo_phase", round=self._gather_round, epoch=self.epoch,
             live=sorted(live),
@@ -574,14 +583,16 @@ class NonblockingRecovery(RecoveryManager):
         self._check_depinfo_done()
 
     def _request_depinfo(self, peers: List[int]) -> None:
+        want = self._want()
         for peer in peers:
             self._ask_id += 1
             self._asked[peer] = self._ask_id
+            self._wanted[peer] = want
             self.send_control(
                 peer,
                 "depinfo_request",
-                {"ask": self._ask_id, "incvector": dict(self._incvector)},
-                body_bytes=16 + 8 * len(self._incvector),
+                {"ask": self._ask_id, "incvector": dict(self._incvector), "want": want},
+                body_bytes=24 + 8 * len(self._incvector),
             )
 
     def _adopt_gather(self, state: Dict[str, Any]) -> bool:
@@ -592,9 +603,10 @@ class NonblockingRecovery(RecoveryManager):
         would need a fresh incarnation round anyway).  Replies persisted
         from peers that have since failed are invalidated; everything
         else -- the incvector and every reply already collected -- is
-        kept, and only the missing replies are re-requested.  A failed
-        live process still to rejoin may have delivered after any
-        adopted reply was built, so every adopted reply is stale for it.
+        kept, and only the missing replies are re-requested.  The adopted
+        replies count as asked for the dead leader's incvector members:
+        a failed live process still to rejoin is re-asked for on its
+        absorb, as is this leader if the dead one never counted it.
         """
         if state["epoch"] >= self.epoch:
             return False  # not a predecessor's state; never adopt
@@ -627,13 +639,12 @@ class NonblockingRecovery(RecoveryManager):
             for p, wire in state["depinfo"].items()
             if p in self._depinfo_expected
         }
-        # the adopted replies were asked for by the dead leader, so none
-        # has an id of ours: they are stale for a failure still to rejoin
-        self._stale = {
-            p: self._ask_id
-            for p in self._pending_failed()
-            if p not in incvector  # a re-crashed member of R stales nothing
-        }
+        adopted = host_mask(state["incvector"].keys() - self._depinfo_expected)
+        self._wanted.update((p, adopted) for p in self._depinfo_replies)
+        # a dead leader that never counted this one asked for none of
+        # its determinants: absorb it like any other member
+        for p in self._lacking(me):
+            self._depinfo_replies.pop(p, None)
         invalidated = sorted(
             p for p in state["depinfo"] if p not in self._depinfo_expected
         )
@@ -697,8 +708,10 @@ class NonblockingRecovery(RecoveryManager):
     def _distribute(self) -> None:
         """Step 6: hand the merged snapshot to every member of R."""
         self.phase = "distribute"
-        merged_wire = merge_depinfo(
-            [*self._depinfo_replies.values(), self.node.protocol.local_depinfo_wire()])
+        merged_wire = merge_depinfo([
+            *self._depinfo_replies.values(),
+            self.node.protocol.local_depinfo_wire(self._want()),
+        ])
         determinants = len(merged_wire[0])
         members = [
             p

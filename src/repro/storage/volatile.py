@@ -299,15 +299,19 @@ class DeterminantLog:
             det for _, dets, _ in self._rows.values() for det in dets if det is not None
         ])
 
-    def depinfo(self) -> Tuple[List[Determinant], List[int]]:
-        """Every stored determinant, as :meth:`determinants` orders them,
-        and its host mask at the same index: two parallel lists, so a
-        depinfo reply carries the log's own objects and builds no object
-        per entry."""
+    def depinfo(self, want: int) -> Tuple[List[Determinant], List[int]]:
+        """The stored determinants a recovery of the hosts in ``want`` (a
+        host mask, see :func:`host_mask`) can use: those whose receiver,
+        or a host their mask counts, is in ``want`` -- ``(mask | 2 <<
+        receiver) & want``.  Ordered as :meth:`determinants` orders them,
+        with each one's host mask at the same index: two parallel lists,
+        so a depinfo reply carries the log's own objects and builds no
+        object per entry."""
         held = {
             det: mask
-            for _, dets, masks in self._rows.values()
-            for det, mask in zip(dets, masks) if det is not None
+            for receiver, (_, dets, masks) in self._rows.items()
+            for det, mask in zip(dets, masks)
+            if det is not None and (mask | 2 << receiver) & want
         }
         dets = sorted(held)
         return dets, [held[det] for det in dets]

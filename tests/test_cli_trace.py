@@ -128,12 +128,12 @@ class TestTraceCommand:
 #: trace builds its events, so these pin that the readers still print
 #: the same bytes (``--chrome-out``: the printed line, then the file).
 TRACE_OUTPUT_SHA256 = {
-    "": "95cea60f26de72742d47a480fe067c4f5d5342e7ad90a88bd739418c4d214b92",
-    "--tail 20": "d54b63c98f3838714a8a08c9e32502b0d1a7ddb76f34b3794b8a3511a2c57d3b",
+    "": "09ba1fe51ce255ecd1e2174f5c12d6a33c08391988ef905cab7608f12927db5e",
+    "--tail 20": "25a3655abc89336b1f68e23ec8a7bd92a78b0e482f3e3a8e734af013d2ba015f",
     "--timeline": "5a0e8f502083f01cf008a51cb5819a881e0805c006828eb9a6639f099e828f54",
-    "--spans": "7579d77b20c939d0c214acaec5b0303463832b5b098b7139cba9dcf39819cb50",
-    "--critical-path": "3d7c4feedd03834b5d6d35eda72be5f7877a08f6c8126c7577f9d742f60b2ef4",
-    "--chrome-out": "d6b7c8d18878fb04c2d97d7b4b434e60663fca3212b44ff26ff1a4aa42244bbb",
+    "--spans": "892c722444302ca4970c6c13ca3f1da48ff0249dc4fa9a4ba3a76053518489ea",
+    "--critical-path": "1fcce3590d73472dff8ca9380c47838004ab00eaca2f210cc9548b21c35cc4ef",
+    "--chrome-out": "8e8761670b9594fc21989341dc5de1d8606005ade2f9a76fd3752b7e8cc7ac82",
 }
 
 

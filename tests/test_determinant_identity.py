@@ -29,8 +29,8 @@ def test_replay_runs_on_the_live_hosts_objects(recovery):
     def wrap_wire(protocol):
         wire = protocol.local_depinfo_wire
 
-        def local_depinfo_wire():
-            dets, masks = reply = wire()
+        def local_depinfo_wire(want):
+            dets, masks = reply = wire(want)
             assert len(masks) == len(dets)
             answered.update((id(det), det) for det in dets)
             return reply

@@ -117,7 +117,8 @@ def test_restore_rebuilds_logs_from_checkpoint():
 def test_local_depinfo_wire_round_trips():
     system, result = run_system(small_config(n=4, hops=10))
     node = system.nodes[0]
-    dets, masks = node.protocol.local_depinfo_wire()
+    # a recovery of every host can use everything the log holds
+    dets, masks = node.protocol.local_depinfo_wire(host_mask(range(4)))
     log = node.protocol.det_log
     held = log.determinants()
     # a reply carries the log's own objects, not copies, and beside each

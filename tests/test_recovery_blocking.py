@@ -172,9 +172,10 @@ class TestGatherRaces:
             piggyback=[((3, 5), Determinant(1, 0, 3, 5), host_mask((1, 3)))],
         )
         node.receive(carrier)
-        assert (1, 0, 3, 5) not in node.protocol.local_depinfo_wire()[0]
+        want = host_mask((3,))  # the determinant's receiver recovers
+        assert (1, 0, 3, 5) not in node.protocol.local_depinfo_wire(want)[0]
         node.protocol.absorb_piggybacks(node.blocked_app_messages())
-        dets, masks = node.protocol.local_depinfo_wire()
+        dets, masks = node.protocol.local_depinfo_wire(want)
         assert (1, 0, 3, 5) in dets
         # the reply names the hosts the carrier counted, and this one
         assert masks[dets.index((1, 0, 3, 5))] == host_mask((0, 1, 3))

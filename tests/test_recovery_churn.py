@@ -6,13 +6,13 @@ gather.  These tests pin the churn-hardening on top of it:
 * a leader crash mid-gather triggers a view-change-style handoff -- the
   successor adopts the persisted round state from the sequencer and
   resumes, instead of restarting from scratch;
-* a live process failing mid-round makes every request sent before its
-  failure was detected stale, answered or not, and exactly those are
-  sent again when it is absorbed (a reply to a superseded request is
-  dropped) -- through a handoff too, and never for a re-crashed member
-  of R; the churn trials that distributed stale replies recover
-  consistently, and with the marking removed the oracle alone finds
-  the orphans;
+* a depinfo reply holds only what the processes its request's ``want``
+  names can use, so when a live process that failed mid-round is
+  absorbed, exactly the requests whose ``want`` lacked it are sent
+  again, answered or not (a reply to a superseded request is dropped)
+  -- through a handoff too, and never for a re-crashed member of R; the
+  churn trials that distributed stale replies recover consistently,
+  and with the re-asking removed the oracle alone finds the orphans;
 * cascading failures (k >= 3 overlapping crashes) and partitions healing
   mid-gather still converge for every recovery manager;
 * the ``recovery-epoch`` sanitizer invariant catches an epoch-reuse
@@ -170,6 +170,34 @@ class TestStaleReplies:
         # the re-crashed old leader was a member of R: it stales nothing
         assert events(system, "member_absorbed", peer=2)[0].details["rerequested"] == []
 
+    def test_a_member_asked_as_live_is_not_wanted(self):
+        # churn adaptive/nonblocking 56: node 1 adopts node 0's round after
+        # node 0 has served it and gone live, so it asks node 0 as a live
+        # process though the adopted incvector names it; node 0's late
+        # join then counts as its failure, and every reply is asked again
+        config = chaos_config("adaptive", "nonblocking", 2, 56, profile="churn")
+        system, result = run_system(config)
+        assert result.consistent
+        (handoff,) = events(system, "leader_handoff")
+        assert handoff.node == 1
+        assert 0 in events(system, "depinfo_phase", resumed=True)[0].details["live"]
+        assert events(system, "member_absorbed", peer=0)[0].details["rerequested"] == [2, 3]
+
+    def test_handoff_asks_again_for_a_leader_the_dead_one_never_counted(self):
+        # churn adaptive/nonblocking 109: the post of node 3's absorb of
+        # node 1 is lost on its way to the sequencer, and node 1 takes
+        # over before it is resent, so the persisted round's incvector
+        # lacks node 1 and its two replies were asked for node 3 alone;
+        # node 1 asks for both again
+        config = chaos_config("adaptive", "nonblocking", 2, 109, profile="churn")
+        system, result = run_system(config)
+        assert result.consistent
+        (handoff,) = events(system, "leader_handoff")
+        assert handoff.node == 1 and handoff.details["adopted_replies"] == []
+        asked = {e.details["src"] for e in events(system, "depinfo_reply_accepted")
+                 if e.node == 1}
+        assert {0, 2} <= asked
+
     def test_member_recrash_rerequests_nothing(self):
         # node 4, a member of R, dies again in node 2's depinfo phase;
         # node 5's held reply keeps the round open past node 4's rejoin
@@ -208,15 +236,18 @@ class TestStaleReplies:
         ("fbl", 10), ("fbl", 30), ("fbl", 56), ("adaptive", 32),
     ])
     def test_stale_reply_mutant_orphans_the_survivors(self, monkeypatch, protocol, seed):
-        """Seeded mutant: a live failure voids its reply but marks no
-        request stale.  With the sanitizer off, the oracle alone calls
-        the trial inconsistent, with an orphan finding."""
+        """Seeded mutant: an absorb asks no answered reply again, so a
+        reply whose ``want`` lacked the absorbed process is distributed.
+        With the sanitizer off, the oracle alone calls the trial
+        inconsistent, with an orphan finding."""
         from repro.recovery.nonblocking import NonblockingRecovery
 
-        def mutant(self, peer):
-            self._invalidate_reply(peer, "live_failure")
+        lacking = NonblockingRecovery._lacking
 
-        monkeypatch.setattr(NonblockingRecovery, "_live_failure", mutant)
+        def mutant(self, peer):
+            return [q for q in lacking(self, peer) if q not in self._depinfo_replies]
+
+        monkeypatch.setattr(NonblockingRecovery, "_lacking", mutant)
         config = chaos_config(protocol, "nonblocking", 2, seed, profile="churn")
         assert not config.sanitize
         _, result = run_system(config)

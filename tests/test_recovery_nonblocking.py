@@ -3,6 +3,8 @@
 import pytest
 
 from repro import build_system, crash_at, crash_on
+from repro.experiments import failure_during_recovery
+from repro.storage.volatile import host_mask
 
 from helpers import small_config
 
@@ -226,3 +228,37 @@ class TestMemberFinishesBeforeTheLeaderAsks:
         assert all(e.complete for e in result.episodes)
         assert all(node.is_live for node in system.nodes)
 
+
+
+class TestDepinfoWant:
+    def test_e2_reply_asked_again_carries_the_second_victims_determinants(self):
+        """E2: node 5 dies as node 3's depinfo request reaches it.  The
+        first replies were asked for node 3 alone; those asked again on
+        node 5's absorb carry node 5's determinants, and its replay runs
+        through the last of them."""
+        system = build_system(failure_during_recovery(recovery="nonblocking"))
+        answers = []
+        for node in system.nodes:
+            def local_depinfo_wire(want, node=node, wire=node.protocol.local_depinfo_wire):
+                dets, _ = reply = wire(want)
+                answers.append((node.sim.now, node.node_id, want, dets))
+                return reply
+            node.protocol.local_depinfo_wire = local_depinfo_wire
+        result = system.run()
+        assert result.consistent
+        (absorbed,) = [e for e in system.trace.select("recovery", action="member_absorbed")
+                       if e.details["peer"] == 5]
+        asked_again = absorbed.details["rerequested"]
+        victim = host_mask((5,))
+        first = [want for at, _, want, _ in answers if at < absorbed.time]
+        assert first and not any(want & victim for want in first)
+        again = [(host, want, dets) for at, host, want, dets in answers
+                 if at > absorbed.time and host in asked_again]
+        assert asked_again and sorted({host for host, _, _ in again}) == asked_again
+        assert all(want & victim for _, want, _ in again)
+        carried = {det.rsn for _, _, dets in again for det in dets if det.receiver == 5}
+        assert carried
+        (start,) = system.trace.select("replay", 5, "start")
+        (done,) = system.trace.select("replay", 5, "done")
+        assert start.details["target_rsn"] >= max(carried)
+        assert done.details["delivered"] == start.details["target_rsn"] + 1

@@ -144,6 +144,29 @@ class TestDeterminantLog:
         # same delivery slot, different message: not "contained"
         assert det(sender=0, ssn=9, receiver=1, rsn=0) not in log
 
+    def test_depinfo_keeps_what_the_wanted_hosts_can_use(self):
+        log = DeterminantLog()
+        own = det(sender=0, ssn=0, receiver=1, rsn=0)          # held nowhere else
+        counted = det(sender=0, ssn=1, receiver=2, rsn=0)      # counted at host 3
+        stable = det(sender=0, ssn=2, receiver=2, rsn=1)       # stable host only
+        log.add(own)
+        log.add(counted, logged_at=(2, 3))
+        log.add(stable, logged_at=(-1,))  # bit 0: no process to recover
+        # the receiver bit alone selects a determinant
+        assert log.depinfo(host_mask((1,))) == ([own], [0])
+        # a counted host selects it, with its whole mask
+        assert log.depinfo(host_mask((3,))) == ([counted], [host_mask((2, 3))])
+        # the receiver of an uncounted determinant selects it too
+        assert log.depinfo(host_mask((2,))) == (
+            [counted, stable], [host_mask((2, 3)), host_mask((-1,))])
+        # the stable host's bit 0 ties a determinant to no process
+        assert log.depinfo(host_mask((1, 3))) == (
+            [own, counted], [0, host_mask((2, 3))])
+        # an empty want: nothing is being recovered
+        assert log.depinfo(0) == ([], [])
+        assert log.depinfo(host_mask((1, 2, 3))) == (
+            [own, counted, stable], [0, host_mask((2, 3)), host_mask((-1,))])
+
     def test_state_round_trip(self):
         log = DeterminantLog()
         d = det()

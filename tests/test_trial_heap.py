@@ -185,7 +185,14 @@ def heap_per_delivery(workload: str, seed: int = 1000, scale: float = 0.25, site
     at that point (tracemalloc ``lineno`` statistics), keyed
     ``file:line``."""
     specs = e2e_workloads()[workload].specs
-    run_config(specs(seed, 0.05)[0].materialize())  # warm imports and caches
+    # warm imports and caches with one trial of every protocol x recovery
+    # stack the workload runs: none is first imported while measured
+    warm = {}
+    for spec in specs(seed, 0.05):
+        config = spec.materialize()
+        warm.setdefault((config.protocol, config.recovery), config)
+    for config in warm.values():
+        run_config(config)
     live = tracked = deliveries = 0
     for spec in specs(seed, scale):
         config = spec.materialize()
