@@ -532,11 +532,14 @@ class Node:
         delivered_ids: Set[Tuple[int, int]],
     ) -> int:
         """Overwrite replayable state in place (coordinated rollback),
-        adopting the arguments (a freshly decoded round image).
+        adopting the arguments (a freshly decoded round image), once
+        the oracle has archived what the rollback undoes.
 
         Returns the number of deliveries rolled back.
         """
-        lost = max(0, self.app.delivered_count - app_state["delivered_count"])
+        restored = app_state["delivered_count"]
+        lost = max(0, self.app.delivered_count - restored)
+        self.oracle.on_rollback(self.node_id, restored, send_seqnos)
         self.app.restore(app_state)
         self.send_seqnos = send_seqnos
         self.delivered_ids = delivered_ids

@@ -22,9 +22,15 @@ correctness properties the paper proves in Section 4:
       the same clause at the end of the run, where every slot past a
       process's final history is lost.
 
-  Optimistic logging creates orphans by design and kills them by
-  rollback, so there a finding is pending until the orphaned process
-  rolls back, and the run-end call promotes what is left.
+  Optimistic logging and coordinated checkpointing leave a live
+  process an orphan until it rolls back itself, so there a finding is
+  pending until the orphaned process rolls back, and the run-end call
+  promotes what is left.
+* **Consistent cuts** (coordinated checkpointing): each committed
+  snapshot round is judged at its commit, from the previous committed
+  cut.  Every delivery inside the cut has its send inside the sender's
+  cut (its ssn below the sender's send count at its snapshot), and, as
+  no channel state is recorded, every send inside it is delivered inside it.
 
 The causal record itself lives in :attr:`ConsistencyOracle.graph`, the
 run's one :class:`~repro.sanitizer.causal.CausalGraph`, which the online
@@ -53,7 +59,7 @@ from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.output import CommittedOutput
-from repro.sanitizer.causal import CausalGraph, DeliveryKey, slot
+from repro.sanitizer.causal import CausalGraph, DeliveryKey
 
 #: bytes of one sha256 digest
 _DIGEST = 32
@@ -92,7 +98,8 @@ class ConsistencyOracle:
     message.
 
     ``sim`` is read for ``now``; ``transient_orphans`` holds orphan
-    findings pending until a rollback (optimistic logging).  ``System``
+    findings pending until a rollback (optimistic logging, coordinated
+    checkpointing).  ``System``
     sets :attr:`nodes` once they are built, and :attr:`chains` when the
     run records spans.
     """
@@ -116,6 +123,13 @@ class ConsistencyOracle:
         self._due: List[Tuple[float, int, List[DeliveryKey]]] = []
         #: (node, rsn, finding): held until node rolls back below rsn
         self._pending: List[Tuple[int, int, OracleViolation]] = []
+        #: round not yet committed -> node -> (deliveries, sends per
+        #: destination) at the node's snapshot
+        self._cuts: Dict[int, Dict[int, Tuple[int, Dict[int, int]]]] = {}
+        #: node -> its deliveries the cut rule has judged (a prefix)
+        self._judged: Dict[int, int] = {}
+        #: receiver -> sender -> its deliveries in the judged prefix
+        self._got: Dict[int, Dict[int, int]] = defaultdict(dict)
 
     # ------------------------------------------------------------------
     # recording
@@ -173,19 +187,29 @@ class ConsistencyOracle:
         passed while it is still live."""
         self._judge_recoveries()
 
-    def on_rollback(self, node: int, final_count: int) -> None:
-        """A recovery finished with ``node`` at ``final_count`` deliveries.
+    def on_rollback(
+        self, node: int, final_count: int, sends: Optional[Dict[int, int]] = None
+    ) -> None:
+        """A recovery finished with ``node`` at ``final_count`` deliveries
+        (and, after a snapshot restore, ``sends[dst]`` sends to each dst).
 
-        Deliveries at rsn >= ``final_count`` (and the sends they caused)
-        are permanently rolled back.  They are archived, not judged as
-        replay divergence, so the node's fresh post-recovery execution
-        is not misreported; the slots they held are judged by orphan
+        Deliveries at rsn >= ``final_count`` (and the sends they caused,
+        or made past ``sends``) are permanently rolled back.  They are
+        archived, not judged as replay divergence, so the node's fresh
+        post-recovery execution is not misreported; the slots they held are judged by orphan
         clause (b) once the clock passes this instant.  A pending
         (optimistic) finding on ``node`` at rsn >= ``final_count`` is
-        undone by the rollback.
+        undone by the rollback, and the cut rule's judged prefix of
+        ``node`` is cut back to ``final_count``.
         """
         self._judge_recoveries()
-        stale = self.graph.roll_back(node, final_count)
+        judged = self._judged.get(node, 0)
+        if judged > final_count:
+            got, row = self._got[node], self.graph.deliveries.get(node, ())
+            for sender, _ssn in filter(None, row[final_count:judged]):
+                got[sender] -= 1
+            self._judged[node] = final_count
+        stale = self.graph.roll_back(node, final_count, sends)
         del self._digests[node][_DIGEST * final_count:]
         if self._pending:
             self._pending = [p for p in self._pending if p[0] != node or p[1] < final_count]
@@ -209,7 +233,8 @@ class ConsistencyOracle:
         rows = self.graph.deliveries
         while self._due and self._due[0][0] < self.sim.now:
             time, recovered, stale = self._due.pop(0)
-            lost = [key for key in stale if slot(rows, *key) is None]
+            row = rows.get(recovered, ())  # slot(), inline: every stale key is the recovered's
+            lost = [key for key in stale if key[1] >= len(row) or row[key[1]] is None]
             if lost:
                 frontiers = {
                     peer: len(rows[peer]) - 1
@@ -225,11 +250,12 @@ class ConsistencyOracle:
         all of them first, and one per frontier only if that reaches one."""
         reach = self.graph.reach
         top = reach(frontiers.items())
-        if all(rsn > top.get(owner, -1) for owner, rsn in lost):
+        # list comprehensions, not generators: one call each, not one per key
+        if not [key for key in lost if key[1] <= top.get(key[0], -1)]:
             return
         for peer, rsn in sorted(frontiers.items()):
             below = reach(((peer, rsn),))
-            tainted = sorted(key for key in lost if key[1] <= below.get(key[0], -1))
+            tainted = sorted([key for key in lost if key[1] <= below.get(key[0], -1)])
             if tainted:
                 self._orphan(peer, rsn, time, f"live process depends on deliveries {tainted} {why}")
 
@@ -241,6 +267,52 @@ class ConsistencyOracle:
             self._pending.append((node, rsn, finding))
         else:
             self.violations.append(finding)
+
+    # ------------------------------------------------------------------
+    # the cut rule
+    # ------------------------------------------------------------------
+    def on_snapshot(self, node: int, round_id: int, delivered: int, sends: Dict[int, int]) -> None:
+        """``node`` snapshotted round ``round_id`` after ``delivered``
+        deliveries, having sent ``sends[dst]`` messages to each ``dst``
+        (read now, not kept)."""
+        self._cuts.setdefault(round_id, {})[node] = (delivered, dict(sends))
+
+    def on_round_commit(self, round_id: int) -> None:
+        """Round ``round_id`` committed: judge its cut.  A delivery
+        inside a process's cut is judged once, at the first commit whose
+        cut holds it; older rounds can no longer commit."""
+        cut = self._cuts.pop(round_id, {})
+        for old in [r for r in self._cuts if r < round_id]:
+            del self._cuts[old]
+        missing = [p for p in range(len(self.nodes)) if p not in cut]
+        if missing:
+            self._flag("inconsistent-cut", missing[0], (
+                f"round {round_id} committed without snapshots from nodes {missing}"))
+            return
+        rows = self.graph.deliveries
+        for receiver, (delivered, _sends) in sorted(cut.items()):
+            judged = self._judged.get(receiver, 0)
+            got = self._got[receiver]
+            for rsn, message in enumerate(rows.get(receiver, ())[judged:delivered], judged):
+                if message is None:
+                    continue
+                sender, ssn = message
+                got[sender] = got.get(sender, 0) + 1
+                inside = cut[sender][1].get(receiver, 0)
+                if ssn >= inside:
+                    self._flag("inconsistent-cut", receiver, (
+                        f"round {round_id}'s cut holds the delivery of ({sender}, "
+                        f"ssn {ssn}) at rsn {rsn}, but node {sender}'s cut holds "
+                        f"only its first {inside} sends to node {receiver}"))
+            self._judged[receiver] = max(judged, delivered)
+        for sender, (_delivered, sends) in sorted(cut.items()):
+            for receiver, inside in sorted(sends.items()):
+                got = self._got[receiver].get(sender, 0)
+                if got < inside:
+                    self._flag("inconsistent-cut", receiver, (
+                        f"round {round_id}'s cut holds node {sender}'s first "
+                        f"{inside} sends to node {receiver}, but only {got} of "
+                        f"them delivered"))
 
     # ------------------------------------------------------------------
     # end-of-run checks
@@ -317,36 +389,3 @@ class ConsistencyOracle:
         """Total distinct delivery events observed."""
         return sum(len(row) - row.count(None) for row in self.graph.deliveries.values())
 
-
-class NullOracle(ConsistencyOracle):
-    """An oracle that observes nothing.
-
-    Used for protocols whose post-rollback re-execution legitimately
-    diverges from the original run (coordinated checkpointing re-executes
-    live rather than replaying), where neither replay determinism nor
-    the per-delivery orphan rule applies; the sanitizer's
-    ``cut-consistent`` invariant judges those runs instead.
-    """
-
-    def on_send(self, sender: int, ssn: int, dst: int, deliveries_so_far: int) -> None:
-        pass
-
-    def on_deliver(
-        self, receiver: int, rsn: int, message_id: Tuple[int, int], digest: str
-    ) -> None:
-        pass
-
-    def on_crash(self, node: int) -> None:
-        pass
-
-    def on_rollback(self, node: int, final_count: int) -> None:
-        pass
-
-    def on_gc(self, node: int, covered: int) -> None:
-        pass
-
-    def check_safety(self, final_histories: Dict[int, List[Tuple[int, int]]]) -> None:
-        pass
-
-    def check_outputs(self, outputs: Iterable[CommittedOutput]) -> None:
-        pass

@@ -15,7 +15,7 @@ from repro.core.config import SystemConfig
 from repro.core.metrics import MetricsCollector, RunResult
 from repro.core.metrics_registry import MetricsRegistry
 from repro.core.node import Node, NodeState
-from repro.core.oracle import ConsistencyOracle, NullOracle
+from repro.core.oracle import ConsistencyOracle
 from repro.core.output import OutputDevice
 from repro.net.latency import AtmLinkModel
 from repro.net.network import Network
@@ -63,11 +63,9 @@ class System:
             from repro.sim.profile import SimProfiler
 
             self.profiler = SimProfiler().attach(self.sim)
-        if PROTOCOLS[config.protocol].oracle_compatible:
-            self.oracle = ConsistencyOracle(
-                self.sim, transient_orphans=config.protocol == "optimistic")
-        else:
-            self.oracle = NullOracle()
+        # a live process rolls back after the fact under these two stacks
+        self.oracle = ConsistencyOracle(
+            self.sim, transient_orphans=config.protocol in ("optimistic", "coordinated"))
         self.sanitizer = None
         chains = None
         if config.sanitize:

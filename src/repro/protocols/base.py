@@ -53,8 +53,6 @@ class LoggingProtocol(ABC):
     supported_recovery: Tuple[str, ...] = ()
     #: whether begin_replay should ask senders to retransmit logged data
     requests_retransmissions: bool = True
-    #: whether the run is deterministic enough for the replay oracle
-    oracle_compatible: bool = True
 
     def __init__(self) -> None:
         self.node = None  # set by attach()

@@ -60,9 +60,6 @@ class CoordinatedCheckpointing(LoggingProtocol):
 
     name = "coordinated"
     supported_recovery = ("coordinated",)
-    #: re-execution after rollback may take a different interleaving, so
-    #: the replay-determinism oracle does not apply
-    oracle_compatible = False
 
     def __init__(self, snapshot_every: int = 10, initiator: int = 0) -> None:
         super().__init__()
@@ -121,6 +118,7 @@ class CoordinatedCheckpointing(LoggingProtocol):
         node = self.node
         ssn = node.next_ssn(dst)
         self.sent_count[dst] = self.sent_count.get(dst, 0) + 1
+        node.oracle.on_send(node.node_id, ssn, dst, node.app.delivered_count)
         node.network.send(
             Message(
                 src=node.node_id,
@@ -343,8 +341,9 @@ class CoordinatedCheckpointing(LoggingProtocol):
         node.trace.record(
             node.sim.now, "snapshot", node.node_id, "snap", round=round_id,
             delivered=node.app.delivered_count,
-            sent=dict(self.sent_count), recv=dict(self.recv_count),
         )
+        node.oracle.on_snapshot(
+            node.node_id, round_id, node.app.delivered_count, node.send_seqnos)
         self._round_counts[round_id] = node.app.delivered_count
         self._written_rounds.add(round_id)
 
@@ -399,6 +398,7 @@ class CoordinatedCheckpointing(LoggingProtocol):
         self._round_in_progress = None
         self.rounds_committed += 1
         node.trace.record(node.sim.now, "snapshot", node.node_id, "commit", round=round_id)
+        node.oracle.on_round_commit(round_id)
         for peer in self._peers():
             self._send_ctl(peer, "cl_commit", {"round": round_id}, body=8)
         self._apply_commit(round_id)
@@ -467,12 +467,13 @@ class CoordinatedCheckpointing(LoggingProtocol):
     def _reclaim_below_horizon(self) -> None:
         """Drop snapshots no rollback can ever target again.
 
-        Any future rollback round is the minimum of per-node *durable*
-        committed markers, each of which is lower-bounded by that node's
-        announced mark (marker writes are FIFO and monotone).  Rounds
-        strictly below the minimum announced mark are therefore dead,
-        whatever fails next.  Requires a mark from every node -- a
-        silent (crashed) peer conservatively freezes the horizon.
+        Any future rollback round is the newest committed round some
+        process reports, at least its *durable* committed marker, which
+        is lower-bounded by its announced mark (marker writes are FIFO
+        and monotone).  Rounds strictly below the minimum announced mark
+        are therefore dead, whatever fails next.  Requires a mark from
+        every node -- a silent (crashed) peer conservatively freezes the
+        horizon.
         """
         node = self.node
         if set(self._durable_marks) != set(range(node.config.n)):

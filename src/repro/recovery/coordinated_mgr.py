@@ -1,10 +1,11 @@
 """Recovery driver for coordinated checkpointing.
 
 Any single failure rolls the *whole system* back: the restarted process
-queries every live peer for its latest durable snapshot round and its
-epoch, picks the minimum round (the last line everyone has) and a fresh
-epoch, and broadcasts the rollback.  Every process -- failed or not --
-then stalls through a full stable-storage restore and loses all work
+queries every live peer for its latest committed snapshot round and its
+epoch, picks the newest round reported (a round commits once every
+snapshot of it is durable, and outputs released under it must stay
+released) and a fresh epoch, and broadcasts the rollback.  Every
+process -- failed or not -- then stalls through a full stable-storage restore and loses all work
 since the snapshot.  This maximal intrusion is the foil for the paper's
 non-blocking algorithm in experiment E7.
 """
@@ -68,7 +69,7 @@ class CoordinatedRecovery(RecoveryManager):
         epochs = [r["rollback_epoch"] for r in self._replies.values()]
         epochs.append(self.node.protocol.epoch)
         epochs.append(self._max_seen_epoch)
-        target = min(rounds)
+        target = max(rounds)
         new_epoch = max(epochs) + 1
         self._max_seen_epoch = new_epoch
         self.trace("rollback_decision", round=target, rollback_epoch=new_epoch,

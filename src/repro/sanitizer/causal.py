@@ -97,9 +97,13 @@ class CausalGraph:
             return None
         return claim(row, rsn, message_id)
 
-    def roll_back(self, node: int, final_count: int) -> List[DeliveryKey]:
+    def roll_back(
+        self, node: int, final_count: int, sends: Optional[Dict[int, int]] = None
+    ) -> List[DeliveryKey]:
         """Archive ``node``'s deliveries at rsn >= ``final_count`` and the
-        sends they caused; returns the archived delivery keys."""
+        sends they caused -- and, given ``sends``, the per-destination send
+        counts a snapshot restored, every send past them; returns the
+        archived delivery keys."""
         row = self.deliveries.get(node, [])
         stale_deliveries = [
             (node, rsn) for rsn in range(final_count, len(row)) if row[rsn] is not None
@@ -110,8 +114,9 @@ class CausalGraph:
         for (sender, dst), contexts in self.contexts.items():
             if sender != node:
                 continue
+            kept = len(contexts) if sends is None else sends.get(dst, 0)
             for ssn, context in enumerate(contexts):
-                if context is not None and context > final_count:
+                if context is not None and (context > final_count or ssn >= kept):
                     self.rolled_back_sends[(sender, ssn, dst)] = context
                     contexts[ssn] = None
         return stale_deliveries

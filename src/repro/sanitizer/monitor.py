@@ -42,11 +42,9 @@ sections):
     timestamp) are recoverable and legitimate.
 
 ``cut-consistent``
-    Every committed coordinated snapshot round is a consistent cut: all
-    ``n`` processes snapshotted the round and every channel's sent
-    count equals the peer's received count (checked at
-    ``snapshot.commit``), and a rollback sends every process to the
-    same round (checked at ``snapshot.rolled_back``).
+    A coordinated rollback sends every process to the same round
+    (checked at ``snapshot.rolled_back``).  That each committed round is
+    a consistent cut is the oracle's cut rule, judged in every run.
 
 ``no-block``
     The paper's non-blocking guarantee (Section 3): under
@@ -133,7 +131,6 @@ class Sanitizer:
     def __init__(self, config: "SystemConfig", graph: CausalGraph) -> None:
         self.protocol = config.protocol
         self.recovery = config.recovery
-        self.n = config.n
         self.graph = graph
         self.chains = SpanChainTracker()
         #: the recorder attach() subscribed to, until finalize() (``None``
@@ -185,8 +182,6 @@ class Sanitizer:
         self._mode_epoch: Dict[int, int] = {}
 
         # -- coordinated -----------------------------------------------
-        #: round -> node -> (delivered, sent counts, recv counts)
-        self._snaps: Dict[int, Dict[int, Tuple[int, Dict, Dict]]] = {}
         #: per-node delivered count covered by the committed round
         self._cover: Dict[int, int] = {}
         #: rollback epoch -> the single round it must target
@@ -220,8 +215,6 @@ class Sanitizer:
             "protocol.mode_restored": self._on_mode_restored,
             "replay.done": self._on_replay_done,
             "output.commit": self._on_output_commit,
-            "snapshot.snap": self._on_snap,
-            "snapshot.commit": self._on_snapshot_commit,
             "snapshot.committed": self._on_snapshot_committed,
             "snapshot.rolled_back": self._on_rolled_back,
         }
@@ -619,49 +612,6 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # coordinated snapshot rounds
     # ------------------------------------------------------------------
-    def _on_snap(self, event: "TraceEvent") -> None:
-        node = event.node
-        d = event.details
-        self._snaps.setdefault(d["round"], {})[node] = (
-            d["delivered"],
-            dict(d["sent"]),
-            dict(d["recv"]),
-        )
-
-    def _on_snapshot_commit(self, event: "TraceEvent") -> None:
-        round_id = event.details["round"]
-        snaps = self._snaps.get(round_id, {})
-        self._check("cut-consistent")
-        missing = [p for p in range(self.n) if p not in snaps]
-        if missing:
-            if snaps:  # silent when snap events carry no counters (old trace)
-                self._flag(
-                    "cut-consistent",
-                    event.node,
-                    event.time,
-                    f"round {round_id} committed without snapshots from "
-                    f"nodes {missing}",
-                )
-            return
-        for a in range(self.n):
-            _, sent_a, _ = snaps[a]
-            for b in range(self.n):
-                if a == b:
-                    continue
-                sent = sent_a.get(b, 0)
-                recv = snaps[b][2].get(a, 0)
-                if sent != recv:
-                    self._flag(
-                        "cut-consistent",
-                        event.node,
-                        event.time,
-                        f"round {round_id} committed an inconsistent cut: "
-                        f"channel {a}->{b} sent {sent} but received {recv}",
-                    )
-        # older rounds can no longer commit or be rolled back to
-        for done in [r for r in self._snaps if r < round_id]:
-            del self._snaps[done]
-
     def _on_snapshot_committed(self, event: "TraceEvent") -> None:
         self._cover[event.node] = event.details["covered"]
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import build_system
-from repro.core.oracle import ConsistencyOracle, NullOracle, OracleViolation
+from repro.core.oracle import ConsistencyOracle, OracleViolation
 from repro.sim.spans import SpanChainTracker
 from repro.sim.trace import TraceRecorder
 
@@ -112,6 +112,19 @@ def test_rollback_archives_sends():
     assert oracle.consistent
 
 
+def test_snapshot_rollback_archives_sends_past_the_restored_counts():
+    """A snapshot restore hands back the send counts it restored: a send
+    at or past them is undone whatever its delivery count, and its
+    re-execution may come at any point.  A replay restores no counts,
+    so there the same send regenerated elsewhere is a divergence."""
+    for sends, found in (({}, []), (None, ["send-divergence"])):
+        oracle = ConsistencyOracle()
+        oracle.on_send(0, 0, 1, 0)  # released with no delivery since the snapshot
+        oracle.on_rollback(0, 0, sends)
+        oracle.on_send(0, 0, 1, 2)  # re-executed after two deliveries
+        assert [v.kind for v in oracle.violations] == found
+
+
 def test_orphan_still_detected_after_rollback_archiving():
     """Archived events keep their causal edges for the safety check."""
     oracle = ConsistencyOracle()
@@ -144,17 +157,6 @@ def test_deliveries_recorded_counts_unique():
     assert oracle.deliveries_recorded() == 2
 
 
-def test_null_oracle_observes_nothing():
-    oracle = NullOracle()
-    oracle.on_send(0, 0, 1, 0)
-    oracle.on_deliver(1, 0, (0, 99), digest("x"))
-    oracle.on_deliver(1, 0, (5, 5), digest("y"))  # would be a violation normally
-    oracle.on_rollback(1, 0)
-    oracle.check_safety({1: [(9, 9)]})
-    assert oracle.consistent
-    assert oracle.deliveries_recorded() == 0
-
-
 # ----------------------------------------------------------------------
 # the orphan rule, fed by hand in the order a run makes the calls
 # ----------------------------------------------------------------------
@@ -181,8 +183,8 @@ class Run:
         self.at(time).on_crash(node)
         self.oracle.nodes[node].is_live = False
 
-    def recover(self, time, node, delivered):
-        self.at(time).on_rollback(node, delivered)
+    def recover(self, time, node, delivered, sends=None):
+        self.at(time).on_rollback(node, delivered, sends)
         self.oracle.nodes[node].is_live = True
 
 
@@ -336,6 +338,149 @@ def test_transient_orphan_is_pending_until_the_process_rolls_back():
         found = [(v.kind, v.node, v.time) for v in run.oracle.violations]
         assert found == ([] if rolled_back else [("orphan", 0, 0.50), ("orphan", 0, 0.60)])
         assert all(v.detail.endswith("when the run ended)") for v in run.oracle.violations)
+
+
+# ----------------------------------------------------------------------
+# the cut rule, fed by hand in the order coordinated checkpointing makes
+# the calls: a snapshot per process, then the round's commit
+# ----------------------------------------------------------------------
+def one_message_each_way(run):
+    """Node 0 sends ssn 0 to node 1, which delivers it and answers with
+    its ssn 0; node 0 delivers that: each has delivered once and sent
+    once."""
+    run.at(0.10).on_send(0, 0, 1, 0)
+    run.at(0.11).on_deliver(1, 0, (0, 0), digest("n1"))
+    run.at(0.12).on_send(1, 0, 0, 1)
+    run.at(0.13).on_deliver(0, 0, (1, 0), digest("n0"))
+
+
+def test_consistent_cut_passes_and_leaves_no_round_state():
+    run = Run(n=2)
+    one_message_each_way(run)
+    run.at(0.20).on_snapshot(0, 1, 1, {1: 1})
+    run.at(0.21).on_snapshot(1, 1, 1, {0: 1})
+    run.at(0.30).on_round_commit(1)
+    assert run.oracle.consistent, [str(v) for v in run.oracle.violations]
+    assert run.oracle._cuts == {}
+
+
+def test_delivery_of_a_send_outside_its_senders_cut_is_flagged():
+    """Node 0 snapshots before its send and releases it at once; node 1
+    delivers it before its own snapshot, so round 1's cut holds a
+    delivery whose ssn is at the sender's snapshot send count."""
+    run = Run(n=2)
+    run.at(0.10).on_snapshot(0, 1, 0, {})
+    run.at(0.11).on_send(0, 0, 1, 0)  # the delivery count cannot tell: still 0
+    run.at(0.12).on_deliver(1, 0, (0, 0), digest("n1"))
+    run.at(0.13).on_snapshot(1, 1, 1, {})
+    run.span(0.14, 1, 3, "storage.write")
+    run.at(0.20).on_round_commit(1)
+    (violation,) = run.oracle.violations
+    assert (violation.kind, violation.node, violation.time) == ("inconsistent-cut", 1, 0.20)
+    assert violation.detail == (
+        "round 1's cut holds the delivery of (0, ssn 0) at rsn 0, but node 0's "
+        "cut holds only its first 0 sends to node 1")
+    assert [link["kind"] for link in violation.span_chain] == ["storage.write"]
+
+
+def test_send_inside_the_cut_left_undelivered_is_flagged():
+    """Node 0's cut holds its send to node 1, but node 1 snapshots
+    before delivering it: the protocol records no channel state, so the
+    message is lost to the cut."""
+    run = Run(n=2)
+    run.at(0.10).on_send(0, 0, 1, 0)
+    run.at(0.11).on_snapshot(0, 1, 0, {1: 1})
+    run.at(0.12).on_snapshot(1, 1, 0, {})
+    run.at(0.13).on_deliver(1, 0, (0, 0), digest("n1"))
+    run.at(0.20).on_round_commit(1)
+    (violation,) = run.oracle.violations
+    assert (violation.kind, violation.node) == ("inconsistent-cut", 1)
+    assert violation.detail == (
+        "round 1's cut holds node 0's first 1 sends to node 1, but only 0 of them delivered")
+
+
+def test_round_committed_without_every_snapshot_is_flagged():
+    run = Run(n=2)
+    run.at(0.10).on_snapshot(0, 1, 0, {})
+    run.at(0.20).on_round_commit(1)
+    assert [(v.kind, v.detail) for v in run.oracle.violations] == [
+        ("inconsistent-cut", "round 1 committed without snapshots from nodes [1]")]
+
+
+def test_a_delivery_is_judged_once_and_again_after_a_rollback_undoes_it():
+    """The rule walks only the deliveries since the previous committed
+    cut: a delivery round 1 flagged is not flagged again by round 2,
+    whose cut holds its send.  A rollback below the judged prefix
+    un-judges it, so its re-execution is judged at the next commit."""
+    run = Run(n=2)
+    run.at(0.10).on_snapshot(0, 1, 0, {})
+    run.at(0.11).on_send(0, 0, 1, 0)
+    run.at(0.12).on_deliver(1, 0, (0, 0), digest("n1"))
+    run.at(0.13).on_snapshot(1, 1, 1, {})
+    run.at(0.20).on_round_commit(1)
+    run.at(0.30).on_snapshot(0, 2, 0, {1: 1})
+    run.at(0.31).on_snapshot(1, 2, 1, {})
+    run.at(0.40).on_round_commit(2)
+    assert [v.time for v in run.oracle.violations] == [0.20]
+    # both roll back to round 0's empty cut; node 1 re-delivers early
+    run.recover(0.50, 0, 0, {})
+    run.recover(0.51, 1, 0, {})
+    run.at(0.60).on_send(0, 0, 1, 0)
+    run.at(0.61).on_deliver(1, 0, (0, 0), digest("n1"))
+    run.at(0.62).on_snapshot(0, 3, 0, {})
+    run.at(0.63).on_snapshot(1, 3, 1, {})
+    run.at(0.70).on_round_commit(3)
+    assert [v.time for v in run.oracle.violations] == [0.20, 0.70]
+
+
+def test_a_rollback_uncounts_the_deliveries_it_undid():
+    """Round 1's cut holds node 1's delivery of node 0's ssn 0.  Both
+    roll back to round 0's empty cut; node 0 sends ssn 0 again, and
+    round 2's cut holds that send but not its delivery.  The undone
+    delivery no longer counts for the channel, so the send is flagged."""
+    run = Run(n=2)
+    run.at(0.10).on_send(0, 0, 1, 0)
+    run.at(0.11).on_deliver(1, 0, (0, 0), digest("n1"))
+    run.at(0.12).on_snapshot(0, 1, 0, {1: 1})
+    run.at(0.13).on_snapshot(1, 1, 1, {})
+    run.at(0.20).on_round_commit(1)
+    run.recover(0.30, 0, 0, {})
+    run.recover(0.31, 1, 0, {})
+    run.at(0.40).on_send(0, 0, 1, 0)
+    run.at(0.41).on_snapshot(0, 2, 0, {1: 1})
+    run.at(0.42).on_snapshot(1, 2, 0, {})
+    run.at(0.50).on_round_commit(2)
+    assert [(v.time, v.detail) for v in run.oracle.violations] == [(0.50, (
+        "round 2's cut holds node 0's first 1 sends to node 1, but only 0 of them delivered"))]
+
+
+@pytest.mark.parametrize("rolls_back", [True, False])
+def test_live_peer_that_rolls_back_below_pre_rollback_traffic_leaves_no_finding(rolls_back):
+    """Coordinated rollback reaches live processes one at a time.  Node
+    0 crashes and rolls back to round 1; node 1, still live in the old
+    execution, delivers node 0's rolled-back message -- an orphan while
+    it lasts, pending -- and then rolls back to round 1 itself, below
+    that delivery: no finding.  Had it not rolled back, the orphan
+    would be real, and the run-end call reports it."""
+    run = Run(n=2)
+    run.oracle._transient = True  # as System sets it for coordinated
+    one_message_each_way(run)
+    run.at(0.20).on_snapshot(0, 1, 1, {1: 1})
+    run.at(0.21).on_snapshot(1, 1, 1, {0: 1})
+    run.at(0.30).on_round_commit(1)
+    run.at(0.31).on_send(1, 1, 0, 1)
+    run.at(0.32).on_deliver(0, 1, (1, 1), digest("n0 after"))
+    run.at(0.33).on_send(0, 1, 1, 2)
+    run.crash(0.40, 0)
+    run.recover(0.50, 0, 1, {1: 1})
+    run.at(0.55).on_deliver(1, 1, (0, 1), digest("n1 after"))
+    assert run.oracle.consistent
+    if rolls_back:
+        run.at(0.60).on_rollback(1, 1, {0: 1})
+    run.oracle.check_safety({0: [(1, 0)], 1: [(0, 0)] + ([] if rolls_back else [(0, 1)])})
+    found = [(v.kind, v.node, v.time) for v in run.oracle.violations]
+    # the delivery itself, and the run-end walk to the lost slot (0, 1)
+    assert found == ([] if rolls_back else [("orphan", 1, 0.55)] * 2)
 
 
 # ----------------------------------------------------------------------

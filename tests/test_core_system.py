@@ -57,15 +57,20 @@ def test_crash_node_is_idempotent():
     system.sim.run()
 
 
-def test_null_oracle_for_coordinated():
-    from repro.core.oracle import NullOracle
-
+def test_coordinated_run_is_judged_by_the_oracle():
+    """Coordinated checkpointing gets the run's one oracle: a run that
+    crashes and rolls every process back records its sends and
+    deliveries, and is consistent."""
     system = build_system(small_config(
         protocol="coordinated", recovery="coordinated",
-        protocol_params={"snapshot_every": 8},
+        protocol_params={"snapshot_every": 8}, hops=40,
+        crashes=[crash_at(node=2, time=0.05)],
     ))
-    assert isinstance(system.oracle, NullOracle)
-    system.run()
+    result = system.run()
+    assert system.metrics.rolled_back_deliveries > 0
+    assert any(system.oracle.graph.contexts.values())
+    assert system.oracle.deliveries_recorded() > 0
+    assert result.consistent, [str(v) for v in result.oracle_violations]
 
 
 def test_result_extra_contains_protocol_and_recovery_stats():

@@ -1,11 +1,16 @@
 """Tests for coordinated checkpointing and its global rollback."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from repro import build_system, crash_at
+from repro.protocols.coordinated import CoordinatedCheckpointing
 from repro.storage.checkpoint import decode_image
 
 from helpers import small_config
+from test_chaos import chaos_config
 
 
 def coordinated_config(n=5, snapshot_every=8, hops=40, **kw):
@@ -54,6 +59,45 @@ class TestSnapshotRounds:
         for node in system.nodes:
             assert not node.protocol._holding
 
+    def test_early_release_mutant_is_caught_by_the_oracle_at_the_commit(self, monkeypatch):
+        """The race the module docstring describes, put back: a process
+        releases its held sends right after its local snapshot, not at
+        the commit.  In chaos trial ``coordinated/coordinated`` seed 1
+        (canonical order, no crash) loss makes the transport retransmit,
+        and node 1's first post-snapshot message to node 2 overtakes
+        node 2's ``cl_snap``: round 1's cut holds a delivery whose send
+        is outside its sender's cut.  With the sanitizer off this run
+        used to pass; now the oracle flags it at the commit, with the
+        commit's time and the span chain open on the receiver then."""
+        config = replace(chaos_config("coordinated", "coordinated", 1, 1), sanitize=False)
+        assert build_system(config).run().consistent
+        snapshot = CoordinatedCheckpointing._take_round_snapshot
+
+        def release_early(self, round_id, report_to):
+            snapshot(self, round_id, report_to)
+            self._release_hold()
+
+        monkeypatch.setattr(CoordinatedCheckpointing, "_take_round_snapshot", release_early)
+        system = build_system(config)
+        commits = {}
+
+        def at_commit(event):
+            chains = system.oracle.chains
+            commits[event.details["round"]] = (
+                event.time, {node: tuple(chains.chain(node)) for node in range(config.n)})
+
+        system.trace.subscribe(at_commit, "snapshot.commit")
+        found = system.run().oracle_violations
+        assert found and {v.kind for v in found} == {"inconsistent-cut"}
+        first = found[0]
+        assert (first.node, first.detail) == (2, (
+            "round 1's cut holds the delivery of (1, ssn 2) at rsn 8, but node 1's "
+            "cut holds only its first 2 sends to node 2"))
+        time, chains = commits[int(re.match(r"round (\d+)", first.detail).group(1))]
+        assert first.time == time
+        assert first.span_chain == chains[2]
+        assert [link["kind"] for link in first.span_chain] == ["transport.retransmit_epoch"]
+
 
 class TestRollback:
     def test_crash_rolls_everyone_back(self):
@@ -92,6 +136,30 @@ class TestRollback:
         system, result = run_system(config)
         committed = {n.protocol.committed_round for n in system.nodes}
         assert len(committed) == 1
+
+    def test_rollback_keeps_outputs_released_before_the_crash(self):
+        """Round 1 commits at 0.128 s and every process releases outputs
+        under it.  Node 3 crashes at 0.141 s, before its committed-marker
+        write lands, and restarts believing round 0.  The rollback goes
+        to round 1, the newest round any process reports: round 0 would
+        undo the released outputs, and the oracle's output check would
+        flag them."""
+        config = small_config(
+            protocol="coordinated", recovery="coordinated",
+            protocol_params={"snapshot_every": 8}, workload="uniform",
+            workload_params={"hops": 20, "fanout": 2, "output_every": 3},
+            crashes=[crash_at(node=3, time=0.140625)], seed=0,
+        )
+        system = build_system(config)
+        decisions = []
+        system.trace.subscribe(
+            lambda event: decisions.append(
+                (event.details["round"], system.nodes[3].protocol.committed_round)),
+            "recovery.rollback_decision")
+        result = system.run()
+        assert decisions == [(1, 0)]
+        assert result.outputs_committed > 0
+        assert result.consistent, [str(v) for v in result.oracle_violations]
 
     def test_second_crash_rolls_back_again(self):
         config = coordinated_config(
